@@ -62,10 +62,13 @@ type dirScanner struct {
 	// pl, when set, times each scan's read phase (walk + drain) as one
 	// StageRead batch — per scan, never per line.
 	pl *obs.Pipeline
+	// buf is the line scanner buffer every drainFile reuses; sc.Text
+	// copies each line out of it.
+	buf []byte
 }
 
 func newDirScanner(dir string, st ingestStream) *dirScanner {
-	return &dirScanner{dir: dir, st: st, offsets: make(map[string]int64)}
+	return &dirScanner{dir: dir, st: st, offsets: make(map[string]int64), buf: make([]byte, 64*1024)}
 }
 
 // scan walks the tree once, feeding every new line. It reports whether
@@ -141,7 +144,7 @@ func (s *dirScanner) drainFile(path, rel string) (int, error) {
 		return 0, err
 	}
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(s.buf[:0], 4*1024*1024)
 	fed := 0
 	read := off
 	for sc.Scan() {

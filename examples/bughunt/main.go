@@ -25,10 +25,11 @@ func main() {
 			if a.ID != f.App {
 				continue
 			}
-			c := a.Container(f.Container)
 			fmt.Printf("\nevidence for %s:\n", f.Container)
-			for _, e := range c.Events {
-				fmt.Printf("  %s\n", e)
+			for _, e := range a.Events {
+				if e.Container == f.Container {
+					fmt.Printf("  %s\n", e)
+				}
 			}
 			fmt.Println("  (no LOCALIZING/SCHEDULED/RUNNING, no FIRST_LOG, no FIRST_TASK)")
 			break

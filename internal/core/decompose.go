@@ -94,7 +94,10 @@ func Decompose(a *AppTrace) *Decomposition {
 	// First task / first executor log over all worker containers.
 	var firstTask, firstExecLog int64
 	var firstRun, lastRun int64
-	for _, c := range a.WorkerContainers() {
+	for _, c := range a.Containers {
+		if c.IsAM() {
+			continue
+		}
 		if c.FirstTask > 0 && (firstTask == 0 || c.FirstTask < firstTask) {
 			firstTask = c.FirstTask
 		}
@@ -129,20 +132,22 @@ func Decompose(a *AppTrace) *Decomposition {
 		}
 	}
 
-	// Per-container components.
+	// Per-container components. A live stream decomposes on every absorbed
+	// line, so each slice is allocated once, sized for every container.
+	n := len(a.Containers)
 	for _, c := range a.Containers {
-		id := c.ID.String()
+		id := c.idString()
 		if v := diff(c.Acquired, c.Allocated); v >= 0 {
-			d.Acquisitions = append(d.Acquisitions, ContainerDelay{id, c.Instance, c.Node, v})
+			d.Acquisitions = appendDelay(d.Acquisitions, n, ContainerDelay{id, c.Instance, c.Node, v})
 		}
 		if v := diff(c.Scheduled, c.Localizing); v >= 0 {
-			d.Localizations = append(d.Localizations, ContainerDelay{id, c.Instance, c.Node, v})
+			d.Localizations = appendDelay(d.Localizations, n, ContainerDelay{id, c.Instance, c.Node, v})
 		}
 		if v := diff(c.Running, c.Scheduled); v >= 0 && c.OppQueuedAt == 0 {
-			d.Launchings = append(d.Launchings, ContainerDelay{id, c.Instance, c.Node, v})
+			d.Launchings = appendDelay(d.Launchings, n, ContainerDelay{id, c.Instance, c.Node, v})
 		}
 		if v := diff(c.LaunchInvoked, c.Scheduled); v >= 0 {
-			d.Queueings = append(d.Queueings, ContainerDelay{id, c.Instance, c.Node, v})
+			d.Queueings = appendDelay(d.Queueings, n, ContainerDelay{id, c.Instance, c.Node, v})
 		}
 	}
 
@@ -150,6 +155,15 @@ func Decompose(a *AppTrace) *Decomposition {
 	d.Complete = d.Total >= 0 && d.AM >= 0 && d.Driver >= 0 && d.Executor >= 0 &&
 		len(d.Anomalies) == 0
 	return d
+}
+
+// appendDelay appends cd to s, allocating s with capacity n on first use
+// so an empty component stays nil.
+func appendDelay(s []ContainerDelay, n int, cd ContainerDelay) []ContainerDelay {
+	if s == nil {
+		s = make([]ContainerDelay, 0, n)
+	}
+	return append(s, cd)
 }
 
 // findAnomalies explains why a trace is partial or suspect: headline

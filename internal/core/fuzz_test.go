@@ -103,7 +103,10 @@ func FuzzParseReader(f *testing.F) {
 // Every input additionally runs through a ShardedStream with a fuzzed
 // worker count as a differential oracle against the serial stream: the
 // absorbed event multiset must match no matter how lines shard, even on
-// adversarial input that triggers cross-shard event forwarding.
+// adversarial input that triggers cross-shard event forwarding. The serial
+// stream's incrementally built report must also equal a batch correlation
+// of the events it holds: incremental == batch on arbitrary, out-of-order
+// and equal-timestamp input.
 func FuzzStreamFeed(f *testing.F) {
 	seedCorpusWorkers(f)
 	sources := []string{
@@ -117,6 +120,21 @@ func FuzzStreamFeed(f *testing.F) {
 		st := NewStream()
 		for i, line := range lines {
 			st.Feed(sources[i%len(sources)], line)
+		}
+		var held []Event
+		for _, a := range st.Apps() {
+			held = append(held, a.Events...)
+		}
+		inc, err := st.Report().JSON()
+		if err != nil {
+			t.Fatalf("stream JSON: %v", err)
+		}
+		batch, err := ReportFrom(Correlate(held), held).JSON()
+		if err != nil {
+			t.Fatalf("batch JSON: %v", err)
+		}
+		if inc != batch {
+			t.Fatalf("incremental report differs from batch correlation of the same events:\n%s\nvs\n%s", inc, batch)
 		}
 
 		w := int(workers%8) + 1

@@ -84,7 +84,7 @@ func (r *Report) JSON() (string, error) {
 		}
 		for _, c := range a.Containers {
 			ja.Container = append(ja.Container, jsonContainer{
-				ID:            c.ID.String(),
+				ID:            c.idString(),
 				Instance:      string(c.Instance),
 				Node:          c.Node,
 				Allocated:     c.Allocated,

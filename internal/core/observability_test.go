@@ -41,7 +41,7 @@ func feedCorpus(s *Stream, cs corpus) {
 }
 
 // TestStreamEvictionBoundsMemory is the regression test for the unbounded
-// firstLogSeen/eventsByApp growth: a long-running feed of 2,000 completed
+// firstLogSeen/event growth: a long-running feed of 2,000 completed
 // applications must stay at the retention limit once EvictCompleted runs.
 func TestStreamEvictionBoundsMemory(t *testing.T) {
 	const apps, keep = 2000, 100
@@ -61,8 +61,13 @@ func TestStreamEvictionBoundsMemory(t *testing.T) {
 	if got := len(s.apps); got != keep {
 		t.Fatalf("apps retained = %d, want %d", got, keep)
 	}
-	if got := len(s.eventsByApp); got != keep {
-		t.Fatalf("event buckets retained = %d, want %d", got, keep)
+	// Evicted apps' events leave with their traces.
+	held := 0
+	for _, a := range s.Apps() {
+		held += len(a.Events)
+	}
+	if got := s.EventCount(); got != held {
+		t.Fatalf("EventCount = %d, retained traces hold %d events", got, held)
 	}
 	// 2 containers with stderr per app; all entries of evicted apps pruned.
 	if got := len(s.firstLogSeen); got != 2*keep {

@@ -3,7 +3,6 @@ package core
 import (
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,8 +29,9 @@ var reAppInLine = regexp.MustCompile(`(?:application|container)_(\d+)_(\d+)`)
 // All methods are safe for concurrent use. Feed is asynchronous: call
 // Quiesce to wait until everything fed so far has been absorbed. Reports
 // gather applications in submission order and events per application in
-// arrival order, so a sharded and a serial stream fed the same line
-// sequence render byte-identical reports regardless of worker count.
+// time order, ties in arrival order, so a sharded and a serial stream fed
+// the same line sequence render byte-identical reports regardless of
+// worker count.
 type ShardedStream struct {
 	shards []*streamShard
 
@@ -85,6 +85,11 @@ type streamShard struct {
 	// scratch is this worker's reusable fast-matcher parser (only the
 	// worker goroutine touches it); see Stream.scratch.
 	scratch *Parser
+	// batchEvs and batchEnds are runObserved's reusable parse buffer: the
+	// events of a whole line batch back to back, and where each line's
+	// events end (worker goroutine only).
+	batchEvs  []Event
+	batchEnds []int
 
 	linesTotal *metrics.Counter
 	depth      *metrics.Gauge   // core_shard_queue_depth{shard=i}
@@ -367,18 +372,24 @@ func (sh *streamShard) runObserved(pl *obs.Pipeline, lines []shardLine, routed [
 		return
 	}
 	t := pl.Begin()
-	batch := make([][]Event, len(lines))
-	for i, ln := range lines {
+	evs, ends := sh.batchEvs[:0], sh.batchEnds[:0]
+	for _, ln := range lines {
 		if sh.linesTotal != nil {
 			sh.linesTotal.Inc()
 		}
-		batch[i] = sh.parseLineCopy(ln.source, ln.raw)
+		// Copied out of the scratch parser, which the next line reuses.
+		evs = append(evs, sh.parseLineScratch(ln.source, ln.raw)...)
+		ends = append(ends, len(evs))
 	}
 	mid := pl.Begin()
-	for i := range lines {
-		sh.routeAndAbsorb(batch[i])
+	start := 0
+	for _, end := range ends {
+		sh.routeAndAbsorb(evs[start:end:end])
 		sh.ss.done()
+		start = end
 	}
+	clear(evs) // drop the batch's strings until the buffer is refilled
+	sh.batchEvs, sh.batchEnds = evs[:0], ends[:0]
 	// Parsing and absorbing (correlate + decompose) share the middle
 	// clock read; splitting the phases costs no extra reads.
 	pl.StageSpan(obs.StageParse, sh.i, t, mid, len(lines))
@@ -410,8 +421,9 @@ func (sh *streamShard) process(ln shardLine) {
 // parseLineScratch parses one line into the worker's reusable scratch
 // parser and returns its scratch-backed events, valid until the next
 // call (routeAndAbsorb never retains the slice: forwards copy, and
-// absorbRouted filters into a fresh slice). The regexp reference path
-// keeps the historical throwaway-parser-per-line behavior.
+// absorbRouted filters it in place and stores events by value). The
+// regexp reference path keeps the historical throwaway-parser-per-line
+// behavior.
 func (sh *streamShard) parseLineScratch(source, raw string) []Event {
 	if referenceMatcher() {
 		return parseLineEvents(sh.ss.pmet, source, raw)
@@ -436,17 +448,6 @@ func (sh *streamShard) parseLineScratch(source, raw string) []Event {
 		return nil
 	}
 	return p.events
-}
-
-// parseLineCopy is parseLineScratch for batch parsing (runObserved
-// parses a whole batch before absorbing any of it): the returned events
-// survive subsequent scratch reuse.
-func (sh *streamShard) parseLineCopy(source, raw string) []Event {
-	evs := sh.parseLineScratch(source, raw)
-	if len(evs) == 0 {
-		return nil
-	}
-	return append([]Event(nil), evs...)
 }
 
 // routeAndAbsorb splits one line's events into shard-local and foreign,
@@ -579,19 +580,9 @@ func (ss *ShardedStream) Apps() []*AppTrace {
 // events per application in submission order and stable-sorting by
 // timestamp — the same deterministic gathering Stream.Report uses, so a
 // sharded and a serial stream fed the same lines render byte-identical
-// reports. Quiesce first if every fed line must be included.
-func (ss *ShardedStream) Report() *Report {
-	apps := ss.Apps()
-	var all []Event
-	for _, a := range apps {
-		sh := ss.shards[ss.shardOf(a.ID)]
-		sh.stMu.Lock()
-		all = append(all, sh.st.eventsByApp[a.ID]...)
-		sh.stMu.Unlock()
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].TimeMS < all[j].TimeMS })
-	return ReportFrom(apps, all)
-}
+// reports. Quiesce first if every fed line must be included. The traces
+// are immutable snapshots, so only Apps takes the shard locks.
+func (ss *ShardedStream) Report() *Report { return liveReport(ss.Apps()) }
 
 // Breakdown losslessly merges the per-shard completed-application
 // sketches into one cumulative cluster breakdown. Each application was
@@ -615,7 +606,7 @@ func (ss *ShardedStream) Breakdown() *ClusterBreakdown {
 func (ss *ShardedStream) Forget(id ids.AppID) {
 	sh := ss.shards[ss.shardOf(id)]
 	sh.stMu.Lock()
-	had := sh.st.App(id) != nil || len(sh.st.eventsByApp[id]) > 0
+	had := sh.st.App(id) != nil
 	sh.st.Forget(id)
 	sh.stMu.Unlock()
 	if had && ss.met != nil {
@@ -690,11 +681,7 @@ func (ss *ShardedStream) updateAppGauges() {
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()
 		apps += len(sh.st.apps)
-		for _, c := range sh.st.completed {
-			if c {
-				done++
-			}
-		}
+		done += sh.st.nCompleted
 		sh.stMu.Unlock()
 	}
 	ss.met.completed.Set(int64(done))

@@ -377,3 +377,76 @@ func TestShardedStreamConcurrentHammer(t *testing.T) {
 		t.Fatalf("final report: %v", err)
 	}
 }
+
+// TestShardedPublishedTracesImmutable runs readers against a sharded
+// stream while it absorbs lines fed partly out of time order: every trace
+// a reader captured from Apps must be unchanged once feeding ends, and
+// under -race no absorb may write memory a reader holds.
+func TestShardedPublishedTracesImmutable(t *testing.T) {
+	lines := corpusLines(t, buildMultiAppCorpus(12))
+	// Swap neighbours so many events arrive before an earlier one.
+	for i := 0; i+1 < len(lines); i += 2 {
+		lines[i], lines[i+1] = lines[i+1], lines[i]
+	}
+	ss := NewShardedStream(3)
+	defer ss.Close()
+
+	type capture struct {
+		a    *AppTrace
+		snap string
+	}
+	var (
+		mu       sync.Mutex
+		captured []capture
+		readErr  error
+		wg       sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, a := range ss.Apps() {
+					snap, err := traceSnapshot(a)
+					mu.Lock()
+					if err != nil && readErr == nil {
+						readErr = err
+					}
+					if len(captured) < 5000 {
+						captured = append(captured, capture{a, snap})
+					}
+					mu.Unlock()
+				}
+				if _, err := ss.Report().JSON(); err != nil {
+					mu.Lock()
+					readErr = err
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	for _, ln := range lines {
+		ss.Feed(ln.source, ln.raw)
+	}
+	ss.Quiesce()
+	close(stop)
+	wg.Wait()
+
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	if len(captured) == 0 {
+		t.Fatal("readers captured no traces")
+	}
+	for _, c := range captured {
+		if got := mustSnapshot(t, c.a); got != c.snap {
+			t.Fatalf("%v: captured trace changed after capture", c.a.ID)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,17 +24,22 @@ func singleLine(s string) io.Reader { return strings.NewReader(s) }
 // container; pass the file path (containing the container ID) as source,
 // exactly as the offline parser derives it.
 type Stream struct {
-	apps map[ids.AppID]*AppTrace
+	// apps holds one incremental trace builder per application. Its pub
+	// field is the app's current published trace, and its events are the
+	// app's time-ordered events (the published trace's Events).
+	apps map[ids.AppID]*traceBuilder
 	// firstLogSeen tracks containers whose FIRST_LOG was already taken,
 	// since a stream cannot re-read "the first line of the file".
 	firstLogSeen map[ids.ContainerID]bool
-	// eventsByApp buckets events so a feed only rebuilds its own app.
-	eventsByApp map[ids.AppID][]Event
-	total       int
+	total        int
 	// completed caches which apps have a fully observable headline
 	// decomposition (the Complete predicate), feeding the in-flight /
-	// completed gauges and the eviction policy.
-	completed map[ids.AppID]bool
+	// completed gauges and the eviction policy; nCompleted counts its
+	// true entries so the gauges cost O(1) per absorb.
+	completed  map[ids.AppID]bool
+	nCompleted int
+	// dirty is absorb's reusable list of the apps one call touched.
+	dirty []*traceBuilder
 	// notified tracks apps whose completion hook already fired, so each
 	// application is delivered downstream exactly once even if later
 	// lines flip its Complete flag back and forth.
@@ -114,9 +120,8 @@ func (s *Stream) Instrument(reg *metrics.Registry) {
 // NewStream returns an empty incremental checker.
 func NewStream() *Stream {
 	return &Stream{
-		apps:         make(map[ids.AppID]*AppTrace),
+		apps:         make(map[ids.AppID]*traceBuilder),
 		firstLogSeen: make(map[ids.ContainerID]bool),
-		eventsByApp:  make(map[ids.AppID][]Event),
 		completed:    make(map[ids.AppID]bool),
 		notified:     make(map[ids.AppID]bool),
 	}
@@ -125,10 +130,11 @@ func NewStream() *Stream {
 // OnComplete registers a hook called the first time an application's
 // decomposition becomes fully observable (the Complete predicate) — the
 // feed point for cluster-level aggregation and SLO evaluation. The hook
-// runs synchronously inside Feed with the freshly rebuilt trace; it must
-// not call back into the stream. Each application is delivered at most
-// once, even if degraded later input turns its decomposition partial and
-// complete again. Pass nil to remove the hook.
+// runs synchronously inside Feed with the trace just published for the
+// absorbed line, which is never mutated afterwards; it must not call back
+// into the stream. Each application is delivered at most once, even if
+// degraded later input turns its decomposition partial and complete
+// again. Pass nil to remove the hook.
 func (s *Stream) OnComplete(fn func(*AppTrace)) { s.onComplete = fn }
 
 // Feed consumes one raw log line from the given source path. Unparseable
@@ -193,9 +199,10 @@ func (s *Stream) feed(source, rawLine string) bool {
 // absorbRouted ingests pre-parsed events routed to this stream by a
 // ShardedStream worker, applying the same stateful dedup rules feed
 // applies: one FIRST_LOG per container, one FIRST_TASK per container.
-// It returns how many events were absorbed after dedup.
+// It filters evs in place and returns how many events were absorbed after
+// dedup.
 func (s *Stream) absorbRouted(evs []Event) int {
-	out := make([]Event, 0, len(evs))
+	out := evs[:0]
 	for _, e := range evs {
 		switch e.Kind {
 		case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
@@ -206,10 +213,8 @@ func (s *Stream) absorbRouted(evs []Event) int {
 				s.firstLogSeen[e.Container] = true
 			}
 		case FirstTask:
-			if a := s.apps[e.App]; a != nil {
-				if c := a.Container(e.Container); c != nil && c.FirstTask != 0 {
-					continue
-				}
+			if s.hasFirstTask(e.Container) {
+				continue
 			}
 		}
 		out = append(out, e)
@@ -247,10 +252,8 @@ func (s *Stream) dedupContainerEvents(cid ids.ContainerID, evs []Event) []Event 
 		case FirstTask:
 			// The offline parser dedups FIRST_TASK per file; do the same
 			// against current state.
-			if a := s.apps[cid.App]; a != nil {
-				if c := a.Container(cid); c != nil && c.FirstTask != 0 {
-					continue
-				}
+			if s.hasFirstTask(cid) {
+				continue
 			}
 		}
 		out = append(out, e)
@@ -258,35 +261,65 @@ func (s *Stream) dedupContainerEvents(cid ids.ContainerID, evs []Event) []Event 
 	return out
 }
 
+// hasFirstTask reports whether container cid's published trace already
+// holds a FIRST_TASK.
+func (s *Stream) hasFirstTask(cid ids.ContainerID) bool {
+	a := s.App(cid.App)
+	if a == nil {
+		return false
+	}
+	c := a.Container(cid)
+	return c != nil && c.FirstTask != 0
+}
+
+// absorb folds events into their applications' trace builders and
+// publishes one new trace per touched application. An event arriving in
+// time order costs O(1) before the publish; an out-of-order one is
+// inserted into its own application's sorted events and, unless it
+// commutes, replays them, and no other application is touched. Each
+// publish decomposes the trace once, so the completion hook fires at
+// exactly the absorb that first makes an app complete.
 func (s *Stream) absorb(evs []Event) bool {
 	if len(evs) == 0 {
 		return false
 	}
-	dirty := make(map[ids.AppID]bool, 2)
+	dirty := s.dirty[:0]
 	for _, e := range evs {
-		s.eventsByApp[e.App] = append(s.eventsByApp[e.App], e)
-		dirty[e.App] = true
+		b := s.apps[e.App]
+		if b == nil {
+			b = newTraceBuilder(e.App)
+			s.apps[e.App] = b
+		}
+		if !slices.Contains(dirty, b) {
+			dirty = append(dirty, b)
+		}
+		b.absorb(e)
 		s.total++
 		if e.TimeMS > s.lastMS {
 			s.lastMS = e.TimeMS
 		}
 	}
-	// Rebuild only the touched applications from their own buckets —
-	// feeds stay O(events of one app), independent of stream length.
-	for id := range dirty {
-		for _, a := range Correlate(s.eventsByApp[id]) {
-			Decompose(a)
-			s.apps[a.ID] = a
-			s.completed[a.ID] = s.Complete(a.ID)
-			if s.completed[a.ID] && !s.notified[a.ID] {
-				s.notified[a.ID] = true
-				if s.onComplete != nil {
-					s.pl.RecordHook(a.ID.String())
-					s.onComplete(a)
-				}
+	for _, b := range dirty {
+		a := b.publish()
+		done := a.Decomp.Complete
+		if done != s.completed[a.ID] {
+			if done {
+				s.nCompleted++
+			} else {
+				s.nCompleted--
+			}
+		}
+		s.completed[a.ID] = done
+		if done && !s.notified[a.ID] {
+			s.notified[a.ID] = true
+			if s.onComplete != nil {
+				s.pl.RecordHook(a.ID.String())
+				s.onComplete(a)
 			}
 		}
 	}
+	clear(dirty)
+	s.dirty = dirty[:0]
 	if s.met != nil {
 		s.met.events.Add(int64(len(evs)))
 		s.updateAppGauges()
@@ -295,19 +328,13 @@ func (s *Stream) absorb(evs []Event) bool {
 }
 
 // updateAppGauges refreshes the in-flight / completed app gauges from the
-// completion cache.
+// running completed count.
 func (s *Stream) updateAppGauges() {
 	if s.met == nil {
 		return
 	}
-	done := 0
-	for _, c := range s.completed {
-		if c {
-			done++
-		}
-	}
-	s.met.completed.Set(int64(done))
-	s.met.inflight.Set(int64(len(s.apps) - done))
+	s.met.completed.Set(int64(s.nCompleted))
+	s.met.inflight.Set(int64(len(s.apps) - s.nCompleted))
 }
 
 // EventCount returns the number of scheduling events absorbed so far.
@@ -317,16 +344,22 @@ func (s *Stream) EventCount() int { return s.total }
 // before any event) — the stream's event clock.
 func (s *Stream) LastEventMS() int64 { return s.lastMS }
 
-// App returns the live trace for one application, or nil.
-func (s *Stream) App(id ids.AppID) *AppTrace { return s.apps[id] }
+// App returns the live trace for one application, or nil. The trace is
+// an immutable snapshot: later feeds publish a new one.
+func (s *Stream) App(id ids.AppID) *AppTrace {
+	if b := s.apps[id]; b != nil {
+		return b.pub
+	}
+	return nil
+}
 
 // Apps returns the live traces ordered by submission sequence (ties —
 // possible only when garbage input mints several cluster timestamps —
 // broken by cluster timestamp, so the order is deterministic).
 func (s *Stream) Apps() []*AppTrace {
 	out := make([]*AppTrace, 0, len(s.apps))
-	for _, a := range s.apps {
-		out = append(out, a)
+	for _, b := range s.apps {
+		out = append(out, b.pub)
 	}
 	sortTracesBySeq(out)
 	return out
@@ -347,11 +380,20 @@ func (s *Stream) Close() {}
 // are gathered per application in submission order and stable-sorted by
 // timestamp, so the report is deterministic for a given set of feeds —
 // and identical to what a ShardedStream fed the same lines reports.
-func (s *Stream) Report() *Report {
-	apps := s.Apps()
-	all := make([]Event, 0, s.total)
+func (s *Stream) Report() *Report { return liveReport(s.Apps()) }
+
+// liveReport builds a report over published live traces: their events,
+// gathered in the traces' submission order, are stable-sorted by time.
+// Each trace's Events is its app's arrival order stable-sorted by time,
+// so the result equals sorting the arrival-order buckets.
+func liveReport(apps []*AppTrace) *Report {
+	n := 0
 	for _, a := range apps {
-		all = append(all, s.eventsByApp[a.ID]...)
+		n += len(a.Events)
+	}
+	all := make([]Event, 0, n)
+	for _, a := range apps {
+		all = append(all, a.Events...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].TimeMS < all[j].TimeMS })
 	return ReportFrom(apps, all)
@@ -360,25 +402,22 @@ func (s *Stream) Report() *Report {
 // Complete reports whether an application's headline decomposition is
 // fully observable and anomaly-free (the Decomposition.Complete flag) —
 // the signal a live dashboard uses to mark a row final.
-func (s *Stream) Complete(id ids.AppID) bool {
-	a := s.apps[id]
-	if a == nil || a.Decomp == nil {
-		return false
-	}
-	return a.Decomp.Complete
-}
+func (s *Stream) Complete(id ids.AppID) bool { return s.completed[id] }
 
-// Forget drops all state for one application: its trace, its event
-// bucket, and the FIRST_LOG dedup entries of its containers. Long-running
+// Forget drops all state for one application: its trace builder (trace
+// and events) and the FIRST_LOG dedup entries of its containers. Long-running
 // feeds (sdchecker -serve) call this for finished apps so memory tracks
 // the live working set, not the full history.
 func (s *Stream) Forget(id ids.AppID) {
-	if _, ok := s.apps[id]; !ok && len(s.eventsByApp[id]) == 0 {
+	b := s.apps[id]
+	if b == nil {
 		return
 	}
-	s.total -= len(s.eventsByApp[id])
+	s.total -= len(b.events)
+	if s.completed[id] {
+		s.nCompleted--
+	}
 	delete(s.apps, id)
-	delete(s.eventsByApp, id)
 	delete(s.completed, id)
 	delete(s.notified, id)
 	for cid := range s.firstLogSeen {

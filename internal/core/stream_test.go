@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ids"
@@ -161,5 +164,145 @@ func TestStreamOnCompleteAfterForget(t *testing.T) {
 	streamFeedInto(t, s, buildSparkCorpus())
 	if fired != 2 {
 		t.Fatalf("hook fired %d times across forget, want 2", fired)
+	}
+}
+
+// traceSnapshot renders everything a published trace exposes — the JSON
+// projection, the decomposition, every container and every event — so
+// any later write to the trace changes the string.
+func traceSnapshot(a *AppTrace) (string, error) {
+	js, err := (&Report{Apps: []*AppTrace{a}}).JSON()
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	b.WriteString(js)
+	fmt.Fprintf(&b, "\n%+v\n%v\n", *a.Decomp, a.Events)
+	for _, c := range a.Containers {
+		fmt.Fprintf(&b, "%+v\n", *c)
+	}
+	return b.String(), nil
+}
+
+func mustSnapshot(t *testing.T, a *AppTrace) string {
+	t.Helper()
+	s, err := traceSnapshot(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestStreamPublishedTracesImmutable: a trace handed out by App or by the
+// completion hook is a snapshot. Feeding more events of its app — in
+// order, out of order and at equal timestamps — publishes new traces and
+// leaves the captured ones unchanged.
+func TestStreamPublishedTracesImmutable(t *testing.T) {
+	s := NewStream()
+	var hooked *AppTrace
+	s.OnComplete(func(a *AppTrace) { hooked = a })
+	streamFeedInto(t, s, buildSparkCorpus())
+	if hooked == nil {
+		t.Fatal("completion hook did not fire")
+	}
+	id := mustAppID(t, "application_1499000000000_0001")
+	captured := s.App(id)
+	// A caller's append to Events must reallocate, never write into the
+	// array the stream keeps appending to.
+	if len(captured.Events) != cap(captured.Events) {
+		t.Fatalf("published Events has spare capacity: len %d cap %d", len(captured.Events), cap(captured.Events))
+	}
+	want := map[*AppTrace]string{
+		hooked:   mustSnapshot(t, hooked),
+		captured: mustSnapshot(t, captured),
+	}
+
+	rm := "hadoop/yarn-resourcemanager.log"
+	nm := "hadoop/yarn-nodemanager-node01.log"
+	e1 := "container_1499000000000_0001_01_000002"
+	e3 := "container_1499000000000_0001_01_000004"
+	for _, f := range [][2]string{
+		// In order: a new container, then a touched one at an equal stamp.
+		{rm, line(31000, "x.RMContainerImpl", e3+" Container Transitioned from NEW to ALLOCATED")},
+		{nm, line(31000, "y.ContainerImpl", "Container "+e3+" transitioned from NEW to LOCALIZING")},
+		{rm, line(31000, "x.RMContainerImpl", e1+" Container Transitioned from NEW to ALLOCATED")},
+		// Out of order: an earlier submission and an earlier container event.
+		{rm, line(50, "x.RMAppImpl", "application_1499000000000_0001 State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")},
+		{nm, line(5900, "y.ContainerImpl", "Container "+e3+" transitioned from LOCALIZING to SCHEDULED")},
+		{rm, line(200, "x.RMContainerImpl", e1+" Container Transitioned from NEW to ALLOCATED")},
+	} {
+		if !s.Feed(f[0], f[1]) {
+			t.Fatalf("line produced no event: %s", f[1])
+		}
+		for a, snap := range want {
+			if got := mustSnapshot(t, a); got != snap {
+				t.Fatalf("published trace changed after feeding %q:\nbefore %s\nafter  %s", f[1], snap, got)
+			}
+		}
+	}
+
+	now := s.App(id)
+	if now == captured || now.Submitted != base+50 || now.Container(mustContainerID(t, e3)) == nil {
+		t.Fatalf("stream did not publish the new events: submitted=%d containers=%d", now.Submitted, len(now.Containers))
+	}
+	// The incremental trace equals a batch correlation of its own events.
+	batch := Correlate(now.Events)
+	if len(batch) != 1 {
+		t.Fatalf("batch correlation gave %d apps", len(batch))
+	}
+	Decompose(batch[0])
+	if got, want := mustSnapshot(t, now), mustSnapshot(t, batch[0]); got != want {
+		t.Fatalf("incremental trace differs from batch:\n%s\nvs\n%s", got, want)
+	}
+}
+
+func mustContainerID(t *testing.T, s string) ids.ContainerID {
+	t.Helper()
+	cid, err := ids.ParseContainerID(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cid
+}
+
+// TestStreamOutOfOrderMatchesBatch is the property behind the live absorb
+// model: whatever order one application's events arrive in, the stream's
+// trace equals a batch correlation of that arrival order. The generator
+// packs events into few timestamps and contends for every first-wins
+// field — submission name, container node and instance, and AM retries
+// sharing a container number — so both the commuting fast path and the
+// replay are exercised.
+func TestStreamOutOfOrderMatchesBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	app := ids.AppID{ClusterTS: 1499000000000, Seq: 1}
+	kinds := []Kind{AppSubmitted0, AppSubmitted, AppAccepted, AttemptRegistered, AppFinished,
+		ContAllocated, ContAcquired, ContLocalizing, ContScheduled, ContRunning,
+		DriverFirstLog, ExecutorFirstLog, FirstTask, ContLost, DriverRegister, StartAllo}
+	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
+	for iter := 0; iter < 3000; iter++ {
+		n := 1 + rng.Intn(25)
+		arrival := make([]Event, n)
+		for i := range arrival {
+			e := Event{Kind: kinds[rng.Intn(len(kinds))], App: app, TimeMS: base + int64(rng.Intn(6))}
+			switch e.Kind {
+			case AppSubmitted0:
+				e.Name, e.AppType, e.Queue = pick("", "q1", "q2"), pick("SPARK", "MR"), pick("default", "prod")
+			case AppSubmitted, AppAccepted, AttemptRegistered, AppFinished:
+			default:
+				e.Container = ids.ContainerID{App: app, Attempt: 1 + rng.Intn(2), Num: 1 + rng.Intn(3)}
+				e.Node = pick("", "node01", "node02")
+				e.Instance = InstanceType(pick("", "spm", "spe"))
+			}
+			arrival[i] = e
+		}
+		s := NewStream()
+		for _, e := range arrival {
+			s.absorb([]Event{e})
+		}
+		batch := Correlate(arrival)
+		Decompose(batch[0])
+		if got, want := mustSnapshot(t, s.App(app)), mustSnapshot(t, batch[0]); got != want {
+			t.Fatalf("iteration %d: arrival order %v\nstream:\n%s\nbatch:\n%s", iter, arrival, got, want)
+		}
 	}
 }
