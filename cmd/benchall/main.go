@@ -20,7 +20,7 @@ import (
 func main() {
 	var (
 		scale  = flag.String("scale", "quick", `"quick" (reduced counts) or "paper" (full trace sizes)`)
-		only   = flag.String("only", "", "comma-separated subset: fig4,fig5,fig6,fig7,fig8,fig9,fig11,fig12,fig13,tableII,tableIII,bug,ablations,multitenant,extensions,failures,mine,pipeline,explain")
+		only   = flag.String("only", "", "comma-separated subset: fig4,fig5,fig6,fig7,fig8,fig9,fig11,fig12,fig13,tableII,tableIII,bug,ablations,multitenant,extensions,failures")
 		outDir = flag.String("out", "", "also write each section's text (plus Fig 4 CSV series and an HTML report) into this directory")
 	)
 	flag.Parse()
@@ -123,33 +123,6 @@ func main() {
 	})
 	run("multitenant", func() string { return experiments.MultiTenant(short).Format() })
 	run("failures", func() string { return experiments.FormatFailureSweep(experiments.FailureSweep(short)) })
-	run("mine", func() string {
-		res := experiments.MineBench(short, nil)
-		if b, err := res.JSON(); err == nil {
-			write("bench_mine.json", string(b)+"\n")
-		} else {
-			fmt.Fprintf(os.Stderr, "benchall: bench_mine: %v\n", err)
-		}
-		return res.Format()
-	})
-	run("pipeline", func() string {
-		res := experiments.PipelineBench(short)
-		if b, err := res.JSON(); err == nil {
-			write("bench_pipeline.json", string(b)+"\n")
-		} else {
-			fmt.Fprintf(os.Stderr, "benchall: bench_pipeline: %v\n", err)
-		}
-		return res.Format()
-	})
-	run("explain", func() string {
-		res := experiments.ExplainBench(short)
-		if b, err := res.JSON(); err == nil {
-			write("bench_explain.json", string(b)+"\n")
-		} else {
-			fmt.Fprintf(os.Stderr, "benchall: bench_explain: %v\n", err)
-		}
-		return res.Format()
-	})
 	run("extensions", func() string {
 		var sb strings.Builder
 		sb.WriteString(experiments.FormatExtensionSampling(experiments.ExtensionSampling(short * 2)))

@@ -7,57 +7,18 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ids"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
-// ingestStream is the live-ingestion surface shared by the serial
-// core.Stream and the parallel core.ShardedStream, so -follow and
-// -serve run unchanged at any -workers setting.
-type ingestStream interface {
-	Feed(source, rawLine string) bool
-	Quiesce()
-	Close()
-	Report() *core.Report
-	Apps() []*core.AppTrace
-	App(id ids.AppID) *core.AppTrace
-	Complete(id ids.AppID) bool
-	EventCount() int
-	LastEventMS() int64
-	EvictCompleted(keep int) int
-	EvictOldest(max int) int
-	Forget(id ids.AppID)
-	OnComplete(fn func(*core.AppTrace))
-	Instrument(reg *metrics.Registry)
-	ObservePipeline(p *obs.Pipeline)
-	ShardStats() []core.ShardStat
-}
-
-// newIngestStream picks the ingestion engine for a worker count: 0
-// means GOMAXPROCS, 1 means the serial stream, anything higher the
-// sharded stream. Both render byte-identical reports for the same
-// lines, so the choice is purely a throughput knob.
-func newIngestStream(workers int) ingestStream {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return core.NewStream()
-	}
-	return core.NewShardedStream(workers)
-}
-
-// dirScanner tails a log directory tree into an ingestStream: each scan
+// dirScanner tails a log directory tree into a sharded stream: each scan
 // feeds bytes appended since the previous one (and any newly created
 // files). It is the shared ingestion engine of -follow and -serve.
 type dirScanner struct {
 	dir     string
-	st      ingestStream
+	st      *core.ShardedStream
 	offsets map[string]int64
 	// pl, when set, times each scan's read phase (walk + drain) as one
 	// StageRead batch — per scan, never per line.
@@ -67,13 +28,13 @@ type dirScanner struct {
 	buf []byte
 }
 
-func newDirScanner(dir string, st ingestStream) *dirScanner {
+func newDirScanner(dir string, st *core.ShardedStream) *dirScanner {
 	return &dirScanner{dir: dir, st: st, offsets: make(map[string]int64), buf: make([]byte, 64*1024)}
 }
 
 // scan walks the tree once, feeding every new line. It reports whether
-// any line was fed (with a sharded stream, absorption is asynchronous —
-// Quiesce and compare EventCount to learn whether events were produced).
+// any line was fed (absorption is asynchronous — Quiesce and compare
+// EventCount to learn whether events were produced).
 func (s *dirScanner) scan() (changed bool, err error) {
 	t := s.pl.Begin()
 	fed := 0
@@ -105,7 +66,7 @@ func (s *dirScanner) scan() (changed bool, err error) {
 // scheduling events were absorbed. It runs until the process is
 // interrupted.
 func followDir(dir string, workers int) error {
-	st := newIngestStream(workers)
+	st := core.NewShardedStream(workers)
 	defer st.Close()
 	sc := newDirScanner(dir, st)
 	fmt.Printf("sdchecker: following %s (interrupt to stop)\n", dir)

@@ -32,7 +32,9 @@ func TestDrainFileIncremental(t *testing.T) {
 	rm := filepath.Join(dir, "rm.log")
 	app := "application_1499000000000_0001"
 
-	sc := newDirScanner(dir, core.NewStream())
+	st := core.NewShardedStream(1)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
 
 	writeLines(t, rm, mkLine(100, "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"))
 	fed, err := sc.drainFile(rm, "rm.log")
@@ -50,6 +52,7 @@ func TestDrainFileIncremental(t *testing.T) {
 	if err != nil || fed != 1 {
 		t.Fatalf("append drain: fed=%v err=%v", fed, err)
 	}
+	st.Quiesce()
 	if sc.st.EventCount() != 2 {
 		t.Fatalf("events=%d, want 2 (no re-reads)", sc.st.EventCount())
 	}
@@ -66,7 +69,9 @@ func TestDrainFileContainerLog(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(abs), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	sc := newDirScanner(dir, core.NewStream())
+	st := core.NewShardedStream(1)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
 	writeLines(t, abs, mkLine(7000, "org.apache.spark.executor.CoarseGrainedExecutorBackend", "Started daemon"))
 	if fed, err := sc.drainFile(abs, rel); err != nil || fed != 1 {
 		t.Fatalf("container drain: %v %v", fed, err)
@@ -75,6 +80,7 @@ func TestDrainFileContainerLog(t *testing.T) {
 	if fed, err := sc.drainFile(abs, rel); err != nil || fed != 1 {
 		t.Fatalf("container append drain: %v %v", fed, err)
 	}
+	st.Quiesce()
 	c := sc.st.Apps()[0].Containers[0]
 	if c.FirstLog == 0 || c.FirstTask == 0 {
 		t.Fatalf("container trace incomplete: %+v", c)

@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		dir      = flag.String("dir", "", "log directory tree to analyze (required)")
-		workers  = flag.Int("workers", 0, "parse/ingest worker goroutines (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
+		workers  = flag.Int("workers", 0, "parse/ingest worker goroutines (0 = GOMAXPROCS); output is byte-identical at any setting")
 		graph    = flag.Int("graph", 0, "print the scheduling graph (ASCII) for the app with this sequence number")
 		path     = flag.Int("path", 0, "print the scheduling critical path for the app with this sequence number")
 		dot      = flag.Int("dot", 0, "print the scheduling graph (Graphviz DOT) for the app with this sequence number")
@@ -47,7 +47,6 @@ func main() {
 		sloFile  = flag.String("slo", "", "with -serve: SLO rule file (one `name: p99(component[, queue=Q][, node=N]) < 500ms over 5m [burn 1m]` per line)")
 		selfSLO  = flag.String("self-slo", "", "with -serve: self-SLO rule file over the pipeline's own stages (read|parse|forward|decompose|aggregate|scan); default is `pipeline-scan-p99: p99(scan) < 10000ms over 5m`")
 		debug    = flag.Bool("debug", false, "with -serve: expose net/http/pprof under /debug/pprof/ (off by default)")
-		matcher  = flag.String("matcher", "fast", "line-matching implementation: fast (byte-level) or regex (the retained reference); output is byte-identical either way")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -55,16 +54,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	switch *matcher {
-	case "fast":
-	case "regex":
-		core.UseReferenceMatcher(true) // process-wide; no restore needed
-	default:
-		fmt.Fprintf(os.Stderr, "sdchecker: -matcher %q: must be fast or regex\n", *matcher)
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	// Output modes are mutually exclusive, and none of them combine with
 	// the live modes (-follow tails a terminal, -serve tails HTTP): reject
 	// ambiguous combinations instead of silently picking one.

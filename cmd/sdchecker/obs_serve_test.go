@@ -7,9 +7,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,15 +134,22 @@ func TestServeWatchdogStallInjection(t *testing.T) {
 }
 
 // TestServeFlightDumpDeterministic pins the flight recorder's
-// reproducibility contract: two serial servers with the same injected
-// clock tailing the same tree produce byte-identical /debug/flight
-// bodies.
+// reproducibility contract: two one-worker servers with the same injected
+// clock tailing the same tree record the same completion-hook and
+// eviction history. Hooks fire in absorb order, which one shard makes
+// the feed order. Stage batches and timestamps are not compared: how
+// many lines the worker grabs per batch depends on goroutine scheduling.
 func TestServeFlightDumpDeterministic(t *testing.T) {
 	dir := writeScenarioLogs(t)
-	run := func() string {
-		var now int64 = 1_000_000
-		o := testServeOptions(1, nil) // serial: hooks fire in absorb order
-		o.clock = func() int64 { now += 7; return now }
+	type flightEvent struct {
+		Kind   string `json:"kind"`
+		Detail string `json:"detail"`
+	}
+	run := func() []flightEvent {
+		var now atomic.Int64
+		now.Store(1_000_000)
+		o := testServeOptions(1, nil)
+		o.clock = func() int64 { return now.Add(7) }
 		srv := newLiveServer(dir, o)
 		defer srv.close()
 		for i := 0; i < 3; i++ {
@@ -154,32 +163,33 @@ func TestServeFlightDumpDeterministic(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("/debug/flight status %d", code)
 		}
-		return body
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatal("flight dumps diverge across identical fixed-clock runs")
-	}
-	var d struct {
-		Recorded uint64 `json:"recorded"`
-		Events   []struct {
-			Kind string `json:"kind"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(a), &d); err != nil {
-		t.Fatalf("/debug/flight JSON: %v", err)
-	}
-	if d.Recorded == 0 || len(d.Events) == 0 {
-		t.Fatal("empty flight dump")
-	}
-	kinds := map[string]bool{}
-	for _, e := range d.Events {
-		kinds[e.Kind] = true
-	}
-	for _, want := range []string{"stage", "hook_fired"} {
-		if !kinds[want] {
-			t.Errorf("flight dump missing %q events (got %v)", want, kinds)
+		var d struct {
+			Recorded uint64        `json:"recorded"`
+			Events   []flightEvent `json:"events"`
 		}
+		if err := json.Unmarshal([]byte(body), &d); err != nil {
+			t.Fatalf("/debug/flight JSON: %v", err)
+		}
+		if d.Recorded == 0 || len(d.Events) == 0 {
+			t.Fatal("empty flight dump")
+		}
+		kinds := map[string]bool{}
+		var history []flightEvent
+		for _, e := range d.Events {
+			kinds[e.Kind] = true
+			if e.Kind == "hook_fired" || e.Kind == "evict" {
+				history = append(history, e)
+			}
+		}
+		for _, want := range []string{"stage", "hook_fired"} {
+			if !kinds[want] {
+				t.Errorf("flight dump missing %q events (got %v)", want, kinds)
+			}
+		}
+		return history
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("hook/evict history diverges across identical fixed-clock runs:\n%v\n%v", a, b)
 	}
 }
 

@@ -96,7 +96,7 @@ func defaultServeOptions(workers int) serveOptions {
 // goroutine checks for stalls and flips /healthz to degraded.
 type liveServer struct {
 	mu     sync.Mutex // guards st and sc; taken before obsMu when both are needed
-	st     ingestStream
+	st     *core.ShardedStream
 	sc     *dirScanner
 	reg    *metrics.Registry
 	retain int
@@ -114,11 +114,11 @@ type liveServer struct {
 	wg sync.WaitGroup
 	hs *http.Server // built by start(); Close()d to stop the acceptor and live conns
 
-	// obsMu guards eng and pinned. With -workers > 1 the completion hook
-	// runs on shard worker goroutines while HTTP handlers read the
-	// engine, so the engine needs its own lock — and one the hook can
-	// take without touching mu (pollOnce holds mu across Quiesce, which
-	// waits for those very hooks to finish).
+	// obsMu guards eng and pinned. The completion hook runs on shard
+	// worker goroutines while HTTP handlers read the engine, so the
+	// engine needs its own lock — and one the hook can take without
+	// touching mu (pollOnce holds mu across Quiesce, which waits for
+	// those very hooks to finish).
 	obsMu sync.Mutex
 	eng   *slo.Engine
 	// pinned maps exemplar-referenced app IDs to their minimal summaries
@@ -174,7 +174,7 @@ func newLiveServer(dir string, o serveOptions) *liveServer {
 		o.selfRules = defaultSelfRules(defaultScanP99MS)
 	}
 	reg := metrics.NewRegistry()
-	st := newIngestStream(o.workers)
+	st := core.NewShardedStream(o.workers)
 	st.Instrument(reg)
 	var plOpts []obs.Option
 	if o.clock != nil {

@@ -108,9 +108,9 @@ type BreakdownRow struct {
 	MaxMS     float64 `json:"max_ms"`
 }
 
-// DefaultExemplarCap is the per-cell exemplar reservoir capacity used
-// when attribution is enabled: enough to name the worst offenders of a
-// cell without letting drill-down state dominate sketch memory.
+// DefaultExemplarCap is the per-cell exemplar reservoir capacity:
+// enough to name the worst offenders of a cell without letting
+// drill-down state dominate sketch memory.
 const DefaultExemplarCap = 8
 
 // BreakdownAttr is the drill-down state of a ClusterBreakdown: per-cell
@@ -143,9 +143,8 @@ func newBreakdownAttr() *BreakdownAttr {
 // component across the fleet, one component per queue, per node — are
 // computed by merging the exact-key sketches, which is lossless
 // (digest.Merge is exact), so every view shares the same error bound.
-// When Attr is non-nil (the default), cells additionally track exemplars
-// and heavy hitters for drill-down; set Attr to nil before observing to
-// measure or run the pre-attribution pipeline.
+// Cells additionally track exemplars and heavy hitters (Attr) for
+// drill-down.
 type ClusterBreakdown struct {
 	Alpha    float64
 	Sketches map[BreakdownKey]*digest.Sketch
@@ -153,7 +152,7 @@ type ClusterBreakdown struct {
 }
 
 // NewClusterBreakdown returns an empty breakdown at the repo's default
-// sketch accuracy, with attribution enabled.
+// sketch accuracy.
 func NewClusterBreakdown() *ClusterBreakdown {
 	return &ClusterBreakdown{
 		Alpha:    digest.DefaultAlpha,
@@ -175,13 +174,11 @@ func (cb *ClusterBreakdown) Add(o Observation) {
 	s := cb.Sketches[k]
 	if s == nil {
 		s = digest.New(cb.Alpha)
-		if cb.Attr != nil {
-			s.TrackExemplars(cb.Attr.ResCap)
-		}
+		s.TrackExemplars(cb.Attr.ResCap)
 		cb.Sketches[k] = s
 	}
 	ms := float64(o.MS)
-	if cb.Attr == nil || o.App == "" {
+	if o.App == "" {
 		s.Add(ms)
 		return
 	}
@@ -203,44 +200,34 @@ func (cb *ClusterBreakdown) Add(o Observation) {
 }
 
 // Merge folds another breakdown (e.g. one shard's) into cb. Attribution
-// state merges alongside the sketches; if either side carries it, the
-// result does.
+// state merges alongside the sketches.
 func (cb *ClusterBreakdown) Merge(other *ClusterBreakdown) error {
 	for k, s := range other.Sketches {
 		dst := cb.Sketches[k]
 		if dst == nil {
 			dst = digest.New(cb.Alpha)
-			if cb.Attr != nil {
-				dst.TrackExemplars(cb.Attr.ResCap)
-			}
+			dst.TrackExemplars(cb.Attr.ResCap)
 			cb.Sketches[k] = dst
 		}
 		if err := dst.Merge(s); err != nil {
 			return fmt.Errorf("core: breakdown key %+v: %w", k, err)
 		}
 	}
-	if other.Attr != nil {
-		if cb.Attr == nil {
-			cb.Attr = newBreakdownAttr()
-			cb.Attr.ResCap = other.Attr.ResCap
-			cb.Attr.TopCap = other.Attr.TopCap
+	for k, tk := range other.Attr.Apps {
+		dst := cb.Attr.Apps[k]
+		if dst == nil {
+			dst = attr.NewTopK(cb.Attr.TopCap)
+			cb.Attr.Apps[k] = dst
 		}
-		for k, tk := range other.Attr.Apps {
-			dst := cb.Attr.Apps[k]
-			if dst == nil {
-				dst = attr.NewTopK(cb.Attr.TopCap)
-				cb.Attr.Apps[k] = dst
-			}
-			dst.Merge(tk)
+		dst.Merge(tk)
+	}
+	for c, tk := range other.Attr.Nodes {
+		dst := cb.Attr.Nodes[c]
+		if dst == nil {
+			dst = attr.NewTopK(cb.Attr.TopCap)
+			cb.Attr.Nodes[c] = dst
 		}
-		for c, tk := range other.Attr.Nodes {
-			dst := cb.Attr.Nodes[c]
-			if dst == nil {
-				dst = attr.NewTopK(cb.Attr.TopCap)
-				cb.Attr.Nodes[c] = dst
-			}
-			dst.Merge(tk)
-		}
+		dst.Merge(tk)
 	}
 	return nil
 }

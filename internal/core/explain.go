@@ -164,10 +164,8 @@ func (cb *ClusterBreakdown) Explain(component string, q float64, maxCells int, e
 		if doc.TailCount > 0 {
 			ec.TailShare = float64(ec.TailCount) / float64(doc.TailCount)
 		}
-		if cb.Attr != nil {
-			if tk := cb.Attr.Apps[c.key]; tk != nil {
-				ec.TopApps = tk.Top(explainTopApps)
-			}
+		if tk := cb.Attr.Apps[c.key]; tk != nil {
+			ec.TopApps = tk.Top(explainTopApps)
 		}
 		for _, e := range c.sk.Exemplars() {
 			ee := ExplainExemplar{Exemplar: e}
@@ -182,10 +180,8 @@ func (cb *ClusterBreakdown) Explain(component string, q float64, maxCells int, e
 		}
 		doc.Cells = append(doc.Cells, ec)
 	}
-	if cb.Attr != nil {
-		if tk := cb.Attr.Nodes[component]; tk != nil {
-			doc.WorstNodes = tk.Top(explainTopApps)
-		}
+	if tk := cb.Attr.Nodes[component]; tk != nil {
+		doc.WorstNodes = tk.Top(explainTopApps)
 	}
 	return doc
 }
@@ -263,13 +259,11 @@ func (cb *ClusterBreakdown) AttrStats() (exemplars, topkEntries int) {
 	for _, s := range cb.Sketches {
 		exemplars += len(s.Exemplars())
 	}
-	if cb.Attr != nil {
-		for _, tk := range cb.Attr.Apps {
-			topkEntries += tk.Len()
-		}
-		for _, tk := range cb.Attr.Nodes {
-			topkEntries += tk.Len()
-		}
+	for _, tk := range cb.Attr.Apps {
+		topkEntries += tk.Len()
+	}
+	for _, tk := range cb.Attr.Nodes {
+		topkEntries += tk.Len()
 	}
 	return exemplars, topkEntries
 }
@@ -308,10 +302,8 @@ func (cb *ClusterBreakdown) AttributionJSON() (string, error) {
 			Count:     s.Count(),
 			Exemplars: s.Exemplars(),
 		}
-		if cb.Attr != nil {
-			if tk := cb.Attr.Apps[k]; tk != nil {
-				c.TopApps = tk.Entries()
-			}
+		if tk := cb.Attr.Apps[k]; tk != nil {
+			c.TopApps = tk.Entries()
 		}
 		doc.Cells = append(doc.Cells, c)
 	}
@@ -328,7 +320,7 @@ func (cb *ClusterBreakdown) AttributionJSON() (string, error) {
 		}
 		return a.Instance < b.Instance
 	})
-	if cb.Attr != nil && len(cb.Attr.Nodes) > 0 {
+	if len(cb.Attr.Nodes) > 0 {
 		doc.Nodes = make(map[string][]attr.Entry, len(cb.Attr.Nodes))
 		for c, tk := range cb.Attr.Nodes {
 			doc.Nodes[c] = tk.Entries()

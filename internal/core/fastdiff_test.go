@@ -5,19 +5,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/ids"
 	"repro/internal/log4j"
 	"repro/internal/metrics"
 )
 
 // This file is the dynamic half of the fast-path equivalence proof: the
-// byte-level matcher and the retained regex reference implementation are
-// run side by side over the same input and must agree on everything
-// observable — events, warnings, error text, and every per-regex hit
-// counter. (The static half lives in sdlint's logvocab analyzer, which
-// proves each fast rule language-equal to its regex.)
+// byte-level matcher and the regexp reference (ParseReference) are run
+// side by side over the same input and must agree on everything
+// observable — events, warnings, error text, line counts, and every
+// per-regex hit counter. (The static half lives in sdlint's logvocab
+// analyzer, which proves each fast rule language-equal to its regex.)
 
 var diffSources = []string{
 	"hadoop/yarn-resourcemanager.log",
@@ -25,65 +27,114 @@ var diffSources = []string{
 	"userlogs/application_1499000000000_0001/container_1499000000000_0001_01_000001/stderr",
 }
 
-// parseUnder runs one offline parse with the chosen matcher and returns
-// every observable output.
-func parseUnder(ref bool, name string, data []byte) (evs []Event, warns []string, errStr string, hits map[string]int64) {
-	restore := UseReferenceMatcher(ref)
-	defer restore()
-	p := NewParser()
-	reg := metrics.NewRegistry()
-	p.Instrument(reg)
-	if err := p.ParseReader(name, bytes.NewReader(data)); err != nil {
-		errStr = err.Error()
-	}
-	hits = make(map[string]int64, len(regexNames)+1)
-	for _, n := range regexNames {
-		hits[n] = reg.Counter("core_parser_hits_total", "regex", n).Value()
-	}
-	hits["__lines"] = reg.Counter("core_parser_lines_total").Value()
-	return p.Events(), p.Warnings(), errStr, hits
+// parserOutputs is everything a one-file parse exposes.
+type parserOutputs struct {
+	events       []Event
+	warns        []string
+	err          string
+	files, lines int
+	hits         map[string]int64
 }
 
-// diffParsers asserts the two matchers are observationally identical on
-// one input file.
+func collectOutputs(p *Parser, err error, reg *metrics.Registry) parserOutputs {
+	out := parserOutputs{events: p.Events(), warns: p.Warnings(), hits: make(map[string]int64, len(regexNames)+1)}
+	if err != nil {
+		out.err = err.Error()
+	}
+	out.files, out.lines = p.Stats()
+	for _, n := range regexNames {
+		out.hits[n] = reg.Counter("core_parser_hits_total", "regex", n).Value()
+	}
+	out.hits["__lines"] = reg.Counter("core_parser_lines_total").Value()
+	return out
+}
+
+// diffParsers asserts the fast parser and the reference are
+// observationally identical on one input file.
 func diffParsers(t *testing.T, name string, data []byte) {
 	t.Helper()
-	fe, fw, ferr, fh := parseUnder(false, name, data)
-	re, rw, rerr, rh := parseUnder(true, name, data)
-	if ferr != rerr {
-		t.Fatalf("%s: error diverges: fast=%q regex=%q", name, ferr, rerr)
+	freg := metrics.NewRegistry()
+	fp := NewParser()
+	fp.Instrument(freg)
+	ferr := fp.ParseReader(name, bytes.NewReader(data))
+	f := collectOutputs(fp, ferr, freg)
+
+	rreg := metrics.NewRegistry()
+	rp, rerr := ParseReference(name, bytes.NewReader(data), rreg)
+	r := collectOutputs(rp, rerr, rreg)
+
+	if f.err != r.err {
+		t.Fatalf("%s: error diverges: fast=%q regex=%q", name, f.err, r.err)
 	}
-	if len(fe) != len(re) {
-		t.Fatalf("%s: fast mined %d events, regex %d", name, len(fe), len(re))
+	if len(f.events) != len(r.events) {
+		t.Fatalf("%s: fast mined %d events, regex %d", name, len(f.events), len(r.events))
 	}
-	for i := range fe {
-		if !reflect.DeepEqual(fe[i], re[i]) {
-			t.Fatalf("%s: event %d diverges:\nfast:  %+v\nregex: %+v", name, i, fe[i], re[i])
+	for i := range f.events {
+		if !reflect.DeepEqual(f.events[i], r.events[i]) {
+			t.Fatalf("%s: event %d diverges:\nfast:  %+v\nregex: %+v", name, i, f.events[i], r.events[i])
 		}
 	}
-	if !reflect.DeepEqual(fw, rw) {
-		t.Fatalf("%s: warnings diverge:\nfast:  %q\nregex: %q", name, fw, rw)
+	if !reflect.DeepEqual(f.warns, r.warns) {
+		t.Fatalf("%s: warnings diverge:\nfast:  %q\nregex: %q", name, f.warns, r.warns)
 	}
-	if !reflect.DeepEqual(fh, rh) {
-		t.Fatalf("%s: hit counters diverge:\nfast:  %v\nregex: %v", name, fh, rh)
+	if f.files != r.files || f.lines != r.lines {
+		t.Fatalf("%s: stats diverge: fast=(%d files, %d lines) regex=(%d, %d)", name, f.files, f.lines, r.files, r.lines)
+	}
+	if !reflect.DeepEqual(f.hits, r.hits) {
+		t.Fatalf("%s: hit counters diverge:\nfast:  %v\nregex: %v", name, f.hits, r.hits)
 	}
 }
 
-// diffStreams asserts the two matchers agree through the incremental
-// path (which has its own segment splitter replacing bufio.Scanner).
+// diffRouting asserts the sharded stream's routing helpers agree with
+// their regexes on every line of data, used both as a line body and as
+// a source path.
+func diffRouting(t *testing.T, data string) {
+	t.Helper()
+	for _, ln := range strings.Split(data, "\n") {
+		fapp, fok := fastAppInLine(ln)
+		var rapp ids.AppID
+		rok := false
+		if m := reAppInLine.FindStringSubmatch(ln); m != nil {
+			cts, err1 := strconv.ParseInt(m[1], 10, 64)
+			seq, err2 := strconv.Atoi(m[2])
+			rapp, rok = ids.AppID{ClusterTS: cts, Seq: seq}, err1 == nil && err2 == nil
+		}
+		if fok != rok || (fok && fapp != rapp) {
+			t.Fatalf("app-in-line diverges on %q: fast=(%v, %v) regex=(%v, %v)", ln, fapp, fok, rapp, rok)
+		}
+
+		fcid, ffound, ferr := fastFindContainerID(ln)
+		var rcid ids.ContainerID
+		var rerr error
+		cidStr := reContainerInPath.FindString(ln)
+		if cidStr != "" {
+			rcid, rerr = ids.ParseContainerID(cidStr)
+		}
+		if ffound != (cidStr != "") || (ferr == nil) != (rerr == nil) || (ffound && ferr == nil && fcid != rcid) {
+			t.Fatalf("container-in-path diverges on %q: fast=(%v, %v, %v) regex=(%q, %v, %v)", ln, fcid, ffound, ferr, cidStr, rcid, rerr)
+		}
+	}
+}
+
+// diffStreams asserts the fast stream agrees with a reference stream
+// whose lines are parsed by ParseReference and absorbed through
+// absorbRouted, which applies the stream's FIRST_LOG/FIRST_TASK dedup the
+// same way the sharded path does. The fast path has its own segment
+// splitter in place of bufio.Scanner, so this is checked separately from
+// the file parse.
 func diffStreams(t *testing.T, sources []string, lines []string) {
 	t.Helper()
-	run := func(ref bool) (int, int64, string) {
-		restore := UseReferenceMatcher(ref)
-		defer restore()
-		st := NewStream()
-		for i, ln := range lines {
-			st.Feed(sources[i%len(sources)], ln)
+	fast := NewStream()
+	ref := NewStream()
+	for i, ln := range lines {
+		src := sources[i%len(sources)]
+		fast.Feed(src, ln)
+		if p, err := ParseReference(src, strings.NewReader(ln), nil); err == nil {
+			ref.absorbRouted(p.Events())
 		}
-		return st.EventCount(), st.LastEventMS(), st.Report().Format()
 	}
-	fn, fms, frep := run(false)
-	rn, rms, rrep := run(true)
+	fn, fms, frep := fast.EventCount(), fast.LastEventMS(), fast.Report().Format()
+	rn, rms, rrep := ref.EventCount(), ref.LastEventMS(), ref.Report().Format()
 	if fn != rn || fms != rms {
 		t.Fatalf("stream diverges: fast=(%d events, last %d) regex=(%d, %d)", fn, fms, rn, rms)
 	}
@@ -94,14 +145,16 @@ func diffStreams(t *testing.T, sources []string, lines []string) {
 
 // FuzzFastVsRegex is the differential fuzz target of the equivalence
 // proof: arbitrary bytes — and a deterministically degraded (torn,
-// truncated, skewed, garbage-injected) variant of them — go through both
-// parser implementations and both stream paths, which must agree byte
-// for byte on every output.
+// truncated, skewed, garbage-injected) variant of them — go through the
+// fast parser and the reference, the fast and reference stream paths,
+// and the sharded stream's routing helpers, which must agree byte for
+// byte on every output.
 func FuzzFastVsRegex(f *testing.F) {
 	seedCorpusWorkers(f)
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
 		name := diffSources[int(n)%len(diffSources)]
 		diffParsers(t, name, data)
+		diffRouting(t, string(data))
 
 		// The same bytes after lossy collection (cmd/gencorpus's model),
 		// seeded from the fuzzed byte for deterministic variety.
@@ -145,6 +198,7 @@ func TestFastVsRegexCorpus(t *testing.T) {
 			for _, src := range diffSources {
 				diffParsers(t, src, data)
 			}
+			diffRouting(t, string(data))
 			diffStreams(t, diffSources, strings.Split(string(data), "\n"))
 		})
 	}

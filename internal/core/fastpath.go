@@ -18,8 +18,8 @@ import (
 // byte-for-byte the pattern parser.go declares, and sdlint's logvocab
 // analyzer proves the two accept the same language (automaton
 // containment both directions), so a rule here cannot silently drift
-// from the declared vocabulary. The regexp implementation stays behind
-// UseReferenceMatcher as the differential-testing reference.
+// from the declared vocabulary. The regexp implementation survives as
+// ParseReference (reference.go), the differential tests' reference.
 //
 // Matching preserves regexp semantics exactly:
 //   - unanchored search tries anchor occurrences left to right
@@ -808,7 +808,7 @@ func (p *Parser) feedContainerSegments(source string, cid ids.ContainerID, raw s
 			break
 		}
 		p.lines++
-		cs.line(p, source, cid, seg, false)
+		cs.line(p, source, cid, seg)
 	}
 	cs.finish(p, source, cid)
 	return true

@@ -24,31 +24,29 @@ import (
 // simulated frameworks — is replayed through the byte-level matcher and
 // the regex reference, which must mine identical events.
 
-// mineBoth parses one formatted line under both matchers and asserts
-// identical events, returning the fast run's registry for counter
-// assertions.
+// mineBoth parses one formatted line with the fast parser and the
+// regexp reference and asserts identical events and warnings, returning
+// the fast run's registry for counter assertions.
 func mineBoth(t *testing.T, name, raw string) ([]core.Event, *metrics.Registry) {
 	t.Helper()
-	run := func(ref bool) ([]core.Event, []string, *metrics.Registry) {
-		restore := core.UseReferenceMatcher(ref)
-		defer restore()
-		p := core.NewParser()
-		reg := metrics.NewRegistry()
-		p.Instrument(reg)
-		if err := p.ParseReader(name, strings.NewReader(raw+"\n")); err != nil {
-			t.Fatalf("ParseReader: %v", err)
-		}
-		return p.Events(), p.Warnings(), reg
+	p := core.NewParser()
+	reg := metrics.NewRegistry()
+	p.Instrument(reg)
+	if err := p.ParseReader(name, strings.NewReader(raw+"\n")); err != nil {
+		t.Fatalf("ParseReader: %v", err)
 	}
-	fe, fw, freg := run(false)
-	re, rw, _ := run(true)
+	rp, err := core.ParseReference(name, strings.NewReader(raw+"\n"), nil)
+	if err != nil {
+		t.Fatalf("ParseReference: %v", err)
+	}
+	fe, re := p.Events(), rp.Events()
 	if !reflect.DeepEqual(fe, re) {
 		t.Fatalf("line %q: fast mined %+v, regex %+v", raw, fe, re)
 	}
-	if !reflect.DeepEqual(fw, rw) {
+	if fw, rw := p.Warnings(), rp.Warnings(); !reflect.DeepEqual(fw, rw) {
 		t.Fatalf("line %q: warnings diverge: fast=%q regex=%q", raw, fw, rw)
 	}
-	return fe, freg
+	return fe, reg
 }
 
 func sourceFile(t *testing.T, source string) string {

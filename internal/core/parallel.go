@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/log4j"
-	"repro/internal/obs"
 )
 
 // The parallel offline miner: parsing dominates SDchecker's wall time
@@ -33,15 +32,6 @@ type mineFile struct {
 // parses files on up to workers goroutines (0 = GOMAXPROCS). The report
 // is byte-identical to the serial checker's regardless of worker count.
 func MineDir(dir string, workers int) (*Report, error) {
-	return MineDirObserved(dir, workers, nil)
-}
-
-// MineDirObserved is MineDir with self-observability attached: per-file
-// read/parse stage timings, decompose/aggregate phase spans, and the
-// pending-files gauge land in pl. A nil pipeline makes it exactly
-// MineDir (every instrumentation call is a nil-safe no-op, so the
-// unobserved path stays benchmark-neutral).
-func MineDirObserved(dir string, workers int, pl *obs.Pipeline) (*Report, error) {
 	var files []mineFile
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -63,18 +53,12 @@ func MineDirObserved(dir string, workers int, pl *obs.Pipeline) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
-	return mineFiles(files, workers, pl)
+	return mineFiles(files, workers)
 }
 
 // MineSink mines an in-memory log sink like Checker.AddSink + Analyze,
 // parsing files on up to workers goroutines (0 = GOMAXPROCS).
 func MineSink(s *log4j.Sink, workers int) (*Report, error) {
-	return MineSinkObserved(s, workers, nil)
-}
-
-// MineSinkObserved is MineSink with self-observability attached (see
-// MineDirObserved).
-func MineSinkObserved(s *log4j.Sink, workers int, pl *obs.Pipeline) (*Report, error) {
 	names := s.Files()
 	files := make([]mineFile, 0, len(names))
 	for _, f := range names {
@@ -84,7 +68,7 @@ func MineSinkObserved(s *log4j.Sink, workers int, pl *obs.Pipeline) (*Report, er
 			open: func() (io.ReadCloser, error) { return io.NopCloser(s.Reader(f)), nil },
 		})
 	}
-	return mineFiles(files, workers, pl)
+	return mineFiles(files, workers)
 }
 
 // mineFiles parses every file on a worker pool, merges the per-file
@@ -92,7 +76,7 @@ func MineSinkObserved(s *log4j.Sink, workers int, pl *obs.Pipeline) (*Report, er
 // latter replayed occurrence by occurrence so dedup counts match a
 // serial parse), then correlates, decomposes in parallel, and builds the
 // report.
-func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error) {
+func mineFiles(files []mineFile, workers int) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -103,13 +87,11 @@ func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error)
 		workers = 1
 	}
 
-	pl.FilesPending(len(files))
 	parsers := make([]*Parser, len(files))
 	errs := make([]error, len(files))
-	var next, claimed int64 = -1, 0
+	var next int64 = -1
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -118,25 +100,19 @@ func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error)
 				if i >= len(files) {
 					return
 				}
-				t := pl.Begin()
 				r, err := files[i].open()
 				if err != nil {
 					errs[i] = err
 					continue
 				}
-				opened := pl.Begin()
 				p := NewParser()
 				err = p.ParseReader(files[i].name, r)
 				r.Close()
 				parsers[i], errs[i] = p, err
-				pl.StageSpan(obs.StageRead, -1, t, opened, 1)
-				pl.StageBatch(obs.StageParse, w, opened, p.lines)
-				pl.FilesPending(len(files) - int(atomic.AddInt64(&claimed, 1)))
 			}
 		}()
 	}
 	wg.Wait()
-	pl.FilesPending(0)
 
 	merged := NewParser()
 	for i, p := range parsers {
@@ -150,19 +126,11 @@ func mineFiles(files []mineFile, workers int, pl *obs.Pipeline) (*Report, error)
 		merged.warns.absorb(&p.warns)
 	}
 
-	tCorr := pl.Begin()
 	apps := Correlate(merged.Events())
-	tDec := pl.Begin()
 	decomposeAll(apps, workers)
-	tRep := pl.Begin()
 	r := buildReport(apps, merged.Events())
 	r.Warnings = merged.Warnings()
 	r.FilesParsed, r.LinesParsed = merged.Stats()
-	// Correlation and report building bracket the decompose phase; both
-	// fold into the aggregate stage.
-	pl.StageSpan(obs.StageAggregate, -1, tCorr, tDec, len(merged.events))
-	pl.StageSpan(obs.StageDecompose, -1, tDec, tRep, len(apps))
-	pl.StageBatch(obs.StageAggregate, -1, tRep, len(apps))
 	return r, nil
 }
 

@@ -9,32 +9,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/ids"
 	"repro/internal/log4j"
 	"repro/internal/metrics"
 )
-
-// matcherRef selects the regexp reference implementation for the mining
-// hot path; the default (false) is the byte-level matcher in fastpath.go.
-// Each file scan or stream feed loads the flag once, so a concurrent
-// toggle never mixes implementations within one line — and since both
-// implementations are proven to produce identical output (sdlint
-// language equivalence, differential fuzzing, DiffOracle byte-diffs),
-// the toggle is observable only through timing and allocation behavior.
-var matcherRef atomic.Bool
-
-// UseReferenceMatcher switches the miner between the byte-level fast
-// path (false, the default) and the retained regexp implementation
-// (true), returning a func that restores the previous setting. It exists
-// for differential tests and before/after benchmarks.
-func UseReferenceMatcher(on bool) (restore func()) {
-	prev := matcherRef.Swap(on)
-	return func() { matcherRef.Store(prev) }
-}
-
-func referenceMatcher() bool { return matcherRef.Load() }
 
 // Parser mines scheduling-related events from log files. Feed it any
 // number of files (daemon logs and per-container stderr files) in any
@@ -222,16 +201,6 @@ func (p *Parser) warnf(format string, args ...any) {
 // FIRST_LOG event of Table I.
 func (p *Parser) ParseReader(name string, r io.Reader) error {
 	p.files++
-	if referenceMatcher() {
-		if cidStr := reContainerInPath.FindString(name); cidStr != "" {
-			cid, err := ids.ParseContainerID(cidStr)
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", name, err)
-			}
-			return p.parseContainerLog(name, cid, r)
-		}
-		return p.parseDaemonLog(name, r)
-	}
 	if cid, found, err := fastFindContainerID(name); found {
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", name, err)
@@ -277,26 +246,12 @@ func (p *Parser) ParseDir(dir string) error {
 // parseDaemonLog mines RM/NM logs: app state changes, container
 // transitions on both sides, launch invocations, opportunistic queueing.
 func (p *Parser) parseDaemonLog(name string, r io.Reader) error {
-	if referenceMatcher() {
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-		for sc.Scan() {
-			p.lines++
-			line, err := log4j.ParseLine(sc.Text())
-			if err != nil {
-				continue // stack traces / malformed lines are skipped
-			}
-			p.countLine()
-			p.mineDaemonLineRegex(name, line)
-		}
-		return sc.Err()
-	}
-	// Fast path: read the file once and walk it with the zero-copy
-	// segment iterator — the scanner's per-line Text() copy was the last
-	// allocation left on non-matching lines. Equivalence with the scanner
-	// holds on errors too: bufio splits whatever it buffered (including a
-	// partial tail) with atEOF=true once the reader errors, which is
-	// exactly a segment walk over the bytes the copy gathered; and a
+	// Read the file once and walk it with the zero-copy segment iterator,
+	// so non-matching lines allocate nothing (a bufio.Scanner copies every
+	// line out). The walk splits exactly like the scanner the reference
+	// parser uses, on errors too: bufio splits whatever it buffered
+	// (including a partial tail) with atEOF=true once the reader errors,
+	// which is exactly a segment walk over the bytes the copy gathered; and a
 	// segment at the 4 MiB buffer cap surfaces as the scanner's
 	// ErrTooLong before any read error, matching the buffer-full case.
 	var bw blobWriter
@@ -481,134 +436,10 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 	}
 }
 
-// nodeFromPath derives the NodeManager host from a daemon log path, or
-// "" for RM/other logs.
-func nodeFromPath(name string) string {
-	if m := reNodeInPath.FindStringSubmatch(name); m != nil {
-		return m[1]
-	}
-	return ""
-}
-
-// mineDaemonLineRegex is the retained regexp reference implementation
-// (§III-A's literal "parse the logs … using regular expression"); the
-// byte-level twin above must stay observably identical to it.
-func (p *Parser) mineDaemonLineRegex(name string, line log4j.Line) {
-	msg := line.Message
-	if m := reAppSummary.FindStringSubmatch(msg); m != nil {
-		p.hit("app_summary")
-		app, err := ids.ParseAppID(m[1])
-		if err != nil {
-			p.warnf("%s: %v", name, err)
-			return
-		}
-		p.emit(Event{Kind: AppSubmitted0, TimeMS: line.TimeMS, App: app, Source: name, Class: line.Class,
-			Raw: msg, Name: m[2], AppType: m[3], Queue: m[4]})
-		return
-	}
-	if m := reAppState.FindStringSubmatch(msg); m != nil {
-		p.hit("app_state")
-		app, err := ids.ParseAppID(m[1])
-		if err != nil {
-			p.warnf("%s: %v", name, err)
-			return
-		}
-		var kind Kind
-		switch {
-		case m[4] == "ATTEMPT_REGISTERED":
-			kind = AttemptRegistered
-		case m[3] == "SUBMITTED":
-			kind = AppSubmitted
-		case m[3] == "ACCEPTED":
-			kind = AppAccepted
-		case m[3] == "FINISHED":
-			kind = AppFinished
-		default:
-			return // other transitions are not scheduling-relevant
-		}
-		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: app, Source: name, Class: line.Class, Raw: msg})
-		return
-	}
-	if m := reRMCont.FindStringSubmatch(msg); m != nil {
-		p.hit("rm_container")
-		cid, err := ids.ParseContainerID(m[1])
-		if err != nil {
-			p.warnf("%s: %v", name, err)
-			return
-		}
-		var kind Kind
-		switch m[3] {
-		case "ALLOCATED":
-			kind = ContAllocated
-		case "ACQUIRED":
-			kind = ContAcquired
-		case "RELEASED":
-			kind = ContReleased
-		case "KILLED":
-			kind = ContLost
-		default:
-			return
-		}
-		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg})
-		return
-	}
-	if m := reNMCont.FindStringSubmatch(msg); m != nil {
-		p.hit("nm_container")
-		cid, err := ids.ParseContainerID(m[1])
-		if err != nil {
-			p.warnf("%s: %v", name, err)
-			return
-		}
-		var kind Kind
-		switch m[3] {
-		case "LOCALIZING":
-			kind = ContLocalizing
-		case "SCHEDULED":
-			kind = ContScheduled
-		case "RUNNING":
-			kind = ContRunning
-		case "EXITED_WITH_SUCCESS":
-			kind = ContExited
-		default:
-			return
-		}
-		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg, Node: nodeFromPath(name)})
-		return
-	}
-	if m := reInvoke.FindStringSubmatch(msg); m != nil {
-		p.hit("launch_invoked")
-		if cid, err := ids.ParseContainerID(m[1]); err == nil {
-			p.emit(Event{Kind: LaunchInvoked, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg, Node: nodeFromPath(name)})
-		}
-		return
-	}
-	if m := reOppQueue.FindStringSubmatch(msg); m != nil {
-		p.hit("opp_queued")
-		if cid, err := ids.ParseContainerID(m[1]); err == nil {
-			p.emit(Event{Kind: OppQueued, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg, Node: nodeFromPath(name)})
-		}
-		return
-	}
-	if m := reAssigned.FindStringSubmatch(msg); m != nil {
-		p.hit("assigned")
-		if cid, err := ids.ParseContainerID(m[1]); err == nil {
-			p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg, Node: m[2]})
-		}
-		return
-	}
-	if m := reOppAssigned.FindStringSubmatch(msg); m != nil {
-		p.hit("opp_assigned")
-		if cid, err := ids.ParseContainerID(m[1]); err == nil {
-			p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg, Node: m[2]})
-		}
-	}
-}
-
 // containerScan carries one container-log scan's state. It is shared by
-// the buffered (ParseReader) path and the single-line stream feeds, and
-// by both matcher implementations. Body events append directly to
-// p.events past bodyStart; finish inserts the FIRST_LOG event in front
-// of them, reproducing the reference ordering.
+// the buffered (ParseReader) path, the single-line stream feeds, and the
+// regexp reference walk. Body events append directly to p.events past
+// bodyStart; finish inserts the FIRST_LOG event in front of them.
 type containerScan struct {
 	bodyStart   int
 	instance    InstanceType
@@ -621,27 +452,42 @@ func (p *Parser) beginContainerScan() containerScan {
 	return containerScan{bodyStart: len(p.events), instance: InstUnknown}
 }
 
-// line consumes one raw container-log line under the selected matcher.
-func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, raw string, ref bool) {
-	var line log4j.Line
-	if ref {
-		l, err := log4j.ParseLine(raw)
-		if err != nil {
-			return
-		}
-		line = l
-	} else {
-		l, ok := log4j.ParseLineFast(raw)
-		if !ok {
-			return
-		}
-		line = l
+// line consumes one raw container-log line.
+func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, raw string) {
+	line, ok := log4j.ParseLineFast(raw)
+	if !ok {
+		return
 	}
+	cs.observe(p, line)
+	var kind Kind
+	switch {
+	case fastBodyRules[ruleRegister].contains(line.Message) && strings.Contains(line.Class, "deploy.yarn.ApplicationMaster"):
+		p.hit("register")
+		kind = DriverRegister
+	case fastBodyRules[ruleStartAllo].contains(line.Message):
+		p.hit("start_allo")
+		kind = StartAllo
+	case fastBodyRules[ruleEndAllo].contains(line.Message):
+		p.hit("end_allo")
+		kind = EndAllo
+	case !cs.sawFirstTsk && fastBodyRules[ruleFirstTask].contains(line.Message):
+		cs.sawFirstTsk = true
+		p.hit("first_task")
+		kind = FirstTask
+	default:
+		return
+	}
+	p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: line.Message})
+}
+
+// observe counts one parsed container-log line, remembers the first one
+// for FIRST_LOG, and classifies the container's instance from logging
+// classes and message shape.
+func (cs *containerScan) observe(p *Parser, line log4j.Line) {
 	p.countLine()
 	if !cs.hasFirst {
 		cs.firstLine, cs.hasFirst = line, true
 	}
-	// Instance classification from logging classes and message shape.
 	switch {
 	case strings.Contains(line.Class, "CoarseGrainedExecutorBackend"):
 		cs.instance = InstSparkExecutor
@@ -657,41 +503,6 @@ func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, raw s
 		} else if strings.Contains(line.Message, "Starting REDUCE") {
 			cs.instance = InstMRReduce
 		}
-	}
-	var kind Kind
-	switch {
-	case matchBody(ruleRegister, line.Message, ref) && strings.Contains(line.Class, "deploy.yarn.ApplicationMaster"):
-		p.hit("register")
-		kind = DriverRegister
-	case matchBody(ruleStartAllo, line.Message, ref):
-		p.hit("start_allo")
-		kind = StartAllo
-	case matchBody(ruleEndAllo, line.Message, ref):
-		p.hit("end_allo")
-		kind = EndAllo
-	case !cs.sawFirstTsk && matchBody(ruleFirstTask, line.Message, ref):
-		cs.sawFirstTsk = true
-		p.hit("first_task")
-		kind = FirstTask
-	default:
-		return
-	}
-	p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: line.Message})
-}
-
-func matchBody(rule int, msg string, ref bool) bool {
-	if !ref {
-		return fastBodyRules[rule].contains(msg)
-	}
-	switch rule {
-	case ruleRegister:
-		return reRegister.MatchString(msg)
-	case ruleStartAllo:
-		return reStartAllo.MatchString(msg)
-	case ruleEndAllo:
-		return reEndAllo.MatchString(msg)
-	default:
-		return reFirstTask.MatchString(msg)
 	}
 }
 
@@ -720,13 +531,12 @@ func (cs *containerScan) finish(p *Parser, name string, cid ids.ContainerID) {
 // line is FIRST_LOG; Spark driver/executor markers and the instance type
 // come from the body.
 func (p *Parser) parseContainerLog(name string, cid ids.ContainerID, r io.Reader) error {
-	ref := referenceMatcher()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	cs := p.beginContainerScan()
 	for sc.Scan() {
 		p.lines++
-		cs.line(p, name, cid, sc.Text(), ref)
+		cs.line(p, name, cid, sc.Text())
 	}
 	if err := sc.Err(); err != nil {
 		p.events = p.events[:cs.bodyStart] // a failed scan yields no events

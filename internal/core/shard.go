@@ -14,7 +14,8 @@ import (
 
 // reAppInLine finds the first application or container ID in a raw log
 // line. A container ID embeds its application's (clusterTS, seq) prefix,
-// so one pattern routes both forms.
+// so one pattern routes both forms. The router runs its byte-level
+// twin, fastAppInLine; tests diff the two.
 var reAppInLine = regexp.MustCompile(`(?:application|container)_(\d+)_(\d+)`)
 
 // ShardedStream is the parallel variant of Stream: Feed routes each raw
@@ -82,8 +83,8 @@ type streamShard struct {
 	// has fully absorbed — the watchdog's per-shard progress signal.
 	processed atomic.Int64
 
-	// scratch is this worker's reusable fast-matcher parser (only the
-	// worker goroutine touches it); see Stream.scratch.
+	// scratch is this worker's reusable parser (only the worker goroutine
+	// touches it); see Stream.scratch.
 	scratch *Parser
 	// batchEvs and batchEnds are runObserved's reusable parse buffer: the
 	// events of a whole line batch back to back, and where each line's
@@ -203,23 +204,8 @@ func fnvShard(s string, n int) int {
 // regex keys off the line's first ID — so cross-shard forwarding only
 // triggers on adversarial input.
 func (ss *ShardedStream) route(source, raw string) *streamShard {
-	if referenceMatcher() {
-		if cidStr := reContainerInPath.FindString(source); cidStr != "" {
-			if cid, err := ids.ParseContainerID(cidStr); err == nil {
-				return ss.shards[ss.shardOf(cid.App)]
-			}
-		}
-		if m := reAppInLine.FindStringSubmatch(raw); m != nil {
-			cts, err1 := strconv.ParseInt(m[1], 10, 64)
-			seq, err2 := strconv.Atoi(m[2])
-			if err1 == nil && err2 == nil {
-				return ss.shards[ss.shardOf(ids.AppID{ClusterTS: cts, Seq: seq})]
-			}
-		}
-		return ss.shards[fnvShard(source, len(ss.shards))]
-	}
-	// The fast helpers are allocation-free, which matters here: route
-	// runs on the feeding goroutine for every line.
+	// The helpers are allocation-free, which matters here: route runs on
+	// the feeding goroutine for every line.
 	if cid, found, err := fastFindContainerID(source); found && err == nil {
 		return ss.shards[ss.shardOf(cid.App)]
 	}
@@ -421,13 +407,10 @@ func (sh *streamShard) process(ln shardLine) {
 // parseLineScratch parses one line into the worker's reusable scratch
 // parser and returns its scratch-backed events, valid until the next
 // call (routeAndAbsorb never retains the slice: forwards copy, and
-// absorbRouted filters it in place and stores events by value). The
-// regexp reference path keeps the historical throwaway-parser-per-line
-// behavior.
+// absorbRouted filters it in place and stores events by value). Dedup
+// that depends on stream state (FIRST_LOG, FIRST_TASK) is applied later
+// by the owning shard's absorbRouted.
 func (sh *streamShard) parseLineScratch(source, raw string) []Event {
-	if referenceMatcher() {
-		return parseLineEvents(sh.ss.pmet, source, raw)
-	}
 	p := sh.scratch
 	if p == nil {
 		p = NewParser()
@@ -497,28 +480,6 @@ func (sh *streamShard) absorb(evs []Event) int {
 		sh.ss.met.events.Add(int64(n))
 	}
 	return n
-}
-
-// parseLineEvents parses one raw line exactly like Stream.feed, but
-// statelessly: dedup that depends on stream state (FIRST_LOG,
-// FIRST_TASK) is applied later by the owning shard's absorbRouted.
-func parseLineEvents(pm *parserMetrics, source, rawLine string) []Event {
-	p := NewParser()
-	p.met = pm
-	if cidStr := reContainerInPath.FindString(source); cidStr != "" {
-		cid, err := ids.ParseContainerID(cidStr)
-		if err != nil {
-			return nil
-		}
-		if err := p.parseContainerLog(source, cid, singleLine(rawLine)); err != nil {
-			return nil
-		}
-		return p.Events()
-	}
-	if err := p.ParseReader(source, singleLine(rawLine)); err != nil {
-		return nil
-	}
-	return p.Events()
 }
 
 // EventCount returns the number of scheduling events absorbed so far

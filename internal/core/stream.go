@@ -1,18 +1,13 @@
 package core
 
 import (
-	"io"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
-
-// singleLine wraps one raw line as a reader for the offline parser.
-func singleLine(s string) io.Reader { return strings.NewReader(s) }
 
 // Stream is the incremental variant of the checker: feed it log lines as
 // they are produced (a live cluster's `tail -f`, or a simulation pumping
@@ -50,10 +45,9 @@ type Stream struct {
 	lastMS int64
 	met    *streamMetrics
 	pmet   *parserMetrics
-	// scratch is the reusable per-feed parser for the fast matcher: its
-	// event slice is reset (not freed) each feed, which is what makes a
-	// non-matching line allocation-free. The regexp reference path keeps
-	// its historical throwaway-parser-per-line behavior.
+	// scratch is the reusable per-feed parser: its event slice is reset
+	// (not freed) each feed, which is what makes a non-matching line
+	// allocation-free.
 	scratch *Parser
 	// pl, when set, receives flight-recorder events (hook fires,
 	// evictions). The serial stream has no batch boundaries of its own, so
@@ -73,11 +67,6 @@ type ShardStat struct {
 	Queued    int
 	Processed int64
 }
-
-// ShardStats returns nil on the serial stream — there are no worker
-// queues to stall. It exists so Stream and ShardedStream satisfy the
-// same ingestion interface.
-func (s *Stream) ShardStats() []ShardStat { return nil }
 
 // streamMetrics are the stream's observability hooks; nil until
 // Instrument is called.
@@ -156,21 +145,6 @@ func (s *Stream) Feed(source, rawLine string) bool {
 }
 
 func (s *Stream) feed(source, rawLine string) bool {
-	if referenceMatcher() {
-		p := NewParser()
-		p.met = s.pmet
-		if cidStr := reContainerInPath.FindString(source); cidStr != "" {
-			cid, err := ids.ParseContainerID(cidStr)
-			if err != nil {
-				return false
-			}
-			return s.feedContainerLine(p, source, cid, rawLine)
-		}
-		if err := p.ParseReader(source, singleLine(rawLine)); err != nil {
-			return false
-		}
-		return s.absorb(p.Events())
-	}
 	p := s.scratch
 	if p == nil {
 		p = NewParser()
@@ -223,19 +197,6 @@ func (s *Stream) absorbRouted(evs []Event) int {
 		return 0
 	}
 	return len(out)
-}
-
-// feedContainerLine handles container stderr lines: the first parseable
-// line per container becomes its FIRST_LOG event.
-func (s *Stream) feedContainerLine(p *Parser, source string, cid ids.ContainerID, rawLine string) bool {
-	if err := p.parseContainerLog(source, cid, singleLine(rawLine)); err != nil {
-		return false
-	}
-	evs := p.Events()
-	if len(evs) == 0 {
-		return false
-	}
-	return s.absorb(s.dedupContainerEvents(cid, evs))
 }
 
 // dedupContainerEvents filters one container feed's events against
@@ -364,16 +325,6 @@ func (s *Stream) Apps() []*AppTrace {
 	sortTracesBySeq(out)
 	return out
 }
-
-// Quiesce is a no-op on the serial stream — Feed absorbs synchronously.
-// It exists so Stream and ShardedStream satisfy the same ingestion
-// interface.
-func (s *Stream) Quiesce() {}
-
-// Close is a no-op on the serial stream — there are no worker
-// goroutines to stop. It exists for interface symmetry with
-// ShardedStream.
-func (s *Stream) Close() {}
 
 // Report snapshots the current state into a full report (aggregates +
 // bug detection), like Checker.Analyze but reusable mid-stream. Events

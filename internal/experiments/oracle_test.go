@@ -93,6 +93,40 @@ func TestDiffOracleMatrix(t *testing.T) {
 	}
 }
 
+// TestOfflineEqualsLivePristine pins that, on pristine logs, the offline
+// checker and a serial stream fed the same files in order render the
+// same report JSON. Faulted and degraded logs can diverge: the offline
+// parser classifies a container's instance (and so its FIRST_LOG kind)
+// from all of the container's lines, the stream from its first line only.
+func TestOfflineEqualsLivePristine(t *testing.T) {
+	for _, seed := range []uint64{11, 23} {
+		opts := DefaultOptions()
+		opts.Seed = seed
+		s, _ := oracleScenario(t, opts, 3, false)
+		ck := core.New()
+		if err := ck.AddSink(s.Sink); err != nil {
+			t.Fatalf("seed=%d: AddSink: %v", seed, err)
+		}
+		offline, err := ck.Analyze().JSON()
+		if err != nil {
+			t.Fatalf("seed=%d: offline JSON: %v", seed, err)
+		}
+		st := core.NewStream()
+		for _, f := range s.Sink.Files() {
+			for _, l := range s.Sink.Lines(f) {
+				st.Feed(f, l)
+			}
+		}
+		live, err := st.Report().JSON()
+		if err != nil {
+			t.Fatalf("seed=%d: live JSON: %v", seed, err)
+		}
+		if offline != live {
+			t.Errorf("seed=%d: live stream report diverges from the offline checker", seed)
+		}
+	}
+}
+
 // TestBreakdownWorkerCountInvariant is the sketch-merge property test:
 // for any worker count, the parallel miner's Report.Breakdown rollups —
 // quantiles included — must equal the serial rollups exactly, because

@@ -94,17 +94,14 @@ type spanRec struct {
 }
 
 // Pipeline is the per-deployment observability hub. Create one with New
-// and hand it to the stream (ObservePipeline), the miner
-// (MineDirObserved), and the serve loop. All methods are safe for
-// concurrent use and are no-ops on a nil receiver.
+// and hand it to the stream (ObservePipeline) and the serve loop. All
+// methods are safe for concurrent use and are no-ops on a nil receiver.
 type Pipeline struct {
 	base  time.Time
 	clock func() int64 // nil = wall clock; else test clock in ms
 
 	stages map[string]*stageSet
 	flight *Flight
-
-	filesPending *metrics.Gauge
 
 	spanMu   sync.Mutex
 	spans    []spanRec
@@ -160,13 +157,12 @@ const defaultSelfCap = 8192
 // all six, observed or not.
 func New(reg *metrics.Registry, opts ...Option) *Pipeline {
 	p := &Pipeline{
-		base:         time.Now(),
-		stages:       make(map[string]*stageSet, len(Stages)),
-		flight:       newFlight(reg, DefaultFlightSize),
-		spans:        make([]spanRec, 0, DefaultSpanCap),
-		selfCap:      defaultSelfCap,
-		filesPending: reg.Gauge("obs_mine_files_pending"),
-		selfDropped:  reg.Counter("obs_self_observations_dropped_total"),
+		base:        time.Now(),
+		stages:      make(map[string]*stageSet, len(Stages)),
+		flight:      newFlight(reg, DefaultFlightSize),
+		spans:       make([]spanRec, 0, DefaultSpanCap),
+		selfCap:     defaultSelfCap,
+		selfDropped: reg.Counter("obs_self_observations_dropped_total"),
 	}
 	for _, st := range Stages {
 		p.stages[st] = &stageSet{
@@ -256,15 +252,6 @@ func (p *Pipeline) DrainSelf() []StageObs {
 	p.selfBuf = nil
 	p.selfMu.Unlock()
 	return out
-}
-
-// FilesPending publishes how many mine inputs are still unclaimed (the
-// offline miner's queue-depth gauge).
-func (p *Pipeline) FilesPending(n int) {
-	if p == nil {
-		return
-	}
-	p.filesPending.Set(int64(n))
 }
 
 // RecordForward notes a cross-shard event forward in the flight

@@ -28,7 +28,6 @@ func TestNilPipelineIsInert(t *testing.T) {
 	}
 	p.StageBatch(StageParse, 0, tk, 10)
 	p.StageSpan(StageRead, -1, tk, tk, 1)
-	p.FilesPending(3)
 	p.RecordForward(0, 1, 2)
 	p.RecordHook("app")
 	p.RecordEvict("app")

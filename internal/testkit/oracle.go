@@ -1,11 +1,14 @@
 package testkit
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/log4j"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -33,9 +36,9 @@ type OracleInput struct {
 // for byte what the serial Checker renders, that a ShardedStream fed
 // the sink's lines renders byte for byte what a serial Stream renders
 // (with losslessly merged breakdown sketches), that the byte-level fast
-// matcher and the retained regex reference render byte-identical
-// reports, and — when ground truth is supplied — that the mined spans
-// are contained in the simulator's recorded spans.
+// parser and the regexp reference (core.ParseReference) agree on every
+// file, and — when ground truth is supplied — that the mined spans are
+// contained in the simulator's recorded spans.
 type DiffOracle struct {
 	// Workers are the parallel worker counts to diff (default 2, 3, 8).
 	Workers []int
@@ -85,43 +88,14 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 		t.Fatalf("%s: serial stream attribution JSON: %v", in.Name, err)
 	}
 
-	// Cross-implementation diff: the whole suite above ran on the
-	// byte-level fast matcher (the default); re-running the two serial
-	// references on the retained regex implementation must reproduce the
-	// same bytes, making every oracle scenario also a matcher-equivalence
-	// scenario.
-	func() {
-		defer core.UseReferenceMatcher(true)()
-		ck := core.New()
-		if err := ck.AddSink(in.Sink); err != nil {
-			t.Fatalf("%s: AddSink (regex matcher): %v", in.Name, err)
-		}
-		got, err := ck.Analyze().JSON()
-		if err != nil {
-			t.Fatalf("%s: regex-matcher JSON: %v", in.Name, err)
-		}
-		if got != refJSON {
-			t.Errorf("%s: regex matcher diverges from fast matcher (offline checker)", in.Name)
-		}
-		st := core.NewStream()
-		bd := core.NewClusterBreakdown()
-		st.OnComplete(func(a *core.AppTrace) { bd.Observe(a) })
-		for _, f := range in.Sink.Files() {
-			for _, l := range in.Sink.Lines(f) {
-				st.Feed(f, l)
-			}
-		}
-		if got, err := st.Report().JSON(); err != nil {
-			t.Fatalf("%s: regex-matcher stream JSON: %v", in.Name, err)
-		} else if got != stJSON {
-			t.Errorf("%s: regex matcher diverges from fast matcher (stream)", in.Name)
-		}
-		if attr, err := bd.AttributionJSON(); err != nil {
-			t.Fatalf("%s: regex-matcher attribution JSON: %v", in.Name, err)
-		} else if attr != stAttr {
-			t.Errorf("%s: regex matcher diverges from fast matcher (attribution)", in.Name)
-		}
-	}()
+	// Cross-implementation diff: every file of the sink, parsed by the
+	// fast Parser and by the regexp reference, must yield identical
+	// events, warnings, line counts and core_parser_* counters. The
+	// reports above are functions of those outputs, so every oracle
+	// scenario is also a matcher-equivalence scenario.
+	for _, f := range in.Sink.Files() {
+		diffReference(t, in.Name, in.Sink, f)
+	}
 
 	for _, w := range workers {
 		// Parallel offline mining == serial checker, byte for byte.
@@ -191,6 +165,41 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 		}
 	}
 	return ref
+}
+
+// diffReference parses one file of the sink with the fast Parser and
+// with core.ParseReference and reports every observable difference.
+func diffReference(t testing.TB, scenario string, s *log4j.Sink, name string) {
+	t.Helper()
+	freg, rreg := metrics.NewRegistry(), metrics.NewRegistry()
+	fp := core.NewParser()
+	fp.Instrument(freg)
+	ferr := fp.ParseReader(name, s.Reader(name))
+	rp, rerr := core.ParseReference(name, s.Reader(name), rreg)
+	if fmt.Sprint(ferr) != fmt.Sprint(rerr) {
+		t.Errorf("%s: %s: reference error diverges: fast=%v regex=%v", scenario, name, ferr, rerr)
+	}
+	if !reflect.DeepEqual(fp.Events(), rp.Events()) {
+		t.Errorf("%s: %s: reference events diverge from the fast parser", scenario, name)
+	}
+	if !reflect.DeepEqual(fp.Warnings(), rp.Warnings()) {
+		t.Errorf("%s: %s: reference warnings diverge: fast=%q regex=%q", scenario, name, fp.Warnings(), rp.Warnings())
+	}
+	ff, fl := fp.Stats()
+	rf, rl := rp.Stats()
+	if ff != rf || fl != rl {
+		t.Errorf("%s: %s: reference stats diverge: fast=(%d files, %d lines) regex=(%d, %d)", scenario, name, ff, fl, rf, rl)
+	}
+	var fm, rm strings.Builder
+	if err := freg.WriteText(&fm); err != nil {
+		t.Fatalf("%s: %s: fast parser metrics: %v", scenario, name, err)
+	}
+	if err := rreg.WriteText(&rm); err != nil {
+		t.Fatalf("%s: %s: reference metrics: %v", scenario, name, err)
+	}
+	if fm.String() != rm.String() {
+		t.Errorf("%s: %s: parser counters diverge:\nfast:\n%s\nregex:\n%s", scenario, name, fm.String(), rm.String())
+	}
 }
 
 // checkContainment verifies every mined delay-component span falls
