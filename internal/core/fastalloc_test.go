@@ -3,8 +3,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/log4j"
@@ -115,5 +121,98 @@ func TestFastPathAllocBudgetMatching(t *testing.T) {
 	small, large := history(5), history(1000)
 	if math.Abs(large-small) > 1 {
 		t.Errorf("matching line allocs grow with app history: %v allocs/op after 5 events, %v after 1,000", small, large)
+	}
+}
+
+// TestParseReaderPerFileAlloc bounds what ParseReader allocates to mine
+// one small container stderr file — the typical file of a log tree,
+// where fixed per-file costs outweigh the per-line ones. A file is read
+// into one blob of its own size, and only what the mined events keep is
+// cloned out of it, so an 823-byte stderr must not cost a 64 KiB
+// scanner buffer (or io.Copy's 32 KiB one) per file. The parser is
+// reused across files, as ParseDir and every MineDir worker reuse their
+// copy buffer, and its event list is reset between runs so its growth
+// is not counted.
+func TestParseReaderPerFileAlloc(t *testing.T) {
+	const name = "userlogs/application_1499000000000_0001/container_1499000000000_0001_01_000002/stderr"
+	var b strings.Builder
+	for i, ln := range [][2]string{
+		{"CoarseGrainedExecutorBackend", "Started daemon with process name: 20001@node02"},
+		{"CoarseGrainedExecutorBackend", "Connecting to driver: spark://CoarseGrainedScheduler@node12"},
+		{"CoarseGrainedExecutorBackend", "Successfully registered with driver"},
+		{"CoarseGrainedExecutorBackend", "Got assigned task 0"},
+		{"Executor", "Running task 0.0 in stage 0.0 (TID 0)"},
+		{"Executor", "Finished task 0.0 in stage 0.0 (TID 0)"},
+		{"CoarseGrainedExecutorBackend", "Driver commanded a shutdown"},
+	} {
+		b.WriteString(log4j.Line{
+			TimeMS:  1499000000000 + int64(i)*250,
+			Level:   log4j.Info,
+			Class:   "org.apache.spark.executor." + ln[0],
+			Message: ln[1],
+		}.Format() + "\n")
+	}
+	data := b.String()
+	path := filepath.Join(t.TempDir(), "stderr")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	const runs = 200
+	p := NewParser()
+	for _, tc := range []struct {
+		shape string
+		open  func() io.Reader
+	}{
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader([]byte(data)) }},
+		{"os.File", func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}},
+	} {
+		// Open every reader up front so the measurement is ParseReader's
+		// alone, then warm the parser (its copy buffer, its event list).
+		readers := make([]io.Reader, runs+1)
+		for i := range readers {
+			readers[i] = tc.open()
+		}
+		parse := func(r io.Reader) {
+			p.events = p.events[:0]
+			if err := p.ParseReader(name, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parse(readers[runs])
+		if len(p.events) != 2 {
+			t.Fatalf("%s: mined %d events, want FIRST_LOG and FIRST_TASK", tc.shape, len(p.events))
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, r := range readers[:runs] {
+			parse(r)
+		}
+		runtime.ReadMemStats(&after)
+		for _, r := range readers {
+			if c, ok := r.(io.Closer); ok {
+				c.Close()
+			}
+		}
+		bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		allocsPer := float64(after.Mallocs-before.Mallocs) / runs
+		t.Logf("%s: %d-byte file: %.0f B/file, %.1f allocs/file", tc.shape, len(data), bytesPer, allocsPer)
+		if bytesPer > 8<<10 {
+			t.Errorf("%s: ParseReader allocates %.0f B per %d-byte file, budget 8 KiB", tc.shape, bytesPer, len(data))
+		}
+		// Measured 6 from a bytes.Reader: the blob, its writer, and the
+		// Class and Message clones of the two events. A file adds its
+		// Stat result: 7.
+		const allocBudget = 8
+		if allocsPer > allocBudget {
+			t.Errorf("%s: ParseReader makes %.1f allocs per file, budget %d", tc.shape, allocsPer, allocBudget)
+		}
 	}
 }

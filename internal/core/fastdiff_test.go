@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/ids"
 	"repro/internal/log4j"
@@ -49,39 +54,119 @@ func collectOutputs(p *Parser, err error, reg *metrics.Registry) parserOutputs {
 	return out
 }
 
-// diffParsers asserts the fast parser and the reference are
-// observationally identical on one input file.
-func diffParsers(t *testing.T, name string, data []byte) {
+// errShapeRead is the read error the failing reader shapes end with.
+var errShapeRead = errors.New("injected read error")
+
+// lastReadErr reads r and returns err together with its last piece of
+// data, as iotest.DataErrReader does but in reads as large as asked for.
+type lastReadErr struct {
+	r   *bytes.Reader
+	err error
+}
+
+func (l *lastReadErr) Read(p []byte) (int, error) {
+	n, _ := l.r.Read(p)
+	if l.r.Len() == 0 {
+		return n, l.err
+	}
+	return n, nil
+}
+
+// readerShape is one way ParseReader can be handed a file's bytes. The
+// reference parses the same bytes through ref: a bytes.Reader, or for a
+// failing shape an identically failing reader.
+type readerShape struct {
+	name      string
+	fast, ref func() io.Reader
+}
+
+// readerShapes lists every read path of ParseReader over data: the
+// sized in-memory handovers (bytes.Reader, and strings.Reader, whose
+// string becomes the blob without a copy), a temp-file *os.File sized by
+// Stat, the unsized chunked copy (iotest.OneByteReader and HalfReader,
+// and a reader returning EOF with the last data), and readers that fail
+// after k bytes, at k = 0, mid-file and at the end, with the error
+// arriving after the data or together with its last piece.
+func readerShapes(t *testing.T, data []byte) []readerShape {
 	t.Helper()
-	freg := metrics.NewRegistry()
-	fp := NewParser()
-	fp.Instrument(freg)
-	ferr := fp.ParseReader(name, bytes.NewReader(data))
-	f := collectOutputs(fp, ferr, freg)
-
-	rreg := metrics.NewRegistry()
-	rp, rerr := ParseReference(name, bytes.NewReader(data), rreg)
-	r := collectOutputs(rp, rerr, rreg)
-
-	if f.err != r.err {
-		t.Fatalf("%s: error diverges: fast=%q regex=%q", name, f.err, r.err)
+	whole := func() io.Reader { return bytes.NewReader(data) }
+	path := filepath.Join(t.TempDir(), "log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(f.events) != len(r.events) {
-		t.Fatalf("%s: fast mined %d events, regex %d", name, len(f.events), len(r.events))
+	shapes := []readerShape{
+		{name: "bytes.Reader", fast: whole},
+		{name: "strings.Reader", fast: func() io.Reader { return strings.NewReader(string(data)) }},
+		{name: "os.File", fast: func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}},
+		{name: "HalfReader", fast: func() io.Reader { return iotest.HalfReader(bytes.NewReader(data)) }},
+		{name: "EOF with the data", fast: func() io.Reader { return &lastReadErr{bytes.NewReader(data), io.EOF} }},
 	}
-	for i := range f.events {
-		if !reflect.DeepEqual(f.events[i], r.events[i]) {
-			t.Fatalf("%s: event %d diverges:\nfast:  %+v\nregex: %+v", name, i, f.events[i], r.events[i])
+	if len(data) <= 64<<10 {
+		// Past this, byte-at-a-time reads test nothing HalfReader does
+		// not, and take seconds under -race.
+		shapes = append(shapes, readerShape{name: "OneByteReader", fast: func() io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }})
+	}
+	for _, k := range []int{0, len(data) / 2, len(data)} {
+		failing := func() io.Reader { return io.MultiReader(bytes.NewReader(data[:k]), iotest.ErrReader(errShapeRead)) }
+		withData := func() io.Reader { return &lastReadErr{bytes.NewReader(data[:k]), errShapeRead} }
+		shapes = append(shapes,
+			readerShape{name: fmt.Sprintf("fails after %d bytes", k), fast: failing, ref: failing},
+			readerShape{name: fmt.Sprintf("fails with the data after %d bytes", k), fast: withData, ref: withData})
+	}
+	for i := range shapes {
+		if shapes[i].ref == nil {
+			shapes[i].ref = whole
 		}
 	}
-	if !reflect.DeepEqual(f.warns, r.warns) {
-		t.Fatalf("%s: warnings diverge:\nfast:  %q\nregex: %q", name, f.warns, r.warns)
-	}
-	if f.files != r.files || f.lines != r.lines {
-		t.Fatalf("%s: stats diverge: fast=(%d files, %d lines) regex=(%d, %d)", name, f.files, f.lines, r.files, r.lines)
-	}
-	if !reflect.DeepEqual(f.hits, r.hits) {
-		t.Fatalf("%s: hit counters diverge:\nfast:  %v\nregex: %v", name, f.hits, r.hits)
+	return shapes
+}
+
+// diffParsers asserts the fast parser and the reference are
+// observationally identical on one input file, through every reader
+// shape.
+func diffParsers(t *testing.T, name string, data []byte) {
+	t.Helper()
+	for _, sh := range readerShapes(t, data) {
+		freg := metrics.NewRegistry()
+		fp := NewParser()
+		fp.Instrument(freg)
+		fr := sh.fast()
+		ferr := fp.ParseReader(name, fr)
+		if c, ok := fr.(io.Closer); ok {
+			c.Close()
+		}
+		f := collectOutputs(fp, ferr, freg)
+
+		rreg := metrics.NewRegistry()
+		rp, rerr := ParseReference(name, sh.ref(), rreg)
+		r := collectOutputs(rp, rerr, rreg)
+
+		if f.err != r.err {
+			t.Fatalf("%s (%s): error diverges: fast=%q regex=%q", name, sh.name, f.err, r.err)
+		}
+		if len(f.events) != len(r.events) {
+			t.Fatalf("%s (%s): fast mined %d events, regex %d", name, sh.name, len(f.events), len(r.events))
+		}
+		for i := range f.events {
+			if !reflect.DeepEqual(f.events[i], r.events[i]) {
+				t.Fatalf("%s (%s): event %d diverges:\nfast:  %+v\nregex: %+v", name, sh.name, i, f.events[i], r.events[i])
+			}
+		}
+		if !reflect.DeepEqual(f.warns, r.warns) {
+			t.Fatalf("%s (%s): warnings diverge:\nfast:  %q\nregex: %q", name, sh.name, f.warns, r.warns)
+		}
+		if f.files != r.files || f.lines != r.lines {
+			t.Fatalf("%s (%s): stats diverge: fast=(%d files, %d lines) regex=(%d, %d)", name, sh.name, f.files, f.lines, r.files, r.lines)
+		}
+		if !reflect.DeepEqual(f.hits, r.hits) {
+			t.Fatalf("%s (%s): hit counters diverge:\nfast:  %v\nregex: %v", name, sh.name, f.hits, r.hits)
+		}
 	}
 }
 
@@ -200,6 +285,52 @@ func TestFastVsRegexCorpus(t *testing.T) {
 			}
 			diffRouting(t, string(data))
 			diffStreams(t, diffSources, strings.Split(string(data), "\n"))
+		})
+	}
+}
+
+// TestFastVsRegexLongLines runs lines at the scanner's 4 MiB token cap
+// through the differential harness on a daemon and a container path:
+// one byte under the cap, at it, at it only with its '\r', and an
+// unterminated last line, each followed or preceded by ordinary mined
+// lines so a divergence in what survives the cap shows up as events.
+func TestFastVsRegexLongLines(t *testing.T) {
+	first := log4j.Line{
+		TimeMS:  1499000000100,
+		Level:   log4j.Info,
+		Class:   "org.apache.spark.deploy.yarn.ApplicationMaster",
+		Message: "Registered with ResourceManager",
+	}.Format()
+	rm := log4j.Line{
+		TimeMS:  1499000000200,
+		Level:   log4j.Info,
+		Class:   "org.apache.hadoop.yarn.server.resourcemanager.rmcontainer.RMContainerImpl",
+		Message: "container_1499000000000_0001_01_000001 Container Transitioned from NEW to ALLOCATED",
+	}.Format()
+	long := func(n int) string {
+		prefix := first[:len(first)-len("Registered with ResourceManager")] + "SDCHECKER START_ALLO "
+		return prefix + strings.Repeat("x", n-len(prefix))
+	}
+	cases := []struct {
+		name    string
+		data    string
+		tooLong bool
+	}{
+		{"under the cap", first + "\n" + long(maxLineBytes-1) + "\n" + rm + "\n", false},
+		{"at the cap", first + "\n" + rm + "\n" + long(maxLineBytes) + "\n" + rm + "\n", true},
+		{"at the cap with CR", first + "\n" + long(maxLineBytes-1) + "\r\n" + rm + "\n", true},
+		{"unterminated last", rm + "\n" + first + "\n" + long(maxLineBytes-1), false},
+		{"unterminated over cap", rm + "\n" + first + "\n" + long(maxLineBytes+10), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, src := range []string{diffSources[0], diffSources[2]} {
+				err := NewParser().ParseReader(src, strings.NewReader(c.data))
+				if tooLong := errors.Is(err, bufio.ErrTooLong); tooLong != c.tooLong || (err != nil && !tooLong) {
+					t.Fatalf("%s: ParseReader error %v, want ErrTooLong: %v", src, err, c.tooLong)
+				}
+				diffParsers(t, src, []byte(c.data))
+			}
 		})
 	}
 }

@@ -731,11 +731,11 @@ func fastAppInLine(raw string) (ids.AppID, bool) {
 	return ids.AppID{ClusterTS: cts, Seq: int(seq)}, true
 }
 
-// maxLineBytes is bufio.Scanner's token cap as configured by the file
-// parsers: a line of this many bytes or more is a scan error.
+// maxLineBytes is bufio.Scanner's token cap as the reference parser
+// configures it: a line of this many bytes or more is a scan error.
 const maxLineBytes = 4 * 1024 * 1024
 
-// segmentIter splits a raw feed exactly like parseDaemonLog's
+// segmentIter splits a raw feed exactly like the reference parser's
 // bufio.Scanner would: on '\n', one trailing '\r' dropped per segment,
 // no final empty segment after a trailing newline, and a segment of
 // maxLineBytes or more (measured before the '\r' drop, like the
@@ -770,10 +770,10 @@ func (it *segmentIter) next() (seg string, ok, tooLong bool) {
 	return seg, true, false
 }
 
-// feedDaemonSegments is parseDaemonLog for an in-memory feed on the
+// feedDaemonSegments mines raw's segments as daemon-log lines on the
 // fast matcher: no reader, no scanner buffer, no allocations on
 // non-matching lines. It reports false where the scanner would have
-// returned an error.
+// returned ErrTooLong, keeping the events mined before it.
 func (p *Parser) feedDaemonSegments(source, raw string) bool {
 	for it := (segmentIter{raw: raw}); ; {
 		seg, ok, tooLong := it.next()
@@ -793,22 +793,14 @@ func (p *Parser) feedDaemonSegments(source, raw string) bool {
 	}
 }
 
-// feedContainerSegments is parseContainerLog for an in-memory feed on
-// the fast matcher. On the scanner-error equivalent it truncates the
-// events it appended, like the buffered path does.
+// feedContainerSegments mines raw as one container log's lines and
+// finishes the scan with its FIRST_LOG event. Where the scanner would
+// have returned ErrTooLong it drops the events it appended and reports
+// false.
 func (p *Parser) feedContainerSegments(source string, cid ids.ContainerID, raw string) bool {
 	cs := p.beginContainerScan()
-	for it := (segmentIter{raw: raw}); ; {
-		seg, ok, tooLong := it.next()
-		if tooLong {
-			p.events = p.events[:cs.bodyStart]
-			return false
-		}
-		if !ok {
-			break
-		}
-		p.lines++
-		cs.line(p, source, cid, seg)
+	if !cs.feed(p, source, cid, raw) {
+		return false
 	}
 	cs.finish(p, source, cid)
 	return true

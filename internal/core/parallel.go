@@ -12,20 +12,22 @@ import (
 	"repro/internal/log4j"
 )
 
-// The parallel offline miner: parsing dominates SDchecker's wall time
-// (regex extraction over every log line), and files are independent
-// until correlation, so MineDir/MineSink fan the files of a log tree out
-// to worker goroutines and merge the per-file results back in file
-// order. The merged event slice is exactly what one serial Parser over
-// the same files in the same order would have produced, so the report —
-// including its JSON export — is byte-identical to Checker.Analyze for
-// any worker count.
+// The parallel offline miner: parsing — reading each file and matching
+// its lines against the vocabulary — dominates SDchecker's wall time, and
+// files are independent until correlation, so MineDir/MineSink fan the
+// files of a log tree out to worker goroutines and merge the per-file
+// results back in file order. The merged event slice is exactly what one
+// serial Parser over the same files in the same order would have
+// produced, so the report — including its JSON export — is byte-identical
+// to Checker.Analyze for any worker count.
 
 // mineFile is one log file to parse: its logical (slash-separated) name
-// and a way to open its content.
+// and a way to open its content, closed after parsing if it is an
+// io.Closer. Sink contents stay plain strings.Readers, whose Len lets
+// readBlob take the string over without a copy.
 type mineFile struct {
 	name string
-	open func() (io.ReadCloser, error)
+	open func() (io.Reader, error)
 }
 
 // MineDir mines a log directory tree like Checker.AddDir + Analyze, but
@@ -46,7 +48,7 @@ func MineDir(dir string, workers int) (*Report, error) {
 		}
 		files = append(files, mineFile{
 			name: filepath.ToSlash(rel),
-			open: func() (io.ReadCloser, error) { return os.Open(path) },
+			open: func() (io.Reader, error) { return os.Open(path) },
 		})
 		return nil
 	})
@@ -65,7 +67,7 @@ func MineSink(s *log4j.Sink, workers int) (*Report, error) {
 		f := f
 		files = append(files, mineFile{
 			name: f,
-			open: func() (io.ReadCloser, error) { return io.NopCloser(s.Reader(f)), nil },
+			open: func() (io.Reader, error) { return s.Reader(f), nil },
 		})
 	}
 	return mineFiles(files, workers)
@@ -95,6 +97,7 @@ func mineFiles(files []mineFile, workers int) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var copyBuf []byte // lent to each file's parser in turn
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= len(files) {
@@ -105,21 +108,28 @@ func mineFiles(files []mineFile, workers int) (*Report, error) {
 					errs[i] = err
 					continue
 				}
-				p := NewParser()
+				p := &Parser{copyBuf: copyBuf}
 				err = p.ParseReader(files[i].name, r)
-				r.Close()
+				if c, ok := r.(io.Closer); ok {
+					c.Close()
+				}
+				copyBuf, p.copyBuf = p.copyBuf, nil
 				parsers[i], errs[i] = p, err
 			}
 		}()
 	}
 	wg.Wait()
 
-	merged := NewParser()
+	total := 0
 	for i, p := range parsers {
 		if errs[i] != nil {
 			// First error in file order, like the serial walk surfaces.
 			return nil, errs[i]
 		}
+		total += len(p.events)
+	}
+	merged := &Parser{events: make([]Event, 0, total)}
+	for _, p := range parsers {
 		merged.events = append(merged.events, p.events...)
 		merged.files += p.files
 		merged.lines += p.lines

@@ -26,10 +26,14 @@ type Parser struct {
 	met    *parserMetrics
 
 	// cloneMined is set while mining lines sliced from a whole-file
-	// blob: the fast miner then clones each matching line so emitted
-	// events do not pin the blob. Streams feed caller-owned line
-	// strings and leave it false.
+	// blob: the fast miner then clones what each emitted event keeps, so
+	// events do not pin the blob. Streams feed caller-owned line strings
+	// and leave it false.
 	cloneMined bool
+
+	// copyBuf is the chunk buffer readBlob copies unsized readers
+	// through, allocated on first use and reused for every later file.
+	copyBuf []byte
 }
 
 // maxDistinctWarnings bounds the warning set: corrupted inputs can
@@ -106,8 +110,8 @@ var regexNames = []string{
 	"first_task", "first_log", "assigned", "opp_assigned",
 }
 
-// parserMetrics are the parser's observability hooks (shared across the
-// throwaway parsers a Stream creates per line).
+// parserMetrics are the parser's observability hooks (shared by every
+// parser instrumented with the same registry).
 type parserMetrics struct {
 	lines *metrics.Counter            // log4j-parseable lines consumed
 	hits  map[string]*metrics.Counter // per-regex match counts
@@ -199,15 +203,44 @@ func (p *Parser) warnf(format string, args ...any) {
 // it contains a container ID (userlogs/<app>/<container>/stderr), the file
 // is treated as a container log and its first parseable line becomes the
 // FIRST_LOG event of Table I.
+//
+// Either kind is read once into one blob and walked with the segment
+// feeders the live stream uses. The walk splits exactly like the
+// bufio.Scanner the reference parser uses, on errors too: the scanner
+// splits whatever it buffered (including a partial tail) with atEOF=true
+// once the reader errors, which is exactly a segment walk over the bytes
+// the read gathered; and a segment at the 4 MiB buffer cap surfaces as
+// the scanner's ErrTooLong before any read error, matching the
+// buffer-full case. After a read error a daemon log keeps what it mined
+// and a container log yields no events, as with the scanner.
 func (p *Parser) ParseReader(name string, r io.Reader) error {
 	p.files++
-	if cid, found, err := fastFindContainerID(name); found {
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", name, err)
-		}
-		return p.parseContainerLog(name, cid, r)
+	cid, isContainer, err := fastFindContainerID(name)
+	if err != nil {
+		return fmt.Errorf("core: %s: %w", name, err)
 	}
-	return p.parseDaemonLog(name, r)
+	blob, rerr := p.readBlob(r)
+	// Mined strings would otherwise be slices of the whole-file blob; have
+	// the miners clone what an event keeps (nothing on non-matching lines)
+	// so events never pin the file.
+	p.cloneMined = true
+	defer func() { p.cloneMined = false }()
+	if !isContainer {
+		if !p.feedDaemonSegments(name, blob) {
+			return bufio.ErrTooLong
+		}
+		return rerr
+	}
+	cs := p.beginContainerScan()
+	if !cs.feed(p, name, cid, blob) {
+		return bufio.ErrTooLong
+	}
+	if rerr != nil {
+		p.events = p.events[:cs.bodyStart] // a failed read yields no events
+		return rerr
+	}
+	cs.finish(p, name, cid)
+	return nil
 }
 
 // ParseSink consumes every file of an in-memory sink.
@@ -243,53 +276,51 @@ func (p *Parser) ParseDir(dir string) error {
 	})
 }
 
-// parseDaemonLog mines RM/NM logs: app state changes, container
-// transitions on both sides, launch invocations, opportunistic queueing.
-func (p *Parser) parseDaemonLog(name string, r io.Reader) error {
-	// Read the file once and walk it with the zero-copy segment iterator,
-	// so non-matching lines allocate nothing (a bufio.Scanner copies every
-	// line out). The walk splits exactly like the scanner the reference
-	// parser uses, on errors too: bufio splits whatever it buffered
-	// (including a partial tail) with atEOF=true once the reader errors,
-	// which is exactly a segment walk over the bytes the copy gathered; and a
-	// segment at the 4 MiB buffer cap surfaces as the scanner's
-	// ErrTooLong before any read error, matching the buffer-full case.
+// copyBufSize is the chunk size of Parser.copyBuf.
+const copyBufSize = 32 * 1024
+
+// readBlob reads r to EOF as one string, the blob a segment feeder walks.
+// A sized in-memory reader (strings.Reader, bytes.Reader) hands its bytes
+// over through its own WriteTo: one copy into a blob of the right size,
+// or none at all for a strings.Reader. Every other reader is copied in
+// chunks through the parser's reused copy buffer, never io.Copy's fresh
+// 32 KiB one (*os.File's WriteTo falls back to exactly that); a regular
+// file's blob is sized once from Stat.
+func (p *Parser) readBlob(r io.Reader) (string, error) {
 	var bw blobWriter
-	if l, ok := r.(interface{ Len() int }); ok {
-		bw.hint = l.Len() // sized reader on the chunked path: grow once
+	switch src := r.(type) {
+	case interface{ Len() int }:
+		bw.hint = src.Len()
+		if wt, ok := r.(io.WriterTo); ok {
+			_, err := wt.WriteTo(&bw)
+			return bw.String(), err
+		}
+	case *os.File:
+		if fi, err := src.Stat(); err == nil && fi.Mode().IsRegular() {
+			bw.hint = int(fi.Size())
+		}
 	}
-	_, rerr := io.Copy(&bw, r)
-	// Mined strings would otherwise be slices of the whole-file blob;
-	// have the miner clone the matched line out (one copy per matching
-	// line, nothing on the others) so events never pin the file.
-	p.cloneMined = true
-	defer func() { p.cloneMined = false }()
-	it := segmentIter{raw: bw.String()}
+	if p.copyBuf == nil {
+		p.copyBuf = make([]byte, copyBufSize)
+	}
 	for {
-		seg, ok, tooLong := it.next()
-		if tooLong {
-			return bufio.ErrTooLong
+		n, err := r.Read(p.copyBuf)
+		bw.Write(p.copyBuf[:n])
+		if err == io.EOF {
+			return bw.String(), nil
 		}
-		if !ok {
-			break
+		if err != nil {
+			return bw.String(), err
 		}
-		p.lines++
-		line, lok := log4j.ParseLineFast(seg)
-		if !lok {
-			continue
-		}
-		p.countLine()
-		p.mineDaemonLineFast(name, line)
 	}
-	return rerr
 }
 
 // blobWriter accumulates a reader's contents as one string, taking the
 // backing string wholesale — no copy, no allocation — when the source
 // hands it over in a single WriteString (strings.Reader.WriteTo, and so
-// Sink.Reader, does exactly that under io.Copy). Any other reader
-// drains through the builder in chunks, growing once to the size hint
-// when one is known.
+// Sink.Reader, does exactly that). Any other source writes in chunks
+// through the builder, which grows once to the size hint when one is
+// known.
 type blobWriter struct {
 	direct string          // whole-string handover, if it happened
 	hint   int             // size hint, applied on first chunked write
@@ -437,27 +468,45 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 }
 
 // containerScan carries one container-log scan's state. It is shared by
-// the buffered (ParseReader) path, the single-line stream feeds, and the
-// regexp reference walk. Body events append directly to p.events past
-// bodyStart; finish inserts the FIRST_LOG event in front of them.
+// the whole-file walk of ParseReader, the stream feeds, and the regexp
+// reference. Body events append directly to p.events past bodyStart;
+// finish inserts the FIRST_LOG event in front of them.
 type containerScan struct {
-	bodyStart   int
-	instance    InstanceType
-	firstLine   log4j.Line
-	hasFirst    bool
-	sawFirstTsk bool
+	bodyStart int
+	instance  InstanceType
+	// The first parseable line, for FIRST_LOG.
+	firstTime            int64
+	firstClass, firstMsg string
+	hasFirst             bool
+	sawFirstTsk          bool
 }
 
 func (p *Parser) beginContainerScan() containerScan {
 	return containerScan{bodyStart: len(p.events), instance: InstUnknown}
 }
 
-// line consumes one raw container-log line.
-func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, raw string) {
-	line, ok := log4j.ParseLineFast(raw)
-	if !ok {
-		return
+// feed walks raw's segments as container-log lines. Where the scanner
+// would have returned ErrTooLong it drops the scan's events and reports
+// false.
+func (cs *containerScan) feed(p *Parser, name string, cid ids.ContainerID, raw string) bool {
+	for it := (segmentIter{raw: raw}); ; {
+		seg, ok, tooLong := it.next()
+		if tooLong {
+			p.events = p.events[:cs.bodyStart]
+			return false
+		}
+		if !ok {
+			return true
+		}
+		p.lines++
+		if line, lok := log4j.ParseLineFast(seg); lok {
+			cs.line(p, name, cid, line)
+		}
 	}
+}
+
+// line mines one parsed container-log line.
+func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, line log4j.Line) {
 	cs.observe(p, line)
 	var kind Kind
 	switch {
@@ -477,6 +526,10 @@ func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, raw s
 	default:
 		return
 	}
+	if p.cloneMined {
+		line.Class = strings.Clone(line.Class)
+		line.Message = strings.Clone(line.Message)
+	}
 	p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: line.Message})
 }
 
@@ -486,7 +539,11 @@ func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, raw s
 func (cs *containerScan) observe(p *Parser, line log4j.Line) {
 	p.countLine()
 	if !cs.hasFirst {
-		cs.firstLine, cs.hasFirst = line, true
+		class, msg := line.Class, line.Message
+		if p.cloneMined {
+			class, msg = strings.Clone(class), strings.Clone(msg)
+		}
+		cs.firstTime, cs.firstClass, cs.firstMsg, cs.hasFirst = line.TimeMS, class, msg, true
 	}
 	switch {
 	case strings.Contains(line.Class, "CoarseGrainedExecutorBackend"):
@@ -521,29 +578,10 @@ func (cs *containerScan) finish(p *Parser, name string, cid ids.ContainerID) {
 	case InstSparkExecutor:
 		flKind = ExecutorFirstLog
 	}
-	ev := Event{Kind: flKind, TimeMS: cs.firstLine.TimeMS, App: cid.App, Container: cid, Source: name, Class: cs.firstLine.Class, Raw: cs.firstLine.Message, Instance: cs.instance}
+	ev := Event{Kind: flKind, TimeMS: cs.firstTime, App: cid.App, Container: cid, Source: name, Class: cs.firstClass, Raw: cs.firstMsg, Instance: cs.instance}
 	p.events = append(p.events, Event{})
 	copy(p.events[cs.bodyStart+1:], p.events[cs.bodyStart:len(p.events)-1])
 	p.events[cs.bodyStart] = ev
-}
-
-// parseContainerLog mines one container's stderr: the first parseable
-// line is FIRST_LOG; Spark driver/executor markers and the instance type
-// come from the body.
-func (p *Parser) parseContainerLog(name string, cid ids.ContainerID, r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	cs := p.beginContainerScan()
-	for sc.Scan() {
-		p.lines++
-		cs.line(p, name, cid, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		p.events = p.events[:cs.bodyStart] // a failed scan yields no events
-		return err
-	}
-	cs.finish(p, name, cid)
-	return nil
 }
 
 func (p *Parser) emit(e Event) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -160,32 +162,61 @@ func (a *AppTrace) WorkerContainers() []*ContainerTrace {
 // corresponding global ID ... aggregates and groups state transformations
 // based on the IDs").
 func Correlate(events []Event) []*AppTrace {
-	// Events can arrive in any order across files; sort first so "first
-	// occurrence wins" rules are well-defined.
-	sorted := append([]Event(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].TimeMS < sorted[j].TimeMS })
-
-	builders := make(map[ids.AppID]*traceBuilder)
-	for _, e := range sorted {
-		b := builders[e.App]
-		if b == nil {
-			b = newTraceBuilder(e.App)
-			builders[e.App] = b
+	// Events can arrive in any order across files; order each app's events
+	// by time so "first occurrence wins" rules are well-defined. Group by
+	// app in arrival order, then stable-sort each group: restricted to one
+	// app, a stable sort of the whole list is exactly the stable sort of
+	// that app's arrival-ordered events, and traces are built per app.
+	// The groups are sorted as event indices and each event is copied
+	// once, to its final place, rather than swapped around as it sorts.
+	group := make(map[ids.AppID]int32)
+	gs := make([]int32, len(events)) // each event's group
+	var count []int                  // events per group, numbered by first arrival
+	for i := range events {
+		g, ok := group[events[i].App]
+		if !ok {
+			g = int32(len(count))
+			group[events[i].App] = g
+			count = append(count, 0)
 		}
-		b.add(e)
+		gs[i] = g
+		count[g]++
 	}
-	out := make([]*AppTrace, 0, len(builders))
-	for _, b := range builders {
-		b.a.Events = b.events
-		out = append(out, b.a)
+	// next[g] is where group g's next index goes, and its end once placed.
+	next := make([]int, len(count))
+	for g := 1; g < len(count); g++ {
+		next[g] = next[g-1] + count[g-1]
+	}
+	idx := make([]int32, len(events))
+	for i, g := range gs {
+		idx[next[g]] = int32(i)
+		next[g]++
+	}
+
+	byApp := make([]Event, len(events))
+	out := make([]*AppTrace, len(count))
+	for g, end := range next {
+		start := end - count[g]
+		order := idx[start:end]
+		slices.SortStableFunc(order, func(i, j int32) int { return cmp.Compare(events[i].TimeMS, events[j].TimeMS) })
+		evs := byApp[start:end:end]
+		for k, i := range order {
+			evs[k] = events[i]
+		}
+		b := newTraceBuilder(evs[0].App)
+		for i := range evs {
+			b.apply(evs[i])
+		}
+		b.a.Events = evs
+		out[g] = b.a
 	}
 	sortTracesBySeq(out)
 	return out
 }
 
 // traceBuilder assembles one application's trace event by event, in time
-// order. It is the single correlation path: Correlate feeds it a
-// pre-sorted event list, and a Stream keeps one per live application,
+// order. It is the single correlation path: Correlate feeds it each
+// app's time-sorted events, and a Stream keeps one per live application,
 // absorbing each event in O(1) when it arrives in order.
 //
 // The live path publishes an immutable snapshot after every absorb
