@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"io/fs"
@@ -85,7 +86,11 @@ func followDir(dir string, workers int) error {
 	}
 }
 
-// drainFile feeds any bytes appended since the recorded offset. It
+// drainFile feeds every complete line appended since the recorded
+// offset and advances the offset by the bytes those lines take, line
+// terminators included. An unterminated tail — a line its writer has not
+// finished — is held back until its newline arrives. A CR before the
+// newline is dropped from the fed line, as bufio.ScanLines drops it. It
 // returns how many lines were fed.
 func (s *dirScanner) drainFile(path, rel string) (int, error) {
 	info, err := os.Stat(path)
@@ -104,14 +109,20 @@ func (s *dirScanner) drainFile(path, rel string) (int, error) {
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return 0, err
 	}
+	read := off
 	sc := bufio.NewScanner(f)
 	sc.Buffer(s.buf[:0], 4*1024*1024)
+	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			return 0, nil, nil // no newline yet: ask for more, or stop at EOF
+		}
+		read += int64(i) + 1
+		return i + 1, bytes.TrimSuffix(data[:i], []byte{'\r'}), nil
+	})
 	fed := 0
-	read := off
 	for sc.Scan() {
-		line := sc.Text()
-		read += int64(len(line)) + 1
-		if s.st.Feed(rel, line) {
+		if s.st.Feed(rel, sc.Text()) {
 			fed++
 		}
 	}

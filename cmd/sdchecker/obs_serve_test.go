@@ -43,11 +43,6 @@ func TestServeWatchdogStallInjection(t *testing.T) {
 	dir := writeScenarioLogs(t)
 	proceed := make(chan struct{}, 64)
 	released := false
-	defer func() {
-		if !released {
-			close(proceed)
-		}
-	}()
 
 	o := testServeOptions(2, nil)
 	// A 1ms scan objective: any real scan of the tree violates it, so
@@ -63,6 +58,13 @@ func TestServeWatchdogStallInjection(t *testing.T) {
 	}
 	defer srv.close()
 	defer ln.Close()
+	// Deferred last so it runs first: a failing test must open the gate
+	// before srv.close waits for the scan loop blocked on it.
+	defer func() {
+		if !released {
+			close(proceed)
+		}
+	}()
 	base := "http://" + ln.Addr().String()
 
 	// Let exactly one scan through and wait for it to absorb the tree.

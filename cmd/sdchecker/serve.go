@@ -130,7 +130,7 @@ type liveServer struct {
 
 	// selfMu guards selfEng, the engine evaluating the pipeline's own
 	// stage latencies. Never nested inside obsMu or vice versa; pollOnce
-	// takes it briefly after releasing neither (it holds mu only).
+	// takes it inside mu, after releasing obsMu.
 	selfMu  sync.Mutex
 	selfEng *slo.Engine
 
@@ -258,7 +258,9 @@ func newLiveServer(dir string, o serveOptions) *liveServer {
 // with no new completions), evict completed apps beyond the retention
 // limit, then enforce the hard memory bound. The pass is bracketed for
 // the watchdog and recorded as the pipeline's scan stage; buffered
-// stage latencies drain into the self-SLO engine at the end.
+// stage latencies drain into the self-SLO engine at the end. All of it
+// happens under mu, so a /healthz that counts the pass's apps comes
+// after the self-SLO has seen the pass's latency.
 func (s *liveServer) pollOnce() error {
 	if gate := s.scanGate; gate != nil {
 		gate()
@@ -303,10 +305,10 @@ func (s *liveServer) pollOnce() error {
 		s.lastErr = ""
 		s.lastScanUnixMS = time.Now().UnixMilli()
 	}
-	s.mu.Unlock()
 	s.pl.StageBatch(obs.StageScan, -1, t, 1)
 	s.wd.ScanEnd(s.pl.Begin().MS)
 	s.feedSelfSLO()
+	s.mu.Unlock()
 	return err
 }
 
@@ -703,7 +705,7 @@ func (s *liveServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	doc := healthDoc{
 		Status:         "ok",
 		Events:         s.st.EventCount(),
-		Apps:           len(s.st.Apps()),
+		Apps:           s.st.AppCount(),
 		LastScanUnixMS: s.lastScanUnixMS,
 		LastError:      s.lastErr,
 		ConsecFails:    s.consecFails,
@@ -715,11 +717,14 @@ func (s *liveServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.selfMu.Lock()
 	doc.SelfSLOFiring = s.selfEng.FiringCount()
 	s.selfMu.Unlock()
+	// The verdict is read before the counters: the watchdog counts a
+	// stall episode and its snapshot under the lock it sets the verdict
+	// under, so a degraded answer always carries both.
+	stalled, reason := s.wd.Stalled()
 	doc.FlightRecorded = s.pl.Flight().Recorded()
 	doc.FlightSnapshots = s.wd.Snapshots()
 	doc.WatchdogEpisodes = s.wd.Episodes()
 	doc.LastSnapshotSeq = s.wd.LastSnapshotSeq()
-	stalled, reason := s.wd.Stalled()
 	code := http.StatusOK
 	switch {
 	case doc.ConsecFails >= healthFailThreshold:

@@ -9,7 +9,10 @@
 // for the bounded-error regime beyond it).
 package attr
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // DefaultTopK is the heavy-hitter capacity used across the repo: large
 // enough that test and scenario workloads stay in the exact regime,
@@ -28,9 +31,14 @@ type Entry struct {
 
 // TopK is a space-saving (Metwally et al.) heavy-hitter summary over a
 // weighted key stream. Not safe for concurrent use.
+//
+// Entries live in a binary min-heap under entryLess, indexed by key, so
+// an offer at capacity finds and replaces the minimum in O(log cap)
+// instead of scanning every entry.
 type TopK struct {
-	cap int
-	m   map[string]*Entry
+	cap  int
+	heap []Entry
+	idx  map[string]int // key -> position in heap
 }
 
 // NewTopK returns an empty summary holding at most cap keys (cap <= 0
@@ -39,14 +47,14 @@ func NewTopK(cap int) *TopK {
 	if cap <= 0 {
 		cap = DefaultTopK
 	}
-	return &TopK{cap: cap, m: make(map[string]*Entry, cap)}
+	return &TopK{cap: cap, heap: make([]Entry, 0, cap), idx: make(map[string]int, cap)}
 }
 
 // Cap returns the summary's key capacity.
 func (t *TopK) Cap() int { return t.cap }
 
 // Len returns the number of keys currently tracked.
-func (t *TopK) Len() int { return len(t.m) }
+func (t *TopK) Len() int { return len(t.heap) }
 
 // Offer attributes amount (delay ms, clamped at 0) to key. While
 // distinct keys fit within capacity this is an exact per-key sum; at
@@ -60,24 +68,71 @@ func (t *TopK) Offer(key string, amount float64) {
 	if amount < 0 {
 		amount = 0
 	}
-	if e := t.m[key]; e != nil {
-		e.SumMS += amount
+	if i, ok := t.idx[key]; ok {
+		t.heap[i].SumMS += amount
+		t.down(i)
 		return
 	}
-	if len(t.m) < t.cap {
-		t.m[key] = &Entry{Key: key, SumMS: amount}
+	if len(t.heap) < t.cap {
+		t.idx[key] = len(t.heap)
+		t.heap = append(t.heap, Entry{Key: key, SumMS: amount})
+		t.up(len(t.heap) - 1)
 		return
 	}
-	// Evict the minimum under (SumMS asc, Key desc) — the mirror of the
-	// reporting order, so eviction choice is deterministic too.
-	var min *Entry
-	for _, e := range t.m {
-		if min == nil || e.SumMS < min.SumMS || (e.SumMS == min.SumMS && e.Key > min.Key) {
-			min = e
+	// Evict the heap's root, the minimum under entryLess — the mirror of
+	// the reporting order, so eviction choice is deterministic too.
+	min := t.heap[0]
+	delete(t.idx, min.Key)
+	t.idx[key] = 0
+	t.heap[0] = Entry{Key: key, SumMS: min.SumMS + amount, ErrMS: min.SumMS}
+	t.down(0)
+}
+
+// entryLess orders entries lightest first (SumMS asc, Key desc on ties):
+// the reverse of the reporting order, so the heap's root is the entry
+// reported last.
+func entryLess(a, b Entry) bool {
+	if a.SumMS != b.SumMS {
+		return a.SumMS < b.SumMS
+	}
+	return a.Key > b.Key
+}
+
+func (t *TopK) swap(i, j int) {
+	h := t.heap
+	h[i], h[j] = h[j], h[i]
+	t.idx[h[i].Key], t.idx[h[j].Key] = i, j
+}
+
+// up restores the heap order after an entry was appended at i.
+func (t *TopK) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !entryLess(t.heap[i], t.heap[p]) {
+			return
 		}
+		t.swap(i, p)
+		i = p
 	}
-	delete(t.m, min.Key)
-	t.m[key] = &Entry{Key: key, SumMS: min.SumMS + amount, ErrMS: min.SumMS}
+}
+
+// down restores the heap order after the entry at i got heavier.
+func (t *TopK) down(i int) {
+	h := t.heap
+	for {
+		min, l := i, 2*i+1
+		if l < len(h) && entryLess(h[l], h[min]) {
+			min = l
+		}
+		if r := l + 1; r < len(h) && entryLess(h[r], h[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		t.swap(i, min)
+		i = min
+	}
 }
 
 // Merge folds other into t: per-key sums and error bounds add, then the
@@ -92,28 +147,36 @@ func (t *TopK) Merge(other *TopK) {
 	if other.cap > t.cap {
 		t.cap = other.cap
 	}
-	for k, oe := range other.m {
-		if e := t.m[k]; e != nil {
-			e.SumMS += oe.SumMS
-			e.ErrMS += oe.ErrMS
+	for _, oe := range other.heap {
+		if i, ok := t.idx[oe.Key]; ok {
+			t.heap[i].SumMS += oe.SumMS
+			t.heap[i].ErrMS += oe.ErrMS
 		} else {
-			t.m[k] = &Entry{Key: k, SumMS: oe.SumMS, ErrMS: oe.ErrMS}
+			t.idx[oe.Key] = len(t.heap)
+			t.heap = append(t.heap, oe)
 		}
 	}
-	if len(t.m) > t.cap {
-		es := t.Entries()
-		for _, e := range es[t.cap:] {
-			delete(t.m, e.Key)
-		}
+	es := t.Entries()
+	if len(es) > t.cap {
+		es = es[:t.cap]
+	}
+	// Rebuild the heap from es, sorted heaviest first. Read in reverse,
+	// that order is a valid min-heap: each entry is lighter than every
+	// entry after it, its children among them.
+	clear(t.idx)
+	t.heap = t.heap[:0]
+	for i := len(es) - 1; i >= 0; i-- {
+		t.idx[es[i].Key] = len(t.heap)
+		t.heap = append(t.heap, es[i])
 	}
 }
 
 // Clone returns an independent deep copy.
 func (t *TopK) Clone() *TopK {
 	c := NewTopK(t.cap)
-	for k, e := range t.m {
-		ce := *e
-		c.m[k] = &ce
+	c.heap = append(c.heap, t.heap...)
+	for i, e := range c.heap {
+		c.idx[e.Key] = i
 	}
 	return c
 }
@@ -121,10 +184,7 @@ func (t *TopK) Clone() *TopK {
 // Entries returns the tracked keys sorted heaviest first (SumMS desc,
 // Key asc on ties).
 func (t *TopK) Entries() []Entry {
-	out := make([]Entry, 0, len(t.m))
-	for _, e := range t.m {
-		out = append(out, *e)
-	}
+	out := slices.Clone(t.heap)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].SumMS != out[j].SumMS {
 			return out[i].SumMS > out[j].SumMS

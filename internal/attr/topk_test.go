@@ -2,7 +2,9 @@ package attr
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -154,5 +156,123 @@ func TestTopKTop(t *testing.T) {
 func TestTopKDefaultCap(t *testing.T) {
 	if got := NewTopK(0).Cap(); got != DefaultTopK {
 		t.Errorf("NewTopK(0).Cap() = %d, want %d", got, DefaultTopK)
+	}
+}
+
+// mapTopK is the map-backed summary TopK's heap replaced: each offer at
+// capacity scans every entry for the minimum. It is the reference for
+// TestTopKHeapMatchesMapScan.
+type mapTopK struct {
+	cap int
+	m   map[string]*Entry
+}
+
+func (t *mapTopK) offer(key string, amount float64) {
+	if key == "" {
+		return
+	}
+	if amount < 0 {
+		amount = 0
+	}
+	if e := t.m[key]; e != nil {
+		e.SumMS += amount
+		return
+	}
+	if len(t.m) < t.cap {
+		t.m[key] = &Entry{Key: key, SumMS: amount}
+		return
+	}
+	var min *Entry
+	for _, e := range t.m {
+		if min == nil || e.SumMS < min.SumMS || (e.SumMS == min.SumMS && e.Key > min.Key) {
+			min = e
+		}
+	}
+	delete(t.m, min.Key)
+	t.m[key] = &Entry{Key: key, SumMS: min.SumMS + amount, ErrMS: min.SumMS}
+}
+
+func (t *mapTopK) merge(o *mapTopK) {
+	if o.cap > t.cap {
+		t.cap = o.cap
+	}
+	for k, oe := range o.m {
+		if e := t.m[k]; e != nil {
+			e.SumMS += oe.SumMS
+			e.ErrMS += oe.ErrMS
+		} else {
+			t.m[k] = &Entry{Key: k, SumMS: oe.SumMS, ErrMS: oe.ErrMS}
+		}
+	}
+	if len(t.m) > t.cap {
+		es := t.entries()
+		for _, e := range es[t.cap:] {
+			delete(t.m, e.Key)
+		}
+	}
+}
+
+func (t *mapTopK) entries() []Entry {
+	out := make([]Entry, 0, len(t.m))
+	for _, e := range t.m {
+		out = append(out, *e)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].SumMS != out[j].SumMS {
+			return out[i].SumMS > out[j].SumMS
+		}
+		return out[i].Key < out[j].Key
+	})
+	return out
+}
+
+// TestTopKHeapMatchesMapScan is the differential test for the heap:
+// random offers, many times the capacity in distinct keys, with small
+// integer amounts so sums tie and the Key tie-break decides evictions,
+// and occasional merges of a second summary, must leave exactly the
+// entries the map-scanning summary leaves, after every operation.
+func TestTopKHeapMatchesMapScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 100; iter++ {
+		capacity := 1 + rng.Intn(8)
+		if iter%4 == 0 {
+			capacity = DefaultTopK
+		}
+		keys := capacity * (2 + rng.Intn(6))
+		got, want := NewTopK(capacity), &mapTopK{cap: capacity, m: map[string]*Entry{}}
+		for op := 0; op < 20*capacity; op++ {
+			if rng.Intn(50) == 0 {
+				oc := 1 + rng.Intn(2*capacity)
+				o, ow := NewTopK(oc), &mapTopK{cap: oc, m: map[string]*Entry{}}
+				for i := rng.Intn(3 * oc); i > 0; i-- {
+					k, amt := fmt.Sprintf("k%03d", rng.Intn(keys)), float64(rng.Intn(5))
+					o.Offer(k, amt)
+					ow.offer(k, amt)
+				}
+				got.Merge(o)
+				want.merge(ow)
+			} else {
+				k, amt := fmt.Sprintf("k%03d", rng.Intn(keys)), float64(rng.Intn(5)-1)
+				got.Offer(k, amt)
+				want.offer(k, amt)
+			}
+			if g, w := got.Entries(), want.entries(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("iteration %d, cap %d, op %d: heap %+v\nmap  %+v", iter, capacity, op, g, w)
+			}
+		}
+	}
+}
+
+// BenchmarkTopKOfferAtCapacity offers mostly new keys to a full default
+// summary: the eviction path the completion hook's breakdown runs.
+func BenchmarkTopKOfferAtCapacity(b *testing.B) {
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("application_1499000000000_%04d", i)
+	}
+	t := NewTopK(DefaultTopK)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		t.Offer(keys[i%len(keys)], float64(i%97))
 	}
 }

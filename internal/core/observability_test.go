@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ids"
 	"repro/internal/metrics"
 )
 
@@ -41,7 +42,7 @@ func feedCorpus(s *Stream, cs corpus) {
 }
 
 // TestStreamEvictionBoundsMemory is the regression test for the unbounded
-// firstLogSeen/event growth: a long-running feed of 2,000 completed
+// FIRST_LOG dedup and event growth: a long-running feed of 2,000 completed
 // applications must stay at the retention limit once EvictCompleted runs.
 func TestStreamEvictionBoundsMemory(t *testing.T) {
 	const apps, keep = 2000, 100
@@ -70,8 +71,8 @@ func TestStreamEvictionBoundsMemory(t *testing.T) {
 		t.Fatalf("EventCount = %d, retained traces hold %d events", got, held)
 	}
 	// 2 containers with stderr per app; all entries of evicted apps pruned.
-	if got := len(s.firstLogSeen); got != 2*keep {
-		t.Fatalf("firstLogSeen entries = %d, want %d", got, 2*keep)
+	if got := len(firstLogsHeld(s)); got != 2*keep {
+		t.Fatalf("FIRST_LOG dedup entries = %d, want %d", got, 2*keep)
 	}
 	// The oldest survivor must be the first kept app.
 	survivors := s.Apps()
@@ -93,6 +94,18 @@ func TestStreamEvictionBoundsMemory(t *testing.T) {
 	}
 }
 
+// firstLogsHeld lists the containers whose FIRST_LOG the stream's
+// builders remember.
+func firstLogsHeld(s *Stream) []ids.ContainerID {
+	var out []ids.ContainerID
+	for _, b := range s.apps {
+		for cid := range b.firstLogs {
+			out = append(out, cid)
+		}
+	}
+	return out
+}
+
 func TestStreamForget(t *testing.T) {
 	s := NewStream()
 	feedCorpus(s, miniAppCorpus(1))
@@ -109,9 +122,9 @@ func TestStreamForget(t *testing.T) {
 	if s.EventCount() >= before {
 		t.Fatalf("event count %d not reduced from %d", s.EventCount(), before)
 	}
-	for cid := range s.firstLogSeen {
+	for _, cid := range firstLogsHeld(s) {
 		if cid.App == id {
-			t.Fatalf("firstLogSeen leak: %v", cid)
+			t.Fatalf("FIRST_LOG dedup leak: %v", cid)
 		}
 	}
 	// Forgetting an unknown app is a no-op.

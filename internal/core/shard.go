@@ -494,6 +494,18 @@ func (ss *ShardedStream) EventCount() int {
 	return n
 }
 
+// AppCount returns the number of applications tracked across all
+// shards, without snapshotting their traces as Apps does.
+func (ss *ShardedStream) AppCount() int {
+	n := 0
+	for _, sh := range ss.shards {
+		sh.stMu.Lock()
+		n += len(sh.st.apps)
+		sh.stMu.Unlock()
+	}
+	return n
+}
+
 // LastEventMS returns the latest event timestamp absorbed by any shard.
 func (ss *ShardedStream) LastEventMS() int64 {
 	var last int64
@@ -567,7 +579,7 @@ func (ss *ShardedStream) Breakdown() *ClusterBreakdown {
 func (ss *ShardedStream) Forget(id ids.AppID) {
 	sh := ss.shards[ss.shardOf(id)]
 	sh.stMu.Lock()
-	had := sh.st.App(id) != nil
+	had := sh.st.apps[id] != nil
 	sh.st.Forget(id)
 	sh.stMu.Unlock()
 	if had && ss.met != nil {
@@ -613,8 +625,8 @@ func (ss *ShardedStream) EvictOldest(max int) int {
 	var all []ids.AppID
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()
-		for _, a := range sh.st.Apps() {
-			all = append(all, a.ID)
+		for id := range sh.st.apps {
+			all = append(all, id)
 		}
 		sh.stMu.Unlock()
 	}

@@ -19,14 +19,11 @@ import (
 // container; pass the file path (containing the container ID) as source,
 // exactly as the offline parser derives it.
 type Stream struct {
-	// apps holds one incremental trace builder per application. Its pub
-	// field is the app's current published trace, and its events are the
-	// app's time-ordered events (the published trace's Events).
-	apps map[ids.AppID]*traceBuilder
-	// firstLogSeen tracks containers whose FIRST_LOG was already taken,
-	// since a stream cannot re-read "the first line of the file".
-	firstLogSeen map[ids.ContainerID]bool
-	total        int
+	// apps holds one incremental trace builder per application: its
+	// working trace is current after every absorb, and App and Apps
+	// snapshot it on read.
+	apps  map[ids.AppID]*traceBuilder
+	total int
 	// completed caches which apps have a fully observable headline
 	// decomposition (the Complete predicate), feeding the in-flight /
 	// completed gauges and the eviction policy; nCompleted counts its
@@ -109,17 +106,16 @@ func (s *Stream) Instrument(reg *metrics.Registry) {
 // NewStream returns an empty incremental checker.
 func NewStream() *Stream {
 	return &Stream{
-		apps:         make(map[ids.AppID]*traceBuilder),
-		firstLogSeen: make(map[ids.ContainerID]bool),
-		completed:    make(map[ids.AppID]bool),
-		notified:     make(map[ids.AppID]bool),
+		apps:      make(map[ids.AppID]*traceBuilder),
+		completed: make(map[ids.AppID]bool),
+		notified:  make(map[ids.AppID]bool),
 	}
 }
 
 // OnComplete registers a hook called the first time an application's
 // decomposition becomes fully observable (the Complete predicate) — the
 // feed point for cluster-level aggregation and SLO evaluation. The hook
-// runs synchronously inside Feed with the trace just published for the
+// runs synchronously inside Feed with a snapshot of the trace as of the
 // absorbed line, which is never mutated afterwards; it must not call back
 // into the stream. Each application is delivered at most once, even if
 // degraded later input turns its decomposition partial and complete
@@ -180,11 +176,8 @@ func (s *Stream) absorbRouted(evs []Event) int {
 	for _, e := range evs {
 		switch e.Kind {
 		case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
-			if !e.Container.IsZero() {
-				if s.firstLogSeen[e.Container] {
-					continue
-				}
-				s.firstLogSeen[e.Container] = true
+			if !e.Container.IsZero() && !s.takeFirstLog(e.Container) {
+				continue
 			}
 		case FirstTask:
 			if s.hasFirstTask(e.Container) {
@@ -206,10 +199,9 @@ func (s *Stream) dedupContainerEvents(cid ids.ContainerID, evs []Event) []Event 
 	for _, e := range evs {
 		switch e.Kind {
 		case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
-			if s.firstLogSeen[cid] {
+			if !s.takeFirstLog(cid) {
 				continue // only the true first line counts
 			}
-			s.firstLogSeen[cid] = true
 		case FirstTask:
 			// The offline parser dedups FIRST_TASK per file; do the same
 			// against current state.
@@ -222,35 +214,59 @@ func (s *Stream) dedupContainerEvents(cid ids.ContainerID, evs []Event) []Event 
 	return out
 }
 
-// hasFirstTask reports whether container cid's published trace already
-// holds a FIRST_TASK.
-func (s *Stream) hasFirstTask(cid ids.ContainerID) bool {
-	a := s.App(cid.App)
-	if a == nil {
+// takeFirstLog records container cid's FIRST_LOG on its app's builder
+// and reports whether it is the first: a stream cannot re-read "the
+// first line of the file". A container's events belong to its own app,
+// so the builder this creates absorbs the event right after.
+func (s *Stream) takeFirstLog(cid ids.ContainerID) bool {
+	b := s.builder(cid.App)
+	if b.firstLogs[cid] {
 		return false
 	}
-	c := a.Container(cid)
+	if b.firstLogs == nil {
+		b.firstLogs = make(map[ids.ContainerID]bool)
+	}
+	b.firstLogs[cid] = true
+	return true
+}
+
+// hasFirstTask reports whether container cid's working trace already
+// holds a FIRST_TASK.
+func (s *Stream) hasFirstTask(cid ids.ContainerID) bool {
+	b := s.apps[cid.App]
+	if b == nil {
+		return false
+	}
+	c := b.a.Container(cid)
 	return c != nil && c.FirstTask != 0
 }
 
+// builder returns the application's trace builder, creating it on first
+// sight.
+func (s *Stream) builder(id ids.AppID) *traceBuilder {
+	b := s.apps[id]
+	if b == nil {
+		b = newTraceBuilder(id)
+		s.apps[id] = b
+	}
+	return b
+}
+
 // absorb folds events into their applications' trace builders and
-// publishes one new trace per touched application. An event arriving in
-// time order costs O(1) before the publish; an out-of-order one is
+// refreshes each touched application's working trace. An event arriving
+// in time order costs O(1) before the refresh; an out-of-order one is
 // inserted into its own application's sorted events and, unless it
 // commutes, replays them, and no other application is touched. Each
-// publish decomposes the trace once, so the completion hook fires at
-// exactly the absorb that first makes an app complete.
+// refresh decomposes the trace once, so the completion hook fires at
+// exactly the absorb that first makes an app complete. Only the hook's
+// trace is snapshotted here; App and Apps snapshot the rest on read.
 func (s *Stream) absorb(evs []Event) bool {
 	if len(evs) == 0 {
 		return false
 	}
 	dirty := s.dirty[:0]
 	for _, e := range evs {
-		b := s.apps[e.App]
-		if b == nil {
-			b = newTraceBuilder(e.App)
-			s.apps[e.App] = b
-		}
+		b := s.builder(e.App)
 		if !slices.Contains(dirty, b) {
 			dirty = append(dirty, b)
 		}
@@ -261,7 +277,7 @@ func (s *Stream) absorb(evs []Event) bool {
 		}
 	}
 	for _, b := range dirty {
-		a := b.publish()
+		a := b.refresh()
 		done := a.Decomp.Complete
 		if done != s.completed[a.ID] {
 			if done {
@@ -275,7 +291,7 @@ func (s *Stream) absorb(evs []Event) bool {
 			s.notified[a.ID] = true
 			if s.onComplete != nil {
 				s.pl.RecordHook(a.ID.String())
-				s.onComplete(a)
+				s.onComplete(b.snapshot())
 			}
 		}
 	}
@@ -306,10 +322,10 @@ func (s *Stream) EventCount() int { return s.total }
 func (s *Stream) LastEventMS() int64 { return s.lastMS }
 
 // App returns the live trace for one application, or nil. The trace is
-// an immutable snapshot: later feeds publish a new one.
+// an immutable snapshot: later feeds change a copy.
 func (s *Stream) App(id ids.AppID) *AppTrace {
 	if b := s.apps[id]; b != nil {
-		return b.pub
+		return b.snapshot()
 	}
 	return nil
 }
@@ -320,7 +336,7 @@ func (s *Stream) App(id ids.AppID) *AppTrace {
 func (s *Stream) Apps() []*AppTrace {
 	out := make([]*AppTrace, 0, len(s.apps))
 	for _, b := range s.apps {
-		out = append(out, b.pub)
+		out = append(out, b.snapshot())
 	}
 	sortTracesBySeq(out)
 	return out
@@ -333,7 +349,7 @@ func (s *Stream) Apps() []*AppTrace {
 // and identical to what a ShardedStream fed the same lines reports.
 func (s *Stream) Report() *Report { return liveReport(s.Apps()) }
 
-// liveReport builds a report over published live traces: their events,
+// liveReport builds a report over live trace snapshots: their events,
 // gathered in the traces' submission order, are stable-sorted by time.
 // Each trace's Events is its app's arrival order stable-sorted by time,
 // so the result equals sorting the arrival-order buckets.
@@ -355,8 +371,8 @@ func liveReport(apps []*AppTrace) *Report {
 // the signal a live dashboard uses to mark a row final.
 func (s *Stream) Complete(id ids.AppID) bool { return s.completed[id] }
 
-// Forget drops all state for one application: its trace builder (trace
-// and events) and the FIRST_LOG dedup entries of its containers. Long-running
+// Forget drops all state for one application: its trace builder (trace,
+// events and the FIRST_LOG dedup entries of its containers). Long-running
 // feeds (sdchecker -serve) call this for finished apps so memory tracks
 // the live working set, not the full history.
 func (s *Stream) Forget(id ids.AppID) {
@@ -371,11 +387,6 @@ func (s *Stream) Forget(id ids.AppID) {
 	delete(s.apps, id)
 	delete(s.completed, id)
 	delete(s.notified, id)
-	for cid := range s.firstLogSeen {
-		if cid.App == id {
-			delete(s.firstLogSeen, cid)
-		}
-	}
 	s.pl.RecordEvict(id.String())
 	if s.met != nil {
 		s.met.evicted.Inc()

@@ -265,6 +265,27 @@ func mustContainerID(t *testing.T, s string) ids.ContainerID {
 	return cid
 }
 
+// contendedEvent draws one event of app from a few timestamps, with
+// contended first-wins fields: submission name, container node and
+// instance, and AM retries sharing a container number.
+func contendedEvent(rng *rand.Rand, app ids.AppID) Event {
+	kinds := []Kind{AppSubmitted0, AppSubmitted, AppAccepted, AttemptRegistered, AppFinished,
+		ContAllocated, ContAcquired, ContLocalizing, ContScheduled, ContRunning,
+		DriverFirstLog, ExecutorFirstLog, FirstTask, ContLost, DriverRegister, StartAllo}
+	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
+	e := Event{Kind: kinds[rng.Intn(len(kinds))], App: app, TimeMS: base + int64(rng.Intn(6))}
+	switch e.Kind {
+	case AppSubmitted0:
+		e.Name, e.AppType, e.Queue = pick("", "q1", "q2"), pick("SPARK", "MR"), pick("default", "prod")
+	case AppSubmitted, AppAccepted, AttemptRegistered, AppFinished:
+	default:
+		e.Container = ids.ContainerID{App: app, Attempt: 1 + rng.Intn(2), Num: 1 + rng.Intn(3)}
+		e.Node = pick("", "node01", "node02")
+		e.Instance = InstanceType(pick("", "spm", "spe"))
+	}
+	return e
+}
+
 // TestStreamOutOfOrderMatchesBatch is the property behind the live absorb
 // model: whatever order one application's events arrive in, the stream's
 // trace equals a batch correlation of that arrival order. The generator
@@ -275,25 +296,11 @@ func mustContainerID(t *testing.T, s string) ids.ContainerID {
 func TestStreamOutOfOrderMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	app := ids.AppID{ClusterTS: 1499000000000, Seq: 1}
-	kinds := []Kind{AppSubmitted0, AppSubmitted, AppAccepted, AttemptRegistered, AppFinished,
-		ContAllocated, ContAcquired, ContLocalizing, ContScheduled, ContRunning,
-		DriverFirstLog, ExecutorFirstLog, FirstTask, ContLost, DriverRegister, StartAllo}
-	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
 	for iter := 0; iter < 3000; iter++ {
 		n := 1 + rng.Intn(25)
 		arrival := make([]Event, n)
 		for i := range arrival {
-			e := Event{Kind: kinds[rng.Intn(len(kinds))], App: app, TimeMS: base + int64(rng.Intn(6))}
-			switch e.Kind {
-			case AppSubmitted0:
-				e.Name, e.AppType, e.Queue = pick("", "q1", "q2"), pick("SPARK", "MR"), pick("default", "prod")
-			case AppSubmitted, AppAccepted, AttemptRegistered, AppFinished:
-			default:
-				e.Container = ids.ContainerID{App: app, Attempt: 1 + rng.Intn(2), Num: 1 + rng.Intn(3)}
-				e.Node = pick("", "node01", "node02")
-				e.Instance = InstanceType(pick("", "spm", "spe"))
-			}
-			arrival[i] = e
+			arrival[i] = contendedEvent(rng, app)
 		}
 		s := NewStream()
 		for _, e := range arrival {
@@ -303,6 +310,55 @@ func TestStreamOutOfOrderMatchesBatch(t *testing.T) {
 		Decompose(batch[0])
 		if got, want := mustSnapshot(t, s.App(app)), mustSnapshot(t, batch[0]); got != want {
 			t.Fatalf("iteration %d: arrival order %v\nstream:\n%s\nbatch:\n%s", iter, arrival, got, want)
+		}
+	}
+}
+
+// TestStreamSnapshotsOnRead: traces are snapshotted when read, and the
+// working trace then changes in place until the next read. Random
+// arrival orders over two apps, absorbed one to three events at a time,
+// are interleaved with App and Apps reads at random points. Every
+// snapshot captured must be unchanged at the end, and must equal a
+// batch correlation and decomposition of its own Events.
+func TestStreamSnapshotsOnRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	apps := []ids.AppID{{ClusterTS: 1499000000000, Seq: 1}, {ClusterTS: 1499000000000, Seq: 2}}
+	for iter := 0; iter < 1000; iter++ {
+		s := NewStream()
+		snaps := make(map[*AppTrace]string)
+		capture := func(a *AppTrace) {
+			if _, ok := snaps[a]; !ok {
+				snaps[a] = mustSnapshot(t, a)
+			}
+		}
+		for left := 1 + rng.Intn(40); left > 0; {
+			batch := make([]Event, 1+rng.Intn(min(3, left)))
+			for i := range batch {
+				batch[i] = contendedEvent(rng, apps[rng.Intn(len(apps))])
+			}
+			left -= len(batch)
+			s.absorb(batch)
+			switch rng.Intn(4) {
+			case 0:
+				capture(s.App(batch[0].App))
+			case 1:
+				for _, a := range s.Apps() {
+					capture(a)
+				}
+			}
+		}
+		for _, a := range s.Apps() {
+			capture(a)
+		}
+		for a, want := range snaps {
+			if got := mustSnapshot(t, a); got != want {
+				t.Fatalf("iteration %d: snapshot changed after later absorbs:\nbefore %s\nafter  %s", iter, want, got)
+			}
+			batch := Correlate(a.Events)
+			Decompose(batch[0])
+			if got := mustSnapshot(t, batch[0]); got != want {
+				t.Fatalf("iteration %d: snapshot differs from a batch correlation of its events:\nsnapshot %s\nbatch    %s", iter, want, got)
+			}
 		}
 	}
 }

@@ -219,27 +219,37 @@ func Correlate(events []Event) []*AppTrace {
 // app's time-sorted events, and a Stream keeps one per live application,
 // absorbing each event in O(1) when it arrives in order.
 //
-// The live path publishes an immutable snapshot after every absorb
-// (publish). Published traces are never mutated afterwards — callers,
-// completion hooks and concurrent ShardedStream readers hold on to them —
-// so the builder copies on write: the first change after a publish copies
-// the header and its Containers slice, and a container is copied before
-// its first change while the published snapshot still holds it.
-// Untouched containers stay shared.
+// The live path refreshes the working trace after every absorb (refresh)
+// and hands out an immutable snapshot only when a reader asks for one
+// (snapshot): the completion hook, Stream.App and Stream.Apps. Snapshots
+// are never mutated afterwards — callers, completion hooks and
+// concurrent ShardedStream readers hold on to them — so the builder
+// copies on write: the first change after a snapshot copies the header
+// and its Containers slice, a container is copied before its first
+// change while the snapshot still holds it, and the first out-of-order
+// insert copies the event array. Untouched containers stay shared.
+// Between snapshots every change is made in place.
 type traceBuilder struct {
-	// a is the working trace add mutates. Right after a publish it is the
-	// published snapshot itself, and the next change copies it first.
+	// a is the working trace add mutates. Right after a snapshot it is
+	// the snapshot itself, and the next change copies it first.
 	a *AppTrace
-	// pub is the last published snapshot; nil on the offline path, which
-	// never publishes and so mutates a freely.
+	// pub is the last snapshot; nil on the offline path, which never
+	// snapshots and so mutates a freely.
 	pub *AppTrace
-	// events is the append-only, time-ordered backing store of a.Events.
-	// Snapshots share it as a cap-limited prefix, so appends past their
-	// length never show through; an out-of-order insert copies it.
+	// events is the time-ordered backing store of a.Events. Snapshots
+	// share it as a cap-limited prefix, so appends past their length
+	// never show through.
 	events []Event
+	// shared is set while a snapshot holds the events array: the next
+	// out-of-order insert, which shifts events inside it, copies it
+	// first. Unset, an insert moves the events in place.
+	shared bool
 	// stale is set when an out-of-order event was inserted: a no longer
-	// reflects events and publish rebuilds it.
+	// reflects events and refresh rebuilds it.
 	stale bool
+	// firstLogs holds the live app's containers whose FIRST_LOG was
+	// already absorbed (see Stream.takeFirstLog); nil offline.
+	firstLogs map[ids.ContainerID]bool
 }
 
 func newTraceBuilder(id ids.AppID) *traceBuilder {
@@ -258,10 +268,9 @@ func (b *traceBuilder) add(e Event) {
 // absorb adds one live event in any order. An event at or after the
 // app's latest is added in O(1). An earlier one is inserted after every
 // event with the same or an earlier timestamp — exactly where a stable
-// sort of the arrival order puts it — into a fresh array. It is applied
-// directly when it commutes with the events after it; otherwise the
-// trace is rebuilt from the app's already-sorted events at the next
-// publish.
+// sort of the arrival order puts it. It is applied directly when it
+// commutes with the events after it; otherwise the trace is rebuilt from
+// the app's already-sorted events at the next refresh.
 func (b *traceBuilder) absorb(e Event) {
 	n := len(b.events)
 	if n == 0 || e.TimeMS >= b.events[n-1].TimeMS {
@@ -269,11 +278,12 @@ func (b *traceBuilder) absorb(e Event) {
 		return
 	}
 	i := sort.Search(n, func(i int) bool { return b.events[i].TimeMS > e.TimeMS })
-	evs := make([]Event, n+1)
-	copy(evs, b.events[:i])
-	evs[i] = e
-	copy(evs[i+1:], b.events[i:])
-	b.events = evs
+	if b.shared {
+		// A snapshot holds the array: move to a fresh one, with append's
+		// headroom, before shifting events inside it.
+		b.events, b.shared = slices.Grow(b.events[:n:n], 1), false
+	}
+	b.events = slices.Insert(b.events, i, e)
 	if b.stale || !b.commutes(e) {
 		b.stale = true
 		return
@@ -319,21 +329,32 @@ func (b *traceBuilder) commutes(e Event) bool {
 	return true
 }
 
-// publish decomposes the working trace and returns it as the app's new
-// immutable snapshot. Call it only after absorbing at least one event,
-// so the working trace is not the previous snapshot.
-func (b *traceBuilder) publish() *AppTrace {
+// refresh brings the working trace up to date after an absorb —
+// rebuilding it if an out-of-order event left it stale — and decomposes
+// it, so its Complete flag reflects every event absorbed. Call it only
+// after absorbing at least one event, so the working trace is not the
+// last snapshot.
+func (b *traceBuilder) refresh() *AppTrace {
 	if b.stale {
 		b.a, b.stale = &AppTrace{ID: b.a.ID}, false
 		for _, e := range b.events {
 			b.apply(e)
 		}
 	}
-	a := b.a
-	a.Events = b.events[:len(b.events):len(b.events)]
-	Decompose(a)
-	b.pub = a
-	return a
+	Decompose(b.a)
+	return b.a
+}
+
+// snapshot returns the refreshed working trace as the app's immutable
+// snapshot, sharing the events array as a cap-limited prefix. Until the
+// next change it returns the same snapshot.
+func (b *traceBuilder) snapshot() *AppTrace {
+	if b.a != b.pub {
+		n := len(b.events)
+		b.a.Events = b.events[:n:n]
+		b.pub, b.shared = b.a, true
+	}
+	return b.pub
 }
 
 // setEarliest keeps a milestone's first observation: the earliest nonzero
@@ -415,8 +436,8 @@ func (b *traceBuilder) apply(e Event) {
 }
 
 // container returns the working trace's container cid, ready to mutate:
-// created in number order on first sight, copied if the published
-// snapshot still holds it.
+// created in number order on first sight, copied if the last snapshot
+// still holds it.
 func (b *traceBuilder) container(cid ids.ContainerID) *ContainerTrace {
 	a := b.a
 	i, ok := a.containerIndex(cid)
