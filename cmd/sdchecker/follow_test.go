@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,5 +189,128 @@ func TestDrainFilePartialLine(t *testing.T) {
 	}
 	if raw := a.Events[1].Raw; !strings.HasSuffix(l2, raw) || !strings.HasSuffix(raw, "ATTEMPT_REGISTERED") {
 		t.Fatalf("completed line fed torn: %q", raw)
+	}
+}
+
+// TestScanSkipsOverLongLine: a line of maxLineBytes or more neither
+// stops the walk nor wedges later scans. The first scan reports the
+// skipped line and still feeds the file walked after it; the second
+// returns no error; lines appended after the long one are fed.
+func TestScanSkipsOverLongLine(t *testing.T) {
+	dir := t.TempDir()
+	for _, d := range []string{"a", "b"} {
+		if err := os.Mkdir(filepath.Join(dir, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := filepath.Join(dir, "a", "big.log")
+	appendRaw(t, big, strings.Repeat("x", 5<<20)+"\n")
+	submitted := func(seq int) string {
+		app := fmt.Sprintf("application_1499000000000_%04d", seq)
+		return mkLine(100, "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")
+	}
+	writeLines(t, filepath.Join(dir, "b", "rm.log"), submitted(1))
+
+	st := core.NewShardedStream(1)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
+	changed, err := sc.scan()
+	if err == nil || !strings.Contains(err.Error(), "a/big.log") {
+		t.Fatalf("first scan: err=%v, want the skipped line reported", err)
+	}
+	st.Quiesce()
+	if !changed || st.EventCount() != 1 {
+		t.Fatalf("first scan: changed=%v events=%d, want b/rm.log's line fed", changed, st.EventCount())
+	}
+	if changed, err := sc.scan(); err != nil || changed {
+		t.Fatalf("second scan: changed=%v err=%v, want an idle scan", changed, err)
+	}
+	if got, want := sc.offsets["a/big.log"], int64(5<<20+1); got != want {
+		t.Fatalf("offset %d, want %d (past the long line)", got, want)
+	}
+
+	writeLines(t, big, submitted(2))
+	if _, err := sc.scan(); err != nil {
+		t.Fatalf("scan after append: %v", err)
+	}
+	st.Quiesce()
+	if st.EventCount() != 2 {
+		t.Fatalf("events=%d, want the line after the long one fed", st.EventCount())
+	}
+}
+
+// TestDrainFileUnfinishedLongLine: an over-long line whose newline has
+// not arrived yet is skipped as far as it was read; the drain that sees
+// its newline discards the rest of it and feeds what follows.
+func TestDrainFileUnfinishedLongLine(t *testing.T) {
+	dir := t.TempDir()
+	rm := filepath.Join(dir, "rm.log")
+	st := core.NewShardedStream(1)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
+
+	appendRaw(t, rm, strings.Repeat("x", 5<<20))
+	if fed, err := sc.drainFile(rm, "rm.log"); err == nil || fed != 0 {
+		t.Fatalf("first drain: fed=%d err=%v, want the skipped line reported", fed, err)
+	}
+	if got := sc.offsets["rm.log"]; got != 5<<20 {
+		t.Fatalf("offset %d, want %d (the end of what was read)", got, 5<<20)
+	}
+	app := "application_1499000000000_0001"
+	l := mkLine(100, "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")
+	appendRaw(t, rm, "xxx\n"+l+"\n")
+	drainExpect(t, sc, rm, "rm.log", 1, 5<<20+4+int64(len(l))+1)
+	st.Quiesce()
+	if st.EventCount() != 1 {
+		t.Fatalf("events=%d, want 1", st.EventCount())
+	}
+}
+
+// TestScanContinuesPastFileErrors: a file that cannot be read is
+// reported once the walk is done, and one that no longer exists (a
+// dangling symlink here, as a file deleted mid-walk looks) is skipped
+// silently; either way the files walked after it are fed.
+func TestScanContinuesPastFileErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Symlink(filepath.Join(dir, "gone.log"), filepath.Join(dir, "a-dangling.log")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(t.TempDir(), filepath.Join(dir, "b-dir.log")); err != nil {
+		t.Fatal(err)
+	}
+	app := "application_1499000000000_0001"
+	writeLines(t, filepath.Join(dir, "c-rm.log"), mkLine(100, "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"))
+
+	st := core.NewShardedStream(1)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
+	_, err := sc.scan()
+	if err == nil || !strings.Contains(err.Error(), "b-dir.log") || strings.Contains(err.Error(), "a-dangling.log") {
+		t.Fatalf("scan error %v, want only the unreadable file reported", err)
+	}
+	st.Quiesce()
+	if st.EventCount() != 1 {
+		t.Fatalf("events=%d, want c-rm.log's line fed", st.EventCount())
+	}
+}
+
+// TestDrainFileLongLineBoundary: a line of maxLineBytes-1 bytes is fed,
+// one of maxLineBytes is skipped, as the offline parser draws the line.
+func TestDrainFileLongLineBoundary(t *testing.T) {
+	dir := t.TempDir()
+	rm := filepath.Join(dir, "rm.log")
+	st := core.NewShardedStream(1)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
+
+	appendRaw(t, rm, strings.Repeat("x", maxLineBytes-1)+"\n")
+	drainExpect(t, sc, rm, "rm.log", 1, maxLineBytes)
+	appendRaw(t, rm, strings.Repeat("x", maxLineBytes)+"\nshort\n")
+	fed, err := sc.drainFile(rm, "rm.log")
+	if err == nil || fed != 1 {
+		t.Fatalf("drain: fed=%d err=%v, want the short line fed and the long one reported", fed, err)
+	}
+	if got, want := sc.offsets["rm.log"], int64(2*maxLineBytes+1+len("short\n")); got != want {
+		t.Fatalf("offset %d, want %d", got, want)
 	}
 }

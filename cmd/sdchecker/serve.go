@@ -20,8 +20,9 @@ import (
 )
 
 // healthFailThreshold is how many consecutive failed scans flip /healthz
-// to 503: one failure is usually a collector rotating files mid-walk, a
-// sustained run means the tree is gone or unreadable.
+// to 503: one failure is usually a file caught mid-rotation or a skipped
+// over-long line, a sustained run means the tree or a file in it stays
+// unreadable.
 const healthFailThreshold = 5
 
 // Self-observability defaults: the watchdog declares a stall after
@@ -353,9 +354,9 @@ func (s *liveServer) feedSelfSLO() {
 	s.selfMu.Unlock()
 }
 
-// ingest polls until the server is closed. Scan errors are transient
-// (files may disappear mid-walk while a collector rotates them), so they
-// are reported and the loop keeps going.
+// ingest polls until the server is closed. A scan error never stops the
+// walk (see dirScanner.scan), so it is reported and the loop keeps
+// going.
 func (s *liveServer) ingest() {
 	for {
 		if err := s.pollOnce(); err != nil {

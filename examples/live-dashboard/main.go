@@ -1,7 +1,8 @@
 // Live dashboard: the streaming variant of SDchecker. A simulated
 // cluster runs in time slices; after each slice, every newly produced log
-// line is fed into a core.Stream (exactly what `sdchecker -follow` does
-// against files on disk) and the current picture is printed — completed
+// line is fed into a one-worker core.ShardedStream (exactly what
+// `sdchecker -follow` does against files on disk) and the current
+// picture is printed — completed
 // applications get their final decomposition, in-flight ones show what is
 // known so far. The stream is instrumented into the scenario's metrics
 // registry, so the run ends with the same counters a live `-serve`
@@ -32,12 +33,14 @@ func main() {
 		s.Eng.At(at, func() { spark.Submit(s.RM, s.FS, cfg) })
 	}
 
-	stream := core.NewStream()
+	stream := core.NewShardedStream(1)
+	defer stream.Close()
 	stream.Instrument(s.Metrics)
 	feeder := core.NewSinkFeeder(stream, s.Sink)
 
 	// Completed decompositions roll into the SLO engine, exactly as
-	// `sdchecker -serve -slo rules.txt` wires them. The tight rule is
+	// `sdchecker -serve -slo rules.txt` wires them. The hook runs on the
+	// stream's worker; Drain's Quiesce orders it before the reads below. The tight rule is
 	// meant to fire on any realistic run; watch it in the alert log.
 	rules, err := slo.ParseRules(strings.NewReader(
 		"demo-total-p95: p95(total) < 5s over 2m\n"))

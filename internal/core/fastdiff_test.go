@@ -218,8 +218,8 @@ func diffStreams(t *testing.T, sources []string, lines []string) {
 			ref.absorbRouted(p.Events())
 		}
 	}
-	fn, fms, frep := fast.EventCount(), fast.LastEventMS(), fast.Report().Format()
-	rn, rms, rrep := ref.EventCount(), ref.LastEventMS(), ref.Report().Format()
+	fn, fms, frep := fast.EventCount(), fast.lastMS, fast.Report().Format()
+	rn, rms, rrep := ref.EventCount(), ref.lastMS, ref.Report().Format()
 	if fn != rn || fms != rms {
 		t.Fatalf("stream diverges: fast=(%d events, last %d) regex=(%d, %d)", fn, fms, rn, rms)
 	}

@@ -793,6 +793,27 @@ func (p *Parser) feedDaemonSegments(source, raw string) bool {
 	}
 }
 
+// parseLine mines one live line from source (a container's stderr when
+// the path names a container, a daemon log otherwise) into the parser's
+// reused event buffer and returns the events, valid until the next
+// call. A container line carries a FIRST_LOG classified from that line
+// alone; the stream absorbing it keeps the first per container and
+// folds the rest into the container's instance. Dedup that depends on
+// stream state is the absorbing Stream's (absorbRouted).
+func (p *Parser) parseLine(source, raw string) []Event {
+	p.events = p.events[:0]
+	if cid, found, err := fastFindContainerID(source); found {
+		if err != nil || !p.feedContainerSegments(source, cid, raw) {
+			return nil
+		}
+		return p.events
+	}
+	if !p.feedDaemonSegments(source, raw) {
+		return nil
+	}
+	return p.events
+}
+
 // feedContainerSegments mines raw as one container log's lines and
 // finishes the scan with its FIRST_LOG event. Where the scanner would
 // have returned ErrTooLong it drops the events it appended and reports

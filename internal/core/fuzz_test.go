@@ -97,32 +97,29 @@ func FuzzParseReader(f *testing.F) {
 	})
 }
 
-// FuzzStreamFeed pushes arbitrary line streams through the incremental
-// checker, interleaved across an RM log, an NM log, and a container stderr
-// source (exercising container attribution), and checks the memory bound.
-// Every input additionally runs through a ShardedStream with a fuzzed
-// worker count as a differential oracle against the serial stream: the
-// absorbed event multiset must match no matter how lines shard, even on
-// adversarial input that triggers cross-shard event forwarding. The serial
-// stream's incrementally built report must also equal a batch correlation
-// of the events it holds: incremental == batch on arbitrary, out-of-order
-// and equal-timestamp input.
-func FuzzStreamFeed(f *testing.F) {
-	seedCorpusWorkers(f)
-	sources := []string{
-		"hadoop/yarn-resourcemanager.log",
-		"hadoop/yarn-nodemanager-node01.log",
-		"userlogs/application_1499000000000_0001/container_1499000000000_0001_01_000001/stderr",
-	}
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
-		lines := strings.Split(string(data), "\n")
+// fuzzSources are the sources the stream fuzz targets interleave lines
+// across: an RM log, an NM log, and a container stderr (exercising
+// container attribution).
+var fuzzSources = []string{
+	"hadoop/yarn-resourcemanager.log",
+	"hadoop/yarn-nodemanager-node01.log",
+	"userlogs/application_1499000000000_0001/container_1499000000000_0001_01_000001/stderr",
+}
 
+// FuzzStreamFeed pushes arbitrary line streams through the incremental
+// checker, interleaved across fuzzSources. The stream's incrementally
+// built report must equal a batch correlation of the events it holds:
+// incremental == batch on arbitrary, out-of-order and equal-timestamp
+// input.
+func FuzzStreamFeed(f *testing.F) {
+	seedCorpus(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
 		st := NewStream()
-		for i, line := range lines {
-			st.Feed(sources[i%len(sources)], line)
+		for i, line := range strings.Split(string(data), "\n") {
+			st.Feed(fuzzSources[i%len(fuzzSources)], line)
 		}
 		var held []Event
-		for _, a := range st.Apps() {
+		for _, a := range st.traces() {
 			held = append(held, a.Events...)
 		}
 		inc, err := st.Report().JSON()
@@ -136,15 +133,31 @@ func FuzzStreamFeed(f *testing.F) {
 		if inc != batch {
 			t.Fatalf("incremental report differs from batch correlation of the same events:\n%s\nvs\n%s", inc, batch)
 		}
+		_ = st.Report().Format()
+	})
+}
 
+// FuzzShardedFeed runs arbitrary line streams, interleaved across
+// fuzzSources, through a ShardedStream with a fuzzed worker count and
+// through a one-worker stream, the serial side: the absorbed event
+// multiset must match no matter how lines shard, even on adversarial
+// input that triggers cross-shard event forwarding. It also checks the
+// memory bound.
+func FuzzShardedFeed(f *testing.F) {
+	seedCorpusWorkers(f)
+	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
+		lines := strings.Split(string(data), "\n")
 		w := int(workers%8) + 1
 		reg := metrics.NewRegistry()
-		ss := NewShardedStream(w)
+		st, ss := NewShardedStream(1), NewShardedStream(w)
+		defer st.Close()
 		defer ss.Close()
 		ss.Instrument(reg)
 		for i, line := range lines {
-			ss.Feed(sources[i%len(sources)], line)
+			st.Feed(fuzzSources[i%len(fuzzSources)], line)
+			ss.Feed(fuzzSources[i%len(fuzzSources)], line)
 		}
+		st.Quiesce()
 		ss.Quiesce()
 
 		// Order-independent invariants that hold even when adversarial
@@ -185,8 +198,7 @@ func FuzzStreamFeed(f *testing.F) {
 		if n := len(ss.Apps()); n > 8 {
 			t.Fatalf("workers=%d: %d apps tracked after EvictOldest(8)", w, n)
 		}
-		rep := st.Report()
-		_ = rep.Format()
+		_ = st.Report().Format()
 		for _, a := range st.Apps() {
 			_ = st.Complete(a.ID)
 		}

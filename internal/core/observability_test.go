@@ -33,7 +33,9 @@ func miniAppCorpus(seq int) corpus {
 	return cs
 }
 
-func feedCorpus(s *Stream, cs corpus) {
+// feedCorpus feeds a corpus file by file into a Stream or a
+// ShardedStream.
+func feedCorpus(s interface{ Feed(source, raw string) bool }, cs corpus) {
 	for src, lines := range cs {
 		for _, l := range lines {
 			s.Feed(src, l)
@@ -43,23 +45,27 @@ func feedCorpus(s *Stream, cs corpus) {
 
 // TestStreamEvictionBoundsMemory is the regression test for the unbounded
 // FIRST_LOG dedup and event growth: a long-running feed of 2,000 completed
-// applications must stay at the retention limit once EvictCompleted runs.
+// applications into a one-worker stream must stay at the retention limit
+// once EvictCompleted runs.
 func TestStreamEvictionBoundsMemory(t *testing.T) {
 	const apps, keep = 2000, 100
 	reg := metrics.NewRegistry()
-	s := NewStream()
+	s := NewShardedStream(1)
+	defer s.Close()
 	s.Instrument(reg)
 	for i := 1; i <= apps; i++ {
 		feedCorpus(s, miniAppCorpus(i))
 		if i%50 == 0 && i < apps {
+			s.Quiesce()
 			s.EvictCompleted(keep)
 		}
 	}
+	s.Quiesce()
 	evicted := s.EvictCompleted(keep)
 	if evicted == 0 {
 		t.Fatal("final eviction removed nothing")
 	}
-	if got := len(s.apps); got != keep {
+	if got := s.AppCount(); got != keep {
 		t.Fatalf("apps retained = %d, want %d", got, keep)
 	}
 	// Evicted apps' events leave with their traces.
@@ -71,7 +77,7 @@ func TestStreamEvictionBoundsMemory(t *testing.T) {
 		t.Fatalf("EventCount = %d, retained traces hold %d events", got, held)
 	}
 	// 2 containers with stderr per app; all entries of evicted apps pruned.
-	if got := len(firstLogsHeld(s)); got != 2*keep {
+	if got := len(firstLogsHeld(s.shards[0].st)); got != 2*keep {
 		t.Fatalf("FIRST_LOG dedup entries = %d, want %d", got, 2*keep)
 	}
 	// The oldest survivor must be the first kept app.
@@ -99,7 +105,7 @@ func TestStreamEvictionBoundsMemory(t *testing.T) {
 func firstLogsHeld(s *Stream) []ids.ContainerID {
 	var out []ids.ContainerID
 	for _, b := range s.apps {
-		for cid := range b.firstLogs {
+		for cid := range b.instances {
 			out = append(out, cid)
 		}
 	}
@@ -111,12 +117,12 @@ func TestStreamForget(t *testing.T) {
 	feedCorpus(s, miniAppCorpus(1))
 	feedCorpus(s, miniAppCorpus(2))
 	id := mustAppID(t, "application_1499000000000_0001")
-	if s.App(id) == nil {
+	if s.trace(id) == nil {
 		t.Fatal("app 1 missing before Forget")
 	}
 	before := s.EventCount()
-	s.Forget(id)
-	if s.App(id) != nil {
+	s.forget(id)
+	if s.trace(id) != nil {
 		t.Fatal("app survived Forget")
 	}
 	if s.EventCount() >= before {
@@ -128,20 +134,22 @@ func TestStreamForget(t *testing.T) {
 		}
 	}
 	// Forgetting an unknown app is a no-op.
-	s.Forget(mustAppID(t, "application_1499000000000_0099"))
-	if len(s.Apps()) != 1 {
+	s.forget(mustAppID(t, "application_1499000000000_0099"))
+	if len(s.traces()) != 1 {
 		t.Fatal("unrelated app lost")
 	}
 }
 
 // TestStreamMetricsCounts checks the stream's line/event counters against
-// a corpus with known contents.
+// a corpus with known contents, fed to a one-worker stream.
 func TestStreamMetricsCounts(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := NewStream()
+	s := NewShardedStream(1)
+	defer s.Close()
 	s.Instrument(reg)
 	feedCorpus(s, buildSparkCorpus())
 	s.Feed("hadoop/yarn-resourcemanager.log", "java.lang.NullPointerException")
+	s.Quiesce()
 
 	vals := map[string]int64{}
 	for _, snap := range reg.Snapshot() {

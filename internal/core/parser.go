@@ -545,22 +545,40 @@ func (cs *containerScan) observe(p *Parser, line log4j.Line) {
 		}
 		cs.firstTime, cs.firstClass, cs.firstMsg, cs.hasFirst = line.TimeMS, class, msg, true
 	}
+	cs.instance = foldInstance(cs.instance, lineInstance(line))
+}
+
+// lineInstance classifies one container-log line's instance from its
+// logging class and message shape; most lines say nothing (InstUnknown).
+func lineInstance(line log4j.Line) InstanceType {
 	switch {
 	case strings.Contains(line.Class, "CoarseGrainedExecutorBackend"):
-		cs.instance = InstSparkExecutor
+		return InstSparkExecutor
 	case strings.Contains(line.Class, "deploy.yarn.ApplicationMaster"):
-		if cs.instance == InstUnknown {
-			cs.instance = InstSparkDriver
-		}
+		return InstSparkDriver
 	case strings.Contains(line.Class, "MRAppMaster"):
-		cs.instance = InstMRMaster
+		return InstMRMaster
 	case strings.Contains(line.Class, "YarnChild"):
 		if strings.Contains(line.Message, "Starting MAP") {
-			cs.instance = InstMRMap
-		} else if strings.Contains(line.Message, "Starting REDUCE") {
-			cs.instance = InstMRReduce
+			return InstMRMap
+		}
+		if strings.Contains(line.Message, "Starting REDUCE") {
+			return InstMRReduce
 		}
 	}
+	return InstUnknown
+}
+
+// foldInstance folds one line's classification into a container's
+// instance so far, in line order: executor and MapReduce kinds
+// overwrite, the Spark driver only replaces unknown, and an
+// unclassified line changes nothing. The offline scan and the live
+// stream (Stream.takeFirstLog) both classify a container this way.
+func foldInstance(cur, line InstanceType) InstanceType {
+	if line == InstUnknown || (line == InstSparkDriver && cur != InstUnknown) {
+		return cur
+	}
+	return line
 }
 
 // finish emits the FIRST_LOG event (Table I rows 9/13) in front of the
@@ -571,17 +589,21 @@ func (cs *containerScan) finish(p *Parser, name string, cid ids.ContainerID) {
 		return
 	}
 	p.hit("first_log")
-	flKind := TaskFirstLog
-	switch cs.instance {
-	case InstSparkDriver:
-		flKind = DriverFirstLog
-	case InstSparkExecutor:
-		flKind = ExecutorFirstLog
-	}
-	ev := Event{Kind: flKind, TimeMS: cs.firstTime, App: cid.App, Container: cid, Source: name, Class: cs.firstClass, Raw: cs.firstMsg, Instance: cs.instance}
+	ev := Event{Kind: firstLogKind(cs.instance), TimeMS: cs.firstTime, App: cid.App, Container: cid, Source: name, Class: cs.firstClass, Raw: cs.firstMsg, Instance: cs.instance}
 	p.events = append(p.events, Event{})
 	copy(p.events[cs.bodyStart+1:], p.events[cs.bodyStart:len(p.events)-1])
 	p.events[cs.bodyStart] = ev
+}
+
+// firstLogKind is the FIRST_LOG kind of a container classified inst.
+func firstLogKind(inst InstanceType) Kind {
+	switch inst {
+	case InstSparkDriver:
+		return DriverFirstLog
+	case InstSparkExecutor:
+		return ExecutorFirstLog
+	}
+	return TaskFirstLog
 }
 
 func (p *Parser) emit(e Event) {

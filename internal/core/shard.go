@@ -18,21 +18,19 @@ import (
 // twin, fastAppInLine; tests diff the two.
 var reAppInLine = regexp.MustCompile(`(?:application|container)_(\d+)_(\d+)`)
 
-// ShardedStream is the parallel variant of Stream: Feed routes each raw
-// line to one of N worker goroutines, each owning a hash-shard of
-// application IDs with its own serial Stream and its own completed-app
-// ClusterBreakdown sketch. Parsing — the expensive part — runs on the
-// workers; correlation state stays shard-local because every event of an
+// ShardedStream is the live engine: Feed routes each raw line to one of
+// N worker goroutines, each owning a hash-shard of application IDs whose
+// state is a Stream. Parsing — the expensive part — runs on the workers;
+// correlation state stays shard-local because every event of an
 // application lives in exactly one shard (events a line produces for a
 // foreign application, possible only on adversarial input, are forwarded
-// to the owning shard).
+// to the owning shard). One worker is the serial configuration.
 //
 // All methods are safe for concurrent use. Feed is asynchronous: call
 // Quiesce to wait until everything fed so far has been absorbed. Reports
 // gather applications in submission order and events per application in
-// time order, ties in arrival order, so a sharded and a serial stream fed
-// the same line sequence render byte-identical reports regardless of
-// worker count.
+// time order, ties in arrival order, so streams fed the same line
+// sequence render byte-identical reports regardless of worker count.
 type ShardedStream struct {
 	shards []*streamShard
 
@@ -73,11 +71,10 @@ type streamShard struct {
 	routed [][]Event
 	quit   bool
 
-	// stMu guards the shard's Stream and sketch: the worker holds it
-	// while absorbing, readers hold it while snapshotting.
+	// stMu guards the shard's Stream: the worker holds it while
+	// absorbing, readers hold it while snapshotting.
 	stMu sync.Mutex
 	st   *Stream
-	bd   *ClusterBreakdown
 
 	// processed counts work units (lines + routed batches) this worker
 	// has fully absorbed — the watchdog's per-shard progress signal.
@@ -85,10 +82,10 @@ type streamShard struct {
 
 	// scratch is this worker's reusable parser (only the worker goroutine
 	// touches it); see Stream.scratch.
-	scratch *Parser
-	// batchEvs and batchEnds are runObserved's reusable parse buffer: the
-	// events of a whole line batch back to back, and where each line's
-	// events end (worker goroutine only).
+	scratch Parser
+	// batchEvs and batchEnds are run's reusable parse buffer: the events
+	// of a whole line batch back to back, and where each line's events
+	// end (worker goroutine only).
 	batchEvs  []Event
 	batchEnds []int
 
@@ -99,6 +96,25 @@ type streamShard struct {
 
 type shardLine struct{ source, raw string }
 
+// ShardStat is one worker's progress sample for the pipeline watchdog:
+// its current queue depth and its cumulative processed-batch count.
+type ShardStat struct {
+	Queued    int
+	Processed int64
+}
+
+// streamMetrics are the stream-level observability hooks; nil until
+// Instrument is called.
+type streamMetrics struct {
+	lines     *metrics.Counter // lines fed
+	matched   *metrics.Counter // lines that produced >= 1 event
+	dropped   *metrics.Counter // lines that produced nothing
+	events    *metrics.Counter // scheduling events absorbed
+	inflight  *metrics.Gauge   // apps seen but not yet complete
+	completed *metrics.Gauge   // apps with a complete decomposition
+	evicted   *metrics.Counter // apps forgotten/evicted
+}
+
 // NewShardedStream starts workers goroutines (0 = GOMAXPROCS), each
 // owning one shard. Call Close to stop them.
 func NewShardedStream(workers int) *ShardedStream {
@@ -108,7 +124,7 @@ func NewShardedStream(workers int) *ShardedStream {
 	ss := &ShardedStream{shards: make([]*streamShard, workers)}
 	ss.workCond = sync.NewCond(&ss.workMu)
 	for i := range ss.shards {
-		sh := &streamShard{ss: ss, i: i, st: NewStream(), bd: NewClusterBreakdown()}
+		sh := &streamShard{ss: ss, i: i, st: NewStream()}
 		sh.qCond = sync.NewCond(&sh.qMu)
 		sh.st.OnComplete(sh.onComplete)
 		ss.shards[i] = sh
@@ -134,16 +150,25 @@ func (ss *ShardedStream) OnComplete(fn func(*AppTrace)) {
 	ss.hookMu.Unlock()
 }
 
-// Instrument registers the same stream/parser metric families the serial
-// Stream exposes, plus per-worker line counters
-// (core_shard_lines_total{shard=i}) and the cross-shard event forwarding
-// counter. Call once, before feeding; a nil registry is a no-op.
+// Instrument registers the stream's line/event counters and app gauges,
+// the parser counters every worker's parser reports to, per-worker line
+// counters (core_shard_lines_total{shard=i}) and the cross-shard event
+// forwarding counter. Call once, before feeding; a nil registry is a
+// no-op.
 func (ss *ShardedStream) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
 	ss.pmet = newParserMetrics(reg)
-	ss.met = newStreamMetrics(reg)
+	ss.met = &streamMetrics{
+		lines:     reg.Counter("core_stream_lines_total"),
+		matched:   reg.Counter("core_stream_lines_matched_total"),
+		dropped:   reg.Counter("core_stream_lines_dropped_total"),
+		events:    reg.Counter("core_stream_events_total"),
+		inflight:  reg.Gauge("core_stream_apps_inflight"),
+		completed: reg.Gauge("core_stream_apps_completed"),
+		evicted:   reg.Counter("core_stream_apps_evicted_total"),
+	}
 	ss.forwards = reg.Counter("core_shard_forwarded_events_total")
 	for _, sh := range ss.shards {
 		sh.linesTotal = reg.Counter("core_shard_lines_total", "shard", strconv.Itoa(sh.i))
@@ -161,7 +186,7 @@ func (ss *ShardedStream) ObservePipeline(p *obs.Pipeline) {
 	ss.pl = p
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()
-		sh.st.ObservePipeline(p)
+		sh.st.pl = p
 		sh.stMu.Unlock()
 	}
 }
@@ -216,10 +241,9 @@ func (ss *ShardedStream) route(source, raw string) *streamShard {
 }
 
 // Feed routes one raw log line to its owning shard's queue. It returns
-// true when the line was accepted (false after Close). Unlike
-// Stream.Feed the parse happens asynchronously, so acceptance does not
-// imply the line produced events — compare EventCount after Quiesce for
-// that.
+// true when the line was accepted (false after Close). The parse happens
+// asynchronously, so acceptance does not imply the line produced events
+// — compare EventCount after Quiesce for that.
 func (ss *ShardedStream) Feed(source, rawLine string) bool {
 	ss.workMu.Lock()
 	if ss.closed {
@@ -287,7 +311,7 @@ func (ss *ShardedStream) Quiesce() {
 }
 
 // Close drains pending work and stops the workers. The read side
-// (Report, Apps, Breakdown, ...) stays usable afterwards; Feed returns
+// (Report, Apps, ...) stays usable afterwards; Feed returns
 // false. Stop concurrent feeders first: lines racing Close may be
 // rejected.
 func (ss *ShardedStream) Close() {
@@ -306,6 +330,11 @@ func (ss *ShardedStream) Close() {
 	ss.wg.Wait()
 }
 
+// run is the worker loop. It takes everything queued as one batch and
+// absorbs it: forwarded event batches first, then the lines, all parsed
+// before any is absorbed. Each phase is bracketed by one clock read, so
+// stage timing costs O(1) per batch, not O(lines), and nothing when no
+// pipeline is attached.
 func (sh *streamShard) run() {
 	defer sh.ss.wg.Done()
 	for {
@@ -322,115 +351,54 @@ func (sh *streamShard) run() {
 		sh.depth.Set(0)
 		sh.qMu.Unlock()
 
-		if pl := sh.ss.pl; pl != nil {
-			sh.runObserved(pl, lines, routed)
-		} else {
+		pl := sh.ss.pl
+		if len(routed) > 0 {
+			t := pl.Begin()
+			n := 0
 			for _, evs := range routed {
+				n += len(evs)
 				sh.absorb(evs)
 				sh.ss.done()
 			}
+			pl.StageBatch(obs.StageForward, sh.i, t, n)
+		}
+		if len(lines) > 0 {
+			t := pl.Begin()
+			sh.linesTotal.Add(int64(len(lines)))
+			sh.scratch.met = sh.ss.pmet
+			evs, ends := sh.batchEvs[:0], sh.batchEnds[:0]
 			for _, ln := range lines {
-				sh.process(ln)
-				sh.ss.done()
+				// Copied out of the scratch parser, which the next line reuses.
+				evs = append(evs, sh.scratch.parseLine(ln.source, ln.raw)...)
+				ends = append(ends, len(evs))
 			}
+			mid := pl.Begin()
+			start := 0
+			for _, end := range ends {
+				sh.routeAndAbsorb(evs[start:end:end])
+				sh.ss.done()
+				start = end
+			}
+			clear(evs) // drop the batch's strings until the buffer is refilled
+			sh.batchEvs, sh.batchEnds = evs[:0], ends[:0]
+			// Parsing and absorbing (correlate + decompose) share the
+			// middle clock read; splitting the phases costs no extra reads.
+			pl.StageSpan(obs.StageParse, sh.i, t, mid, len(lines))
+			pl.StageBatch(obs.StageDecompose, sh.i, mid, len(lines))
 		}
 		sh.processed.Add(int64(len(lines) + len(routed)))
 		sh.batches.Inc()
 	}
 }
 
-// runObserved is the instrumented batch path: the same work as the
-// loops in run, but bracketed by one clock read per phase — forwarded
-// batches, then the whole line batch's parse, then its absorb — so
-// stage timing costs O(1) per batch, not O(lines).
-func (sh *streamShard) runObserved(pl *obs.Pipeline, lines []shardLine, routed [][]Event) {
-	if len(routed) > 0 {
-		t := pl.Begin()
-		n := 0
-		for _, evs := range routed {
-			n += len(evs)
-			sh.absorb(evs)
-			sh.ss.done()
-		}
-		pl.StageBatch(obs.StageForward, sh.i, t, n)
-	}
-	if len(lines) == 0 {
-		return
-	}
-	t := pl.Begin()
-	evs, ends := sh.batchEvs[:0], sh.batchEnds[:0]
-	for _, ln := range lines {
-		if sh.linesTotal != nil {
-			sh.linesTotal.Inc()
-		}
-		// Copied out of the scratch parser, which the next line reuses.
-		evs = append(evs, sh.parseLineScratch(ln.source, ln.raw)...)
-		ends = append(ends, len(evs))
-	}
-	mid := pl.Begin()
-	start := 0
-	for _, end := range ends {
-		sh.routeAndAbsorb(evs[start:end:end])
-		sh.ss.done()
-		start = end
-	}
-	clear(evs) // drop the batch's strings until the buffer is refilled
-	sh.batchEvs, sh.batchEnds = evs[:0], ends[:0]
-	// Parsing and absorbing (correlate + decompose) share the middle
-	// clock read; splitting the phases costs no extra reads.
-	pl.StageSpan(obs.StageParse, sh.i, t, mid, len(lines))
-	pl.StageBatch(obs.StageDecompose, sh.i, mid, len(lines))
-}
-
-// onComplete is installed on every shard's Stream: it folds the
-// completed app into the shard's sketch (the worker holds stMu here) and
-// relays to the user hook, serialized across shards by hookMu.
+// onComplete is installed on every shard's Stream: it relays to the user
+// hook, serialized across shards by hookMu (the worker holds stMu here).
 func (sh *streamShard) onComplete(a *AppTrace) {
-	sh.bd.Observe(a)
 	sh.ss.hookMu.Lock()
 	if h := sh.ss.hook; h != nil {
 		h(a)
 	}
 	sh.ss.hookMu.Unlock()
-}
-
-// process parses one line (statelessly, off any lock) and absorbs its
-// events into the shard's Stream, forwarding any events whose
-// application hashes elsewhere.
-func (sh *streamShard) process(ln shardLine) {
-	if sh.linesTotal != nil {
-		sh.linesTotal.Inc()
-	}
-	sh.routeAndAbsorb(sh.parseLineScratch(ln.source, ln.raw))
-}
-
-// parseLineScratch parses one line into the worker's reusable scratch
-// parser and returns its scratch-backed events, valid until the next
-// call (routeAndAbsorb never retains the slice: forwards copy, and
-// absorbRouted filters it in place and stores events by value). Dedup
-// that depends on stream state (FIRST_LOG, FIRST_TASK) is applied later
-// by the owning shard's absorbRouted.
-func (sh *streamShard) parseLineScratch(source, raw string) []Event {
-	p := sh.scratch
-	if p == nil {
-		p = NewParser()
-		sh.scratch = p
-	}
-	p.met = sh.ss.pmet
-	p.events = p.events[:0]
-	if cid, found, err := fastFindContainerID(source); found {
-		if err != nil {
-			return nil
-		}
-		if !p.feedContainerSegments(source, cid, raw) {
-			return nil
-		}
-		return p.events
-	}
-	if !p.feedDaemonSegments(source, raw) {
-		return nil
-	}
-	return p.events
 }
 
 // routeAndAbsorb splits one line's events into shard-local and foreign,
@@ -511,7 +479,7 @@ func (ss *ShardedStream) LastEventMS() int64 {
 	var last int64
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()
-		if ms := sh.st.LastEventMS(); ms > last {
+		if ms := sh.st.lastMS; ms > last {
 			last = ms
 		}
 		sh.stMu.Unlock()
@@ -524,16 +492,17 @@ func (ss *ShardedStream) App(id ids.AppID) *AppTrace {
 	sh := ss.shards[ss.shardOf(id)]
 	sh.stMu.Lock()
 	defer sh.stMu.Unlock()
-	return sh.st.App(id)
+	return sh.st.trace(id)
 }
 
-// Complete reports whether an application's decomposition is fully
-// observable (see Stream.Complete).
+// Complete reports whether an application's headline decomposition is
+// fully observable and anomaly-free (the Decomposition.Complete flag) —
+// the signal a live dashboard uses to mark a row final.
 func (ss *ShardedStream) Complete(id ids.AppID) bool {
 	sh := ss.shards[ss.shardOf(id)]
 	sh.stMu.Lock()
 	defer sh.stMu.Unlock()
-	return sh.st.Complete(id)
+	return sh.st.completed[id]
 }
 
 // Apps returns the live traces across all shards ordered by submission
@@ -542,7 +511,7 @@ func (ss *ShardedStream) Apps() []*AppTrace {
 	var out []*AppTrace
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()
-		out = append(out, sh.st.Apps()...)
+		out = append(out, sh.st.traces()...)
 		sh.stMu.Unlock()
 	}
 	sortTracesBySeq(out)
@@ -550,37 +519,19 @@ func (ss *ShardedStream) Apps() []*AppTrace {
 }
 
 // Report snapshots the current state into a full report, gathering
-// events per application in submission order and stable-sorting by
-// timestamp — the same deterministic gathering Stream.Report uses, so a
-// sharded and a serial stream fed the same lines render byte-identical
-// reports. Quiesce first if every fed line must be included. The traces
-// are immutable snapshots, so only Apps takes the shard locks.
+// applications in submission order — the same deterministic gathering
+// Stream.Report uses, so streams fed the same lines render
+// byte-identical reports at any worker count. Quiesce first if every fed
+// line must be included. The traces are immutable snapshots, so only
+// Apps takes the shard locks.
 func (ss *ShardedStream) Report() *Report { return liveReport(ss.Apps()) }
-
-// Breakdown losslessly merges the per-shard completed-application
-// sketches into one cumulative cluster breakdown. Each application was
-// observed exactly once, by its owning shard, so the merge equals what a
-// single stream's completion hook would have sketched.
-func (ss *ShardedStream) Breakdown() *ClusterBreakdown {
-	out := NewClusterBreakdown()
-	for _, sh := range ss.shards {
-		sh.stMu.Lock()
-		err := out.Merge(sh.bd)
-		sh.stMu.Unlock()
-		if err != nil {
-			// All shards share the default alpha; a mismatch is a bug.
-			panic("core: shard breakdown merge: " + err.Error())
-		}
-	}
-	return out
-}
 
 // Forget drops all state for one application from its owning shard.
 func (ss *ShardedStream) Forget(id ids.AppID) {
 	sh := ss.shards[ss.shardOf(id)]
 	sh.stMu.Lock()
 	had := sh.st.apps[id] != nil
-	sh.st.Forget(id)
+	sh.st.forget(id)
 	sh.stMu.Unlock()
 	if had && ss.met != nil {
 		ss.met.evicted.Inc()
@@ -588,7 +539,9 @@ func (ss *ShardedStream) Forget(id ids.AppID) {
 }
 
 // EvictCompleted forgets completed applications, oldest submission
-// first, until at most keep remain across all shards.
+// first, until at most keep remain across all shards. In-flight
+// applications are never evicted: their decompositions are still
+// growing.
 func (ss *ShardedStream) EvictCompleted(keep int) int {
 	if keep < 0 {
 		keep = 0
@@ -615,9 +568,11 @@ func (ss *ShardedStream) EvictCompleted(keep int) int {
 	return len(victims)
 }
 
-// EvictOldest forgets the oldest applications — complete or not — until
-// at most max are tracked across all shards (the hard memory bound; see
-// Stream.EvictOldest).
+// EvictOldest is the hard memory bound behind EvictCompleted: it
+// forgets the oldest applications by submission sequence — complete or
+// not — until at most max are tracked across all shards. Garbage input
+// can mint unbounded app IDs whose decompositions never complete;
+// without this bound a tailing server would hold them all forever.
 func (ss *ShardedStream) EvictOldest(max int) int {
 	if max < 0 {
 		return 0
@@ -643,9 +598,9 @@ func (ss *ShardedStream) EvictOldest(max int) int {
 }
 
 // updateAppGauges refreshes the in-flight / completed gauges from a
-// cross-shard count. Unlike the serial stream this does not run per
-// absorb (it would serialize the shards); Quiesce and the eviction
-// entry points refresh it, which is where long-running feeds sit.
+// cross-shard count. It does not run per absorb (it would serialize the
+// shards); Quiesce and the eviction entry points refresh it, which is
+// where long-running feeds sit.
 func (ss *ShardedStream) updateAppGauges() {
 	if ss.met == nil {
 		return

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,26 +46,40 @@ func corpusLines(t *testing.T, cs corpus) []shardLine {
 	return out
 }
 
-// feedSerial pumps a line sequence through a fresh serial Stream, with a
-// completion-hook breakdown sketch attached — the reference the sharded
-// stream is diffed against.
-func feedSerial(lines []shardLine) (*Stream, *ClusterBreakdown) {
+// feedSerial pumps a line sequence through a fresh serial Stream and
+// returns it with the traces its completion hook delivered — the
+// reference the sharded stream is diffed against.
+func feedSerial(lines []shardLine) (*Stream, []*AppTrace) {
 	st := NewStream()
-	bd := NewClusterBreakdown()
-	st.OnComplete(func(a *AppTrace) { bd.Observe(a) })
+	var hooked []*AppTrace
+	st.OnComplete(func(a *AppTrace) { hooked = append(hooked, a) })
 	for _, ln := range lines {
 		st.Feed(ln.source, ln.raw)
 	}
-	return st, bd
+	return st, hooked
+}
+
+// sketchInAppOrder folds hook-delivered traces into a breakdown in
+// application-ID order, so the fold does not depend on which shard's
+// hook fired first.
+func sketchInAppOrder(hooked []*AppTrace) *ClusterBreakdown {
+	sorted := slices.Clone(hooked)
+	sortTracesBySeq(sorted)
+	bd := NewClusterBreakdown()
+	for _, a := range sorted {
+		bd.Observe(a)
+	}
+	return bd
 }
 
 // diffShardedSerial feeds the same sequence into a ShardedStream with w
 // workers and asserts every observable matches the serial stream: the
-// rendered report (byte for byte), event counts, clock, app sets, and
-// the completed-app breakdown sketch.
+// rendered report (byte for byte), event counts, clock, app sets, the
+// applications the completion hook delivered, and the breakdown sketch
+// folded from them.
 func diffShardedSerial(t *testing.T, lines []shardLine, w int) {
 	t.Helper()
-	st, refBD := feedSerial(lines)
+	st, refHooked := feedSerial(lines)
 	refRep, err := st.Report().JSON()
 	if err != nil {
 		t.Fatalf("serial report: %v", err)
@@ -72,6 +87,8 @@ func diffShardedSerial(t *testing.T, lines []shardLine, w int) {
 
 	ss := NewShardedStream(w)
 	defer ss.Close()
+	var hooked []*AppTrace
+	ss.OnComplete(func(a *AppTrace) { hooked = append(hooked, a) })
 	for _, ln := range lines {
 		if !ss.Feed(ln.source, ln.raw) {
 			t.Fatalf("workers=%d: Feed rejected before Close", w)
@@ -82,7 +99,7 @@ func diffShardedSerial(t *testing.T, lines []shardLine, w int) {
 	if got, want := ss.EventCount(), st.EventCount(); got != want {
 		t.Errorf("workers=%d: EventCount=%d serial=%d", w, got, want)
 	}
-	if got, want := ss.LastEventMS(), st.LastEventMS(); got != want {
+	if got, want := ss.LastEventMS(), st.lastMS; got != want {
 		t.Errorf("workers=%d: LastEventMS=%d serial=%d", w, got, want)
 	}
 	gotRep, err := ss.Report().JSON()
@@ -93,7 +110,7 @@ func diffShardedSerial(t *testing.T, lines []shardLine, w int) {
 		t.Errorf("workers=%d: report JSON diverges from serial stream", w)
 	}
 
-	sApps, pApps := st.Apps(), ss.Apps()
+	sApps, pApps := st.traces(), ss.Apps()
 	if len(sApps) != len(pApps) {
 		t.Fatalf("workers=%d: apps=%d serial=%d", w, len(pApps), len(sApps))
 	}
@@ -102,7 +119,7 @@ func diffShardedSerial(t *testing.T, lines []shardLine, w int) {
 		if pApps[i].ID != id {
 			t.Fatalf("workers=%d: app %d = %v, serial %v", w, i, pApps[i].ID, id)
 		}
-		if got, want := ss.Complete(id), st.Complete(id); got != want {
+		if got, want := ss.Complete(id), st.completed[id]; got != want {
 			t.Errorf("workers=%d: Complete(%v)=%v serial=%v", w, id, got, want)
 		}
 		if ss.App(id) == nil {
@@ -110,11 +127,15 @@ func diffShardedSerial(t *testing.T, lines []shardLine, w int) {
 		}
 	}
 
-	if got, want := ss.Breakdown().Rows(), refBD.Rows(); !reflect.DeepEqual(got, want) {
-		t.Errorf("workers=%d: breakdown rows diverge from serial completion hook", w)
+	if got, want := appIDs(hooked), appIDs(refHooked); !reflect.DeepEqual(got, want) {
+		t.Errorf("workers=%d: hook delivered apps %v, serial hook %v", w, got, want)
 	}
-	if got, want := ss.Breakdown().ComponentRows(), refBD.ComponentRows(); !reflect.DeepEqual(got, want) {
-		t.Errorf("workers=%d: breakdown component rows diverge", w)
+	bd, refBD := sketchInAppOrder(hooked), sketchInAppOrder(refHooked)
+	if got, want := bd.Rows(), refBD.Rows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("workers=%d: hook sketch rows diverge from serial completion hook", w)
+	}
+	if got, want := bd.ComponentRows(), refBD.ComponentRows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("workers=%d: hook sketch component rows diverge", w)
 	}
 }
 
@@ -198,16 +219,18 @@ func TestShardedOnCompleteFiresOnce(t *testing.T) {
 }
 
 // TestShardedEvictionMatchesSerial pins that the cross-shard eviction
-// policies pick the same victims, in the same order, as a single
+// policies pick the same victims, in the same order, as a one-worker
 // stream's.
 func TestShardedEvictionMatchesSerial(t *testing.T) {
 	lines := corpusLines(t, buildMultiAppCorpus(8))
-	st, _ := feedSerial(lines)
-	ss := NewShardedStream(3)
+	st, ss := NewShardedStream(1), NewShardedStream(3)
+	defer st.Close()
 	defer ss.Close()
 	for _, ln := range lines {
+		st.Feed(ln.source, ln.raw)
 		ss.Feed(ln.source, ln.raw)
 	}
+	st.Quiesce()
 	ss.Quiesce()
 
 	if got, want := ss.EvictCompleted(5), st.EvictCompleted(5); got != want {
@@ -236,11 +259,13 @@ func TestShardedEvictionMatchesSerial(t *testing.T) {
 	}
 }
 
+// appIDs lists the traces' application IDs in submission order.
 func appIDs(apps []*AppTrace) []ids.AppID {
 	out := make([]ids.AppID, len(apps))
 	for i, a := range apps {
 		out[i] = a.ID
 	}
+	sortAppIDsBySeq(out)
 	return out
 }
 
@@ -340,7 +365,6 @@ func TestShardedStreamConcurrentHammer(t *testing.T) {
 				_ = ss.Apps()
 				_ = ss.Complete(id)
 				_ = ss.App(id)
-				_ = ss.Breakdown().Rows()
 				_ = ss.Report()
 			}
 		}()
@@ -402,6 +426,9 @@ func TestShardedPublishedTracesImmutable(t *testing.T) {
 		wg       sync.WaitGroup
 	)
 	stop := make(chan struct{})
+	// first is closed once a reader holds a trace.
+	first := make(chan struct{})
+	var once sync.Once
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
@@ -422,6 +449,7 @@ func TestShardedPublishedTracesImmutable(t *testing.T) {
 						captured = append(captured, capture{a, snap})
 					}
 					mu.Unlock()
+					once.Do(func() { close(first) })
 				}
 				if _, err := ss.Report().JSON(); err != nil {
 					mu.Lock()
@@ -431,7 +459,16 @@ func TestShardedPublishedTracesImmutable(t *testing.T) {
 			}
 		}()
 	}
-	for _, ln := range lines {
+	// Feed in two halves, and start the second only once a reader holds
+	// traces from the first, so some captures always predate absorbs that
+	// change their apps, however the goroutines are scheduled.
+	half := len(lines) / 2
+	for _, ln := range lines[:half] {
+		ss.Feed(ln.source, ln.raw)
+	}
+	ss.Quiesce()
+	<-first
+	for _, ln := range lines[half:] {
 		ss.Feed(ln.source, ln.raw)
 	}
 	ss.Quiesce()

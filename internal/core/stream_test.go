@@ -50,10 +50,10 @@ func TestStreamMatchesOfflineAnalysis(t *testing.T) {
 	offline := analyze(t, cs)
 	s := streamFeedCorpus(t, cs)
 
-	if len(s.Apps()) != len(offline.Apps) {
-		t.Fatalf("stream apps=%d offline=%d", len(s.Apps()), len(offline.Apps))
+	if len(s.traces()) != len(offline.Apps) {
+		t.Fatalf("stream apps=%d offline=%d", len(s.traces()), len(offline.Apps))
 	}
-	so, od := s.Apps()[0].Decomp, offline.Apps[0].Decomp
+	so, od := s.traces()[0].Decomp, offline.Apps[0].Decomp
 	pairs := [][2]int64{
 		{so.Total, od.Total}, {so.AM, od.AM}, {so.Driver, od.Driver},
 		{so.Executor, od.Executor}, {so.In, od.In}, {so.Out, od.Out},
@@ -75,7 +75,7 @@ func TestStreamIncrementalCompleteness(t *testing.T) {
 	for _, l := range cs["hadoop/yarn-resourcemanager.log"] {
 		s.Feed("hadoop/yarn-resourcemanager.log", l)
 	}
-	if s.Complete(app) {
+	if s.completed[app] {
 		t.Fatal("complete without any container logs")
 	}
 	// Add the remaining files: now complete.
@@ -87,8 +87,8 @@ func TestStreamIncrementalCompleteness(t *testing.T) {
 			s.Feed(src, l)
 		}
 	}
-	if !s.Complete(app) {
-		t.Fatalf("still incomplete after all logs: %+v", s.App(app).Decomp)
+	if !s.completed[app] {
+		t.Fatalf("still incomplete after all logs: %+v", s.trace(app).Decomp)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestStreamFirstLogIsFirstLineOnly(t *testing.T) {
 	s.Feed(src, line(7000, "org.apache.spark.executor.CoarseGrainedExecutorBackend", "Started daemon"))
 	s.Feed(src, line(7500, "org.apache.spark.executor.CoarseGrainedExecutorBackend", "some later line"))
 	app := mustAppID(t, "application_1499000000000_0001")
-	c := s.App(app).Containers[0]
+	c := s.trace(app).Containers[0]
 	if c.FirstLog != 1499000000000+7000 {
 		t.Fatalf("first log %d moved by a later line", c.FirstLog)
 	}
@@ -160,7 +160,7 @@ func TestStreamOnCompleteAfterForget(t *testing.T) {
 	fired := 0
 	s.OnComplete(func(*AppTrace) { fired++ })
 	streamFeedInto(t, s, buildSparkCorpus())
-	s.Forget(mustAppID(t, "application_1499000000000_0001"))
+	s.forget(mustAppID(t, "application_1499000000000_0001"))
 	streamFeedInto(t, s, buildSparkCorpus())
 	if fired != 2 {
 		t.Fatalf("hook fired %d times across forget, want 2", fired)
@@ -193,7 +193,7 @@ func mustSnapshot(t *testing.T, a *AppTrace) string {
 	return s
 }
 
-// TestStreamPublishedTracesImmutable: a trace handed out by App or by the
+// TestStreamPublishedTracesImmutable: a trace handed out by trace or by the
 // completion hook is a snapshot. Feeding more events of its app — in
 // order, out of order and at equal timestamps — publishes new traces and
 // leaves the captured ones unchanged.
@@ -206,7 +206,7 @@ func TestStreamPublishedTracesImmutable(t *testing.T) {
 		t.Fatal("completion hook did not fire")
 	}
 	id := mustAppID(t, "application_1499000000000_0001")
-	captured := s.App(id)
+	captured := s.trace(id)
 	// A caller's append to Events must reallocate, never write into the
 	// array the stream keeps appending to.
 	if len(captured.Events) != cap(captured.Events) {
@@ -241,7 +241,7 @@ func TestStreamPublishedTracesImmutable(t *testing.T) {
 		}
 	}
 
-	now := s.App(id)
+	now := s.trace(id)
 	if now == captured || now.Submitted != base+50 || now.Container(mustContainerID(t, e3)) == nil {
 		t.Fatalf("stream did not publish the new events: submitted=%d containers=%d", now.Submitted, len(now.Containers))
 	}
@@ -308,7 +308,7 @@ func TestStreamOutOfOrderMatchesBatch(t *testing.T) {
 		}
 		batch := Correlate(arrival)
 		Decompose(batch[0])
-		if got, want := mustSnapshot(t, s.App(app)), mustSnapshot(t, batch[0]); got != want {
+		if got, want := mustSnapshot(t, s.trace(app)), mustSnapshot(t, batch[0]); got != want {
 			t.Fatalf("iteration %d: arrival order %v\nstream:\n%s\nbatch:\n%s", iter, arrival, got, want)
 		}
 	}
@@ -317,7 +317,7 @@ func TestStreamOutOfOrderMatchesBatch(t *testing.T) {
 // TestStreamSnapshotsOnRead: traces are snapshotted when read, and the
 // working trace then changes in place until the next read. Random
 // arrival orders over two apps, absorbed one to three events at a time,
-// are interleaved with App and Apps reads at random points. Every
+// are interleaved with trace and traces reads at random points. Every
 // snapshot captured must be unchanged at the end, and must equal a
 // batch correlation and decomposition of its own Events.
 func TestStreamSnapshotsOnRead(t *testing.T) {
@@ -340,14 +340,14 @@ func TestStreamSnapshotsOnRead(t *testing.T) {
 			s.absorb(batch)
 			switch rng.Intn(4) {
 			case 0:
-				capture(s.App(batch[0].App))
+				capture(s.trace(batch[0].App))
 			case 1:
-				for _, a := range s.Apps() {
+				for _, a := range s.traces() {
 					capture(a)
 				}
 			}
 		}
-		for _, a := range s.Apps() {
+		for _, a := range s.traces() {
 			capture(a)
 		}
 		for a, want := range snaps {
@@ -360,5 +360,50 @@ func TestStreamSnapshotsOnRead(t *testing.T) {
 				t.Fatalf("iteration %d: snapshot differs from a batch correlation of its events:\nsnapshot %s\nbatch    %s", iter, want, got)
 			}
 		}
+	}
+}
+
+// TestStreamReclassifiesFirstLog: live, as offline, a container's
+// instance comes from all of its lines. The AM container's first line
+// names no instance; its second, the ApplicationMaster's registration,
+// makes it the Spark driver. The kept FIRST_LOG is rewritten to that
+// kind and instance, the trace rebuilt, and a snapshot taken between
+// the two lines stays as it was.
+func TestStreamReclassifiesFirstLog(t *testing.T) {
+	src := "userlogs/application_1499000000000_0001/container_1499000000000_0001_01_000001/stderr"
+	lines := []string{
+		line(1500, "org.apache.spark.SparkContext", "Running Spark version 2.2.0"),
+		line(5100, "org.apache.spark.deploy.yarn.ApplicationMaster", "Registered with ResourceManager as x"),
+	}
+	offline, err := analyze(t, corpus{src: lines}).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(offline, `"instance": "spm"`) {
+		t.Fatalf("offline report does not classify the AM container:\n%s", offline)
+	}
+
+	s := NewStream()
+	s.Feed(src, lines[0])
+	id := mustAppID(t, "application_1499000000000_0001")
+	before := s.trace(id)
+	snap := mustSnapshot(t, before)
+	s.Feed(src, lines[1])
+	if got := mustSnapshot(t, before); got != snap {
+		t.Fatalf("snapshot changed by the reclassifying line:\nbefore %s\nafter  %s", snap, got)
+	}
+	live, err := s.Report().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live != offline {
+		t.Fatalf("live report differs from offline:\nlive:\n%s\noffline:\n%s", live, offline)
+	}
+	a := s.trace(id)
+	if fl := a.Events[0]; fl.Kind != DriverFirstLog || fl.Instance != InstSparkDriver {
+		t.Fatalf("kept FIRST_LOG is %v/%q, want %v/%q", fl.Kind, fl.Instance, DriverFirstLog, InstSparkDriver)
+	}
+	if fl := before.Events[0]; fl.Kind != TaskFirstLog || fl.Instance != InstUnknown {
+		t.Fatalf("snapshot's FIRST_LOG became %v/%q", fl.Kind, fl.Instance)
 	}
 }

@@ -221,8 +221,8 @@ func Correlate(events []Event) []*AppTrace {
 //
 // The live path refreshes the working trace after every absorb (refresh)
 // and hands out an immutable snapshot only when a reader asks for one
-// (snapshot): the completion hook, Stream.App and Stream.Apps. Snapshots
-// are never mutated afterwards — callers, completion hooks and
+// (snapshot): the completion hook, Stream.trace and Stream.traces.
+// Snapshots are never mutated afterwards — callers, completion hooks and
 // concurrent ShardedStream readers hold on to them — so the builder
 // copies on write: the first change after a snapshot copies the header
 // and its Containers slice, a container is copied before its first
@@ -247,9 +247,10 @@ type traceBuilder struct {
 	// stale is set when an out-of-order event was inserted: a no longer
 	// reflects events and refresh rebuilds it.
 	stale bool
-	// firstLogs holds the live app's containers whose FIRST_LOG was
-	// already absorbed (see Stream.takeFirstLog); nil offline.
-	firstLogs map[ids.ContainerID]bool
+	// instances holds the instance of each live container whose
+	// FIRST_LOG was already absorbed, folded over every FIRST_LOG its
+	// lines produced since (see Stream.takeFirstLog); nil offline.
+	instances map[ids.ContainerID]InstanceType
 }
 
 func newTraceBuilder(id ids.AppID) *traceBuilder {
@@ -355,6 +356,25 @@ func (b *traceBuilder) snapshot() *AppTrace {
 		b.pub, b.shared = b.a, true
 	}
 	return b.pub
+}
+
+// reclassify rewrites container cid's kept FIRST_LOG to instance inst
+// and marks the trace for a rebuild at the next refresh, copying the
+// event array first if a snapshot holds it.
+func (b *traceBuilder) reclassify(cid ids.ContainerID, inst InstanceType) {
+	b.stale = true
+	for i := range b.events {
+		e := &b.events[i]
+		if e.Container != cid || (e.Kind != DriverFirstLog && e.Kind != ExecutorFirstLog && e.Kind != TaskFirstLog) {
+			continue
+		}
+		if b.shared {
+			b.events, b.shared = slices.Clone(b.events), false
+			e = &b.events[i]
+		}
+		e.Kind, e.Instance = firstLogKind(inst), inst
+		return
+	}
 }
 
 // setEarliest keeps a milestone's first observation: the earliest nonzero

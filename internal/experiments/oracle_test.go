@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -32,11 +33,33 @@ func oracleScenario(t *testing.T, opts Options, queries int, trace bool) (*Scena
 	return s, rec
 }
 
+// oracleOptions returns the options of one oracle matrix cell:
+// "pristine", "faults" (random node crashes) or "degraded" (dropped,
+// truncated, torn, garbage and clock-skewed log lines).
+func oracleOptions(seed uint64, cell string) Options {
+	opts := DefaultOptions()
+	opts.Seed = seed
+	switch cell {
+	case "faults":
+		opts.Faults = yarn.RandomFaults(seed+1, opts.Cluster.Workers, 120_000, 90_000, 20_000)
+	case "degraded":
+		opts.LogDegrade = log4j.DegradeConfig{
+			DropProb:     0.05,
+			TruncateProb: 0.05,
+			TearProb:     0.05,
+			GarbageProb:  0.05,
+			SkewMaxMs:    2000,
+			Seed:         seed ^ 0xbeef,
+		}
+	}
+	return opts
+}
+
 // TestDiffOracleMatrix drives the differential harness over a
 // seed x fault-model x worker-count matrix: pristine runs (with
 // ground-truth span containment), node-crash runs, and degraded-log
 // runs. For every cell, parallel mining and parallel streaming must be
-// byte-identical to their serial counterparts, and the merged breakdown
+// byte-identical to their serial counterparts, and the breakdown
 // sketches must match exactly.
 func TestDiffOracleMatrix(t *testing.T) {
 	oracle := testkit.DiffOracle{Workers: []int{1, 2, 3, 4, 8}}
@@ -44,9 +67,7 @@ func TestDiffOracleMatrix(t *testing.T) {
 		seed := seed
 
 		t.Run(fmt.Sprintf("pristine/seed=%d", seed), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Seed = seed
-			s, rec := oracleScenario(t, opts, 3, true)
+			s, rec := oracleScenario(t, oracleOptions(seed, "pristine"), 3, true)
 			rep := oracle.Check(t, testkit.OracleInput{
 				Name:    fmt.Sprintf("pristine-%d", seed),
 				Sink:    s.Sink,
@@ -62,67 +83,65 @@ func TestDiffOracleMatrix(t *testing.T) {
 			}
 		})
 
-		t.Run(fmt.Sprintf("faults/seed=%d", seed), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Seed = seed
-			opts.Faults = yarn.RandomFaults(seed+1, opts.Cluster.Workers, 120_000, 90_000, 20_000)
-			s, _ := oracleScenario(t, opts, 3, false)
-			oracle.Check(t, testkit.OracleInput{
-				Name: fmt.Sprintf("faults-%d", seed),
-				Sink: s.Sink,
+		for _, cell := range []string{"faults", "degraded"} {
+			t.Run(fmt.Sprintf("%s/seed=%d", cell, seed), func(t *testing.T) {
+				s, _ := oracleScenario(t, oracleOptions(seed, cell), 3, false)
+				oracle.Check(t, testkit.OracleInput{
+					Name: fmt.Sprintf("%s-%d", cell, seed),
+					Sink: s.Sink,
+				})
 			})
-		})
-
-		t.Run(fmt.Sprintf("degraded/seed=%d", seed), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Seed = seed
-			opts.LogDegrade = log4j.DegradeConfig{
-				DropProb:     0.05,
-				TruncateProb: 0.05,
-				TearProb:     0.05,
-				GarbageProb:  0.05,
-				SkewMaxMs:    2000,
-				Seed:         seed ^ 0xbeef,
-			}
-			s, _ := oracleScenario(t, opts, 3, false)
-			oracle.Check(t, testkit.OracleInput{
-				Name: fmt.Sprintf("degraded-%d", seed),
-				Sink: s.Sink,
-			})
-		})
+		}
 	}
 }
 
-// TestOfflineEqualsLivePristine pins that, on pristine logs, the offline
-// checker and a serial stream fed the same files in order render the
-// same report JSON. Faulted and degraded logs can diverge: the offline
-// parser classifies a container's instance (and so its FIRST_LOG kind)
-// from all of the container's lines, the stream from its first line only.
+// TestOfflineEqualsLivePristine pins that the offline checker and the
+// live streams render the same report JSON on pristine, faulted and
+// degraded logs: a serial Stream, and ShardedStreams at 1, 2 and 4
+// workers, each fed the files whole in lexical order, as a restarted
+// -serve scan walks them. Live classifies a container from all of its
+// lines, as the offline parser does: a later line that changes the
+// instance rewrites the kept FIRST_LOG (TestStreamReclassifiesFirstLog).
 func TestOfflineEqualsLivePristine(t *testing.T) {
-	for _, seed := range []uint64{11, 23} {
-		opts := DefaultOptions()
-		opts.Seed = seed
-		s, _ := oracleScenario(t, opts, 3, false)
-		ck := core.New()
-		if err := ck.AddSink(s.Sink); err != nil {
-			t.Fatalf("seed=%d: AddSink: %v", seed, err)
-		}
-		offline, err := ck.Analyze().JSON()
-		if err != nil {
-			t.Fatalf("seed=%d: offline JSON: %v", seed, err)
-		}
-		st := core.NewStream()
-		for _, f := range s.Sink.Files() {
-			for _, l := range s.Sink.Lines(f) {
-				st.Feed(f, l)
-			}
-		}
-		live, err := st.Report().JSON()
-		if err != nil {
-			t.Fatalf("seed=%d: live JSON: %v", seed, err)
-		}
-		if offline != live {
-			t.Errorf("seed=%d: live stream report diverges from the offline checker", seed)
+	for _, cell := range []string{"pristine", "faults", "degraded"} {
+		for _, seed := range []uint64{5, 11, 17, 23, 29} {
+			t.Run(fmt.Sprintf("%s/seed=%d", cell, seed), func(t *testing.T) {
+				s, _ := oracleScenario(t, oracleOptions(seed, cell), 3, false)
+				ck := core.New()
+				if err := ck.AddSink(s.Sink); err != nil {
+					t.Fatalf("AddSink: %v", err)
+				}
+				offline, err := ck.Analyze().JSON()
+				if err != nil {
+					t.Fatalf("offline JSON: %v", err)
+				}
+				files := s.Sink.Files()
+				slices.Sort(files)
+				live := func(name string, feed func(source, raw string) bool, rep func() *core.Report) {
+					for _, f := range files {
+						for _, l := range s.Sink.Lines(f) {
+							feed(f, l)
+						}
+					}
+					got, err := rep().JSON()
+					if err != nil {
+						t.Fatalf("%s JSON: %v", name, err)
+					}
+					if got != offline {
+						t.Errorf("%s report diverges from the offline checker", name)
+					}
+				}
+				st := core.NewStream()
+				live("serial stream", st.Feed, st.Report)
+				for _, w := range []int{1, 2, 4} {
+					ss := core.NewShardedStream(w)
+					live(fmt.Sprintf("ShardedStream(workers=%d)", w), ss.Feed, func() *core.Report {
+						ss.Quiesce()
+						return ss.Report()
+					})
+					ss.Close()
+				}
+			})
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package testkit
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,10 +37,11 @@ type OracleInput struct {
 // pipeline: for each worker count it checks that MineSink renders byte
 // for byte what the serial Checker renders, that a ShardedStream fed
 // the sink's lines renders byte for byte what a serial Stream renders
-// (with losslessly merged breakdown sketches), that the byte-level fast
-// parser and the regexp reference (core.ParseReference) agree on every
-// file, and — when ground truth is supplied — that the mined spans are
-// contained in the simulator's recorded spans.
+// and hands its completion hook the same applications, which sketch to
+// the same breakdown, that the byte-level fast parser and the regexp
+// reference (core.ParseReference) agree on every file, and — when
+// ground truth is supplied — that the mined spans are contained in the
+// simulator's recorded spans.
 type DiffOracle struct {
 	// Workers are the parallel worker counts to diff (default 2, 3, 8).
 	Workers []int
@@ -70,10 +73,11 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 	}
 
 	// Reference: the serial stream, fed the sink's lines in file order,
-	// with a completion-hook breakdown sketch.
+	// with the applications its completion hook delivers sketched in
+	// application-ID order.
 	st := core.NewStream()
-	refBD := core.NewClusterBreakdown()
-	st.OnComplete(func(a *core.AppTrace) { refBD.Observe(a) })
+	var stHooked []*core.AppTrace
+	st.OnComplete(func(a *core.AppTrace) { stHooked = append(stHooked, a) })
 	for _, f := range in.Sink.Files() {
 		for _, l := range in.Sink.Lines(f) {
 			st.Feed(f, l)
@@ -83,6 +87,7 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 	if err != nil {
 		t.Fatalf("%s: serial stream JSON: %v", in.Name, err)
 	}
+	stApps, refBD := sketchBySeq(stHooked)
 	stAttr, err := refBD.AttributionJSON()
 	if err != nil {
 		t.Fatalf("%s: serial stream attribution JSON: %v", in.Name, err)
@@ -121,9 +126,12 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 			t.Errorf("%s: MineSink(workers=%d) attribution diverges from serial checker", in.Name, w)
 		}
 
-		// Parallel streaming == serial streaming, byte for byte, with a
-		// lossless sketch merge.
+		// Parallel streaming == serial streaming, byte for byte, and the
+		// completion hook delivers the same applications, whose sketch
+		// equals the serial one.
 		ss := core.NewShardedStream(w)
+		var ssHooked []*core.AppTrace
+		ss.OnComplete(func(a *core.AppTrace) { ssHooked = append(ssHooked, a) })
 		for _, f := range in.Sink.Files() {
 			for _, l := range in.Sink.Lines(f) {
 				ss.Feed(f, l)
@@ -137,10 +145,14 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 		if sgot != stJSON {
 			t.Errorf("%s: ShardedStream(workers=%d) diverges from serial stream", in.Name, w)
 		}
-		if !reflect.DeepEqual(ss.Breakdown().Rows(), refBD.Rows()) {
-			t.Errorf("%s: ShardedStream(workers=%d) merged breakdown diverges from serial hook sketch", in.Name, w)
+		gotApps, bd := sketchBySeq(ssHooked)
+		if !reflect.DeepEqual(gotApps, stApps) {
+			t.Errorf("%s: ShardedStream(workers=%d) hook delivered apps %v, serial stream %v", in.Name, w, gotApps, stApps)
 		}
-		if attr, err := ss.Breakdown().AttributionJSON(); err != nil {
+		if !reflect.DeepEqual(bd.Rows(), refBD.Rows()) {
+			t.Errorf("%s: ShardedStream(workers=%d) hook sketch diverges from serial hook sketch", in.Name, w)
+		}
+		if attr, err := bd.AttributionJSON(); err != nil {
 			t.Fatalf("%s: ShardedStream(workers=%d) attribution JSON: %v", in.Name, w, err)
 		} else if attr != stAttr {
 			t.Errorf("%s: ShardedStream(workers=%d) attribution diverges from serial stream", in.Name, w)
@@ -165,6 +177,24 @@ func (o DiffOracle) Check(t testing.TB, in OracleInput) *core.Report {
 		}
 	}
 	return ref
+}
+
+// sketchBySeq orders the traces a completion hook delivered by
+// submission sequence and returns their app IDs and a breakdown folded
+// in that order, so a sharded stream's hook order, which depends on
+// worker scheduling, does not reach the comparison.
+func sketchBySeq(traces []*core.AppTrace) ([]string, *core.ClusterBreakdown) {
+	sorted := slices.Clone(traces)
+	slices.SortFunc(sorted, func(a, b *core.AppTrace) int {
+		return cmp.Or(cmp.Compare(a.ID.Seq, b.ID.Seq), cmp.Compare(a.ID.ClusterTS, b.ID.ClusterTS))
+	})
+	apps := make([]string, len(sorted))
+	bd := core.NewClusterBreakdown()
+	for i, a := range sorted {
+		apps[i] = a.ID.String()
+		bd.Observe(a)
+	}
+	return apps, bd
 }
 
 // diffReference parses one file of the sink with the fast Parser and
