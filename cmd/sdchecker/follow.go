@@ -6,18 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 )
-
-// maxLineBytes is the longest line the tailer feeds, as for the offline
-// parser: a line of this many bytes or more is skipped.
-const maxLineBytes = 4 * 1024 * 1024
 
 // dirScanner tails a log directory tree into a sharded stream: each scan
 // feeds bytes appended since the previous one (and any newly created
@@ -41,38 +35,24 @@ func newDirScanner(dir string, st *core.ShardedStream) *dirScanner {
 	return &dirScanner{dir: dir, st: st, offsets: make(map[string]int64), skipping: make(map[string]bool), buf: make([]byte, 64*1024)}
 }
 
-// scan walks the tree once, feeding every new line. It reports whether
-// any line was fed (absorption is asynchronous — Quiesce and compare
-// EventCount to learn whether events were produced). One file's error
-// never stops the walk: a file or directory that vanished since it was
-// listed is skipped, and every other per-file error is joined into the
-// returned error once the walk is done.
+// scan walks the tree once with core.WalkTree, feeding every new line.
+// It reports whether any line was fed (absorption is asynchronous —
+// Quiesce and compare EventCount to learn whether events were produced).
+// One file's error never stops the walk: a file or directory that
+// vanished since it was listed is skipped, and every other per-file
+// error is joined into the returned error once the walk is done.
 func (s *dirScanner) scan() (changed bool, err error) {
 	t := s.pl.Begin()
 	fed := 0
-	var errs []error
-	werr := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			rel, rerr := filepath.Rel(s.dir, path)
-			if rerr != nil {
-				rel = path
-			}
-			var n int
-			n, err = s.drainFile(path, filepath.ToSlash(rel))
-			fed += n
-		}
-		if err != nil && path == s.dir {
-			return err // the tree itself is unreadable
-		}
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			errs = append(errs, err)
-		}
-		return nil
+	err = core.WalkTree(s.dir, func(name, path string) error {
+		n, err := s.drainFile(path, name)
+		fed += n
+		return err
 	})
 	if fed > 0 {
 		s.pl.StageBatch(obs.StageRead, -1, t, fed)
 	}
-	return fed > 0, errors.Join(append(errs, werr)...)
+	return fed > 0, err
 }
 
 // followDir is the live mode: it scans the log tree once, then polls for
@@ -108,10 +88,10 @@ func followDir(dir string, workers int) error {
 // terminators included. An unterminated tail — a line its writer has not
 // finished — is held back until its newline arrives. A CR before the
 // newline is dropped from the fed line, as bufio.ScanLines drops it. A
-// line of maxLineBytes or more is skipped, even while unfinished, so the
-// offset moves past what was read of it, and reported in the returned
-// error by the drain that meets it; the lines after it are fed. It
-// returns how many lines were fed.
+// line of core.MaxLineBytes or more is skipped, even while unfinished,
+// so the offset moves past what was read of it, and reported in the
+// returned error by the drain that meets it; the lines after it are
+// fed. It returns how many lines were fed.
 func (s *dirScanner) drainFile(path, rel string) (int, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -131,11 +111,11 @@ func (s *dirScanner) drainFile(path, rel string) (int, error) {
 	}
 	read, skip, skippedAt := off, s.skipping[rel], int64(-1)
 	sc := bufio.NewScanner(f)
-	sc.Buffer(s.buf[:0], maxLineBytes)
+	sc.Buffer(s.buf[:0], core.MaxLineBytes)
 	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
 		i := bytes.IndexByte(data, '\n')
 		switch {
-		case i < 0 && (skip || len(data) >= maxLineBytes):
+		case i < 0 && (skip || len(data) >= core.MaxLineBytes):
 			// Inside an over-long line: discard what is buffered of it.
 			if !skip {
 				skip, skippedAt = true, read
@@ -165,7 +145,7 @@ func (s *dirScanner) drainFile(path, rel string) (int, error) {
 		delete(s.skipping, rel)
 	}
 	if skippedAt >= 0 {
-		return fed, errors.Join(fmt.Errorf("%s: skipped a line of %d bytes or more at offset %d", rel, maxLineBytes, skippedAt), sc.Err())
+		return fed, errors.Join(fmt.Errorf("%s: skipped a line of %d bytes or more at offset %d", rel, core.MaxLineBytes, skippedAt), sc.Err())
 	}
 	return fed, sc.Err()
 }

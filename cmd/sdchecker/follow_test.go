@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,24 +191,13 @@ func TestDrainFilePartialLine(t *testing.T) {
 	}
 }
 
-// TestScanSkipsOverLongLine: a line of maxLineBytes or more neither
+// TestScanSkipsOverLongLine: a line of core.MaxLineBytes or more neither
 // stops the walk nor wedges later scans. The first scan reports the
 // skipped line and still feeds the file walked after it; the second
 // returns no error; lines appended after the long one are fed.
 func TestScanSkipsOverLongLine(t *testing.T) {
 	dir := t.TempDir()
-	for _, d := range []string{"a", "b"} {
-		if err := os.Mkdir(filepath.Join(dir, d), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	big := filepath.Join(dir, "a", "big.log")
-	appendRaw(t, big, strings.Repeat("x", 5<<20)+"\n")
-	submitted := func(seq int) string {
-		app := fmt.Sprintf("application_1499000000000_%04d", seq)
-		return mkLine(100, "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")
-	}
-	writeLines(t, filepath.Join(dir, "b", "rm.log"), submitted(1))
+	writeLongLineTree(t, dir)
 
 	st := core.NewShardedStream(1)
 	defer st.Close()
@@ -229,7 +217,7 @@ func TestScanSkipsOverLongLine(t *testing.T) {
 		t.Fatalf("offset %d, want %d (past the long line)", got, want)
 	}
 
-	writeLines(t, big, submitted(2))
+	writeLines(t, filepath.Join(dir, "a", "big.log"), mkLine(100, "x.RMAppImpl", "application_1499000000000_0002 State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"))
 	if _, err := sc.scan(); err != nil {
 		t.Fatalf("scan after append: %v", err)
 	}
@@ -294,8 +282,9 @@ func TestScanContinuesPastFileErrors(t *testing.T) {
 	}
 }
 
-// TestDrainFileLongLineBoundary: a line of maxLineBytes-1 bytes is fed,
-// one of maxLineBytes is skipped, as the offline parser draws the line.
+// TestDrainFileLongLineBoundary: a line of core.MaxLineBytes-1 bytes is
+// fed, one of core.MaxLineBytes is skipped, as the offline parser draws
+// the line.
 func TestDrainFileLongLineBoundary(t *testing.T) {
 	dir := t.TempDir()
 	rm := filepath.Join(dir, "rm.log")
@@ -303,14 +292,14 @@ func TestDrainFileLongLineBoundary(t *testing.T) {
 	defer st.Close()
 	sc := newDirScanner(dir, st)
 
-	appendRaw(t, rm, strings.Repeat("x", maxLineBytes-1)+"\n")
-	drainExpect(t, sc, rm, "rm.log", 1, maxLineBytes)
-	appendRaw(t, rm, strings.Repeat("x", maxLineBytes)+"\nshort\n")
+	appendRaw(t, rm, strings.Repeat("x", core.MaxLineBytes-1)+"\n")
+	drainExpect(t, sc, rm, "rm.log", 1, core.MaxLineBytes)
+	appendRaw(t, rm, strings.Repeat("x", core.MaxLineBytes)+"\nshort\n")
 	fed, err := sc.drainFile(rm, "rm.log")
 	if err == nil || fed != 1 {
 		t.Fatalf("drain: fed=%d err=%v, want the short line fed and the long one reported", fed, err)
 	}
-	if got, want := sc.offsets["rm.log"], int64(2*maxLineBytes+1+len("short\n")); got != want {
+	if got, want := sc.offsets["rm.log"], int64(2*core.MaxLineBytes+1+len("short\n")); got != want {
 		t.Fatalf("offset %d, want %d", got, want)
 	}
 }

@@ -186,6 +186,9 @@ func run(dir string, workers, graph, path, dot int, bugs, perApp, csv, jsonOut, 
 		fmt.Fprintf(os.Stderr, "sdchecker: %v\n", err)
 		os.Exit(1)
 	}
+	for _, w := range rep.Warnings {
+		fmt.Fprintf(os.Stderr, "sdchecker: warning: %s\n", w)
+	}
 
 	if htmlOut != "" {
 		html := rep.HTMLReport("SDchecker report: "+dir, 8)

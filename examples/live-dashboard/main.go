@@ -36,11 +36,27 @@ func main() {
 	stream := core.NewShardedStream(1)
 	defer stream.Close()
 	stream.Instrument(s.Metrics)
-	feeder := core.NewSinkFeeder(stream, s.Sink)
+	// drain feeds every sink line produced since the previous drain — the
+	// in-memory analogue of `sdchecker -follow` tailing files on disk —
+	// waits until the stream has absorbed them (Quiesce), and returns how
+	// many scheduling events the stream gained.
+	fed := make(map[string]int) // lines of each sink file already fed
+	drain := func() int {
+		before := stream.EventCount()
+		for _, file := range s.Sink.Files() {
+			lines := s.Sink.Lines(file)
+			for _, l := range lines[fed[file]:] {
+				stream.Feed(file, l)
+			}
+			fed[file] = len(lines)
+		}
+		stream.Quiesce()
+		return stream.EventCount() - before
+	}
 
 	// Completed decompositions roll into the SLO engine, exactly as
 	// `sdchecker -serve -slo rules.txt` wires them. The hook runs on the
-	// stream's worker; Drain's Quiesce orders it before the reads below. The tight rule is
+	// stream's worker; drain's Quiesce orders it before the reads below. The tight rule is
 	// meant to fire on any realistic run; watch it in the alert log.
 	rules, err := slo.ParseRules(strings.NewReader(
 		"demo-total-p95: p95(total) < 5s over 2m\n"))
@@ -52,7 +68,7 @@ func main() {
 
 	for slice := 1; slice <= 6; slice++ {
 		s.Eng.RunUntil(sim.Time(int64(slice) * 10_000))
-		events := feeder.Drain()
+		events := drain()
 		fmt.Printf("=== t=%2ds  (+%d scheduling events) ===\n", slice*10, events)
 		for _, a := range stream.Apps() {
 			status := "in-flight"
@@ -78,7 +94,7 @@ func main() {
 
 	// Drain and print the final aggregate — identical to an offline pass.
 	s.Run(sim.Time(3600 * sim.Second))
-	feeder.Drain()
+	drain()
 	fmt.Println("\nfinal aggregate from the stream:")
 	rep := stream.Report()
 	fmt.Printf("  %d apps, total p50=%.1fs p95=%.1fs, in/total=%.2f\n",

@@ -731,58 +731,56 @@ func fastAppInLine(raw string) (ids.AppID, bool) {
 	return ids.AppID{ClusterTS: cts, Seq: int(seq)}, true
 }
 
-// maxLineBytes is bufio.Scanner's token cap as the reference parser
-// configures it: a line of this many bytes or more is a scan error.
-const maxLineBytes = 4 * 1024 * 1024
+// MaxLineBytes is the longest log line SDchecker reads, offline and
+// live alike: a line of this many bytes or more, counting a trailing
+// '\r', is skipped, and the miner goes on with the next one.
+const MaxLineBytes = 4 * 1024 * 1024
 
-// segmentIter splits a raw feed exactly like the reference parser's
-// bufio.Scanner would: on '\n', one trailing '\r' dropped per segment,
-// no final empty segment after a trailing newline, and a segment of
-// maxLineBytes or more (measured before the '\r' drop, like the
-// scanner's buffered token) is the ErrTooLong case.
+// segmentIter splits a raw feed into lines: on '\n', one trailing '\r'
+// dropped per segment, no final empty segment after a trailing newline.
+// A segment of MaxLineBytes or more (measured before the '\r' drop) is
+// passed over and counted in skipped.
 type segmentIter struct {
-	raw   string
-	start int
+	raw     string
+	start   int
+	skipped int
 }
 
-func (it *segmentIter) next() (seg string, ok, tooLong bool) {
-	if it.start > len(it.raw) {
-		return "", false, false
-	}
-	nl := strings.IndexByte(it.raw[it.start:], '\n')
-	if nl < 0 {
-		if it.start == len(it.raw) {
-			it.start++
-			return "", false, false
+func (it *segmentIter) next() (string, bool) {
+	for it.start < len(it.raw) {
+		seg := it.raw[it.start:]
+		if nl := strings.IndexByte(seg, '\n'); nl >= 0 {
+			seg = seg[:nl]
+			it.start += nl + 1
+		} else {
+			it.start = len(it.raw)
 		}
-		seg = it.raw[it.start:]
-		it.start = len(it.raw) + 1
-	} else {
-		seg = it.raw[it.start : it.start+nl]
-		it.start += nl + 1
+		if len(seg) >= MaxLineBytes {
+			it.skipped++
+			continue
+		}
+		if len(seg) > 0 && seg[len(seg)-1] == '\r' {
+			seg = seg[:len(seg)-1]
+		}
+		return seg, true
 	}
-	if len(seg) >= maxLineBytes {
-		return "", false, true
+	return "", false
+}
+
+// warnSkipped records the lines of MaxLineBytes or more a feed of name
+// passed over, as one warning per feed.
+func (p *Parser) warnSkipped(name string, n int) {
+	if n > 0 {
+		p.warnf("%s: skipped %d line(s) of %d bytes or more", name, n, MaxLineBytes)
 	}
-	if len(seg) > 0 && seg[len(seg)-1] == '\r' {
-		seg = seg[:len(seg)-1]
-	}
-	return seg, true, false
 }
 
 // feedDaemonSegments mines raw's segments as daemon-log lines on the
 // fast matcher: no reader, no scanner buffer, no allocations on
-// non-matching lines. It reports false where the scanner would have
-// returned ErrTooLong, keeping the events mined before it.
-func (p *Parser) feedDaemonSegments(source, raw string) bool {
-	for it := (segmentIter{raw: raw}); ; {
-		seg, ok, tooLong := it.next()
-		if tooLong {
-			return false
-		}
-		if !ok {
-			return true
-		}
+// non-matching lines.
+func (p *Parser) feedDaemonSegments(source, raw string) {
+	it := segmentIter{raw: raw}
+	for seg, ok := it.next(); ok; seg, ok = it.next() {
 		p.lines++
 		line, lok := log4j.ParseLineFast(seg)
 		if !lok {
@@ -791,6 +789,7 @@ func (p *Parser) feedDaemonSegments(source, raw string) bool {
 		p.countLine()
 		p.mineDaemonLineFast(source, line)
 	}
+	p.warnSkipped(source, it.skipped)
 }
 
 // parseLine mines one live line from source (a container's stderr when
@@ -802,27 +801,14 @@ func (p *Parser) feedDaemonSegments(source, raw string) bool {
 // stream state is the absorbing Stream's (absorbRouted).
 func (p *Parser) parseLine(source, raw string) []Event {
 	p.events = p.events[:0]
-	if cid, found, err := fastFindContainerID(source); found {
-		if err != nil || !p.feedContainerSegments(source, cid, raw) {
-			return nil
-		}
-		return p.events
-	}
-	if !p.feedDaemonSegments(source, raw) {
-		return nil
+	cid, found, err := fastFindContainerID(source)
+	switch {
+	case !found:
+		p.feedDaemonSegments(source, raw)
+	case err == nil:
+		cs := p.beginContainerScan()
+		cs.feed(p, source, cid, raw)
+		cs.finish(p, source, cid)
 	}
 	return p.events
-}
-
-// feedContainerSegments mines raw as one container log's lines and
-// finishes the scan with its FIRST_LOG event. Where the scanner would
-// have returned ErrTooLong it drops the events it appended and reports
-// false.
-func (p *Parser) feedContainerSegments(source string, cid ids.ContainerID, raw string) bool {
-	cs := p.beginContainerScan()
-	if !cs.feed(p, source, cid, raw) {
-		return false
-	}
-	cs.finish(p, source, cid)
-	return true
 }

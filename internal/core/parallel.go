@@ -1,10 +1,10 @@
 package core
 
 import (
+	"errors"
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,19 +35,9 @@ type mineFile struct {
 // is byte-identical to the serial checker's regardless of worker count.
 func MineDir(dir string, workers int) (*Report, error) {
 	var files []mineFile
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return nil
-		}
-		rel, rerr := filepath.Rel(dir, path)
-		if rerr != nil {
-			rel = path
-		}
+	err := WalkTree(dir, func(name, path string) error {
 		files = append(files, mineFile{
-			name: filepath.ToSlash(rel),
+			name: name,
 			open: func() (io.Reader, error) { return os.Open(path) },
 		})
 		return nil
@@ -104,6 +94,9 @@ func mineFiles(files []mineFile, workers int) (*Report, error) {
 					return
 				}
 				r, err := files[i].open()
+				if errors.Is(err, fs.ErrNotExist) {
+					continue // vanished since the walk, as WalkTree skips it
+				}
 				if err != nil {
 					errs[i] = err
 					continue
@@ -120,16 +113,21 @@ func mineFiles(files []mineFile, workers int) (*Report, error) {
 	}
 	wg.Wait()
 
+	if err := errors.Join(errs...); err != nil {
+		// Every file's error in file order, as WalkTree joins them.
+		return nil, err
+	}
 	total := 0
-	for i, p := range parsers {
-		if errs[i] != nil {
-			// First error in file order, like the serial walk surfaces.
-			return nil, errs[i]
+	for _, p := range parsers {
+		if p != nil {
+			total += len(p.events)
 		}
-		total += len(p.events)
 	}
 	merged := &Parser{events: make([]Event, 0, total)}
 	for _, p := range parsers {
+		if p == nil {
+			continue
+		}
 		merged.events = append(merged.events, p.events...)
 		merged.files += p.files
 		merged.lines += p.lines

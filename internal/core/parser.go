@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -205,14 +205,9 @@ func (p *Parser) warnf(format string, args ...any) {
 // FIRST_LOG event of Table I.
 //
 // Either kind is read once into one blob and walked with the segment
-// feeders the live stream uses. The walk splits exactly like the
-// bufio.Scanner the reference parser uses, on errors too: the scanner
-// splits whatever it buffered (including a partial tail) with atEOF=true
-// once the reader errors, which is exactly a segment walk over the bytes
-// the read gathered; and a segment at the 4 MiB buffer cap surfaces as
-// the scanner's ErrTooLong before any read error, matching the
-// buffer-full case. After a read error a daemon log keeps what it mined
-// and a container log yields no events, as with the scanner.
+// feeders the live stream uses. A line of MaxLineBytes or more is
+// skipped with a warning. After a read error a daemon log keeps what it
+// mined from the bytes read and a container log yields no events.
 func (p *Parser) ParseReader(name string, r io.Reader) error {
 	p.files++
 	cid, isContainer, err := fastFindContainerID(name)
@@ -226,15 +221,11 @@ func (p *Parser) ParseReader(name string, r io.Reader) error {
 	p.cloneMined = true
 	defer func() { p.cloneMined = false }()
 	if !isContainer {
-		if !p.feedDaemonSegments(name, blob) {
-			return bufio.ErrTooLong
-		}
+		p.feedDaemonSegments(name, blob)
 		return rerr
 	}
 	cs := p.beginContainerScan()
-	if !cs.feed(p, name, cid, blob) {
-		return bufio.ErrTooLong
-	}
+	cs.feed(p, name, cid, blob)
 	if rerr != nil {
 		p.events = p.events[:cs.bodyStart] // a failed read yields no events
 		return rerr
@@ -243,37 +234,45 @@ func (p *Parser) ParseReader(name string, r io.Reader) error {
 	return nil
 }
 
-// ParseSink consumes every file of an in-memory sink.
-func (p *Parser) ParseSink(s *log4j.Sink) error {
-	for _, f := range s.Files() {
-		if err := p.ParseReader(f, s.Reader(f)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ParseDir walks a log directory tree (as written by Sink.WriteDir or
-// collected from a real cluster) and consumes every regular file.
+// collected from a real cluster) with WalkTree and consumes every file.
 func (p *Parser) ParseDir(dir string) error {
-	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return nil
-		}
+	return WalkTree(dir, func(name, path string) error {
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		rel, rerr := filepath.Rel(dir, path)
-		if rerr != nil {
-			rel = path
-		}
-		return p.ParseReader(filepath.ToSlash(rel), f)
+		return p.ParseReader(name, f)
 	})
+}
+
+// WalkTree visits every entry of the log tree at dir that is not a
+// directory, in lexical order, passing its slash-separated name
+// relative to dir and its path. It is the one walk the offline miner
+// and the live tailer share. An unreadable root is returned at once. An
+// entry that vanished since it was listed is skipped, whether the walk
+// or visit meets its fs.ErrNotExist. Every other error is joined into
+// the returned error once the whole tree has been walked.
+func WalkTree(dir string, visit func(name, path string) error) error {
+	var errs []error
+	werr := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, rerr := filepath.Rel(dir, path)
+			if rerr != nil {
+				rel = path
+			}
+			err = visit(filepath.ToSlash(rel), path)
+		}
+		if err != nil && path == dir {
+			return err
+		}
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			errs = append(errs, err)
+		}
+		return nil
+	})
+	return errors.Join(append(errs, werr)...)
 }
 
 // copyBufSize is the chunk size of Parser.copyBuf.
@@ -485,24 +484,16 @@ func (p *Parser) beginContainerScan() containerScan {
 	return containerScan{bodyStart: len(p.events), instance: InstUnknown}
 }
 
-// feed walks raw's segments as container-log lines. Where the scanner
-// would have returned ErrTooLong it drops the scan's events and reports
-// false.
-func (cs *containerScan) feed(p *Parser, name string, cid ids.ContainerID, raw string) bool {
-	for it := (segmentIter{raw: raw}); ; {
-		seg, ok, tooLong := it.next()
-		if tooLong {
-			p.events = p.events[:cs.bodyStart]
-			return false
-		}
-		if !ok {
-			return true
-		}
+// feed walks raw's segments as container-log lines.
+func (cs *containerScan) feed(p *Parser, name string, cid ids.ContainerID, raw string) {
+	it := segmentIter{raw: raw}
+	for seg, ok := it.next(); ok; seg, ok = it.next() {
 		p.lines++
 		if line, lok := log4j.ParseLineFast(seg); lok {
 			cs.line(p, name, cid, line)
 		}
 	}
+	p.warnSkipped(name, it.skipped)
 }
 
 // line mines one parsed container-log line.

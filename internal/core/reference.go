@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -39,29 +38,49 @@ func ParseReference(name string, r io.Reader, reg *metrics.Registry) (*Parser, e
 		}
 		return p, p.parseContainerLogRegex(name, cid, r)
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
+	lines, skipped, err := referenceLines(r)
+	for _, l := range lines {
 		p.lines++
-		line, err := log4j.ParseLine(sc.Text())
-		if err != nil {
+		line, lerr := log4j.ParseLine(l)
+		if lerr != nil {
 			continue // stack traces / malformed lines are skipped
 		}
 		p.countLine()
 		p.mineDaemonLineRegex(name, line)
 	}
-	return p, sc.Err()
+	p.warnSkipped(name, skipped)
+	return p, err
+}
+
+// referenceLines reads r to its end or its first error and splits what
+// was read into lines on its own, apart from segmentIter: split on
+// '\n', with no empty line after a final newline, and one trailing '\r'
+// dropped. A line of MaxLineBytes or more, counting that '\r', is left
+// out and counted in skipped.
+func referenceLines(r io.Reader) (lines []string, skipped int, err error) {
+	data, err := io.ReadAll(r)
+	parts := strings.Split(string(data), "\n")
+	if parts[len(parts)-1] == "" {
+		parts = parts[:len(parts)-1]
+	}
+	for _, l := range parts {
+		if len(l) >= MaxLineBytes {
+			skipped++
+			continue
+		}
+		lines = append(lines, strings.TrimSuffix(l, "\r"))
+	}
+	return lines, skipped, err
 }
 
 // parseContainerLogRegex is parseContainerLog on the body regexes.
 func (p *Parser) parseContainerLogRegex(name string, cid ids.ContainerID, r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	lines, skipped, err := referenceLines(r)
 	cs := p.beginContainerScan()
-	for sc.Scan() {
+	for _, l := range lines {
 		p.lines++
-		line, err := log4j.ParseLine(sc.Text())
-		if err != nil {
+		line, lerr := log4j.ParseLine(l)
+		if lerr != nil {
 			continue
 		}
 		cs.observe(p, line)
@@ -85,8 +104,9 @@ func (p *Parser) parseContainerLogRegex(name string, cid ids.ContainerID, r io.R
 		}
 		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: line.Message})
 	}
-	if err := sc.Err(); err != nil {
-		p.events = p.events[:cs.bodyStart] // a failed scan yields no events
+	p.warnSkipped(name, skipped)
+	if err != nil {
+		p.events = p.events[:cs.bodyStart] // a failed read yields no events
 		return err
 	}
 	cs.finish(p, name, cid)

@@ -27,7 +27,12 @@ func (c *Checker) AddReader(name string, r io.Reader) error {
 
 // AddSink feeds every file of an in-memory log sink.
 func (c *Checker) AddSink(s *log4j.Sink) error {
-	return c.parser.ParseSink(s)
+	for _, f := range s.Files() {
+		if err := c.parser.ParseReader(f, s.Reader(f)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AddDir feeds a log directory tree.

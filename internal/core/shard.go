@@ -502,7 +502,8 @@ func (ss *ShardedStream) Complete(id ids.AppID) bool {
 	sh := ss.shards[ss.shardOf(id)]
 	sh.stMu.Lock()
 	defer sh.stMu.Unlock()
-	return sh.st.completed[id]
+	b := sh.st.apps[id]
+	return b != nil && b.completed
 }
 
 // Apps returns the live traces across all shards ordered by submission
@@ -549,8 +550,8 @@ func (ss *ShardedStream) EvictCompleted(keep int) int {
 	var done []ids.AppID
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()
-		for id, c := range sh.st.completed {
-			if c {
+		for id, b := range sh.st.apps {
+			if b.completed {
 				done = append(done, id)
 			}
 		}

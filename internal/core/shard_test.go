@@ -119,7 +119,7 @@ func diffShardedSerial(t *testing.T, lines []shardLine, w int) {
 		if pApps[i].ID != id {
 			t.Fatalf("workers=%d: app %d = %v, serial %v", w, i, pApps[i].ID, id)
 		}
-		if got, want := ss.Complete(id), st.completed[id]; got != want {
+		if got, want := ss.Complete(id), st.apps[id].completed; got != want {
 			t.Errorf("workers=%d: Complete(%v)=%v serial=%v", w, id, got, want)
 		}
 		if ss.App(id) == nil {

@@ -25,20 +25,13 @@ type Stream struct {
 	// snapshot it on read.
 	apps  map[ids.AppID]*traceBuilder
 	total int
-	// completed caches which apps have a fully observable headline
-	// decomposition (the Complete predicate), feeding the in-flight /
-	// completed gauges and the eviction policy; nCompleted counts its
-	// true entries so the gauges cost O(1) to refresh.
-	completed  map[ids.AppID]bool
+	// nCompleted counts the builders whose completed flag is set, so the
+	// in-flight / completed gauges cost O(1) to refresh.
 	nCompleted int
 	// dirty lists the builders the absorb in progress must refresh: the
 	// apps its events touched, plus any whose kept FIRST_LOG a later
 	// line reclassified (takeFirstLog).
-	dirty []*traceBuilder
-	// notified tracks apps whose completion hook already fired, so each
-	// application is delivered downstream exactly once even if later
-	// lines flip its Complete flag back and forth.
-	notified   map[ids.AppID]bool
+	dirty      []*traceBuilder
 	onComplete func(*AppTrace)
 	// lastMS is the max event timestamp absorbed — the stream's event
 	// clock, which downstream SLO evaluation advances on.
@@ -54,11 +47,7 @@ type Stream struct {
 
 // NewStream returns an empty incremental checker.
 func NewStream() *Stream {
-	return &Stream{
-		apps:      make(map[ids.AppID]*traceBuilder),
-		completed: make(map[ids.AppID]bool),
-		notified:  make(map[ids.AppID]bool),
-	}
+	return &Stream{apps: make(map[ids.AppID]*traceBuilder)}
 }
 
 // OnComplete registers a hook called the first time an application's
@@ -178,16 +167,16 @@ func (s *Stream) absorb(evs []Event) {
 	for _, b := range dirty {
 		a := b.refresh()
 		done := a.Decomp.Complete
-		if done != s.completed[a.ID] {
+		if done != b.completed {
 			if done {
 				s.nCompleted++
 			} else {
 				s.nCompleted--
 			}
+			b.completed = done
 		}
-		s.completed[a.ID] = done
-		if done && !s.notified[a.ID] {
-			s.notified[a.ID] = true
+		if done && !b.notified {
+			b.notified = true
 			if s.onComplete != nil {
 				s.pl.RecordHook(a.ID.String())
 				s.onComplete(b.snapshot())
@@ -244,7 +233,8 @@ func liveReport(apps []*AppTrace) *Report {
 }
 
 // forget drops all state for one application: its trace builder (trace,
-// events and its containers' FIRST_LOG dedup entries). Long-running
+// events, its containers' FIRST_LOG dedup entries and its completion
+// flags). Long-running
 // feeds (sdchecker -serve) forget finished apps so memory tracks the
 // live working set, not the full history.
 func (s *Stream) forget(id ids.AppID) {
@@ -253,12 +243,10 @@ func (s *Stream) forget(id ids.AppID) {
 		return
 	}
 	s.total -= len(b.events)
-	if s.completed[id] {
+	if b.completed {
 		s.nCompleted--
 	}
 	delete(s.apps, id)
-	delete(s.completed, id)
-	delete(s.notified, id)
 	s.pl.RecordEvict(id.String())
 }
 

@@ -75,7 +75,7 @@ func TestStreamIncrementalCompleteness(t *testing.T) {
 	for _, l := range cs["hadoop/yarn-resourcemanager.log"] {
 		s.Feed("hadoop/yarn-resourcemanager.log", l)
 	}
-	if s.completed[app] {
+	if s.apps[app].completed {
 		t.Fatal("complete without any container logs")
 	}
 	// Add the remaining files: now complete.
@@ -87,7 +87,7 @@ func TestStreamIncrementalCompleteness(t *testing.T) {
 			s.Feed(src, l)
 		}
 	}
-	if !s.completed[app] {
+	if !s.apps[app].completed {
 		t.Fatalf("still incomplete after all logs: %+v", s.trace(app).Decomp)
 	}
 }

@@ -251,6 +251,13 @@ type traceBuilder struct {
 	// FIRST_LOG was already absorbed, folded over every FIRST_LOG its
 	// lines produced since (see Stream.takeFirstLog); nil offline.
 	instances map[ids.ContainerID]InstanceType
+	// completed caches whether the working trace's headline
+	// decomposition is fully observable (the Complete predicate) as of
+	// the last live refresh, feeding the in-flight / completed gauges and
+	// the eviction policy. notified is set once the completion hook has
+	// fired, so the app is delivered downstream exactly once even if
+	// later lines flip completed back and forth.
+	completed, notified bool
 }
 
 func newTraceBuilder(id ids.AppID) *traceBuilder {
