@@ -1,12 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -15,7 +15,8 @@ import (
 
 // dirScanner tails a log directory tree into a sharded stream: each scan
 // feeds bytes appended since the previous one (and any newly created
-// files). It is the shared ingestion engine of -follow and -serve.
+// files), one FeedBlock per read. It is the shared ingestion engine of
+// -follow and -serve.
 type dirScanner struct {
 	dir     string
 	st      *core.ShardedStream
@@ -26,13 +27,18 @@ type dirScanner struct {
 	// pl, when set, times each scan's read phase (walk + drain) as one
 	// StageRead batch — per scan, never per line.
 	pl *obs.Pipeline
-	// buf is the line scanner buffer every drainFile reuses; sc.Text
-	// copies each line out of it.
+	// buf is the read buffer every drainFile reuses. It starts at
+	// drainChunk and grows, up to core.MaxLineBytes, only to hold a
+	// longer unfinished line; FeedBlock gets a copy of what it holds.
 	buf []byte
 }
 
+// drainChunk is how much drainFile reads at a time until a line longer
+// than that makes it read more.
+const drainChunk = 1 << 20
+
 func newDirScanner(dir string, st *core.ShardedStream) *dirScanner {
-	return &dirScanner{dir: dir, st: st, offsets: make(map[string]int64), skipping: make(map[string]bool), buf: make([]byte, 64*1024)}
+	return &dirScanner{dir: dir, st: st, offsets: make(map[string]int64), skipping: make(map[string]bool), buf: make([]byte, drainChunk)}
 }
 
 // scan walks the tree once with core.WalkTree, feeding every new line.
@@ -85,20 +91,29 @@ func followDir(dir string, workers int) error {
 
 // drainFile feeds every complete line appended since the recorded
 // offset and advances the offset by the bytes those lines take, line
-// terminators included. An unterminated tail — a line its writer has not
-// finished — is held back until its newline arrives. A CR before the
-// newline is dropped from the fed line, as bufio.ScanLines drops it. A
-// line of core.MaxLineBytes or more is skipped, even while unfinished,
-// so the offset moves past what was read of it, and reported in the
-// returned error by the drain that meets it; the lines after it are
-// fed. It returns how many lines were fed.
+// terminators included. It reads from the offset up to the size it
+// stats, in chunks, and hands each chunk's complete lines to FeedBlock
+// at once. An unterminated tail — a line its writer has not finished —
+// is held back until its newline arrives. A CR before the newline is
+// dropped from the fed line, as the offline parser drops it. A line of
+// core.MaxLineBytes or more is skipped, even while unfinished, so the
+// offset moves past what was read of it, and reported in the returned
+// error by the drain that meets it; the lines after it are fed. A file
+// smaller than its offset was truncated in place (copytruncate
+// rotation) and is fed again from its start. It returns how many lines
+// were fed.
 func (s *dirScanner) drainFile(path, rel string) (int, error) {
 	info, err := os.Stat(path)
 	if err != nil {
 		return 0, err
 	}
-	off := s.offsets[rel]
-	if info.Size() <= off {
+	off, size := s.offsets[rel], info.Size()
+	if size < off {
+		off = 0
+		s.offsets[rel] = 0
+		delete(s.skipping, rel)
+	}
+	if size == off {
 		return 0, nil
 	}
 	f, err := os.Open(path)
@@ -106,46 +121,55 @@ func (s *dirScanner) drainFile(path, rel string) (int, error) {
 		return 0, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return 0, err
-	}
-	read, skip, skippedAt := off, s.skipping[rel], int64(-1)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(s.buf[:0], core.MaxLineBytes)
-	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
-		i := bytes.IndexByte(data, '\n')
-		switch {
-		case i < 0 && (skip || len(data) >= core.MaxLineBytes):
-			// Inside an over-long line: discard what is buffered of it.
-			if !skip {
-				skip, skippedAt = true, read
-			}
-			read += int64(len(data))
-			return len(data), nil, nil
-		case i < 0:
-			return 0, nil, nil // no newline yet: ask for more, or stop at EOF
+	skip, skippedAt := s.skipping[rel], int64(-1)
+	fed, n := 0, 0 // s.buf[:n] holds the bytes read from off on
+	for err == nil && off+int64(n) < size {
+		if n == len(s.buf) {
+			// An unfinished line fills the buffer: make room for more of
+			// it, up to the longest line that is fed.
+			grow := min(n, core.MaxLineBytes-n)
+			s.buf = slices.Grow(s.buf, grow)[:n+grow]
 		}
-		read += int64(i) + 1
+		want := int(min(int64(len(s.buf)-n), size-off-int64(n)))
+		var m int
+		m, err = f.ReadAt(s.buf[n:n+want], off+int64(n))
+		n += m
 		if skip {
+			// Inside an over-long line: discard through its newline.
+			i := bytes.IndexByte(s.buf[:n], '\n')
+			if i < 0 {
+				off, n = off+int64(n), 0
+				continue
+			}
 			skip = false
-			return i + 1, nil, nil // the over-long line's end
+			off, n = off+int64(i)+1, copy(s.buf, s.buf[i+1:n])
 		}
-		return i + 1, bytes.TrimSuffix(data[:i], []byte{'\r'}), nil
-	})
-	fed := 0
-	for sc.Scan() {
-		if s.st.Feed(rel, sc.Text()) {
-			fed++
+		if last := bytes.LastIndexByte(s.buf[:n], '\n'); last >= 0 {
+			// The buffer never holds MaxLineBytes bytes before a newline,
+			// so FeedBlock skips nothing here.
+			k, _ := s.st.FeedBlock(rel, string(s.buf[:last+1]))
+			fed += k
+			off, n = off+int64(last)+1, copy(s.buf, s.buf[last+1:n])
+		}
+		if n == core.MaxLineBytes {
+			skip = true
+			if skippedAt < 0 {
+				skippedAt = off
+			}
+			off, n = off+int64(n), 0
 		}
 	}
-	s.offsets[rel] = read
+	if err == io.EOF {
+		err = nil // the file shrank since the Stat; the next drain sees it
+	}
+	s.offsets[rel] = off
 	if skip {
 		s.skipping[rel] = true
 	} else {
 		delete(s.skipping, rel)
 	}
 	if skippedAt >= 0 {
-		return fed, errors.Join(fmt.Errorf("%s: skipped a line of %d bytes or more at offset %d", rel, core.MaxLineBytes, skippedAt), sc.Err())
+		return fed, errors.Join(fmt.Errorf("%s: skipped a line of %d bytes or more at offset %d", rel, core.MaxLineBytes, skippedAt), err)
 	}
-	return fed, sc.Err()
+	return fed, err
 }

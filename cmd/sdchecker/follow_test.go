@@ -1,12 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ids"
 	"repro/internal/log4j"
 )
 
@@ -302,4 +305,135 @@ func TestDrainFileLongLineBoundary(t *testing.T) {
 	if got, want := sc.offsets["rm.log"], int64(2*core.MaxLineBytes+1+len("short\n")); got != want {
 		t.Fatalf("offset %d, want %d", got, want)
 	}
+}
+
+// TestScanRefeedsAfterTruncate: a file truncated in place
+// (copytruncate rotation) and written again with fewer bytes than the
+// recorded offset is fed from its start on the next scan, not skipped
+// until it grows past the old offset.
+func TestScanRefeedsAfterTruncate(t *testing.T) {
+	dir := t.TempDir()
+	rm := filepath.Join(dir, "rm.log")
+	st := core.NewShardedStream(1)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
+
+	submitted := func(seq int) string {
+		return mkLine(int64(seq)*100, "x.RMAppImpl", fmt.Sprintf("application_1499000000000_%04d State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED", seq))
+	}
+	writeLines(t, rm, submitted(1), submitted(2), submitted(3))
+	if _, err := sc.scan(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(rm, 0); err != nil {
+		t.Fatal(err)
+	}
+	l := submitted(4)
+	writeLines(t, rm, l)
+	if changed, err := sc.scan(); err != nil || !changed {
+		t.Fatalf("scan after truncate: changed=%v err=%v, want the new line fed", changed, err)
+	}
+	if got, want := sc.offsets["rm.log"], int64(len(l)+1); got != want {
+		t.Fatalf("offset %d, want %d", got, want)
+	}
+	st.Quiesce()
+	if n := st.EventCount(); n != 4 {
+		t.Fatalf("events=%d, want 4", n)
+	}
+	if a := st.App(ids.AppID{ClusterTS: 1499000000000, Seq: 4}); a == nil || a.Submitted != 1499000000400 {
+		t.Fatalf("app 0004 after truncate: %+v", a)
+	}
+}
+
+// FuzzDrainFile appends content to a file in pieces, draining it after
+// each append, and checks the drains against the offline split of the
+// final content's complete lines: split on '\n', one CR dropped, a line
+// of core.MaxLineBytes or more skipped. The lines fed must be as many as
+// that split gives and build the same report as feeding its lines one
+// by one, and the offset must end at the last newline, or past an
+// unfinished tail of core.MaxLineBytes or more. long, when long%4 is
+// nonzero, inserts a run of 'x' that puts the line it joins near the
+// cap or past it; cuts places the piece boundaries as fractions of the
+// content.
+func FuzzDrainFile(f *testing.F) {
+	sub := mkLine(100, "x.RMAppImpl", "application_1499000000000_0001 State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")
+	reg := mkLine(5000, "x.RMAppImpl", "application_1499000000000_0001 State change from ACCEPTED to RUNNING on event = ATTEMPT_REGISTERED")
+	f.Add([]byte(sub+"\n"+reg+"\n"), []byte{100}, uint8(0))
+	f.Add([]byte(sub+"\r\n"+reg+"\r\n"), []byte{7, 200, 90}, uint8(0))
+	f.Add([]byte(sub+"\n"+reg), []byte{128, 250}, uint8(0))
+	f.Add([]byte("\n\n"+sub+"\n"+reg+"\n"), []byte{1, 2, 254}, uint8(4*1+1))
+	f.Add([]byte("\n"+sub+"\n"+reg+"\n"), []byte{30, 31}, uint8(4*1+2))
+	f.Add([]byte("\n\r\n"+reg+"\n"), []byte{128}, uint8(4*1+3))
+	f.Add([]byte(sub+"\n"), []byte{10, 20, 240}, uint8(4*20+2))
+	f.Add([]byte("\n"+sub+"\n"+reg+"\n"), []byte{180, 200, 230}, uint8(4*1+3))
+	f.Fuzz(func(t *testing.T, content, cuts []byte, long uint8) {
+		data := string(content)
+		if k := int(long % 4); k > 0 {
+			// A run one or two bytes short of the cap, which the bytes it
+			// joins may take to it or past it, or one well past it, which
+			// a piece boundary may leave unfinished past the cap.
+			run := []int{core.MaxLineBytes - 2, core.MaxLineBytes - 1, core.MaxLineBytes * 3 / 2}[k-1]
+			at := int(long/4) % (len(data) + 1)
+			data = data[:at] + strings.Repeat("x", run) + data[at:]
+		}
+		ends := []int{len(data)}
+		for _, c := range cuts[:min(len(cuts), 16)] {
+			ends = append(ends, int(c)*len(data)/255)
+		}
+		slices.Sort(ends)
+
+		dir := t.TempDir()
+		path := filepath.Join(dir, "rm.log")
+		st := core.NewShardedStream(1)
+		defer st.Close()
+		sc := newDirScanner(dir, st)
+		fed, written := 0, 0
+		for _, end := range ends {
+			appendRaw(t, path, data[written:end])
+			written = end
+			n, err := sc.drainFile(path, "rm.log")
+			if err != nil && !strings.Contains(err.Error(), "skipped a line") {
+				t.Fatalf("drain: %v", err)
+			}
+			fed += n
+		}
+
+		last := strings.LastIndexByte(data, '\n')
+		var want []string
+		if last >= 0 {
+			for _, seg := range strings.Split(data[:last], "\n") {
+				if len(seg) < core.MaxLineBytes {
+					want = append(want, strings.TrimSuffix(seg, "\r"))
+				}
+			}
+		}
+		wantOff := int64(last + 1)
+		if len(data)-(last+1) >= core.MaxLineBytes {
+			wantOff = int64(len(data))
+		}
+		if got := sc.offsets["rm.log"]; got != wantOff {
+			t.Fatalf("offset %d, want %d", got, wantOff)
+		}
+		if fed != len(want) {
+			t.Fatalf("fed %d lines, want %d", fed, len(want))
+		}
+		ref := core.NewShardedStream(1)
+		defer ref.Close()
+		for _, l := range want {
+			ref.Feed("rm.log", l)
+		}
+		st.Quiesce()
+		ref.Quiesce()
+		got, err := st.Report().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := ref.Report().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.EventCount() != ref.EventCount() || got != exp {
+			t.Fatalf("drained report differs from the split's:\n%s\nwant:\n%s", got, exp)
+		}
+	})
 }

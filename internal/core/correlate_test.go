@@ -24,7 +24,7 @@ func correlateWholeList(events []Event) []*AppTrace {
 			b = newTraceBuilder(e.App)
 			builders[e.App] = b
 		}
-		b.add(e)
+		b.absorb(e)
 	}
 	out := make([]*AppTrace, 0, len(builders))
 	for _, b := range builders {

@@ -132,8 +132,8 @@ func Decompose(a *AppTrace) *Decomposition {
 		}
 	}
 
-	// Per-container components. A live stream decomposes on every absorbed
-	// line, so each slice is allocated once, sized for every container.
+	// Per-container components, each slice allocated once, sized for
+	// every container.
 	n := len(a.Containers)
 	for _, c := range a.Containers {
 		id := c.idString()
@@ -152,9 +152,39 @@ func Decompose(a *AppTrace) *Decomposition {
 	}
 
 	d.Anomalies = findAnomalies(a, firstTask)
-	d.Complete = d.Total >= 0 && d.AM >= 0 && d.Driver >= 0 && d.Executor >= 0 &&
-		len(d.Anomalies) == 0
+	d.Complete = complete(a)
 	return d
+}
+
+// complete is the Complete predicate, evaluated without building a
+// decomposition: Total, AM, Driver and Executor are all present and
+// findAnomalies would find nothing. Those four delays rest on every
+// headline observation findAnomalies checks for, so what is left to
+// test is lost containers and out-of-order pairs. It allocates nothing,
+// so a live stream evaluates it after every absorb and decomposes only
+// on read.
+func complete(a *AppTrace) bool {
+	am := a.AMContainer()
+	if am == nil || diff(a.Registered, a.Submitted) < 0 || diff(a.DriverRegister, am.FirstLog) < 0 {
+		return false
+	}
+	var firstTask, firstExecLog int64
+	for _, c := range a.Containers {
+		if c.Lost > 0 {
+			return false
+		}
+		if c.IsAM() {
+			continue
+		}
+		if c.FirstTask > 0 && (firstTask == 0 || c.FirstTask < firstTask) {
+			firstTask = c.FirstTask
+		}
+		if c.FirstLog > 0 && (firstExecLog == 0 || c.FirstLog < firstExecLog) {
+			firstExecLog = c.FirstLog
+		}
+	}
+	return diff(firstTask, a.Submitted) >= 0 && diff(firstTask, firstExecLog) >= 0 &&
+		countOrderViolations(a) == 0
 }
 
 // appendDelay appends cd to s, allocating s with capacity n on first use

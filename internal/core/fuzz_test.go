@@ -10,32 +10,39 @@ import (
 	"repro/internal/metrics"
 )
 
-// seedCorpus adds every checked-in testdata/corpus file — real simulator
-// output, including degraded (torn/truncated/skewed) variants regenerated
-// by cmd/gencorpus — as a fuzz seed.
+// seedCorpus adds every seedInputs input as a fuzz seed.
 func seedCorpus(f *testing.F) {
+	for _, data := range seedInputs(f) {
+		f.Add(data)
+	}
+}
+
+// seedInputs returns every checked-in testdata/corpus file — real
+// simulator output, including degraded (torn/truncated/skewed) variants
+// regenerated by cmd/gencorpus — and hand-picked adversarial shapes on
+// top of the real logs.
+func seedInputs(tb testing.TB) [][]byte {
 	dir := filepath.Join("testdata", "corpus")
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		f.Fatalf("reading seed corpus: %v", err)
+		tb.Fatalf("reading seed corpus: %v", err)
 	}
-	n := 0
+	var out [][]byte
 	for _, e := range ents {
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			f.Fatalf("reading seed %s: %v", e.Name(), err)
+			tb.Fatalf("reading seed %s: %v", e.Name(), err)
 		}
-		f.Add(data)
-		n++
+		out = append(out, data)
 	}
-	if n == 0 {
-		f.Fatal("empty seed corpus; run `go run ./cmd/gencorpus`")
+	if len(out) == 0 {
+		tb.Fatal("empty seed corpus; run `go run ./cmd/gencorpus`")
 	}
-	// Hand-picked adversarial shapes on top of the real logs.
-	f.Add([]byte("2017-07-02 12:53:22,505 INFO org.apache.x.Y: Container container_1499000000000_0001_01_000002 transitioned from NEW to LOCALIZING"))
-	f.Add([]byte("garbage\n\x00\xff\n2017-07-02 99:99:99,999 INFO x: y"))
-	f.Add([]byte("2017-07-02 12:53:22,505 INFO a: application_1_2 submitted: name= type= queue="))
-	f.Add([]byte(strings.Repeat("no timestamp here\n", 40)))
+	return append(out,
+		[]byte("2017-07-02 12:53:22,505 INFO org.apache.x.Y: Container container_1499000000000_0001_01_000002 transitioned from NEW to LOCALIZING"),
+		[]byte("garbage\n\x00\xff\n2017-07-02 99:99:99,999 INFO x: y"),
+		[]byte("2017-07-02 12:53:22,505 INFO a: application_1_2 submitted: name= type= queue="),
+		[]byte(strings.Repeat("no timestamp here\n", 40)))
 }
 
 // seedCorpusWorkers is seedCorpus for the two-argument stream fuzz

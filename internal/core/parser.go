@@ -26,9 +26,10 @@ type Parser struct {
 	met    *parserMetrics
 
 	// cloneMined is set while mining lines sliced from a whole-file
-	// blob: the fast miner then clones what each emitted event keeps, so
-	// events do not pin the blob. Streams feed caller-owned line strings
-	// and leave it false.
+	// blob, and always on a ShardedStream worker's parser, whose lines
+	// may be slices of a FeedBlock block: the fast miner then clones what
+	// each emitted event keeps, so events do not pin the blob. A serial
+	// Stream feeds caller-owned line strings and leaves it false.
 	cloneMined bool
 
 	// copyBuf is the chunk buffer readBlob copies unsized readers

@@ -18,15 +18,16 @@ import (
 // twin, fastAppInLine; tests diff the two.
 var reAppInLine = regexp.MustCompile(`(?:application|container)_(\d+)_(\d+)`)
 
-// ShardedStream is the live engine: Feed routes each raw line to one of
-// N worker goroutines, each owning a hash-shard of application IDs whose
-// state is a Stream. Parsing — the expensive part — runs on the workers;
-// correlation state stays shard-local because every event of an
-// application lives in exactly one shard (events a line produces for a
-// foreign application, possible only on adversarial input, are forwarded
-// to the owning shard). One worker is the serial configuration.
+// ShardedStream is the live engine: Feed and FeedBlock route each raw
+// line to one of N worker goroutines, each owning a hash-shard of
+// application IDs whose state is a Stream. Parsing — the expensive
+// part — runs on the workers; correlation state stays shard-local
+// because every event of an application lives in exactly one shard
+// (events a line produces for a foreign application, possible only on
+// adversarial input, are forwarded to the owning shard). One worker is
+// the serial configuration.
 //
-// All methods are safe for concurrent use. Feed is asynchronous: call
+// All methods are safe for concurrent use. Feeding is asynchronous: call
 // Quiesce to wait until everything fed so far has been absorbed. Reports
 // gather applications in submission order and events per application in
 // time order, ties in arrival order, so streams fed the same line
@@ -81,7 +82,9 @@ type streamShard struct {
 	processed atomic.Int64
 
 	// scratch is this worker's reusable parser (only the worker goroutine
-	// touches it); see Stream.scratch.
+	// touches it); see Stream.scratch. It clones what the events it mines
+	// keep, as ParseReader does, because FeedBlock's lines are slices of
+	// a whole block.
 	scratch Parser
 	// batchEvs and batchEnds are run's reusable parse buffer: the events
 	// of a whole line batch back to back, and where each line's events
@@ -124,7 +127,7 @@ func NewShardedStream(workers int) *ShardedStream {
 	ss := &ShardedStream{shards: make([]*streamShard, workers)}
 	ss.workCond = sync.NewCond(&ss.workMu)
 	for i := range ss.shards {
-		sh := &streamShard{ss: ss, i: i, st: NewStream()}
+		sh := &streamShard{ss: ss, i: i, st: NewStream(), scratch: Parser{cloneMined: true}}
 		sh.qCond = sync.NewCond(&sh.qMu)
 		sh.st.OnComplete(sh.onComplete)
 		ss.shards[i] = sh
@@ -228,16 +231,21 @@ func fnvShard(s string, n int) int {
 // produces belongs to the routed application, because each extraction
 // regex keys off the line's first ID — so cross-shard forwarding only
 // triggers on adversarial input.
-func (ss *ShardedStream) route(source, raw string) *streamShard {
+func (ss *ShardedStream) route(source, raw string) int {
 	// The helpers are allocation-free, which matters here: route runs on
 	// the feeding goroutine for every line.
 	if cid, found, err := fastFindContainerID(source); found && err == nil {
-		return ss.shards[ss.shardOf(cid.App)]
+		return ss.shardOf(cid.App)
 	}
+	return ss.routeDaemon(source, raw)
+}
+
+// routeDaemon is route for a line whose source names no container.
+func (ss *ShardedStream) routeDaemon(source, raw string) int {
 	if app, ok := fastAppInLine(raw); ok {
-		return ss.shards[ss.shardOf(app)]
+		return ss.shardOf(app)
 	}
-	return ss.shards[fnvShard(source, len(ss.shards))]
+	return fnvShard(source, len(ss.shards))
 }
 
 // Feed routes one raw log line to its owning shard's queue. It returns
@@ -245,23 +253,70 @@ func (ss *ShardedStream) route(source, raw string) *streamShard {
 // asynchronously, so acceptance does not imply the line produced events
 // — compare EventCount after Quiesce for that.
 func (ss *ShardedStream) Feed(source, rawLine string) bool {
+	if !ss.admit(1) {
+		return false
+	}
+	ss.shards[ss.route(source, rawLine)].push(shardLine{source, rawLine})
+	return true
+}
+
+// FeedBlock routes every line of block — split as the offline parser
+// splits a file, lines of MaxLineBytes or more skipped — from source to
+// its owning shard's queue. The source's container is resolved once,
+// and the block is handed off with one lock of the work counter and one
+// of each shard's queue, not once per line. Lines are substrings of
+// block; the workers clone what the events they mine keep, so nothing
+// pins it once they are parsed. It returns how many lines were accepted
+// (0 after Close) and how many were skipped.
+func (ss *ShardedStream) FeedBlock(source, block string) (fed, skipped int) {
+	it := segmentIter{raw: block}
+	lines := make([][]shardLine, len(ss.shards))
+	own := -1
+	if cid, found, err := fastFindContainerID(source); found && err == nil {
+		own = ss.shardOf(cid.App)
+	}
+	for seg, ok := it.next(); ok; seg, ok = it.next() {
+		j := own
+		if j < 0 {
+			j = ss.routeDaemon(source, seg)
+		}
+		lines[j] = append(lines[j], shardLine{source, seg})
+		fed++
+	}
+	if fed == 0 || !ss.admit(fed) {
+		return 0, it.skipped
+	}
+	for j, ls := range lines {
+		if len(ls) > 0 {
+			ss.shards[j].push(ls...)
+		}
+	}
+	return fed, it.skipped
+}
+
+// admit raises the pending work count by n lines about to be queued. It
+// returns false after Close, and then nothing may be queued.
+func (ss *ShardedStream) admit(n int) bool {
 	ss.workMu.Lock()
 	if ss.closed {
 		ss.workMu.Unlock()
 		return false
 	}
-	ss.pending++
+	ss.pending += n
 	ss.workMu.Unlock()
 	if ss.met != nil {
-		ss.met.lines.Inc()
+		ss.met.lines.Add(int64(n))
 	}
-	sh := ss.route(source, rawLine)
+	return true
+}
+
+// push appends admitted lines to the shard's queue and wakes its worker.
+func (sh *streamShard) push(lines ...shardLine) {
 	sh.qMu.Lock()
-	sh.lines = append(sh.lines, shardLine{source, rawLine})
+	sh.lines = append(sh.lines, lines...)
 	sh.depth.Set(int64(len(sh.lines) + len(sh.routed)))
 	sh.qCond.Signal()
 	sh.qMu.Unlock()
-	return true
 }
 
 // forward hands events parsed on shard `from` to the shard owning their
@@ -284,9 +339,10 @@ func (ss *ShardedStream) forward(from, j int, evs []Event) {
 	sh.qMu.Unlock()
 }
 
-func (ss *ShardedStream) done() {
+// done retires n work items.
+func (ss *ShardedStream) done(n int) {
 	ss.workMu.Lock()
-	ss.pending--
+	ss.pending -= n
 	if ss.pending == 0 {
 		ss.workCond.Broadcast()
 	}
@@ -358,8 +414,8 @@ func (sh *streamShard) run() {
 			for _, evs := range routed {
 				n += len(evs)
 				sh.absorb(evs)
-				sh.ss.done()
 			}
+			sh.ss.done(len(routed))
 			pl.StageBatch(obs.StageForward, sh.i, t, n)
 		}
 		if len(lines) > 0 {
@@ -376,13 +432,14 @@ func (sh *streamShard) run() {
 			start := 0
 			for _, end := range ends {
 				sh.routeAndAbsorb(evs[start:end:end])
-				sh.ss.done()
 				start = end
 			}
+			sh.ss.done(len(lines))
 			clear(evs) // drop the batch's strings until the buffer is refilled
 			sh.batchEvs, sh.batchEnds = evs[:0], ends[:0]
-			// Parsing and absorbing (correlate + decompose) share the
-			// middle clock read; splitting the phases costs no extra reads.
+			// Parsing and absorbing (correlate, the Complete predicate and
+			// the hook's decompositions) share the middle clock read;
+			// splitting the phases costs no extra reads.
 			pl.StageSpan(obs.StageParse, sh.i, t, mid, len(lines))
 			pl.StageBatch(obs.StageDecompose, sh.i, mid, len(lines))
 		}

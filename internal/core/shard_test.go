@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/log4j"
@@ -323,8 +324,9 @@ func TestShardedStreamInstrumented(t *testing.T) {
 }
 
 // TestShardedStreamConcurrentHammer is the -race stress test: several
-// goroutines feed disjoint slices of the corpus while others hammer the
-// read and eviction surface. It asserts freedom from data races (via the
+// goroutines feed disjoint slices of the corpus, half of them line by
+// line and half in blocks of a source's consecutive lines, while others
+// hammer the read and eviction surface. It asserts freedom from data races (via the
 // race detector) and that the stream survives to a consistent final
 // state once feeders finish and evictions stop.
 func TestShardedStreamConcurrentHammer(t *testing.T) {
@@ -341,8 +343,19 @@ func TestShardedStreamConcurrentHammer(t *testing.T) {
 		feedWG.Add(1)
 		go func(f int) {
 			defer feedWG.Done()
+			if f%2 == 0 {
+				for i := f; i < len(lines); i += feeders {
+					ss.Feed(lines[i].source, lines[i].raw)
+				}
+				return
+			}
+			var block strings.Builder
 			for i := f; i < len(lines); i += feeders {
-				ss.Feed(lines[i].source, lines[i].raw)
+				block.WriteString(lines[i].raw + "\n")
+				if next := i + feeders; next >= len(lines) || lines[next].source != lines[i].source || block.Len() > 1<<10 {
+					ss.FeedBlock(lines[i].source, block.String())
+					block.Reset()
+				}
 			}
 		}(f)
 	}
@@ -484,6 +497,64 @@ func TestShardedPublishedTracesImmutable(t *testing.T) {
 	for _, c := range captured {
 		if got := mustSnapshot(t, c.a); got != c.snap {
 			t.Fatalf("%v: captured trace changed after capture", c.a.ID)
+		}
+	}
+}
+
+// goldenTreeFiles returns every file of a golden tree whole, in lexical
+// order, as one shardLine per file.
+func goldenTreeFiles(t *testing.T, dir string) []shardLine {
+	t.Helper()
+	var out []shardLine
+	err := WalkTree(dir, func(name, path string) error {
+		data, err := os.ReadFile(path)
+		out = append(out, shardLine{name, string(data)})
+		return err
+	})
+	if err != nil {
+		t.Fatalf("reading %s: %v", dir, err)
+	}
+	return out
+}
+
+// TestFeedBlockEventsDoNotAliasBlock: no string an event or a trace
+// holds after FeedBlock and Quiesce points into a fed block, so a block
+// is garbage once the workers have parsed it.
+func TestFeedBlockEventsDoNotAliasBlock(t *testing.T) {
+	files := goldenTreeFiles(t, filepath.Join("testdata", "golden", "pristine", "input"))
+	ss := NewShardedStream(2)
+	defer ss.Close()
+	for _, f := range files {
+		ss.FeedBlock(f.source, f.raw)
+	}
+	ss.Quiesce()
+	check := func(what, s string) {
+		if s == "" {
+			return
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, f := range files {
+			lo := uintptr(unsafe.Pointer(unsafe.StringData(f.raw)))
+			if p >= lo && p < lo+uintptr(len(f.raw)) {
+				t.Fatalf("%s %q aliases the block fed for %s", what, s, f.source)
+			}
+		}
+	}
+	apps := ss.Apps()
+	if len(apps) == 0 {
+		t.Fatal("no apps absorbed")
+	}
+	for _, a := range apps {
+		check("app name", a.Name)
+		check("app type", a.AppType)
+		check("queue", a.Queue)
+		for _, c := range a.Containers {
+			check("container node", c.Node)
+		}
+		for _, e := range a.Events {
+			for _, s := range []string{e.Source, e.Class, e.Raw, e.Name, e.AppType, e.Queue, e.Node} {
+				check(e.Kind.String()+" event string", s)
+			}
 		}
 	}
 }

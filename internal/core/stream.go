@@ -12,9 +12,10 @@ import (
 // ShardedStream shard owns. Feed it log lines as they are produced and
 // read current decompositions at any point; unlike Checker, which parses
 // whole files, it accepts interleaved lines from many sources and keeps
-// per-application state up to date after every line. Fed directly it is
-// a single-goroutine stream; concurrent and observed use goes through
-// ShardedStream, whose shards each hold one.
+// per-application state, and whether each app is complete, up to date
+// after every line. A trace is sorted and decomposed only when it is
+// read. Fed directly it is a single-goroutine stream; concurrent and
+// observed use goes through ShardedStream, whose shards each hold one.
 //
 // Lines from container stderr files must be attributed to their
 // container; pass the file path (containing the container ID) as source,
@@ -144,13 +145,14 @@ func (s *Stream) builder(id ids.AppID) *traceBuilder {
 }
 
 // absorb folds events into their applications' trace builders and
-// refreshes each dirty application's working trace. An event arriving
-// in time order costs O(1) before the refresh; an out-of-order one is
-// inserted into its own application's sorted events and, unless it
-// commutes, replays them, and no other application is touched. Each
-// refresh decomposes the trace once, so the completion hook fires at
-// exactly the absorb that first makes an app complete. Only the hook's
-// trace is snapshotted here; trace and traces snapshot the rest on read.
+// refreshes each dirty application's working trace. Every event is
+// appended to its application's events in O(1); an out-of-order one
+// that does not commute makes the refresh replay that application, and
+// no other application is touched. Each refresh evaluates the Complete
+// predicate, so the completion hook fires at exactly the absorb that
+// first makes an app complete. Only the hook's trace is snapshotted —
+// sorted and decomposed — here; trace and traces snapshot the rest on
+// read.
 func (s *Stream) absorb(evs []Event) {
 	dirty := s.dirty
 	for _, e := range evs {
@@ -165,8 +167,7 @@ func (s *Stream) absorb(evs []Event) {
 		}
 	}
 	for _, b := range dirty {
-		a := b.refresh()
-		done := a.Decomp.Complete
+		done := b.refresh()
 		if done != b.completed {
 			if done {
 				s.nCompleted++
@@ -178,7 +179,7 @@ func (s *Stream) absorb(evs []Event) {
 		if done && !b.notified {
 			b.notified = true
 			if s.onComplete != nil {
-				s.pl.RecordHook(a.ID.String())
+				s.pl.RecordHook(b.a.ID.String())
 				s.onComplete(b.snapshot())
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -405,5 +406,45 @@ func TestStreamReclassifiesFirstLog(t *testing.T) {
 	}
 	if fl := before.Events[0]; fl.Kind != TaskFirstLog || fl.Instance != InstUnknown {
 		t.Fatalf("snapshot's FIRST_LOG became %v/%q", fl.Kind, fl.Instance)
+	}
+}
+
+// TestCompletePredicateMatchesDecompose: the allocation-free Complete
+// predicate a stream evaluates after every absorb gives, for every app
+// after every line, the verdict of decomposing a copy of the app's
+// trace: Decompose's Complete, and the definition it stands for —
+// Total, AM, Driver and Executor present and no anomalies. The inputs
+// are the golden trees fed file by file, as a backfill feeds them, and
+// the FuzzStreamFeed seeds fed as that fuzzer feeds them.
+func TestCompletePredicateMatchesDecompose(t *testing.T) {
+	inputs := map[string][]shardLine{}
+	for _, tree := range []string{"pristine", "faulted"} {
+		inputs["golden/"+tree] = goldenTreeLines(t, filepath.Join("testdata", "golden", tree, "input"))
+	}
+	for i, data := range seedInputs(t) {
+		var lines []shardLine
+		for j, l := range strings.Split(string(data), "\n") {
+			lines = append(lines, shardLine{fuzzSources[j%len(fuzzSources)], l})
+		}
+		inputs[fmt.Sprintf("seed#%d", i)] = lines
+	}
+	completed := 0
+	for name, lines := range inputs {
+		st := NewStream()
+		for n, ln := range lines {
+			st.Feed(ln.source, ln.raw)
+			for _, b := range st.apps {
+				c := *b.a
+				d := Decompose(&c)
+				def := d.Total >= 0 && d.AM >= 0 && d.Driver >= 0 && d.Executor >= 0 && len(d.Anomalies) == 0
+				if b.completed != d.Complete || d.Complete != def {
+					t.Fatalf("%s line %d: app %v: predicate %v, Decompose %v, definition %v", name, n, b.a.ID, b.completed, d.Complete, def)
+				}
+			}
+		}
+		completed += st.nCompleted
+	}
+	if completed == 0 {
+		t.Fatal("no app completed: the inputs never exercise the true verdict")
 	}
 }

@@ -197,12 +197,8 @@ func Correlate(events []Event) []*AppTrace {
 	out := make([]*AppTrace, len(count))
 	for g, end := range next {
 		start := end - count[g]
-		order := idx[start:end]
-		slices.SortStableFunc(order, func(i, j int32) int { return cmp.Compare(events[i].TimeMS, events[j].TimeMS) })
 		evs := byApp[start:end:end]
-		for k, i := range order {
-			evs[k] = events[i]
-		}
+		placeByTime(evs, events, idx[start:end])
 		b := newTraceBuilder(evs[0].App)
 		for i := range evs {
 			b.apply(evs[i])
@@ -214,38 +210,56 @@ func Correlate(events []Event) []*AppTrace {
 	return out
 }
 
+// placeByTime stable-sorts order, indices into events, by timestamp and
+// copies the events it names into dst in that order: each event moves
+// once, to its final place, rather than being swapped around as it
+// sorts.
+func placeByTime(dst, events []Event, order []int32) {
+	slices.SortStableFunc(order, func(i, j int32) int { return cmp.Compare(events[i].TimeMS, events[j].TimeMS) })
+	for k, i := range order {
+		dst[k] = events[i]
+	}
+}
+
 // traceBuilder assembles one application's trace event by event, in time
 // order. It is the single correlation path: Correlate feeds it each
 // app's time-sorted events, and a Stream keeps one per live application,
-// absorbing each event in O(1) when it arrives in order.
+// absorbing each event in O(1) in whatever order it arrives.
 //
-// The live path refreshes the working trace after every absorb (refresh)
-// and hands out an immutable snapshot only when a reader asks for one
+// The live path keeps the working trace current after every absorb and
+// evaluates the Complete predicate on it (refresh); it sorts the events
+// and decomposes only when a reader asks for an immutable snapshot
 // (snapshot): the completion hook, Stream.trace and Stream.traces.
 // Snapshots are never mutated afterwards — callers, completion hooks and
 // concurrent ShardedStream readers hold on to them — so the builder
 // copies on write: the first change after a snapshot copies the header
 // and its Containers slice, a container is copied before its first
-// change while the snapshot still holds it, and the first out-of-order
-// insert copies the event array. Untouched containers stay shared.
-// Between snapshots every change is made in place.
+// change while the snapshot still holds it, and the events are sorted
+// into a fresh array. Untouched containers stay shared. Between
+// snapshots every change is made in place.
 type traceBuilder struct {
-	// a is the working trace add mutates. Right after a snapshot it is
+	// a is the working trace apply mutates. Right after a snapshot it is
 	// the snapshot itself, and the next change copies it first.
 	a *AppTrace
 	// pub is the last snapshot; nil on the offline path, which never
 	// snapshots and so mutates a freely.
 	pub *AppTrace
-	// events is the time-ordered backing store of a.Events. Snapshots
+	// events backs a.Events: in arrival order since the last sort, and
+	// in time order, ties in arrival order, right after one. Snapshots
 	// share it as a cap-limited prefix, so appends past their length
 	// never show through.
 	events []Event
-	// shared is set while a snapshot holds the events array: the next
-	// out-of-order insert, which shifts events inside it, copies it
-	// first. Unset, an insert moves the events in place.
+	// latest is the latest timestamp among events, and unsorted is set
+	// once an event earlier than it was appended: the next snapshot or
+	// replay sorts the events first.
+	latest   int64
+	unsorted bool
+	// shared is set while a snapshot holds the events array: reclassify,
+	// which rewrites an event inside it, copies it first.
 	shared bool
-	// stale is set when an out-of-order event was inserted: a no longer
-	// reflects events and refresh rebuilds it.
+	// stale is set when an out-of-order event did not commute, or a
+	// FIRST_LOG was reclassified: a no longer reflects events and refresh
+	// replays them.
 	stale bool
 	// instances holds the instance of each live container whose
 	// FIRST_LOG was already absorbed, folded over every FIRST_LOG its
@@ -264,39 +278,28 @@ func newTraceBuilder(id ids.AppID) *traceBuilder {
 	return &traceBuilder{a: &AppTrace{ID: id}}
 }
 
-// add appends one event that does not sort before any event added so far
-// and applies it to the working trace.
-func (b *traceBuilder) add(e Event) {
-	b.events = append(b.events, e)
-	if !b.stale {
-		b.apply(e)
-	}
-}
-
-// absorb adds one live event in any order. An event at or after the
-// app's latest is added in O(1). An earlier one is inserted after every
-// event with the same or an earlier timestamp — exactly where a stable
-// sort of the arrival order puts it. It is applied directly when it
-// commutes with the events after it; otherwise the trace is rebuilt from
-// the app's already-sorted events at the next refresh.
+// absorb adds one live event in any order. It is appended to the app's
+// events either way; a stable sort of the arrival order, which is what
+// the next snapshot or replay runs, puts it after every event with the
+// same or an earlier timestamp. An event at or after the app's latest
+// is applied directly. An earlier one is applied directly when it
+// commutes with the events after it; otherwise the trace is replayed
+// from the sorted events at the next refresh.
 func (b *traceBuilder) absorb(e Event) {
-	n := len(b.events)
-	if n == 0 || e.TimeMS >= b.events[n-1].TimeMS {
-		b.add(e)
-		return
+	inOrder := len(b.events) == 0 || e.TimeMS >= b.latest
+	b.events = append(b.events, e)
+	if inOrder {
+		b.latest = e.TimeMS
+	} else {
+		b.unsorted = true
 	}
-	i := sort.Search(n, func(i int) bool { return b.events[i].TimeMS > e.TimeMS })
-	if b.shared {
-		// A snapshot holds the array: move to a fresh one, with append's
-		// headroom, before shifting events inside it.
-		b.events, b.shared = slices.Grow(b.events[:n:n], 1), false
-	}
-	b.events = slices.Insert(b.events, i, e)
-	if b.stale || !b.commutes(e) {
+	switch {
+	case b.stale:
+	case inOrder || b.commutes(e):
+		b.apply(e)
+	default:
 		b.stale = true
-		return
 	}
-	b.apply(e)
 }
 
 // commutes reports whether applying e out of time order builds the trace
@@ -338,31 +341,50 @@ func (b *traceBuilder) commutes(e Event) bool {
 }
 
 // refresh brings the working trace up to date after an absorb —
-// rebuilding it if an out-of-order event left it stale — and decomposes
-// it, so its Complete flag reflects every event absorbed. Call it only
-// after absorbing at least one event, so the working trace is not the
-// last snapshot.
-func (b *traceBuilder) refresh() *AppTrace {
+// replaying the app's sorted events if an out-of-order event left it
+// stale — and reports whether it is complete (the Complete predicate)
+// as of every event absorbed. It does not decompose: snapshot does, on
+// read.
+func (b *traceBuilder) refresh() bool {
 	if b.stale {
+		b.sortEvents()
 		b.a, b.stale = &AppTrace{ID: b.a.ID}, false
 		for _, e := range b.events {
 			b.apply(e)
 		}
 	}
-	Decompose(b.a)
-	return b.a
+	return complete(b.a)
 }
 
-// snapshot returns the refreshed working trace as the app's immutable
-// snapshot, sharing the events array as a cap-limited prefix. Until the
-// next change it returns the same snapshot.
+// snapshot returns the working trace, decomposed and with its events in
+// time order, as the app's immutable snapshot, sharing the events array
+// as a cap-limited prefix. Until the next change it returns the same
+// snapshot. Call it only on a refreshed builder.
 func (b *traceBuilder) snapshot() *AppTrace {
 	if b.a != b.pub {
+		b.sortEvents()
+		Decompose(b.a)
 		n := len(b.events)
 		b.a.Events = b.events[:n:n]
 		b.pub, b.shared = b.a, true
 	}
 	return b.pub
+}
+
+// sortEvents puts the events in time order, ties in arrival order, as
+// Correlate orders an app's events: it sorts them as indices and copies
+// each once into a fresh array, which no snapshot holds.
+func (b *traceBuilder) sortEvents() {
+	if !b.unsorted {
+		return
+	}
+	order := make([]int32, len(b.events))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sorted := make([]Event, len(b.events))
+	placeByTime(sorted, b.events, order)
+	b.events, b.unsorted, b.shared = sorted, false, false
 }
 
 // reclassify rewrites container cid's kept FIRST_LOG to instance inst

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -99,9 +100,11 @@ func TestDiffOracleMatrix(t *testing.T) {
 // live streams render the same report JSON on pristine, faulted and
 // degraded logs: a serial Stream, and ShardedStreams at 1, 2 and 4
 // workers, each fed the files whole in lexical order, as a restarted
-// -serve scan walks them. Live classifies a container from all of its
-// lines, as the offline parser does: a later line that changes the
-// instance rewrites the kept FIRST_LOG (TestStreamReclassifiesFirstLog).
+// -serve scan walks them: line by line, and at 2 workers also one
+// FeedBlock per file, as the tailer feeds them. Live classifies a
+// container from all of its lines, as the offline parser does: a later
+// line that changes the instance rewrites the kept FIRST_LOG
+// (TestStreamReclassifiesFirstLog).
 func TestOfflineEqualsLivePristine(t *testing.T) {
 	for _, cell := range []string{"pristine", "faults", "degraded"} {
 		for _, seed := range []uint64{5, 11, 17, 23, 29} {
@@ -141,6 +144,16 @@ func TestOfflineEqualsLivePristine(t *testing.T) {
 					})
 					ss.Close()
 				}
+				// The tailer's bulk feed: each file as one block.
+				ss := core.NewShardedStream(2)
+				defer ss.Close()
+				for _, f := range files {
+					ss.FeedBlock(f, strings.Join(s.Sink.Lines(f), "\n")+"\n")
+				}
+				ss.Quiesce()
+				if got, err := ss.Report().JSON(); err != nil || got != offline {
+					t.Errorf("ShardedStream(workers=2) FeedBlock report diverges from the offline checker (err %v)", err)
+				}
 			})
 		}
 	}
@@ -178,5 +191,46 @@ func TestBreakdownWorkerCountInvariant(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCompletePredicateMatchesDecomposeOracle extends core's
+// TestCompletePredicateMatchesDecompose to the oracle matrix cells of
+// TestOfflineEqualsLivePristine, fed file by file in lexical order: after
+// every line, each app's Complete verdict — the predicate the stream
+// evaluated as it absorbed — equals the definition over the app's
+// decomposition (Total, AM, Driver and Executor present, no anomalies),
+// and the decomposition's own Complete flag.
+func TestCompletePredicateMatchesDecomposeOracle(t *testing.T) {
+	complete, incomplete := 0, 0
+	for _, cell := range []string{"pristine", "faults", "degraded"} {
+		for _, seed := range []uint64{5, 11, 17, 23, 29} {
+			s, _ := oracleScenario(t, oracleOptions(seed, cell), 3, false)
+			files := s.Sink.Files()
+			slices.Sort(files)
+			ss := core.NewShardedStream(1)
+			for _, f := range files {
+				for n, l := range s.Sink.Lines(f) {
+					ss.Feed(f, l)
+					ss.Quiesce()
+					for _, a := range ss.Apps() {
+						d := a.Decomp
+						def := d.Total >= 0 && d.AM >= 0 && d.Driver >= 0 && d.Executor >= 0 && len(d.Anomalies) == 0
+						if got := ss.Complete(a.ID); got != def || d.Complete != def {
+							t.Fatalf("%s/seed=%d %s line %d: app %v: predicate %v, Decompose %v, definition %v", cell, seed, f, n, a.ID, got, d.Complete, def)
+						}
+						if def {
+							complete++
+						} else if a.Submitted != 0 && a.Registered != 0 {
+							incomplete++
+						}
+					}
+				}
+			}
+			ss.Close()
+		}
+	}
+	if complete == 0 || incomplete == 0 {
+		t.Fatalf("verdicts seen: %d complete, %d incomplete past registration; want both", complete, incomplete)
 	}
 }
