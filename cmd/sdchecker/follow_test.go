@@ -109,7 +109,7 @@ func drainExpect(t *testing.T, sc *dirScanner, path, rel string, wantFed int, wa
 	if err != nil || fed != wantFed {
 		t.Fatalf("drain: fed=%d err=%v, want fed=%d", fed, err, wantFed)
 	}
-	if got := sc.offsets[rel]; got != wantOff {
+	if got := sc.files[rel].off; got != wantOff {
 		t.Fatalf("offset after drain = %d, want %d", got, wantOff)
 	}
 }
@@ -216,7 +216,7 @@ func TestScanSkipsOverLongLine(t *testing.T) {
 	if changed, err := sc.scan(); err != nil || changed {
 		t.Fatalf("second scan: changed=%v err=%v, want an idle scan", changed, err)
 	}
-	if got, want := sc.offsets["a/big.log"], int64(5<<20+1); got != want {
+	if got, want := sc.files["a/big.log"].off, int64(5<<20+1); got != want {
 		t.Fatalf("offset %d, want %d (past the long line)", got, want)
 	}
 
@@ -244,7 +244,7 @@ func TestDrainFileUnfinishedLongLine(t *testing.T) {
 	if fed, err := sc.drainFile(rm, "rm.log"); err == nil || fed != 0 {
 		t.Fatalf("first drain: fed=%d err=%v, want the skipped line reported", fed, err)
 	}
-	if got := sc.offsets["rm.log"]; got != 5<<20 {
+	if got := sc.files["rm.log"].off; got != 5<<20 {
 		t.Fatalf("offset %d, want %d (the end of what was read)", got, 5<<20)
 	}
 	app := "application_1499000000000_0001"
@@ -302,7 +302,7 @@ func TestDrainFileLongLineBoundary(t *testing.T) {
 	if err == nil || fed != 1 {
 		t.Fatalf("drain: fed=%d err=%v, want the short line fed and the long one reported", fed, err)
 	}
-	if got, want := sc.offsets["rm.log"], int64(2*core.MaxLineBytes+1+len("short\n")); got != want {
+	if got, want := sc.files["rm.log"].off, int64(2*core.MaxLineBytes+1+len("short\n")); got != want {
 		t.Fatalf("offset %d, want %d", got, want)
 	}
 }
@@ -333,7 +333,7 @@ func TestScanRefeedsAfterTruncate(t *testing.T) {
 	if changed, err := sc.scan(); err != nil || !changed {
 		t.Fatalf("scan after truncate: changed=%v err=%v, want the new line fed", changed, err)
 	}
-	if got, want := sc.offsets["rm.log"], int64(len(l)+1); got != want {
+	if got, want := sc.files["rm.log"].off, int64(len(l)+1); got != want {
 		t.Fatalf("offset %d, want %d", got, want)
 	}
 	st.Quiesce()
@@ -411,7 +411,7 @@ func FuzzDrainFile(f *testing.F) {
 		if len(data)-(last+1) >= core.MaxLineBytes {
 			wantOff = int64(len(data))
 		}
-		if got := sc.offsets["rm.log"]; got != wantOff {
+		if got := sc.files["rm.log"].off; got != wantOff {
 			t.Fatalf("offset %d, want %d", got, wantOff)
 		}
 		if fed != len(want) {

@@ -58,7 +58,7 @@ const maxInputs = 62
 // Config declares the ownership contract the engine enforces.
 type Config struct {
 	// IsSource reports whether calling fn yields a value whose backing
-	// memory is owned by a reusable buffer (e.g. blobWriter.String).
+	// memory is owned by a reusable buffer (e.g. BlockReader.Next).
 	IsSource func(fn *types.Func) bool
 
 	// IsCloner reports whether fn's results copy their inputs' bytes

@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// buf mimics blobWriter: a reusable scan buffer whose String result
-// aliases memory the next scan will overwrite.
+// buf mimics a reusable scan buffer: its String result aliases memory
+// the next scan will overwrite.
 type buf struct{ b []byte }
 
 func (b *buf) String() string { return string(b.b) }

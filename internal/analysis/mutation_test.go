@@ -87,12 +87,12 @@ type mutCase struct {
 }
 
 const ownNoGates = `{"version":1,"packages":[],
-  "sources":[{"recv":"blobWriter","func":"String"}],
+  "sources":[{"recv":"BlockReader","func":"Next"}],
   "cloners":[{"pkg":"strings","func":"Clone"},{"pkg":"fmt","func":"Sprintf"}],
   "gates":[]}`
 
 const ownNoCloners = `{"version":1,"packages":[],
-  "sources":[{"recv":"blobWriter","func":"String"}],
+  "sources":[{"recv":"BlockReader","func":"Next"}],
   "cloners":[],
   "gates":["cloneMined"]}`
 
@@ -112,8 +112,8 @@ func mutationCases() []mutCase {
 			old: `p.warnf("empty blob: %s", raw)`, new: "p.warns = append(p.warns, raw)",
 			want: "field warns of p"},
 		{name: "bufown-emit-view", analyzer: BufOwn, file: "good.go",
-			old:  "bs := []byte(w.String())\n\tp.emit(event{Raw: string(bs)})",
-			new:  "p.emit(event{Raw: w.String()})",
+			old:  "bs := []byte(w.Next())\n\tp.emit(event{Raw: string(bs)})",
+			new:  "p.emit(event{Raw: w.Next()})",
 			want: "passed to emit"},
 		{name: "bufown-bypass-miner", analyzer: BufOwn, file: "good.go",
 			old: "p.mine(ln)", new: "p.emit(event{Raw: ln.Message})",

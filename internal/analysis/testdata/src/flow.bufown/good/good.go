@@ -1,5 +1,5 @@
 // Package good mirrors the zero-copy mining discipline of
-// internal/core: every retention of blobWriter-derived memory passes
+// internal/core: every retention of BlockReader-derived memory passes
 // through a sanctioned clone (strings.Clone, fmt.Sprintf) or the
 // cloneMined gate.
 package good
@@ -9,12 +9,15 @@ import (
 	"strings"
 )
 
-// blobWriter mirrors internal/core's reusable scan buffer: String
-// returns a view of memory the next scan overwrites, so the ownership
-// manifest declares it a taint source.
-type blobWriter struct{ buf []byte }
+// BlockReader mirrors internal/core's file reader: Next and tail return
+// blocks the miners slice into line views, and a view that is kept
+// pins its block, so the ownership manifest declares both taint
+// sources.
+type BlockReader struct{ buf []byte }
 
-func (w *blobWriter) String() string { return string(w.buf) }
+func (w *BlockReader) Next() string { return string(w.buf) }
+
+func (w *BlockReader) tail() string { return string(w.buf) }
 
 type event struct {
 	Class string
@@ -53,19 +56,22 @@ func (p *parser) mine(ln line) {
 	p.emit(event{Class: ln.Class, Raw: msg})
 }
 
-func (p *parser) scan(w *blobWriter) {
+func (p *parser) scan(w *BlockReader) {
 	p.cloneMined = true
 	defer func() { p.cloneMined = false }()
-	raw := w.String()
+	raw := w.Next()
 	for i := 0; i+2 < len(raw); i += 2 {
 		ln := parseLine(raw[i : i+2])
 		p.mine(ln)
 	}
+	if tail := w.tail(); len(tail) > 2 {
+		p.mine(parseLine(tail))
+	}
 }
 
 // scanCount only derives scalars from the buffer: nothing to clone.
-func (p *parser) scanCount(w *blobWriter) int {
-	raw := w.String()
+func (p *parser) scanCount(w *BlockReader) int {
+	raw := w.Next()
 	n := 0
 	for i := 0; i < len(raw); i++ {
 		if raw[i] == '\n' {
@@ -76,22 +82,22 @@ func (p *parser) scanCount(w *blobWriter) int {
 }
 
 // scanWarn retains only Sprintf output, which copies its operands.
-func (p *parser) scanWarn(w *blobWriter) {
-	raw := w.String()
+func (p *parser) scanWarn(w *BlockReader) {
+	raw := w.Next()
 	if len(raw) == 0 {
 		p.warnf("empty blob: %s", raw)
 	}
 }
 
 // scanConvert round-trips through []byte, which copies both ways.
-func (p *parser) scanConvert(w *blobWriter) {
-	bs := []byte(w.String())
+func (p *parser) scanConvert(w *BlockReader) {
+	bs := []byte(w.Next())
 	p.emit(event{Raw: string(bs)})
 }
 
 // scanLocal keeps buffer views in frame-local state only.
-func scanLocal(w *blobWriter) string {
-	raw := w.String()
+func scanLocal(w *BlockReader) string {
+	raw := w.Next()
 	var parts []string
 	for i := 0; i+1 < len(raw); i += 2 {
 		parts = append(parts, raw[i:i+2])

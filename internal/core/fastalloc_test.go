@@ -65,11 +65,17 @@ func TestFastPathZeroAllocNonMatching(t *testing.T) {
 		Class:   "org.apache.spark.executor.Executor",
 		Message: "Finished task 3.0 in stage 1.0 (TID 7) in 212 ms",
 	}.Format()
-	st.Feed(src, body)
-	if got := testing.AllocsPerRun(1000, func() {
-		st.Feed(src, body)
-	}); got != 0 {
-		t.Errorf("Stream.Feed(container body): %v allocs/op, want 0", got)
+	// A container-stderr line that is not log4j at all (a Java stack
+	// trace line) parses to nothing and must write nothing either, not
+	// even a warning.
+	trace := "\tat org.apache.spark.executor.Executor$TaskRunner.run(Executor.scala:338)"
+	for name, raw := range map[string]string{"container body": body, "container unparseable": trace} {
+		st.Feed(src, raw)
+		if got := testing.AllocsPerRun(1000, func() {
+			st.Feed(src, raw)
+		}); got != 0 {
+			t.Errorf("Stream.Feed(%s): %v allocs/op, want 0", name, got)
+		}
 	}
 }
 
@@ -127,12 +133,12 @@ func TestFastPathAllocBudgetMatching(t *testing.T) {
 // TestParseReaderPerFileAlloc bounds what ParseReader allocates to mine
 // one small container stderr file — the typical file of a log tree,
 // where fixed per-file costs outweigh the per-line ones. A file is read
-// into one blob of its own size, and only what the mined events keep is
-// cloned out of it, so an 823-byte stderr must not cost a 64 KiB
-// scanner buffer (or io.Copy's 32 KiB one) per file. The parser is
-// reused across files, as ParseDir and every MineDir worker reuse their
-// copy buffer, and its event list is reset between runs so its growth
-// is not counted.
+// through the parser's BlockReader, whose 1 MiB buffer is reused, into
+// one block of the file's own size, and only what the mined events keep
+// is cloned out of it, so an 823-byte stderr must not cost a read
+// buffer per file. The parser is reused across files, as ParseDir
+// reuses it and every MineDir worker reuses its reader, and its event
+// list is reset between runs so its growth is not counted.
 func TestParseReaderPerFileAlloc(t *testing.T) {
 	const name = "userlogs/application_1499000000000_0001/container_1499000000000_0001_01_000002/stderr"
 	var b strings.Builder
@@ -207,9 +213,8 @@ func TestParseReaderPerFileAlloc(t *testing.T) {
 		if bytesPer > 8<<10 {
 			t.Errorf("%s: ParseReader allocates %.0f B per %d-byte file, budget 8 KiB", tc.shape, bytesPer, len(data))
 		}
-		// Measured 6 from a bytes.Reader: the blob, its writer, and the
-		// Class and Message clones of the two events. A file adds its
-		// Stat result: 7.
+		// Measured 5 from either reader: the block, and the Class and
+		// Message clones of the two events.
 		const allocBudget = 8
 		if allocsPer > allocBudget {
 			t.Errorf("%s: ParseReader makes %.1f allocs per file, budget %d", tc.shape, allocsPer, allocBudget)
@@ -272,7 +277,7 @@ func TestShardedBackfillAlloc(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		lines := 0
 		for _, f := range files {
-			n, _ := ss.FeedBlock(f.source, f.raw)
+			n := ss.FeedBlock(f.source, f.raw)
 			lines += n
 		}
 		ss.Quiesce()

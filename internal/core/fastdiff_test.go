@@ -79,13 +79,13 @@ type readerShape struct {
 	fast, ref func() io.Reader
 }
 
-// readerShapes lists every read path of ParseReader over data: the
-// sized in-memory handovers (bytes.Reader, and strings.Reader, whose
-// string becomes the blob without a copy), a temp-file *os.File sized by
-// Stat, the unsized chunked copy (iotest.OneByteReader and HalfReader,
-// and a reader returning EOF with the last data), and readers that fail
-// after k bytes, at k = 0, mid-file and at the end, with the error
-// arriving after the data or together with its last piece.
+// readerShapes lists the reader shapes ParseReader's BlockReader must
+// read alike: in-memory readers (bytes.Reader, strings.Reader), a
+// temp-file *os.File, readers that return short reads
+// (iotest.OneByteReader and HalfReader) or EOF with the last data, and
+// readers that fail after k bytes, at k = 0, mid-file and at the end,
+// with the error arriving after the data or together with its last
+// piece.
 func readerShapes(t *testing.T, data []byte) []readerShape {
 	t.Helper()
 	whole := func() io.Reader { return bytes.NewReader(data) }
@@ -345,5 +345,55 @@ func TestFastVsRegexLongLines(t *testing.T) {
 				diffParsers(t, src, []byte(c.data))
 			}
 		})
+	}
+}
+
+// TestFastVsRegexMultiChunk runs a file of several read chunks through
+// the differential harness on a daemon and a container path: ordinary
+// RM lines, a CRLF pair whose '\r' ends the first 1 MiB chunk and whose
+// '\n' starts the second, a line of exactly MaxLineBytes, more RM lines
+// past 6 MiB, and an unterminated last line. Every reader shape,
+// failing ones included, must match the reference, and the parse must
+// leave the parser's read buffer at one chunk: only an unfinished line
+// grows it, never a whole file.
+func TestFastVsRegexMultiChunk(t *testing.T) {
+	rm := func(i int) string {
+		return log4j.Line{
+			TimeMS:  1499000000000 + int64(i),
+			Level:   log4j.Info,
+			Class:   "org.apache.hadoop.yarn.server.resourcemanager.rmcontainer.RMContainerImpl",
+			Message: fmt.Sprintf("container_1499000000000_0001_01_%06d Container Transitioned from NEW to ALLOCATED", i),
+		}.Format()
+	}
+	var b strings.Builder
+	i := 0
+	for b.Len() < readChunk-2*len(rm(i)) {
+		b.WriteString(rm(i) + "\n")
+		i++
+	}
+	// Pad the next line so its '\r' is the chunk's last byte.
+	b.WriteString(rm(i) + strings.Repeat(" ", readChunk-1-b.Len()-len(rm(i))) + "\r\n")
+	i++
+	prefix := rm(i)[:len(rm(i))-len("Container Transitioned from NEW to ALLOCATED")]
+	b.WriteString(prefix + strings.Repeat("x", MaxLineBytes-len(prefix)) + "\n")
+	for b.Len() < 6<<20 {
+		b.WriteString(rm(i) + "\n")
+		i++
+	}
+	b.WriteString(rm(i))
+	data := []byte(b.String())
+	if data[readChunk-1] != '\r' || data[readChunk] != '\n' {
+		t.Fatalf("no CRLF pair across the first chunk boundary")
+	}
+
+	for _, src := range []string{diffSources[0], diffSources[2]} {
+		diffParsers(t, src, data)
+		p := NewParser()
+		if err := p.ParseReader(src, bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.rd.buf) != readChunk {
+			t.Fatalf("%s: read buffer is %d bytes after the parse, want %d", src, len(p.rd.buf), readChunk)
+		}
 	}
 }

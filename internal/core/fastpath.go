@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"regexp"
+	"slices"
 	"strings"
 
 	"repro/internal/ids"
@@ -739,11 +742,10 @@ const MaxLineBytes = 4 * 1024 * 1024
 // segmentIter splits a raw feed into lines: on '\n', one trailing '\r'
 // dropped per segment, no final empty segment after a trailing newline.
 // A segment of MaxLineBytes or more (measured before the '\r' drop) is
-// passed over and counted in skipped.
+// passed over.
 type segmentIter struct {
-	raw     string
-	start   int
-	skipped int
+	raw   string
+	start int
 }
 
 func (it *segmentIter) next() (string, bool) {
@@ -756,7 +758,6 @@ func (it *segmentIter) next() (string, bool) {
 			it.start = len(it.raw)
 		}
 		if len(seg) >= MaxLineBytes {
-			it.skipped++
 			continue
 		}
 		if len(seg) > 0 && seg[len(seg)-1] == '\r' {
@@ -767,8 +768,112 @@ func (it *segmentIter) next() (string, bool) {
 	return "", false
 }
 
-// warnSkipped records the lines of MaxLineBytes or more a feed of name
-// passed over, as one warning per feed.
+// readChunk is how much a BlockReader reads at a time.
+const readChunk = 1 << 20
+
+// BlockReader is the one log-file reader, offline and live. It reads
+// through one reused buffer of readChunk bytes and hands out each run
+// of complete lines, '\n' included, as one block. The buffer grows only
+// to hold an unfinished line: a line of MaxLineBytes or more, counting
+// a trailing '\r', is skipped even while unfinished, so no block holds
+// one. The unterminated tail is held back for the caller.
+type BlockReader struct {
+	r         io.Reader
+	buf       []byte
+	n         int   // buf[:n] holds the bytes read and not yet handed out
+	consumed  int64 // bytes handed out in blocks or skipped
+	skipping  bool  // inside an over-long line
+	skipped   int   // over-long lines met since Reset
+	skippedAt int64 // where the first of them starts, from Reset on, or -1
+	err       error // the read error that ended r, io.EOF included
+}
+
+// Reset starts reading r. skipping resumes inside an over-long line, as
+// Consumed reported at the end of the previous read of the same file.
+func (br *BlockReader) Reset(r io.Reader, skipping bool) {
+	*br = BlockReader{r: r, buf: br.buf, skipping: skipping, skippedAt: -1}
+	if len(br.buf) != readChunk {
+		br.buf = make([]byte, readChunk) // first use, or a long tail grew it
+	}
+}
+
+// Next returns the next block of complete lines. It returns false once r
+// has ended or failed (see Err), the unterminated tail still held back.
+func (br *BlockReader) Next() (string, bool) {
+	for {
+		if br.skipping {
+			// Inside an over-long line: discard through its newline.
+			end := br.n
+			if i := bytes.IndexByte(br.buf[:br.n], '\n'); i >= 0 {
+				end, br.skipping = i+1, false
+			}
+			br.consume(end)
+		}
+		if last := bytes.LastIndexByte(br.buf[:br.n], '\n'); last >= 0 {
+			block := string(br.buf[:last+1])
+			br.consume(last + 1)
+			return block, true
+		}
+		if br.n == MaxLineBytes {
+			if br.skippedAt < 0 {
+				br.skippedAt = br.consumed
+			}
+			br.skipped++
+			br.skipping = true
+			br.consume(br.n)
+		}
+		if br.err != nil {
+			return "", false
+		}
+		br.fill()
+	}
+}
+
+// tail returns the unterminated bytes Next held back when r ended.
+func (br *BlockReader) tail() string { return string(br.buf[:br.n]) }
+
+// fill reads until the buffer is full or r has ended, first growing the
+// buffer if an unfinished line fills it.
+func (br *BlockReader) fill() {
+	if br.n == len(br.buf) {
+		grow := min(br.n, MaxLineBytes-br.n)
+		br.buf = slices.Grow(br.buf, grow)[:br.n+grow]
+	}
+	for br.n < len(br.buf) && br.err == nil {
+		var m int
+		m, br.err = br.r.Read(br.buf[br.n:])
+		br.n += m
+	}
+}
+
+// consume drops the first k buffered bytes. Once the rest fits a chunk,
+// a buffer an unfinished line grew goes back to readChunk bytes.
+func (br *BlockReader) consume(k int) {
+	br.consumed += int64(k)
+	rest := br.buf[k:br.n]
+	if len(br.buf) > readChunk && len(rest) <= readChunk {
+		br.buf = make([]byte, readChunk)
+	}
+	br.n = copy(br.buf, rest)
+}
+
+// Consumed returns how many bytes since Reset were handed out in blocks
+// or skipped, whether the read stopped inside an over-long line, and
+// where the first over-long line it met starts, or -1.
+func (br *BlockReader) Consumed() (n int64, skipping bool, firstSkip int64) {
+	return br.consumed, br.skipping, br.skippedAt
+}
+
+// Err returns the error that ended the read, or nil at r's end.
+func (br *BlockReader) Err() error {
+	if br.err == io.EOF {
+		return nil
+	}
+	return br.err
+}
+
+// warnSkipped records the lines of MaxLineBytes or more a read of name
+// passed over, as one warning per file.
 func (p *Parser) warnSkipped(name string, n int) {
 	if n > 0 {
 		p.warnf("%s: skipped %d line(s) of %d bytes or more", name, n, MaxLineBytes)
@@ -789,16 +894,17 @@ func (p *Parser) feedDaemonSegments(source, raw string) {
 		p.countLine()
 		p.mineDaemonLineFast(source, line)
 	}
-	p.warnSkipped(source, it.skipped)
 }
 
 // parseLine mines one live line from source (a container's stderr when
 // the path names a container, a daemon log otherwise) into the parser's
 // reused event buffer and returns the events, valid until the next
-// call. A container line carries a FIRST_LOG classified from that line
-// alone; the stream absorbing it keeps the first per container and
-// folds the rest into the container's instance. Dedup that depends on
-// stream state is the absorbing Stream's (absorbRouted).
+// call. A container line that parses carries a FIRST_LOG classified
+// from that line alone; the stream absorbing it keeps the first per
+// container and folds the rest into the container's instance. A line
+// that does not parse yields nothing, not even the file-level
+// no-parseable-lines warning, which no one reads here. Dedup that
+// depends on stream state is the absorbing Stream's (absorbRouted).
 func (p *Parser) parseLine(source, raw string) []Event {
 	p.events = p.events[:0]
 	cid, found, err := fastFindContainerID(source)
@@ -808,7 +914,9 @@ func (p *Parser) parseLine(source, raw string) []Event {
 	case err == nil:
 		cs := p.beginContainerScan()
 		cs.feed(p, source, cid, raw)
-		cs.finish(p, source, cid)
+		if cs.hasFirst {
+			cs.finish(p, source, cid)
+		}
 	}
 	return p.events
 }

@@ -23,8 +23,7 @@ import (
 
 // mineFile is one log file to parse: its logical (slash-separated) name
 // and a way to open its content, closed after parsing if it is an
-// io.Closer. Sink contents stay plain strings.Readers, whose Len lets
-// readBlob take the string over without a copy.
+// io.Closer.
 type mineFile struct {
 	name string
 	open func() (io.Reader, error)
@@ -87,7 +86,7 @@ func mineFiles(files []mineFile, workers int) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var copyBuf []byte // lent to each file's parser in turn
+			var rd BlockReader // reads every file this worker mines
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= len(files) {
@@ -101,12 +100,11 @@ func mineFiles(files []mineFile, workers int) (*Report, error) {
 					errs[i] = err
 					continue
 				}
-				p := &Parser{copyBuf: copyBuf}
+				p := &Parser{rd: &rd}
 				err = p.ParseReader(files[i].name, r)
 				if c, ok := r.(io.Closer); ok {
 					c.Close()
 				}
-				copyBuf, p.copyBuf = p.copyBuf, nil
 				parsers[i], errs[i] = p, err
 			}
 		}()

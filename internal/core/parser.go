@@ -25,16 +25,16 @@ type Parser struct {
 	lines  int
 	met    *parserMetrics
 
-	// cloneMined is set while mining lines sliced from a whole-file
-	// blob, and always on a ShardedStream worker's parser, whose lines
-	// may be slices of a FeedBlock block: the fast miner then clones what
-	// each emitted event keeps, so events do not pin the blob. A serial
-	// Stream feeds caller-owned line strings and leaves it false.
+	// cloneMined is set while ParseReader mines a block, and always on a
+	// ShardedStream worker's parser, whose lines may be slices of a
+	// FeedBlock block: the fast miner then clones what each emitted
+	// event keeps, so events do not pin the block. A serial Stream feeds
+	// caller-owned line strings and leaves it false.
 	cloneMined bool
 
-	// copyBuf is the chunk buffer readBlob copies unsized readers
-	// through, allocated on first use and reused for every later file.
-	copyBuf []byte
+	// rd reads the files ParseReader mines, made on first use unless a
+	// MineDir worker shares its own; its buffer serves every later file.
+	rd *BlockReader
 }
 
 // maxDistinctWarnings bounds the warning set: corrupted inputs can
@@ -205,31 +205,46 @@ func (p *Parser) warnf(format string, args ...any) {
 // is treated as a container log and its first parseable line becomes the
 // FIRST_LOG event of Table I.
 //
-// Either kind is read once into one blob and walked with the segment
-// feeders the live stream uses. A line of MaxLineBytes or more is
-// skipped with a warning. After a read error a daemon log keeps what it
-// mined from the bytes read and a container log yields no events.
+// Either kind is read with the parser's BlockReader, one block of whole
+// lines at a time, and each block is walked with the segment feeders
+// the live stream uses; the unterminated tail is mined last. A line of
+// MaxLineBytes or more is skipped with a warning. After a read error a
+// daemon log keeps what it mined from the bytes read and a container
+// log yields no events.
 func (p *Parser) ParseReader(name string, r io.Reader) error {
 	p.files++
 	cid, isContainer, err := fastFindContainerID(name)
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", name, err)
 	}
-	blob, rerr := p.readBlob(r)
-	// Mined strings would otherwise be slices of the whole-file blob; have
-	// the miners clone what an event keeps (nothing on non-matching lines)
-	// so events never pin the file.
+	// Have the miners clone what an event keeps (nothing on non-matching
+	// lines) so events never pin a block.
 	p.cloneMined = true
 	defer func() { p.cloneMined = false }()
-	if !isContainer {
-		p.feedDaemonSegments(name, blob)
-		return rerr
+	if p.rd == nil {
+		p.rd = new(BlockReader)
 	}
+	p.rd.Reset(r, false)
 	cs := p.beginContainerScan()
-	cs.feed(p, name, cid, blob)
-	if rerr != nil {
+	for ok := true; ok; {
+		var block string
+		if block, ok = p.rd.Next(); !ok {
+			block = p.rd.tail() // mined at the end, or at a read error
+		}
+		if isContainer {
+			cs.feed(p, name, cid, block)
+		} else {
+			p.feedDaemonSegments(name, block)
+		}
+	}
+	p.warnSkipped(name, p.rd.skipped)
+	err = p.rd.Err()
+	if !isContainer {
+		return err
+	}
+	if err != nil {
 		p.events = p.events[:cs.bodyStart] // a failed read yields no events
-		return rerr
+		return err
 	}
 	cs.finish(p, name, cid)
 	return nil
@@ -274,90 +289,6 @@ func WalkTree(dir string, visit func(name, path string) error) error {
 		return nil
 	})
 	return errors.Join(append(errs, werr)...)
-}
-
-// copyBufSize is the chunk size of Parser.copyBuf.
-const copyBufSize = 32 * 1024
-
-// readBlob reads r to EOF as one string, the blob a segment feeder walks.
-// A sized in-memory reader (strings.Reader, bytes.Reader) hands its bytes
-// over through its own WriteTo: one copy into a blob of the right size,
-// or none at all for a strings.Reader. Every other reader is copied in
-// chunks through the parser's reused copy buffer, never io.Copy's fresh
-// 32 KiB one (*os.File's WriteTo falls back to exactly that); a regular
-// file's blob is sized once from Stat.
-func (p *Parser) readBlob(r io.Reader) (string, error) {
-	var bw blobWriter
-	switch src := r.(type) {
-	case interface{ Len() int }:
-		bw.hint = src.Len()
-		if wt, ok := r.(io.WriterTo); ok {
-			_, err := wt.WriteTo(&bw)
-			return bw.String(), err
-		}
-	case *os.File:
-		if fi, err := src.Stat(); err == nil && fi.Mode().IsRegular() {
-			bw.hint = int(fi.Size())
-		}
-	}
-	if p.copyBuf == nil {
-		p.copyBuf = make([]byte, copyBufSize)
-	}
-	for {
-		n, err := r.Read(p.copyBuf)
-		bw.Write(p.copyBuf[:n])
-		if err == io.EOF {
-			return bw.String(), nil
-		}
-		if err != nil {
-			return bw.String(), err
-		}
-	}
-}
-
-// blobWriter accumulates a reader's contents as one string, taking the
-// backing string wholesale — no copy, no allocation — when the source
-// hands it over in a single WriteString (strings.Reader.WriteTo, and so
-// Sink.Reader, does exactly that). Any other source writes in chunks
-// through the builder, which grows once to the size hint when one is
-// known.
-type blobWriter struct {
-	direct string          // whole-string handover, if it happened
-	hint   int             // size hint, applied on first chunked write
-	b      strings.Builder // chunked fallback
-}
-
-func (w *blobWriter) spill() {
-	if w.hint > 0 {
-		w.b.Grow(w.hint)
-		w.hint = 0
-	}
-	if w.direct != "" {
-		s := w.direct
-		w.direct = ""
-		w.b.WriteString(s)
-	}
-}
-
-func (w *blobWriter) WriteString(s string) (int, error) {
-	if w.direct == "" && w.b.Len() == 0 {
-		w.direct = s
-		return len(s), nil
-	}
-	w.spill()
-	return w.b.WriteString(s)
-}
-
-func (w *blobWriter) Write(p []byte) (int, error) {
-	w.spill()
-	return w.b.Write(p)
-}
-
-func (w *blobWriter) String() string {
-	if w.direct != "" {
-		return w.direct
-	}
-	return w.b.String()
 }
 
 // mineDaemonLineFast is mineDaemonLineRegex on the byte-level rule
@@ -468,7 +399,7 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 }
 
 // containerScan carries one container-log scan's state. It is shared by
-// the whole-file walk of ParseReader, the stream feeds, and the regexp
+// ParseReader's block-by-block walk, the stream feeds, and the regexp
 // reference. Body events append directly to p.events past bodyStart;
 // finish inserts the FIRST_LOG event in front of them.
 type containerScan struct {
@@ -494,7 +425,6 @@ func (cs *containerScan) feed(p *Parser, name string, cid ids.ContainerID, raw s
 			cs.line(p, name, cid, line)
 		}
 	}
-	p.warnSkipped(name, it.skipped)
 }
 
 // line mines one parsed container-log line.

@@ -267,8 +267,8 @@ func (ss *ShardedStream) Feed(source, rawLine string) bool {
 // of each shard's queue, not once per line. Lines are substrings of
 // block; the workers clone what the events they mine keep, so nothing
 // pins it once they are parsed. It returns how many lines were accepted
-// (0 after Close) and how many were skipped.
-func (ss *ShardedStream) FeedBlock(source, block string) (fed, skipped int) {
+// (0 after Close).
+func (ss *ShardedStream) FeedBlock(source, block string) (fed int) {
 	it := segmentIter{raw: block}
 	lines := make([][]shardLine, len(ss.shards))
 	own := -1
@@ -284,14 +284,14 @@ func (ss *ShardedStream) FeedBlock(source, block string) (fed, skipped int) {
 		fed++
 	}
 	if fed == 0 || !ss.admit(fed) {
-		return 0, it.skipped
+		return 0
 	}
 	for j, ls := range lines {
 		if len(ls) > 0 {
 			ss.shards[j].push(ls...)
 		}
 	}
-	return fed, it.skipped
+	return fed
 }
 
 // admit raises the pending work count by n lines about to be queued. It
