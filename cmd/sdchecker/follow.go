@@ -47,8 +47,8 @@ func newDirScanner(dir string, st *core.ShardedStream) *dirScanner {
 func (s *dirScanner) scan() (changed bool, err error) {
 	t := s.pl.Begin()
 	fed := 0
-	err = core.WalkTree(s.dir, func(name, path string) error {
-		n, err := s.drainFile(path, name)
+	err = core.WalkTree(s.dir, 1, func(_ int, f core.TreeFile) error {
+		n, err := s.drainFile(f)
 		fed += n
 		return err
 	})
@@ -86,24 +86,30 @@ func followDir(dir string, workers int) error {
 	}
 }
 
-// drainFile feeds every complete line appended since the recorded
+// drainFile feeds every complete line of f appended since the recorded
 // offset and advances the offset by the bytes those lines take, line
-// terminators included. It reads from the offset up to the size it
-// stats with a core.BlockReader and hands each block of complete lines
-// to FeedBlock at once. An unterminated tail — a line its writer has
-// not finished — is held back until its newline arrives. A CR before
-// the newline is dropped from the fed line, as the offline parser drops
-// it. A line of core.MaxLineBytes or more is skipped, even while
-// unfinished, so the offset moves past what was read of it, and
+// terminators included. It opens f, stats the open file, and reads from
+// the offset up to that size with a core.BlockReader, handing each block
+// of complete lines to FeedBlock at once. An unterminated tail — a line
+// its writer has not finished — is held back until its newline arrives.
+// A CR before the newline is dropped from the fed line, as the offline
+// parser drops it. A line of core.MaxLineBytes or more is skipped, even
+// while unfinished, so the offset moves past what was read of it, and
 // reported in the returned error by the drain that meets it; the lines
 // after it are fed. A file smaller than its offset was truncated in
 // place (copytruncate rotation) and is fed again from its start. It
 // returns how many lines were fed.
-func (s *dirScanner) drainFile(path, rel string) (int, error) {
-	info, err := os.Stat(path)
+func (s *dirScanner) drainFile(f core.TreeFile) (int, error) {
+	r, err := f.Open()
 	if err != nil {
 		return 0, err
 	}
+	defer r.Close()
+	info, err := r.Stat()
+	if err != nil {
+		return 0, err
+	}
+	rel := f.Name
 	file, size := s.files[rel], info.Size()
 	if size < file.off {
 		file = fileState{}
@@ -112,12 +118,7 @@ func (s *dirScanner) drainFile(path, rel string) (int, error) {
 	if size == file.off {
 		return 0, nil
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	s.rd.Reset(io.NewSectionReader(f, file.off, size-file.off), file.skipping)
+	s.rd.Reset(io.NewSectionReader(r, file.off, size-file.off), file.skipping)
 	fed := 0
 	for block, ok := s.rd.Next(); ok; block, ok = s.rd.Next() {
 		fed += s.st.FeedBlock(rel, block)

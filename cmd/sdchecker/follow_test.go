@@ -34,18 +34,18 @@ func TestDrainFileIncremental(t *testing.T) {
 	sc := newDirScanner(dir, st)
 
 	writeLines(t, rm, mkLine(100, "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED"))
-	fed, err := sc.drainFile(rm, "rm.log")
+	fed, err := drain(t, sc, "rm.log")
 	if err != nil || fed != 1 {
 		t.Fatalf("first drain: fed=%v err=%v", fed, err)
 	}
 	// No growth: nothing new.
-	fed, err = sc.drainFile(rm, "rm.log")
+	fed, err = drain(t, sc, "rm.log")
 	if err != nil || fed != 0 {
 		t.Fatalf("idle drain reported change: %v %v", fed, err)
 	}
 	// Append: only the new line is consumed.
 	writeLines(t, rm, mkLine(5000, "x.RMAppImpl", app+" State change from ACCEPTED to RUNNING on event = ATTEMPT_REGISTERED"))
-	fed, err = sc.drainFile(rm, "rm.log")
+	fed, err = drain(t, sc, "rm.log")
 	if err != nil || fed != 1 {
 		t.Fatalf("append drain: fed=%v err=%v", fed, err)
 	}
@@ -70,11 +70,11 @@ func TestDrainFileContainerLog(t *testing.T) {
 	defer st.Close()
 	sc := newDirScanner(dir, st)
 	writeLines(t, abs, mkLine(7000, "org.apache.spark.executor.CoarseGrainedExecutorBackend", "Started daemon"))
-	if fed, err := sc.drainFile(abs, rel); err != nil || fed != 1 {
+	if fed, err := drain(t, sc, rel); err != nil || fed != 1 {
 		t.Fatalf("container drain: %v %v", fed, err)
 	}
 	writeLines(t, abs, mkLine(9000, "org.apache.spark.executor.CoarseGrainedExecutorBackend", "Got assigned task 0"))
-	if fed, err := sc.drainFile(abs, rel); err != nil || fed != 1 {
+	if fed, err := drain(t, sc, rel); err != nil || fed != 1 {
 		t.Fatalf("container append drain: %v %v", fed, err)
 	}
 	st.Quiesce()
@@ -101,11 +101,28 @@ func appendRaw(t *testing.T, path, s string) {
 	}
 }
 
+// drain drains the file of sc's tree called rel, as a scan meets it.
+func drain(t *testing.T, sc *dirScanner, rel string) (fed int, err error) {
+	t.Helper()
+	found := false
+	werr := core.WalkTree(sc.dir, 1, func(_ int, f core.TreeFile) error {
+		if f.Name == rel {
+			found = true
+			fed, err = sc.drainFile(f)
+		}
+		return nil
+	})
+	if werr != nil || !found {
+		t.Fatalf("walking to %s: found=%v err=%v", rel, found, werr)
+	}
+	return fed, err
+}
+
 // drainExpect drains rel once and checks how many lines it fed and
 // where the offset ended.
-func drainExpect(t *testing.T, sc *dirScanner, path, rel string, wantFed int, wantOff int64) {
+func drainExpect(t *testing.T, sc *dirScanner, rel string, wantFed int, wantOff int64) {
 	t.Helper()
-	fed, err := sc.drainFile(path, rel)
+	fed, err := drain(t, sc, rel)
 	if err != nil || fed != wantFed {
 		t.Fatalf("drain: fed=%d err=%v, want fed=%d", fed, err, wantFed)
 	}
@@ -128,7 +145,7 @@ func TestDrainFileCRLF(t *testing.T) {
 	// The smallest case: two CRLF lines, ten bytes.
 	junk := filepath.Join(dir, "junk.log")
 	appendRaw(t, junk, "bcd\r\nefg\r\n")
-	drainExpect(t, sc, junk, "junk.log", 2, 10)
+	drainExpect(t, sc, "junk.log", 2, 10)
 
 	app1, app2 := "application_1499000000000_0001", "application_1499000000000_0002"
 	l1 := mkLine(100, "x.RMAppImpl", app1+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")
@@ -136,10 +153,10 @@ func TestDrainFileCRLF(t *testing.T) {
 	l3 := mkLine(5000, "x.RMAppImpl", app1+" State change from ACCEPTED to RUNNING on event = ATTEMPT_REGISTERED")
 	appendRaw(t, rm, l1+"\r\n"+l2+"\r\n")
 	size := int64(len(l1) + len(l2) + 4)
-	drainExpect(t, sc, rm, "rm.log", 2, size)
+	drainExpect(t, sc, "rm.log", 2, size)
 	appendRaw(t, rm, l3+"\r\n")
-	drainExpect(t, sc, rm, "rm.log", 1, size+int64(len(l3))+2)
-	drainExpect(t, sc, rm, "rm.log", 0, size+int64(len(l3))+2)
+	drainExpect(t, sc, "rm.log", 1, size+int64(len(l3))+2)
+	drainExpect(t, sc, "rm.log", 0, size+int64(len(l3))+2)
 
 	st.Quiesce()
 	if n := st.EventCount(); n != 3 {
@@ -169,17 +186,17 @@ func TestDrainFilePartialLine(t *testing.T) {
 	// The smallest case: three bytes and no newline.
 	junk := filepath.Join(dir, "junk.log")
 	appendRaw(t, junk, "abc")
-	drainExpect(t, sc, junk, "junk.log", 0, 0)
+	drainExpect(t, sc, "junk.log", 0, 0)
 
 	app := "application_1499000000000_0001"
 	l1 := mkLine(100, "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")
 	l2 := mkLine(5000, "x.RMAppImpl", app+" State change from ACCEPTED to RUNNING on event = ATTEMPT_REGISTERED")
 	cut := len(l2) - len("ISTERED")
 	appendRaw(t, rm, l1+"\n"+l2[:cut])
-	drainExpect(t, sc, rm, "rm.log", 1, int64(len(l1))+1)
-	drainExpect(t, sc, rm, "rm.log", 0, int64(len(l1))+1) // still unfinished
+	drainExpect(t, sc, "rm.log", 1, int64(len(l1))+1)
+	drainExpect(t, sc, "rm.log", 0, int64(len(l1))+1) // still unfinished
 	appendRaw(t, rm, l2[cut:]+"\n")
-	drainExpect(t, sc, rm, "rm.log", 1, int64(len(l1)+len(l2))+2)
+	drainExpect(t, sc, "rm.log", 1, int64(len(l1)+len(l2))+2)
 
 	st.Quiesce()
 	if n := st.EventCount(); n != 2 {
@@ -241,7 +258,7 @@ func TestDrainFileUnfinishedLongLine(t *testing.T) {
 	sc := newDirScanner(dir, st)
 
 	appendRaw(t, rm, strings.Repeat("x", 5<<20))
-	if fed, err := sc.drainFile(rm, "rm.log"); err == nil || fed != 0 {
+	if fed, err := drain(t, sc, "rm.log"); err == nil || fed != 0 {
 		t.Fatalf("first drain: fed=%d err=%v, want the skipped line reported", fed, err)
 	}
 	if got := sc.files["rm.log"].off; got != 5<<20 {
@@ -250,7 +267,7 @@ func TestDrainFileUnfinishedLongLine(t *testing.T) {
 	app := "application_1499000000000_0001"
 	l := mkLine(100, "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")
 	appendRaw(t, rm, "xxx\n"+l+"\n")
-	drainExpect(t, sc, rm, "rm.log", 1, 5<<20+4+int64(len(l))+1)
+	drainExpect(t, sc, "rm.log", 1, 5<<20+4+int64(len(l))+1)
 	st.Quiesce()
 	if st.EventCount() != 1 {
 		t.Fatalf("events=%d, want 1", st.EventCount())
@@ -296,9 +313,9 @@ func TestDrainFileLongLineBoundary(t *testing.T) {
 	sc := newDirScanner(dir, st)
 
 	appendRaw(t, rm, strings.Repeat("x", core.MaxLineBytes-1)+"\n")
-	drainExpect(t, sc, rm, "rm.log", 1, core.MaxLineBytes)
+	drainExpect(t, sc, "rm.log", 1, core.MaxLineBytes)
 	appendRaw(t, rm, strings.Repeat("x", core.MaxLineBytes)+"\nshort\n")
-	fed, err := sc.drainFile(rm, "rm.log")
+	fed, err := drain(t, sc, "rm.log")
 	if err == nil || fed != 1 {
 		t.Fatalf("drain: fed=%d err=%v, want the short line fed and the long one reported", fed, err)
 	}
@@ -391,7 +408,7 @@ func FuzzDrainFile(f *testing.F) {
 		for _, end := range ends {
 			appendRaw(t, path, data[written:end])
 			written = end
-			n, err := sc.drainFile(path, "rm.log")
+			n, err := drain(t, sc, "rm.log")
 			if err != nil && !strings.Contains(err.Error(), "skipped a line") {
 				t.Fatalf("drain: %v", err)
 			}

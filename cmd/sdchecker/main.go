@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		dir      = flag.String("dir", "", "log directory tree to analyze (required)")
-		workers  = flag.Int("workers", 0, "parse/ingest worker goroutines (0 = GOMAXPROCS); output is byte-identical at any setting")
+		workers  = flag.Int("workers", 0, "worker goroutines: offline they walk the tree and parse its files, live they ingest (0 = GOMAXPROCS); output is byte-identical at any setting")
 		graph    = flag.Int("graph", 0, "print the scheduling graph (ASCII) for the app with this sequence number")
 		path     = flag.Int("path", 0, "print the scheduling critical path for the app with this sequence number")
 		dot      = flag.Int("dot", 0, "print the scheduling graph (Graphviz DOT) for the app with this sequence number")

@@ -57,23 +57,33 @@ func writeDanglingSymlinkTree(t *testing.T, dir string) {
 }
 
 // TestOfflineEqualsLiveTreeEdges: on trees with an over-long line or a
-// vanished file, the offline miners (MineDir at one and two workers,
-// the serial Checker) and one tailer scan into a stream render the same
-// JSON, and the offline ones succeed.
+// vanished file, or mined through a symlink to the tree, the offline
+// miners (MineDir at one and two workers, the serial Checker) and one
+// tailer scan into a stream render the same JSON, and the offline ones
+// succeed.
 func TestOfflineEqualsLiveTreeEdges(t *testing.T) {
 	trees := []struct {
 		name  string
 		write func(*testing.T, string)
 		mined []string // in the JSON of every path
+		link  bool     // mine the tree through a symlink to it
 	}{
-		{"long line", writeLongLineTree, []string{`"submitted_ms": 1499000400000`}},
-		{"long container line", writeLongContainerLineTree, []string{`"instance": "spe"`, `"first_log_ms": 1499000007000`}},
-		{"dangling symlink", writeDanglingSymlinkTree, []string{`"submitted_ms": 1499000400000`}},
+		{"long line", writeLongLineTree, []string{`"submitted_ms": 1499000400000`}, false},
+		{"long container line", writeLongContainerLineTree, []string{`"instance": "spe"`, `"first_log_ms": 1499000007000`}, false},
+		{"dangling symlink", writeDanglingSymlinkTree, []string{`"submitted_ms": 1499000400000`}, false},
+		{"symlinked root", writeLongContainerLineTree, []string{`"instance": "spe"`, `"first_log_ms": 1499000007000`}, true},
 	}
 	for _, tr := range trees {
 		t.Run(tr.name, func(t *testing.T) {
 			dir := t.TempDir()
 			tr.write(t, dir)
+			if tr.link {
+				link := filepath.Join(t.TempDir(), "logs")
+				if err := os.Symlink(dir, link); err != nil {
+					t.Fatal(err)
+				}
+				dir = link
+			}
 			render := func(how string, rep *core.Report, err error) string {
 				t.Helper()
 				if err != nil {

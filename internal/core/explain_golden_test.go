@@ -55,7 +55,7 @@ func TestExplainGolden(t *testing.T) {
 				t.Errorf("%s: explain output drifted from golden file; rerun with -update and review the diff", c.Name())
 			}
 			// The parallel miner must render the same explain report.
-			for _, w := range []int{2, 5} {
+			for _, w := range []int{1, 2, 5} {
 				prep, err := MineDir(filepath.Join(root, c.Name(), "input"), w)
 				if err != nil {
 					t.Fatalf("MineDir(workers=%d): %v", w, err)

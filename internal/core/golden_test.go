@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"flag"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,27 +54,12 @@ func TestGolden(t *testing.T) {
 			// carries no warnings, so the reference miner reaches the same
 			// golden bytes exactly when it agrees with the fast parser on
 			// every input file.
-			input := filepath.Join(root, c.Name(), "input")
-			if err := filepath.WalkDir(input, func(path string, d fs.DirEntry, err error) error {
-				if err != nil || d.IsDir() {
-					return err
-				}
-				data, err := os.ReadFile(path)
-				if err != nil {
-					return err
-				}
-				rel, err := filepath.Rel(input, path)
-				if err != nil {
-					return err
-				}
-				diffParsers(t, filepath.ToSlash(rel), data)
-				return nil
-			}); err != nil {
-				t.Fatalf("walking %s: %v", input, err)
+			for _, f := range goldenTreeFiles(t, filepath.Join(root, c.Name(), "input")) {
+				diffParsers(t, f.source, []byte(f.raw))
 			}
 			// The parallel miner must hit the same goldens byte for byte
 			// at any worker count.
-			for _, w := range []int{2, 5} {
+			for _, w := range []int{1, 2, 5} {
 				prep, err := MineDir(filepath.Join(root, c.Name(), "input"), w)
 				if err != nil {
 					t.Fatalf("MineDir(workers=%d): %v", w, err)

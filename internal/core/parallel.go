@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"io"
-	"io/fs"
-	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,70 +12,70 @@ import (
 
 // The parallel offline miner: parsing — reading each file and matching
 // its lines against the vocabulary — dominates SDchecker's wall time, and
-// files are independent until correlation, so MineDir/MineSink fan the
-// files of a log tree out to worker goroutines and merge the per-file
+// files are independent until correlation, so MineDir/MineSink parse the
+// files of a log tree on worker goroutines and merge the per-file
 // results back in file order. The merged event slice is exactly what one
 // serial Parser over the same files in the same order would have
 // produced, so the report — including its JSON export — is byte-identical
 // to Checker.Analyze for any worker count.
 
-// mineFile is one log file to parse: its logical (slash-separated) name
-// and a way to open its content, closed after parsing if it is an
-// io.Closer.
-type mineFile struct {
-	name string
-	open func() (io.Reader, error)
-}
-
 // MineDir mines a log directory tree like Checker.AddDir + Analyze, but
-// parses files on up to workers goroutines (0 = GOMAXPROCS). The report
-// is byte-identical to the serial checker's regardless of worker count.
+// walks it and parses its files on up to workers goroutines (0 =
+// GOMAXPROCS): each worker parses the files WalkTree hands it as it
+// finds them. The report is byte-identical to the serial checker's
+// regardless of worker count.
 func MineDir(dir string, workers int) (*Report, error) {
-	var files []mineFile
-	err := WalkTree(dir, func(name, path string) error {
-		files = append(files, mineFile{
-			name: name,
-			open: func() (io.Reader, error) { return os.Open(path) },
-		})
-		return nil
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// mined holds what one worker parsed; made by the worker on its first
+	// file, so an unstarted worker costs a nil pointer.
+	type mined struct {
+		rd    BlockReader // reads every file the worker parses
+		files []minedFile
+	}
+	byWorker := make([]*mined, workers)
+	err := WalkTree(dir, workers, func(w int, f TreeFile) error {
+		m := byWorker[w]
+		if m == nil {
+			m = new(mined)
+			byWorker[w] = m
+		}
+		p := &Parser{rd: &m.rd}
+		m.files = append(m.files, minedFile{f.Name, p})
+		return p.parseFile(f)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return mineFiles(files, workers)
+	var files []minedFile
+	for _, m := range byWorker {
+		if m != nil {
+			files = append(files, m.files...)
+		}
+	}
+	slices.SortFunc(files, func(a, b minedFile) int { return compareWalk(a.name, b.name) })
+	parsers := make([]*Parser, len(files))
+	for i, f := range files {
+		parsers[i] = f.p
+	}
+	return mineReport(parsers, workers), nil
+}
+
+// minedFile is one file's parse, under the file's name.
+type minedFile struct {
+	name string
+	p    *Parser
 }
 
 // MineSink mines an in-memory log sink like Checker.AddSink + Analyze,
 // parsing files on up to workers goroutines (0 = GOMAXPROCS).
 func MineSink(s *log4j.Sink, workers int) (*Report, error) {
-	names := s.Files()
-	files := make([]mineFile, 0, len(names))
-	for _, f := range names {
-		f := f
-		files = append(files, mineFile{
-			name: f,
-			open: func() (io.Reader, error) { return s.Reader(f), nil },
-		})
-	}
-	return mineFiles(files, workers)
-}
-
-// mineFiles parses every file on a worker pool, merges the per-file
-// parsers in file order (events, line/file counts, and warnings — the
-// latter replayed occurrence by occurrence so dedup counts match a
-// serial parse), then correlates, decomposes in parallel, and builds the
-// report.
-func mineFiles(files []mineFile, workers int) (*Report, error) {
+	files := s.Files()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(files) {
-		workers = len(files)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
+	workers = max(min(workers, len(files)), 1)
 	parsers := make([]*Parser, len(files))
 	errs := make([]error, len(files))
 	var next int64 = -1
@@ -92,40 +90,29 @@ func mineFiles(files []mineFile, workers int) (*Report, error) {
 				if i >= len(files) {
 					return
 				}
-				r, err := files[i].open()
-				if errors.Is(err, fs.ErrNotExist) {
-					continue // vanished since the walk, as WalkTree skips it
-				}
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				p := &Parser{rd: &rd}
-				err = p.ParseReader(files[i].name, r)
-				if c, ok := r.(io.Closer); ok {
-					c.Close()
-				}
-				parsers[i], errs[i] = p, err
+				parsers[i] = &Parser{rd: &rd}
+				errs[i] = parsers[i].ParseReader(files[i], s.Reader(files[i]))
 			}
 		}()
 	}
 	wg.Wait()
-
 	if err := errors.Join(errs...); err != nil {
-		// Every file's error in file order, as WalkTree joins them.
 		return nil, err
 	}
+	return mineReport(parsers, workers), nil
+}
+
+// mineReport merges the per-file parsers in file order (events,
+// line/file counts, and warnings — the latter replayed occurrence by
+// occurrence so dedup counts match a serial parse), then correlates,
+// decomposes on up to workers goroutines, and builds the report.
+func mineReport(parsers []*Parser, workers int) *Report {
 	total := 0
 	for _, p := range parsers {
-		if p != nil {
-			total += len(p.events)
-		}
+		total += len(p.events)
 	}
 	merged := &Parser{events: make([]Event, 0, total)}
 	for _, p := range parsers {
-		if p == nil {
-			continue
-		}
 		merged.events = append(merged.events, p.events...)
 		merged.files += p.files
 		merged.lines += p.lines
@@ -137,7 +124,7 @@ func mineFiles(files []mineFile, workers int) (*Report, error) {
 	r := buildReport(apps, merged.Events())
 	r.Warnings = merged.Warnings()
 	r.FilesParsed, r.LinesParsed = merged.Stats()
-	return r, nil
+	return r
 }
 
 // decomposeAll runs the (pure, per-app) decomposition over a worker

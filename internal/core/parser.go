@@ -1,12 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 
@@ -251,44 +247,20 @@ func (p *Parser) ParseReader(name string, r io.Reader) error {
 }
 
 // ParseDir walks a log directory tree (as written by Sink.WriteDir or
-// collected from a real cluster) with WalkTree and consumes every file.
+// collected from a real cluster) with WalkTree on one worker and
+// consumes every file.
 func (p *Parser) ParseDir(dir string) error {
-	return WalkTree(dir, func(name, path string) error {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return p.ParseReader(name, f)
-	})
+	return WalkTree(dir, 1, func(_ int, f TreeFile) error { return p.parseFile(f) })
 }
 
-// WalkTree visits every entry of the log tree at dir that is not a
-// directory, in lexical order, passing its slash-separated name
-// relative to dir and its path. It is the one walk the offline miner
-// and the live tailer share. An unreadable root is returned at once. An
-// entry that vanished since it was listed is skipped, whether the walk
-// or visit meets its fs.ErrNotExist. Every other error is joined into
-// the returned error once the whole tree has been walked.
-func WalkTree(dir string, visit func(name, path string) error) error {
-	var errs []error
-	werr := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			rel, rerr := filepath.Rel(dir, path)
-			if rerr != nil {
-				rel = path
-			}
-			err = visit(filepath.ToSlash(rel), path)
-		}
-		if err != nil && path == dir {
-			return err
-		}
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			errs = append(errs, err)
-		}
-		return nil
-	})
-	return errors.Join(append(errs, werr)...)
+// parseFile opens f and consumes it.
+func (p *Parser) parseFile(f TreeFile) error {
+	r, err := f.Open()
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	return p.ParseReader(f.Name, r)
 }
 
 // mineDaemonLineFast is mineDaemonLineRegex on the byte-level rule

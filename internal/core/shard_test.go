@@ -3,8 +3,7 @@ package core
 import (
 	"bufio"
 	"fmt"
-	"io/fs"
-	"os"
+	"io"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -155,25 +154,15 @@ func TestShardedStreamMatchesSerial(t *testing.T) {
 func goldenTreeLines(t *testing.T, dir string) []shardLine {
 	t.Helper()
 	var out []shardLine
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		rel, _ := filepath.Rel(dir, path)
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sc := bufio.NewScanner(f)
+	for _, f := range goldenTreeFiles(t, dir) {
+		sc := bufio.NewScanner(strings.NewReader(f.raw))
 		sc.Buffer(make([]byte, 0, 256*1024), 1024*1024)
 		for sc.Scan() {
-			out = append(out, shardLine{filepath.ToSlash(rel), sc.Text()})
+			out = append(out, shardLine{f.source, sc.Text()})
 		}
-		return sc.Err()
-	})
-	if err != nil {
-		t.Fatalf("reading %s: %v", dir, err)
+		if err := sc.Err(); err != nil {
+			t.Fatalf("reading %s: %v", f.source, err)
+		}
 	}
 	return out
 }
@@ -506,9 +495,14 @@ func TestShardedPublishedTracesImmutable(t *testing.T) {
 func goldenTreeFiles(t *testing.T, dir string) []shardLine {
 	t.Helper()
 	var out []shardLine
-	err := WalkTree(dir, func(name, path string) error {
-		data, err := os.ReadFile(path)
-		out = append(out, shardLine{name, string(data)})
+	err := WalkTree(dir, 1, func(_ int, f TreeFile) error {
+		r, err := f.Open()
+		if err != nil {
+			return err
+		}
+		defer r.Close()
+		data, err := io.ReadAll(r)
+		out = append(out, shardLine{f.Name, string(data)})
 		return err
 	})
 	if err != nil {

@@ -1,0 +1,301 @@
+package core
+
+import (
+	"cmp"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+)
+
+// The tree source: one walk over a log tree that the offline miner and
+// the live tailer share. SDchecker's input is the per-container stderr
+// files YARN keeps, one directory per container, so a log tree holds
+// more directories than files, and the walk is as much directory reads
+// as file opens. Every worker walks its own part of the tree depth
+// first, reading each directory through its open descriptor and opening
+// each file relative to it, and visits each file where it finds it, so
+// the walk overlaps whatever the visitor does with the file. An idle
+// worker is handed half of what a busy one has still to walk at its
+// shallowest level, so few hand-offs balance the workers.
+
+// TreeFile is one file WalkTree visits. It is valid only during the
+// visit, while its directory is held open.
+type TreeFile struct {
+	// Name is the file's slash-separated name relative to the root, or
+	// "." when the root itself is a file.
+	Name string
+	dir  *treeDir
+	base string
+}
+
+// Open opens the file for reading, relative to its directory's
+// descriptor where the platform allows it. A symlink is followed.
+func (f TreeFile) Open() (*os.File, error) { return f.dir.openFile(f.base) }
+
+// treeDir is a directory of the tree, open while a worker walks its
+// entries or while a run of them waits on the shared stack.
+type treeDir struct {
+	f    *os.File     // nil only for the file that is the root, opened from the working directory
+	path string       // the OS path, for error text and the platforms without openat
+	name string       // slash-separated, relative to the root; "" at the root
+	refs atomic.Int32 // dirRuns of its entries not yet walked: the last one closes f
+}
+
+// join returns the OS path of the entry called name in d, spelled as
+// filepath.Join(d.path, name) spells it. Below the root d.path is
+// already clean, so name is appended without cleaning the path again.
+func (d *treeDir) join(name string) string {
+	switch {
+	case d.path == "":
+		return name
+	case d.name == "":
+		return filepath.Join(d.path, name)
+	}
+	return d.path + string(filepath.Separator) + name
+}
+
+// WalkTree visits every entry of the log tree at dir that is not a
+// directory, passing its worker's number, in [0, workers), and the file;
+// with more than one worker, visit runs on several goroutines at once.
+// A symlinked root is followed, as os.Open follows it; below the root a
+// symlink is visited as a file, so Open follows it. An unreadable root
+// is returned at once. An entry that vanished since it was listed is
+// skipped, whether the walk or visit meets its fs.ErrNotExist. Every
+// other error is joined, in walk order, into the returned error once the
+// whole tree has been walked.
+//
+// Each worker walks depth first in name order. While another worker is
+// idle, it hands that worker the later half of the entries still ahead
+// of it in the shallowest directory it is inside, and walks on with the
+// earlier half. So with one worker files are visited in the order of
+// filepath.WalkDir; with several, each file is visited once, on any
+// worker, and compareWalk restores walk order. Workers start as entries
+// are handed off, never more than workers, and each holds one descriptor
+// per directory level it is inside.
+func WalkTree(dir string, workers int, visit func(worker int, f TreeFile) error) error {
+	root, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	info, err := root.Stat()
+	if err != nil || !info.IsDir() {
+		root.Close()
+		if err != nil {
+			return err
+		}
+		return visit(0, TreeFile{Name: ".", dir: &treeDir{}, base: dir})
+	}
+	w := &treeWalk{visit: visit, workers: max(workers, 1), started: 1, busy: 1}
+	w.cond.L = &w.mu
+	w.setSpare()
+	w.run(0, w.enter(&treeDir{f: root, path: dir}))
+	w.wg.Wait()
+	slices.SortStableFunc(w.errs, func(a, b treeErr) int { return compareWalk(a.name, b.name) })
+	errs := make([]error, len(w.errs))
+	for i, e := range w.errs {
+		errs[i] = e.err
+	}
+	return errors.Join(errs...)
+}
+
+// compareWalk orders two slash-separated names as a depth-first walk in
+// name order meets them: component by component, so "a/x" comes before
+// "a-b", which byte order puts after it.
+func compareWalk(a, b string) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	switch {
+	case i == len(a) || i == len(b):
+		return cmp.Compare(len(a), len(b))
+	case a[i] == '/':
+		return -1 // a's component ended: it is a prefix of b's
+	case b[i] == '/':
+		return 1
+	}
+	return cmp.Compare(a[i], b[i])
+}
+
+// treeWalk is one WalkTree call's shared state.
+type treeWalk struct {
+	visit   func(worker int, f TreeFile) error
+	workers int
+	wg      sync.WaitGroup // the workers started after the first
+
+	mu      sync.Mutex
+	cond    sync.Cond // entries were handed off, or the walk ended
+	stack   []dirRun  // handed-off entries
+	started int       // workers started, the caller's included
+	busy    int       // workers walking
+	idle    int       // workers waiting for entries
+	errs    []treeErr
+
+	// spare is set while handed-off entries would be taken at once, by an
+	// idle worker or a new one; it spares walkers the lock.
+	spare atomic.Bool
+}
+
+// dirRun is a run of one directory's entries, in name order, still to be
+// walked. It holds one of the directory's refs.
+type dirRun struct {
+	d    *treeDir
+	ents []fs.DirEntry
+}
+
+// treeErr is an error met at the entry called name.
+type treeErr struct {
+	name string
+	err  error
+}
+
+// setSpare recomputes spare; mu is held.
+func (w *treeWalk) setSpare() {
+	w.spare.Store(w.idle > len(w.stack) || w.started < w.workers)
+}
+
+// run walks s and then every run handed to it, until the walk ends.
+func (w *treeWalk) run(worker int, s dirRun) {
+	for ok := true; ok; s, ok = w.next() {
+		w.walk(worker, s)
+	}
+}
+
+// next retires the run the caller walked and waits for another: it
+// reports false once no worker is walking and none is handed off.
+func (w *treeWalk) next() (dirRun, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.busy--
+	for len(w.stack) == 0 && w.busy > 0 {
+		w.idle++
+		w.setSpare()
+		w.cond.Wait()
+		w.idle--
+	}
+	if len(w.stack) == 0 {
+		w.cond.Broadcast() // the walk is over: release the idle workers
+		w.setSpare()
+		return dirRun{}, false
+	}
+	s := w.stack[len(w.stack)-1]
+	w.stack = w.stack[:len(w.stack)-1]
+	w.busy++
+	w.setSpare()
+	return s, true
+}
+
+// handOff gives s to an idle worker, or to a new one while fewer than
+// workers run; it reports false, s kept by the caller, when neither can
+// take it.
+func (w *treeWalk) handOff(s dirRun) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch {
+	case w.idle > len(w.stack):
+		w.stack = append(w.stack, s)
+		w.cond.Signal()
+	case w.started < w.workers:
+		worker := w.started
+		w.started++
+		w.busy++
+		w.wg.Add(1)
+		go func() {
+			defer w.wg.Done()
+			w.run(worker, s)
+		}()
+	default:
+		return false
+	}
+	w.setSpare()
+	return true
+}
+
+// walk walks the entries of s depth first, visiting each file where it
+// finds it. path holds the runs of the directories it is inside, the
+// deepest last.
+func (w *treeWalk) walk(worker int, s dirRun) {
+	path := []dirRun{s}
+	for len(path) > 0 {
+		if w.spare.Load() {
+			w.split(path)
+		}
+		top := &path[len(path)-1]
+		if len(top.ents) == 0 {
+			top.d.release()
+			path = path[:len(path)-1]
+			continue
+		}
+		d, base := top.d, top.ents[0].Name()
+		isDir := top.ents[0].IsDir()
+		top.ents = top.ents[1:]
+		name := base
+		if d.name != "" {
+			name = d.name + "/" + base
+		}
+		if !isDir {
+			if err := w.visit(worker, TreeFile{Name: name, dir: d, base: base}); err != nil {
+				w.fail(name, err)
+			}
+			continue
+		}
+		f, err := d.openDir(base)
+		if err != nil {
+			w.fail(name, err)
+			continue
+		}
+		path = append(path, w.enter(&treeDir{f: f, path: d.join(base), name: name}))
+	}
+}
+
+// split hands the later half of the shallowest run in path with two
+// entries or more to another worker, if one takes it.
+func (w *treeWalk) split(path []dirRun) {
+	for i := range path {
+		s := &path[i]
+		if len(s.ents) < 2 {
+			continue
+		}
+		mid := len(s.ents) / 2
+		s.d.refs.Add(1)
+		if w.handOff(dirRun{s.d, s.ents[mid:]}) {
+			s.ents = s.ents[:mid]
+		} else {
+			s.d.refs.Add(-1)
+		}
+		return
+	}
+}
+
+// enter reads the open directory d's entries into a run, in name order.
+func (w *treeWalk) enter(d *treeDir) dirRun {
+	ents, err := d.f.ReadDir(-1)
+	if err != nil {
+		w.fail(d.name, err) // and walk what was read
+	}
+	slices.SortFunc(ents, func(a, b fs.DirEntry) int { return strings.Compare(a.Name(), b.Name()) })
+	d.refs.Store(1)
+	return dirRun{d, ents}
+}
+
+// release drops one run's hold on d, closing d after the last.
+func (d *treeDir) release() {
+	if d.refs.Add(-1) == 0 {
+		d.f.Close()
+	}
+}
+
+// fail records err met at name, unless the entry vanished.
+func (w *treeWalk) fail(name string, err error) {
+	if errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	w.mu.Lock()
+	w.errs = append(w.errs, treeErr{name, err})
+	w.mu.Unlock()
+}
