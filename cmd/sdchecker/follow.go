@@ -16,8 +16,10 @@ import (
 // files), one FeedBlock per block read. It is the shared ingestion
 // engine of -follow and -serve.
 type dirScanner struct {
-	dir   string
-	st    *core.ShardedStream
+	dir string
+	// feed hands a file's block of whole lines to the stream
+	// (ShardedStream.FeedBlock) and returns how many lines it took.
+	feed  func(source, block string) int
 	files map[string]fileState
 	// pl, when set, times each scan's read phase (walk + drain) as one
 	// StageRead batch — per scan, never per line.
@@ -35,7 +37,7 @@ type fileState struct {
 }
 
 func newDirScanner(dir string, st *core.ShardedStream) *dirScanner {
-	return &dirScanner{dir: dir, st: st, files: make(map[string]fileState)}
+	return &dirScanner{dir: dir, feed: st.FeedBlock, files: make(map[string]fileState)}
 }
 
 // scan walks the tree once with core.WalkTree, feeding every new line.
@@ -121,7 +123,7 @@ func (s *dirScanner) drainFile(f core.TreeFile) (int, error) {
 	s.rd.Reset(io.NewSectionReader(r, file.off, size-file.off), file.skipping)
 	fed := 0
 	for block, ok := s.rd.Next(); ok; block, ok = s.rd.Next() {
-		fed += s.st.FeedBlock(rel, block)
+		fed += s.feed(rel, block)
 	}
 	n, skipping, skipAt := s.rd.Consumed()
 	s.files[rel] = fileState{off: file.off + n, skipping: skipping}

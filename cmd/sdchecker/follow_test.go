@@ -50,10 +50,10 @@ func TestDrainFileIncremental(t *testing.T) {
 		t.Fatalf("append drain: fed=%v err=%v", fed, err)
 	}
 	st.Quiesce()
-	if sc.st.EventCount() != 2 {
-		t.Fatalf("events=%d, want 2 (no re-reads)", sc.st.EventCount())
+	if st.EventCount() != 2 {
+		t.Fatalf("events=%d, want 2 (no re-reads)", st.EventCount())
 	}
-	a := sc.st.Apps()[0]
+	a := st.Apps()[0]
 	if a.Registered-a.Submitted != 4900 {
 		t.Fatalf("am delay %d, want 4900", a.Registered-a.Submitted)
 	}
@@ -78,13 +78,25 @@ func TestDrainFileContainerLog(t *testing.T) {
 		t.Fatalf("container append drain: %v %v", fed, err)
 	}
 	st.Quiesce()
-	c := sc.st.Apps()[0].Containers[0]
+	c := st.Apps()[0].Containers[0]
 	if c.FirstLog == 0 || c.FirstTask == 0 {
 		t.Fatalf("container trace incomplete: %+v", c)
 	}
 	if c.FirstLog != 1499000007000 {
 		t.Fatalf("first log %d moved across drains", c.FirstLog)
 	}
+}
+
+// recordBlocks makes sc record every block its drains hand the stream,
+// in order, and still feed it.
+func recordBlocks(sc *dirScanner) *[]string {
+	var blocks []string
+	feed := sc.feed
+	sc.feed = func(source, block string) int {
+		blocks = append(blocks, block)
+		return feed(source, block)
+	}
+	return &blocks
 }
 
 // appendRaw appends s to path verbatim: no terminator is added, so a
@@ -133,14 +145,17 @@ func drainExpect(t *testing.T, sc *dirScanner, rel string, wantFed int, wantOff 
 
 // TestDrainFileCRLF: CRLF-terminated lines advance the offset by every
 // byte they take, CR included, so a file appended between scans is
-// resumed exactly at the first new line and each line is fed once,
-// without its CR.
+// resumed exactly at the first new line and each line is fed once. Each
+// is handed over whole, its CR directly before its newline, where the
+// stream's line splitter drops it (core's
+// TestSegmentIterSplitsTailedBlocks).
 func TestDrainFileCRLF(t *testing.T) {
 	dir := t.TempDir()
 	rm := filepath.Join(dir, "rm.log")
 	st := core.NewShardedStream(1)
 	defer st.Close()
 	sc := newDirScanner(dir, st)
+	blocks := recordBlocks(sc)
 
 	// The smallest case: two CRLF lines, ten bytes.
 	junk := filepath.Join(dir, "junk.log")
@@ -166,10 +181,9 @@ func TestDrainFileCRLF(t *testing.T) {
 	if a.Registered-a.Submitted != 4900 {
 		t.Fatalf("am delay %d, want 4900", a.Registered-a.Submitted)
 	}
-	for _, e := range a.Events {
-		if strings.ContainsRune(e.Raw, '\r') {
-			t.Fatalf("fed line kept its CR: %q", e.Raw)
-		}
+	want := []string{"bcd\r\nefg\r\n", l1 + "\r\n" + l2 + "\r\n", l3 + "\r\n"}
+	if !slices.Equal(*blocks, want) {
+		t.Fatalf("fed blocks %q, want %q", *blocks, want)
 	}
 }
 
@@ -182,6 +196,7 @@ func TestDrainFilePartialLine(t *testing.T) {
 	st := core.NewShardedStream(1)
 	defer st.Close()
 	sc := newDirScanner(dir, st)
+	blocks := recordBlocks(sc)
 
 	// The smallest case: three bytes and no newline.
 	junk := filepath.Join(dir, "junk.log")
@@ -206,8 +221,8 @@ func TestDrainFilePartialLine(t *testing.T) {
 	if a.Registered-a.Submitted != 4900 {
 		t.Fatalf("am delay %d, want 4900", a.Registered-a.Submitted)
 	}
-	if raw := a.Events[1].Raw; !strings.HasSuffix(l2, raw) || !strings.HasSuffix(raw, "ATTEMPT_REGISTERED") {
-		t.Fatalf("completed line fed torn: %q", raw)
+	if want := []string{l1 + "\n", l2 + "\n"}; !slices.Equal(*blocks, want) {
+		t.Fatalf("fed blocks %q, want %q: completed line fed torn", *blocks, want)
 	}
 }
 

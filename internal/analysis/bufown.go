@@ -17,8 +17,7 @@ import (
 // so a view that is kept pins the whole block) may be stored into
 // heap-lived state — a package variable, a
 // map, a channel send, or a struct that outlives the call — without
-// passing through a sanctioned clone site (strings.Clone and friends,
-// or a clone guarded by a declared gate such as cloneMined).
+// passing through a sanctioned clone site (strings.Clone and friends).
 //
 // The analysis is interprocedural: per-function ownership summaries are
 // computed by internal/analysis/flow over every scoped package, so a
@@ -33,8 +32,8 @@ var BufOwn = &Analyzer{
 
 // The ownership manifest declares the contract bufown enforces; like
 // vocab.json it is embedded so cmd/sdlint needs no side files, and
-// "checked": sources and gates that no longer resolve in the scoped
-// packages are themselves findings, so the manifest cannot rot.
+// "checked": sources that no longer resolve in the scoped packages are
+// themselves findings, so the manifest cannot rot.
 
 //go:embed ownership.json
 var ownershipFS embed.FS
@@ -70,11 +69,6 @@ type Ownership struct {
 
 	Sources []OwnSource `json:"sources"`
 	Cloners []OwnCloner `json:"cloners"`
-
-	// Gates lists clone-guard identifiers: inside `if gate { ... }`,
-	// assignments from cloner calls kill taint unconditionally, because
-	// the gate is declared true exactly when the value needs cloning.
-	Gates []string `json:"gates"`
 
 	// Path is where the manifest was loaded from (for diagnostics).
 	Path string `json:"-"`
@@ -169,21 +163,12 @@ func bufownFinish(u *Unit) {
 			}
 			return false
 		},
-		IsGate: func(name string) bool {
-			for _, g := range man.Gates {
-				if name == g {
-					return true
-				}
-			}
-			return false
-		},
 	})
 
 	// Register every function of every scoped package, remembering which
 	// pass owns it so reports honour that file's //lint:allow directives.
 	passOf := make(map[*flow.Func]*Pass)
 	sourcesSeen := make(map[string]bool)
-	gatesSeen := make(map[string]bool)
 	for _, p := range scoped {
 		for _, file := range p.Files() {
 			for _, decl := range file.Decls {
@@ -201,32 +186,14 @@ func bufownFinish(u *Unit) {
 				}
 			}
 		}
-		// Gates resolve against any identifier declared in scope (a
-		// field or variable named after the guard).
-		for id, obj := range p.TypesInfo().Defs {
-			if obj == nil {
-				continue
-			}
-			for _, g := range man.Gates {
-				if id.Name == g {
-					gatesSeen[g] = true
-				}
-			}
-		}
 	}
 
-	// Checked manifest: a source or gate that no longer resolves means
-	// the contract drifted from the code — the proof would be vacuous.
+	// Checked manifest: a source that no longer resolves means the
+	// contract drifted from the code — the proof would be vacuous.
 	for _, s := range man.Sources {
 		if !sourcesSeen[sourceKey(s)] {
 			u.ReportAt(bufownName, man.Path, 1,
 				"ownership manifest declares source %s, but no scoped package defines it; the buffer-ownership proof is vacuous — update the manifest", sourceKey(s))
-		}
-	}
-	for _, g := range man.Gates {
-		if !gatesSeen[g] {
-			u.ReportAt(bufownName, man.Path, 1,
-				"ownership manifest declares clone gate %q, but no scoped package declares that identifier; update the manifest", g)
 		}
 	}
 

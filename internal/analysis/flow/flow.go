@@ -20,11 +20,6 @@
 //     `line.Class = strings.Clone(line.Class)` cleans exactly that field
 //     while line.Message stays tracked.
 //
-//   - A clone inside `if gate { x = clone(x) }` where gate is a declared
-//     guard identifier kills x's taint unconditionally: the gate is, by
-//     declaration, true exactly when the value is tainted. This mirrors
-//     the dynamic cloneMined discipline in internal/core.
-//
 //   - A function's locally-allocated heap (p := New(); p.f = v) counts
 //     as local until it is itself stored somewhere non-local; the store
 //     of p is where taint inside it is reported.
@@ -64,11 +59,6 @@ type Config struct {
 	// IsCloner reports whether fn's results copy their inputs' bytes
 	// (strings.Clone, fmt.Sprintf, ...). Cloner results are clean.
 	IsCloner func(fn *types.Func) bool
-
-	// IsGate reports whether an identifier (or trailing selector name)
-	// is a declared clone guard: inside `if gate { ... }`, assignments
-	// from cloner calls kill taint unconditionally.
-	IsGate func(name string) bool
 }
 
 // Func is one function under analysis.
@@ -264,10 +254,6 @@ type walker struct {
 	escapes   uint64
 	toPointee []uint64
 	toResult  []uint64
-
-	// kills collects cells assigned from a cloner call while walking a
-	// gate-guarded branch, so the join can apply them unconditionally.
-	kills map[tkey]uint64
 }
 
 func newWalker(p *Program, fn *Func, report func(Escape)) *walker {
@@ -527,59 +513,23 @@ func (w *walker) forkCases(body *ast.BlockStmt) {
 	w.st = joined
 }
 
-// ifStmt forks then/else and joins — except that assignments from
-// cloner calls inside a gate-guarded then-branch kill taint in the
-// join too: the gate is declared to be true exactly when the value
-// needs cloning.
+// ifStmt forks then/else and joins, so a clone on one branch only
+// leaves the value tainted after the if.
 func (w *walker) ifStmt(s *ast.IfStmt) {
 	if s.Init != nil {
 		w.stmt(s.Init)
 	}
 	w.expr(s.Cond)
-	gated := w.prog.cfg.IsGate != nil && mentionsGate(s.Cond, w.prog.cfg.IsGate)
 
 	base := w.st.clone()
-	var prevKills map[tkey]uint64
-	if gated {
-		prevKills, w.kills = w.kills, make(map[tkey]uint64)
-	}
 	w.block(s.Body)
 	thenExit := w.st
-	kills := w.kills
-	if gated {
-		w.kills = prevKills
-	}
 
 	w.st = base
 	if s.Else != nil {
 		w.stmt(s.Else)
 	}
 	w.st.join(thenExit)
-	if gated {
-		for k, v := range kills {
-			w.st[k] = v
-		}
-	}
-}
-
-// mentionsGate reports whether the condition reads a declared gate
-// identifier (p.cloneMined, cloneMined, ...).
-func mentionsGate(cond ast.Expr, isGate func(string) bool) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if isGate(n.Name) {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if isGate(n.Sel.Name) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 func (w *walker) bindRange(s *ast.RangeStmt, mask uint64) {
@@ -656,13 +606,6 @@ func (w *walker) assignStmt(s *ast.AssignStmt) {
 			mask = 0
 		}
 		w.assign(lhs, mask, s.Pos())
-		// Gated-clone kill bookkeeping: x = cloner(...) inside a gate
-		// branch records the post-clone value for the join.
-		if w.kills != nil && isClonerCall(w.prog, w.info, s.Rhs[i]) {
-			if k, ok := w.lhsKey(lhs); ok {
-				w.kills[k] = w.st[k]
-			}
-		}
 	}
 }
 
@@ -690,31 +633,6 @@ func (w *walker) assignComposite(obj types.Object, lit *ast.CompositeLit) bool {
 		}
 	}
 	return true
-}
-
-// lhsKey resolves an assignable expression to its tracked cell, when it
-// has one (local ident or field of a tracked object).
-func (w *walker) lhsKey(lhs ast.Expr) (tkey, bool) {
-	switch lhs := lhs.(type) {
-	case *ast.Ident:
-		if obj := w.objOf(lhs); obj != nil {
-			return tkey{obj, ""}, true
-		}
-	case *ast.SelectorExpr:
-		if root, field := w.rootOf(lhs); root != nil {
-			return tkey{root, field}, true
-		}
-	}
-	return tkey{}, false
-}
-
-func isClonerCall(p *Program, info *types.Info, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || p.cfg.IsCloner == nil {
-		return false
-	}
-	fn := calleeOf(info, call)
-	return fn != nil && p.cfg.IsCloner(fn)
 }
 
 // assign stores mask into lhs, classifying the destination: local

@@ -12,8 +12,7 @@ import (
 
 // loadFlowtest type-checks the synthetic subject package and resolves
 // summaries under the test contract: buf.String is the source,
-// strings.Clone / fmt.Sprintf / clone are cloners, gate/cloneMined are
-// gate identifiers.
+// strings.Clone / fmt.Sprintf / clone are cloners.
 func loadFlowtest(t *testing.T) *flow.Program {
 	t.Helper()
 	prog, err := analysis.Load("../../..", "./internal/analysis/flow/testdata/src/flowtest")
@@ -35,9 +34,6 @@ func loadFlowtest(t *testing.T) *flow.Program {
 		IsCloner: func(fn *types.Func) bool {
 			full := fn.FullName()
 			return full == "strings.Clone" || full == "fmt.Sprintf" || fn.Name() == "clone"
-		},
-		IsGate: func(name string) bool {
-			return name == "gate" || name == "cloneMined"
 		},
 	}
 	fp := flow.NewProgram(prog.Fset, cfg)

@@ -1,8 +1,8 @@
 // Package flowtest is a synthetic subject for the flow engine's unit
 // tests. Functions named Bad* must produce at least one escape report;
 // functions named Good* must produce none. The test configures buf's
-// String method as the taint source, strings.Clone / fmt.Sprintf /
-// clone as cloners, and "gate"/"cloneMined" as gate identifiers.
+// String method as the taint source, and strings.Clone / fmt.Sprintf /
+// clone as cloners.
 package flowtest
 
 import (
@@ -27,7 +27,6 @@ type rec struct {
 
 type keeper struct {
 	lines []string
-	gate  bool
 }
 
 func (k *keeper) keep(s string) { k.lines = append(k.lines, s) }
@@ -78,9 +77,9 @@ func BadFieldOther(b *buf, k *keeper) {
 	k.keep(r.Class) // Class was never cloned
 }
 
-func BadUngated(b *buf, k *keeper) {
+func BadConditionalClone(b *buf, k *keeper) {
 	s := b.String()
-	if len(s) > 0 { // not a declared gate: the clone may not run
+	if len(s) > 0 { // the clone may not run
 		s = strings.Clone(s)
 	}
 	k.keep(s)
@@ -119,14 +118,6 @@ func GoodConcat(b *buf) { sinkStr = b.String() + "" }
 func GoodConvert(b *buf) {
 	bs := []byte(b.String()) // string -> []byte copies
 	sinkStr = string(bs)     // and back again
-}
-
-func GoodGated(b *buf, k *keeper) {
-	s := b.String()
-	if k.gate {
-		s = strings.Clone(s)
-	}
-	k.keep(s)
 }
 
 func GoodFieldClone(b *buf, k *keeper) {

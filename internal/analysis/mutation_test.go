@@ -86,27 +86,22 @@ type mutCase struct {
 	want     string // substring that must appear in an unsuppressed finding
 }
 
-const ownNoGates = `{"version":1,"packages":[],
-  "sources":[{"recv":"BlockReader","func":"Next"}],
-  "cloners":[{"pkg":"strings","func":"Clone"},{"pkg":"fmt","func":"Sprintf"}],
-  "gates":[]}`
-
 const ownNoCloners = `{"version":1,"packages":[],
   "sources":[{"recv":"BlockReader","func":"Next"}],
-  "cloners":[],
-  "gates":["cloneMined"]}`
+  "cloners":[]}`
 
 func mutationCases() []mutCase {
 	return []mutCase{
-		// --- flow.bufown: the clone discipline, broken eight ways ---
+		// --- flow.bufown: the clone discipline, broken seven ways ---
 		{name: "bufown-drop-msg-clone", analyzer: BufOwn, file: "good.go",
-			old: "msg = strings.Clone(msg)", new: "_ = msg",
+			old: "msg := strings.Clone(ln.Message)", new: "msg := ln.Message",
 			want: "passed to mine"},
 		{name: "bufown-drop-class-clone", analyzer: BufOwn, file: "good.go",
 			old: "ln.Class = strings.Clone(ln.Class)", new: "_ = ln.Class",
 			want: "passed to mine"},
 		{name: "bufown-ungated-clone", analyzer: BufOwn, file: "good.go",
-			old: "if p.cloneMined {", new: "if len(msg) > 1 {",
+			old:  "msg := strings.Clone(ln.Message)",
+			new:  "msg := ln.Message\n\tif len(msg) > 1 {\n\t\tmsg = strings.Clone(msg)\n\t}",
 			want: "passed to mine"},
 		{name: "bufown-warn-raw", analyzer: BufOwn, file: "good.go",
 			old: `p.warnf("empty blob: %s", raw)`, new: "p.warns = append(p.warns, raw)",
@@ -118,8 +113,6 @@ func mutationCases() []mutCase {
 		{name: "bufown-bypass-miner", analyzer: BufOwn, file: "good.go",
 			old: "p.mine(ln)", new: "p.emit(event{Raw: ln.Message})",
 			want: "passed to emit"},
-		{name: "bufown-manifest-no-gates", analyzer: BufOwn,
-			manifest: ownNoGates, want: "passed to mine"},
 		{name: "bufown-manifest-no-cloners", analyzer: BufOwn,
 			manifest: ownNoCloners, want: "passed to mine"},
 

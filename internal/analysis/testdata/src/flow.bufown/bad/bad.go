@@ -1,6 +1,6 @@
 // Package bad seeds every mutant of the zero-copy discipline the
-// bufown analyzer must catch: removed clones, wrong gates, partial
-// field clones, and retentions hidden behind helpers.
+// bufown analyzer must catch: removed clones, conditional clones,
+// partial field clones, and retentions hidden behind helpers.
 package bad
 
 import "strings"
@@ -22,9 +22,8 @@ type line struct {
 }
 
 type parser struct {
-	cloneMined bool
-	events     []event
-	flag       bool
+	events []event
+	flag   bool
 }
 
 var lastRaw string
@@ -73,9 +72,9 @@ func (p *parser) scanNoClone(w *BlockReader) {
 	p.mineNoClone(ln) // want `passed to mineNoClone`
 }
 
-// mutant 7: the clone runs under a condition that is not a declared
-// gate, so on the other branch the view is retained raw.
-func (p *parser) scanWrongGate(w *BlockReader) {
+// mutant 7: the clone runs under a condition, so on the other branch
+// the view is retained raw.
+func (p *parser) scanConditionalClone(w *BlockReader) {
 	msg := w.Next()
 	if p.flag {
 		msg = strings.Clone(msg)
@@ -84,9 +83,7 @@ func (p *parser) scanWrongGate(w *BlockReader) {
 }
 
 func (p *parser) minePartial(ln line) {
-	if p.cloneMined {
-		ln.Class = strings.Clone(ln.Class)
-	}
+	ln.Class = strings.Clone(ln.Class)
 	p.events = append(p.events, event{Class: ln.Class, Raw: ln.Message})
 }
 

@@ -1,7 +1,6 @@
 // Package good mirrors the zero-copy mining discipline of
 // internal/core: every retention of BlockReader-derived memory passes
-// through a sanctioned clone (strings.Clone, fmt.Sprintf) or the
-// cloneMined gate.
+// through a sanctioned clone (strings.Clone, fmt.Sprintf).
 package good
 
 import (
@@ -30,9 +29,8 @@ type line struct {
 }
 
 type parser struct {
-	cloneMined bool
-	events     []event
-	warns      []string
+	events []event
+	warns  []string
 }
 
 func parseLine(seg string) line {
@@ -45,20 +43,15 @@ func (p *parser) warnf(format string, args ...any) {
 	p.warns = append(p.warns, fmt.Sprintf(format, args...))
 }
 
-// mine is the sanctioned gated-clone discipline: under cloneMined, the
-// strings that will be retained are cloned before emit.
+// mine is the sanctioned clone discipline: the strings that will be
+// retained are cloned before emit, on every path.
 func (p *parser) mine(ln line) {
-	msg := ln.Message
-	if p.cloneMined {
-		msg = strings.Clone(msg)
-		ln.Class = strings.Clone(ln.Class)
-	}
+	msg := strings.Clone(ln.Message)
+	ln.Class = strings.Clone(ln.Class)
 	p.emit(event{Class: ln.Class, Raw: msg})
 }
 
 func (p *parser) scan(w *BlockReader) {
-	p.cloneMined = true
-	defer func() { p.cloneMined = false }()
 	raw := w.Next()
 	for i := 0; i+2 < len(raw); i += 2 {
 		ln := parseLine(raw[i : i+2])

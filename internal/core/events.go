@@ -118,9 +118,6 @@ type Event struct {
 	TimeMS    int64 // epoch milliseconds (log4j precision)
 	App       ids.AppID
 	Container ids.ContainerID // zero for application-level events
-	Source    string          // log file the event came from
-	Class     string          // emitting log4j class
-	Raw       string          // the matched message text
 	// Instance is set on FIRST_LOG events: what ran in the container,
 	// inferred from the logging classes in its stderr.
 	Instance InstanceType

@@ -913,7 +913,7 @@ func (p *Parser) parseLine(source, raw string) []Event {
 		p.feedDaemonSegments(source, raw)
 	case err == nil:
 		cs := p.beginContainerScan()
-		cs.feed(p, source, cid, raw)
+		cs.feed(p, cid, raw)
 		if cs.hasFirst {
 			cs.finish(p, source, cid)
 		}

@@ -13,20 +13,16 @@ import (
 
 // Parser mines scheduling-related events from log files. Feed it any
 // number of files (daemon logs and per-container stderr files) in any
-// order, then hand Events() to the Correlator.
+// order, then hand Events() to the Correlator. An event keeps only what
+// it was mined for and never aliases the line it came from: the two
+// rules that keep strings of a line, APP_SUMMARY and ASSIGNED, clone
+// them, so a read block or a fed line is garbage once it is mined.
 type Parser struct {
 	events []Event
 	warns  warnSet
 	files  int
 	lines  int
 	met    *parserMetrics
-
-	// cloneMined is set while ParseReader mines a block, and always on a
-	// ShardedStream worker's parser, whose lines may be slices of a
-	// FeedBlock block: the fast miner then clones what each emitted
-	// event keeps, so events do not pin the block. A serial Stream feeds
-	// caller-owned line strings and leaves it false.
-	cloneMined bool
 
 	// rd reads the files ParseReader mines, made on first use unless a
 	// MineDir worker shares its own; its buffer serves every later file.
@@ -213,10 +209,6 @@ func (p *Parser) ParseReader(name string, r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", name, err)
 	}
-	// Have the miners clone what an event keeps (nothing on non-matching
-	// lines) so events never pin a block.
-	p.cloneMined = true
-	defer func() { p.cloneMined = false }()
 	if p.rd == nil {
 		p.rd = new(BlockReader)
 	}
@@ -228,7 +220,7 @@ func (p *Parser) ParseReader(name string, r io.Reader) error {
 			block = p.rd.tail() // mined at the end, or at a read error
 		}
 		if isContainer {
-			cs.feed(p, name, cid, block)
+			cs.feed(p, cid, block)
 		} else {
 			p.feedDaemonSegments(name, block)
 		}
@@ -276,13 +268,6 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 		if !r.match(msg, &m) {
 			continue
 		}
-		if p.cloneMined {
-			// Capture spans are offsets, so they survive the clone; every
-			// extracted field below then shares the clone's backing array
-			// instead of pinning the blob msg was sliced from.
-			msg = strings.Clone(msg)
-			line.Class = strings.Clone(line.Class)
-		}
 		p.hit(r.name)
 		switch ri {
 		case ruleAppSummary:
@@ -291,8 +276,11 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 				p.warnf("%s: %v", name, err)
 				return
 			}
-			p.emit(Event{Kind: AppSubmitted0, TimeMS: line.TimeMS, App: app, Source: name, Class: line.Class,
-				Raw: msg, Name: m.get(msg, 1), AppType: m.get(msg, 2), Queue: m.get(msg, 3)})
+			// Capture spans are offsets, so they survive the clone, and the
+			// three fields share its backing array instead of pinning the
+			// block msg was sliced from.
+			msg = strings.Clone(msg)
+			p.emit(Event{Kind: AppSubmitted0, TimeMS: line.TimeMS, App: app, Name: m.get(msg, 1), AppType: m.get(msg, 2), Queue: m.get(msg, 3)})
 		case ruleAppState:
 			app, err := fastParseAppID(m.get(msg, 0))
 			if err != nil {
@@ -312,7 +300,7 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 			default:
 				return // other transitions are not scheduling-relevant
 			}
-			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: app, Source: name, Class: line.Class, Raw: msg})
+			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: app})
 		case ruleRMContainer:
 			cid, err := fastParseContainerID(m.get(msg, 0))
 			if err != nil {
@@ -332,7 +320,7 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 			default:
 				return
 			}
-			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg})
+			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid})
 		case ruleNMContainer:
 			cid, err := fastParseContainerID(m.get(msg, 0))
 			if err != nil {
@@ -352,18 +340,18 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 			default:
 				return
 			}
-			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg, Node: fastNodeFromPath(name)})
+			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: fastNodeFromPath(name)})
 		case ruleLaunchInvoked:
 			if cid, err := fastParseContainerID(m.get(msg, 0)); err == nil {
-				p.emit(Event{Kind: LaunchInvoked, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg, Node: fastNodeFromPath(name)})
+				p.emit(Event{Kind: LaunchInvoked, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: fastNodeFromPath(name)})
 			}
 		case ruleOppQueued:
 			if cid, err := fastParseContainerID(m.get(msg, 0)); err == nil {
-				p.emit(Event{Kind: OppQueued, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg, Node: fastNodeFromPath(name)})
+				p.emit(Event{Kind: OppQueued, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: fastNodeFromPath(name)})
 			}
 		case ruleAssigned, ruleOppAssigned:
 			if cid, err := fastParseContainerID(m.get(msg, 0)); err == nil {
-				p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: msg, Node: m.get(msg, 1)})
+				p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: strings.Clone(m.get(msg, 1))})
 			}
 		}
 		return
@@ -377,11 +365,10 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 type containerScan struct {
 	bodyStart int
 	instance  InstanceType
-	// The first parseable line, for FIRST_LOG.
-	firstTime            int64
-	firstClass, firstMsg string
-	hasFirst             bool
-	sawFirstTsk          bool
+	// The first parseable line's time, for FIRST_LOG.
+	firstTime   int64
+	hasFirst    bool
+	sawFirstTsk bool
 }
 
 func (p *Parser) beginContainerScan() containerScan {
@@ -389,18 +376,18 @@ func (p *Parser) beginContainerScan() containerScan {
 }
 
 // feed walks raw's segments as container-log lines.
-func (cs *containerScan) feed(p *Parser, name string, cid ids.ContainerID, raw string) {
+func (cs *containerScan) feed(p *Parser, cid ids.ContainerID, raw string) {
 	it := segmentIter{raw: raw}
 	for seg, ok := it.next(); ok; seg, ok = it.next() {
 		p.lines++
 		if line, lok := log4j.ParseLineFast(seg); lok {
-			cs.line(p, name, cid, line)
+			cs.line(p, cid, line)
 		}
 	}
 }
 
 // line mines one parsed container-log line.
-func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, line log4j.Line) {
+func (cs *containerScan) line(p *Parser, cid ids.ContainerID, line log4j.Line) {
 	cs.observe(p, line)
 	var kind Kind
 	switch {
@@ -420,24 +407,16 @@ func (cs *containerScan) line(p *Parser, name string, cid ids.ContainerID, line 
 	default:
 		return
 	}
-	if p.cloneMined {
-		line.Class = strings.Clone(line.Class)
-		line.Message = strings.Clone(line.Message)
-	}
-	p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Source: name, Class: line.Class, Raw: line.Message})
+	p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid})
 }
 
-// observe counts one parsed container-log line, remembers the first one
-// for FIRST_LOG, and classifies the container's instance from logging
+// observe counts one parsed container-log line, remembers the first
+// one's time for FIRST_LOG, and classifies the container's instance from logging
 // classes and message shape.
 func (cs *containerScan) observe(p *Parser, line log4j.Line) {
 	p.countLine()
 	if !cs.hasFirst {
-		class, msg := line.Class, line.Message
-		if p.cloneMined {
-			class, msg = strings.Clone(class), strings.Clone(msg)
-		}
-		cs.firstTime, cs.firstClass, cs.firstMsg, cs.hasFirst = line.TimeMS, class, msg, true
+		cs.firstTime, cs.hasFirst = line.TimeMS, true
 	}
 	cs.instance = foldInstance(cs.instance, lineInstance(line))
 }
@@ -483,7 +462,7 @@ func (cs *containerScan) finish(p *Parser, name string, cid ids.ContainerID) {
 		return
 	}
 	p.hit("first_log")
-	ev := Event{Kind: firstLogKind(cs.instance), TimeMS: cs.firstTime, App: cid.App, Container: cid, Source: name, Class: cs.firstClass, Raw: cs.firstMsg, Instance: cs.instance}
+	ev := Event{Kind: firstLogKind(cs.instance), TimeMS: cs.firstTime, App: cid.App, Container: cid, Instance: cs.instance}
 	p.events = append(p.events, Event{})
 	copy(p.events[cs.bodyStart+1:], p.events[cs.bodyStart:len(p.events)-1])
 	p.events[cs.bodyStart] = ev

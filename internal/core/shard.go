@@ -82,9 +82,8 @@ type streamShard struct {
 	processed atomic.Int64
 
 	// scratch is this worker's reusable parser (only the worker goroutine
-	// touches it); see Stream.scratch. It clones what the events it mines
-	// keep, as ParseReader does, because FeedBlock's lines are slices of
-	// a whole block.
+	// touches it); see Stream.scratch. FeedBlock's lines are slices of a
+	// whole block, which the events it mines never alias (see Parser).
 	scratch Parser
 	// batchEvs and batchEnds are run's reusable parse buffer: the events
 	// of a whole line batch back to back, and where each line's events
@@ -127,7 +126,7 @@ func NewShardedStream(workers int) *ShardedStream {
 	ss := &ShardedStream{shards: make([]*streamShard, workers)}
 	ss.workCond = sync.NewCond(&ss.workMu)
 	for i := range ss.shards {
-		sh := &streamShard{ss: ss, i: i, st: NewStream(), scratch: Parser{cloneMined: true}}
+		sh := &streamShard{ss: ss, i: i, st: NewStream()}
 		sh.qCond = sync.NewCond(&sh.qMu)
 		sh.st.OnComplete(sh.onComplete)
 		ss.shards[i] = sh

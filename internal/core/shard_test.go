@@ -546,9 +546,36 @@ func TestFeedBlockEventsDoNotAliasBlock(t *testing.T) {
 			check("container node", c.Node)
 		}
 		for _, e := range a.Events {
-			for _, s := range []string{e.Source, e.Class, e.Raw, e.Name, e.AppType, e.Queue, e.Node} {
+			for _, s := range []string{e.Name, e.AppType, e.Queue, e.Node} {
 				check(e.Kind.String()+" event string", s)
 			}
+		}
+	}
+}
+
+// TestSegmentIterSplitsTailedBlocks: the lines FeedBlock's splitter
+// takes from the blocks a tailer hands it are the log lines themselves.
+// A block of CRLF-terminated lines yields each line without its CR, and
+// a line completed by a later append, handed whole in a block of its
+// own, yields that line untorn.
+func TestSegmentIterSplitsTailedBlocks(t *testing.T) {
+	l1 := line(100, "x.RMAppImpl", "application_1499000000000_0001 State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")
+	l2 := line(5000, "x.RMAppImpl", "application_1499000000000_0001 State change from ACCEPTED to RUNNING on event = ATTEMPT_REGISTERED")
+	for _, tc := range []struct {
+		block string
+		want  []string
+	}{
+		{"bcd\r\nefg\r\n", []string{"bcd", "efg"}},
+		{l1 + "\r\n" + l2 + "\r\n", []string{l1, l2}},
+		{l2 + "\n", []string{l2}},
+	} {
+		var got []string
+		it := segmentIter{raw: tc.block}
+		for seg, ok := it.next(); ok; seg, ok = it.next() {
+			got = append(got, seg)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("block %q split into %q, want %q", tc.block, got, tc.want)
 		}
 	}
 }

@@ -39,7 +39,8 @@ type Stream struct {
 	lastMS int64
 	// scratch is Feed's reusable line parser: its event slice is reset
 	// (not freed) each feed, which is what makes a non-matching line
-	// allocation-free.
+	// allocation-free. The events it mines keep no view of the fed line
+	// (see Parser), so they do not pin it.
 	scratch Parser
 	// pl, when set by the owning ShardedStream, receives flight-recorder
 	// events (hook fires, evictions); nil calls are no-ops.
