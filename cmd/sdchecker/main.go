@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -219,12 +220,18 @@ func run(dir string, workers, graph, path, dot int, bugs, perApp, csv, jsonOut, 
 		fmt.Fprintf(os.Stderr, "sdchecker: no application with sequence %d\n", path)
 		os.Exit(1)
 	case jsonOut:
-		out, err := rep.JSON()
+		// Streamed app by app; a failed write (a full disk, a closed
+		// pipe) must not pass for a complete report.
+		bw := bufio.NewWriterSize(os.Stdout, 64<<10)
+		err := rep.WriteJSON(bw)
+		if err == nil {
+			bw.WriteByte('\n') // a failed write is sticky: Flush returns it
+			err = bw.Flush()
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdchecker: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println(out)
 	case csv:
 		fmt.Print(rep.CSV())
 	case cdfCSV:

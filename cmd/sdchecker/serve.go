@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -429,16 +430,20 @@ func (s *liveServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
+// handleApps encodes outside s.mu: the report is an immutable snapshot,
+// so scans and other handlers do not wait on the encoder or the client.
 func (s *liveServer) handleApps(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	out, err := s.st.Report().JSON()
+	rep := s.st.Report()
 	s.mu.Unlock()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, out)
+	// A write fails only once the client has gone and the status line
+	// is sent, so its error has no one left to go to.
+	bw := bufio.NewWriter(w)
+	if rep.WriteJSON(bw) == nil {
+		bw.WriteByte('\n')
+		bw.Flush()
+	}
 }
 
 func (s *liveServer) handleTrace(w http.ResponseWriter, r *http.Request) {

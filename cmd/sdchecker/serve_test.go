@@ -481,6 +481,10 @@ func TestServeWorkersByteIdentical(t *testing.T) {
 	if body1 == "" || body1 == "null\n" {
 		t.Fatalf("empty /apps body: %q", body1)
 	}
+	// The streamed body is the report's JSON and a newline.
+	if want, err := serial.st.Report().JSON(); err != nil || body1 != want+"\n" {
+		t.Fatalf("/apps body differs from Report().JSON() plus a newline (err %v)", err)
+	}
 
 	// The cumulative aggregates (fed through the completion hook on
 	// worker goroutines) must agree as well.

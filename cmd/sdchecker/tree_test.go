@@ -155,3 +155,33 @@ func TestMineCLISkipsOverLongLine(t *testing.T) {
 		t.Errorf("stderr = %q, want %q", stderr.String(), want)
 	}
 }
+
+// TestMineCLIJSONWriteErrorExits1 runs `sdchecker -dir T -json` with
+// standard output on /dev/full: the failed write must exit 1 with the
+// error, not 0 with a truncated report.
+func TestMineCLIJSONWriteErrorExits1(t *testing.T) {
+	if dir := os.Getenv("SDCHECKER_TEST_FULL_DIR"); dir != "" {
+		os.Args = []string{"sdchecker", "-dir", dir, "-json"}
+		main()
+		os.Exit(0)
+	}
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	defer full.Close()
+	dir := t.TempDir()
+	writeLines(t, filepath.Join(dir, "rm.log"), submittedLine)
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMineCLIJSONWriteErrorExits1$")
+	cmd.Env = append(os.Environ(), "SDCHECKER_TEST_FULL_DIR="+dir)
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = full, &stderr
+	err = cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("exit: %v, want exit status 1; stderr:\n%s", err, stderr.String())
+	}
+	if msg := stderr.String(); !strings.HasPrefix(msg, "sdchecker: ") || !strings.Contains(msg, "no space left on device") {
+		t.Errorf("stderr = %q, want the write error", msg)
+	}
+}

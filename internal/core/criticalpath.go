@@ -33,10 +33,11 @@ func CriticalPath(a *AppTrace) []Segment {
 	if am == nil || a.Submitted == 0 {
 		return nil
 	}
-	// The gating executor: earliest FIRST_TASK.
+	// The gating executor: the worker container with the earliest
+	// FIRST_TASK.
 	var gate *ContainerTrace
-	for _, c := range a.WorkerContainers() {
-		if c.FirstTask == 0 {
+	for _, c := range a.Containers {
+		if c.IsAM() || c.FirstTask == 0 {
 			continue
 		}
 		if gate == nil || c.FirstTask < gate.FirstTask {
@@ -47,7 +48,7 @@ func CriticalPath(a *AppTrace) []Segment {
 		return nil
 	}
 
-	var segs []Segment
+	segs := make([]Segment, 0, 11) // one per add below
 	cursor := a.Submitted
 	add := func(label string, to int64) {
 		if to == 0 || to <= cursor {

@@ -34,6 +34,25 @@ type AppSummary struct {
 	Decomp      jsonDecomp `json:"decomposition"`
 }
 
+// jsonDecomp is the headline decomposition as AppSummary exports it,
+// with the keys of the JSON export's "decomposition" object.
+type jsonDecomp struct {
+	Total    int64 `json:"total_ms"`
+	AM       int64 `json:"am_ms"`
+	In       int64 `json:"in_ms"`
+	Out      int64 `json:"out_ms"`
+	Driver   int64 `json:"driver_ms"`
+	Executor int64 `json:"executor_ms"`
+	Alloc    int64 `json:"alloc_ms"`
+	Cf       int64 `json:"cf_ms"`
+	Cl       int64 `json:"cl_ms"`
+	Job      int64 `json:"job_ms"`
+	// Complete is false when headline observations are missing or
+	// anomalies were found; the decomposition is then partial.
+	Complete  bool     `json:"complete"`
+	Anomalies []string `json:"anomalies,omitempty"`
+}
+
 // SummarizeApp captures an application's pinned summary (nil decomp
 // yields zero-valued headline fields marked incomplete).
 func SummarizeApp(a *AppTrace) *AppSummary {

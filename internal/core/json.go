@@ -2,109 +2,164 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
+	"io"
+	"strconv"
+	"strings"
 )
 
-// jsonApp is the machine-readable projection of one application trace —
-// the export format for downstream tooling (plotting, dashboards,
-// cross-run diffing). All timestamps are epoch milliseconds; -1 marks a
-// missing component.
-type jsonApp struct {
-	App       string          `json:"app"`
-	Name      string          `json:"name,omitempty"`
-	Type      string          `json:"type,omitempty"`
-	Queue     string          `json:"queue,omitempty"`
-	Submitted int64           `json:"submitted_ms"`
-	Decomp    jsonDecomp      `json:"decomposition"`
-	Path      []jsonSegment   `json:"critical_path,omitempty"`
-	Container []jsonContainer `json:"containers"`
-}
-
-type jsonDecomp struct {
-	Total    int64 `json:"total_ms"`
-	AM       int64 `json:"am_ms"`
-	In       int64 `json:"in_ms"`
-	Out      int64 `json:"out_ms"`
-	Driver   int64 `json:"driver_ms"`
-	Executor int64 `json:"executor_ms"`
-	Alloc    int64 `json:"alloc_ms"`
-	Cf       int64 `json:"cf_ms"`
-	Cl       int64 `json:"cl_ms"`
-	Job      int64 `json:"job_ms"`
-	// Complete is false when headline observations are missing or
-	// anomalies were found; the decomposition is then partial.
-	Complete  bool     `json:"complete"`
-	Anomalies []string `json:"anomalies,omitempty"`
-}
-
-type jsonSegment struct {
-	Label string `json:"label"`
-	MS    int64  `json:"ms"`
-}
-
-type jsonContainer struct {
-	ID            string `json:"id"`
-	Instance      string `json:"instance,omitempty"`
-	Node          string `json:"node,omitempty"`
-	Allocated     int64  `json:"allocated_ms,omitempty"`
-	Acquired      int64  `json:"acquired_ms,omitempty"`
-	Localizing    int64  `json:"localizing_ms,omitempty"`
-	Scheduled     int64  `json:"scheduled_ms,omitempty"`
-	Running       int64  `json:"running_ms,omitempty"`
-	FirstLog      int64  `json:"first_log_ms,omitempty"`
-	FirstTask     int64  `json:"first_task_ms,omitempty"`
-	Exited        int64  `json:"exited_ms,omitempty"`
-	Released      int64  `json:"released_ms,omitempty"`
-	LaunchInvoked int64  `json:"launch_invoked_ms,omitempty"`
-	Lost          int64  `json:"lost_ms,omitempty"`
-}
+// The JSON export is the machine-readable projection of every
+// application trace — the format for downstream tooling (plotting,
+// dashboards, cross-run diffing). All timestamps are epoch milliseconds;
+// -1 marks a missing component. The encoder writes each key with its
+// two-space indentation as a literal, so the output is byte for byte
+// what encoding/json's MarshalIndent(v, "", "  ") prints for the
+// projection json_test.go keeps as the oracle: name, type, queue,
+// anomalies, critical_path and every container field but id are left
+// out when empty or zero, and containers is null for an app with none.
 
 // JSON renders the report's per-application traces, decompositions, and
 // critical paths as indented JSON.
 func (r *Report) JSON() (string, error) {
-	out := make([]jsonApp, 0, len(r.Apps))
-	for _, a := range r.Apps {
-		ja := jsonApp{
-			App:       a.ID.String(),
-			Name:      a.Name,
-			Type:      a.AppType,
-			Queue:     a.Queue,
-			Submitted: a.Submitted,
+	var sb strings.Builder
+	err := r.WriteJSON(&sb)
+	return sb.String(), err
+}
+
+// WriteJSON writes what JSON returns to w, one application per Write,
+// so the whole document is never held in memory. The only error it
+// returns is w's.
+func (r *Report) WriteJSON(w io.Writer) error {
+	if len(r.Apps) == 0 {
+		_, err := io.WriteString(w, "[]")
+		return err
+	}
+	b := make([]byte, 0, 8<<10)
+	for i, a := range r.Apps {
+		if i == 0 {
+			b = append(b, '[')
+		} else {
+			b = append(b, ',')
 		}
-		if d := a.Decomp; d != nil {
-			ja.Decomp = jsonDecomp{
-				Total: d.Total, AM: d.AM, In: d.In, Out: d.Out,
-				Driver: d.Driver, Executor: d.Executor, Alloc: d.Alloc,
-				Cf: d.Cf, Cl: d.Cl, Job: d.JobRuntime,
-				Complete: d.Complete, Anomalies: d.Anomalies,
+		b = appendAppJSON(b, a)
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		b = b[:0]
+	}
+	_, err := io.WriteString(w, "\n]")
+	return err
+}
+
+// noDecomp stands in for an application with no decomposition.
+var noDecomp Decomposition
+
+func appendAppJSON(b []byte, a *AppTrace) []byte {
+	b = appendJSONString(append(b, "\n  {\n    \"app\": "...), a.ID.String())
+	b = appendOptString(b, ",\n    \"name\": ", a.Name)
+	b = appendOptString(b, ",\n    \"type\": ", a.AppType)
+	b = appendOptString(b, ",\n    \"queue\": ", a.Queue)
+	b = appendInt(b, ",\n    \"submitted_ms\": ", a.Submitted)
+
+	d := a.Decomp
+	if d == nil {
+		d = &noDecomp
+	}
+	b = appendInt(b, ",\n    \"decomposition\": {\n      \"total_ms\": ", d.Total)
+	b = appendInt(b, ",\n      \"am_ms\": ", d.AM)
+	b = appendInt(b, ",\n      \"in_ms\": ", d.In)
+	b = appendInt(b, ",\n      \"out_ms\": ", d.Out)
+	b = appendInt(b, ",\n      \"driver_ms\": ", d.Driver)
+	b = appendInt(b, ",\n      \"executor_ms\": ", d.Executor)
+	b = appendInt(b, ",\n      \"alloc_ms\": ", d.Alloc)
+	b = appendInt(b, ",\n      \"cf_ms\": ", d.Cf)
+	b = appendInt(b, ",\n      \"cl_ms\": ", d.Cl)
+	b = appendInt(b, ",\n      \"job_ms\": ", d.JobRuntime)
+	b = strconv.AppendBool(append(b, ",\n      \"complete\": "...), d.Complete)
+	if len(d.Anomalies) > 0 {
+		b = append(b, ",\n      \"anomalies\": ["...)
+		for i, s := range d.Anomalies {
+			if i > 0 {
+				b = append(b, ',')
 			}
+			b = appendJSONString(append(b, "\n        "...), s)
 		}
-		for _, s := range CriticalPath(a) {
-			ja.Path = append(ja.Path, jsonSegment{Label: s.Label, MS: s.Duration()})
-		}
-		for _, c := range a.Containers {
-			ja.Container = append(ja.Container, jsonContainer{
-				ID:            c.idString(),
-				Instance:      string(c.Instance),
-				Node:          c.Node,
-				Allocated:     c.Allocated,
-				Acquired:      c.Acquired,
-				Localizing:    c.Localizing,
-				Scheduled:     c.Scheduled,
-				Running:       c.Running,
-				FirstLog:      c.FirstLog,
-				FirstTask:     c.FirstTask,
-				Exited:        c.Exited,
-				Released:      c.Released,
-				LaunchInvoked: c.LaunchInvoked,
-				Lost:          c.Lost,
-			})
-		}
-		out = append(out, ja)
+		b = append(b, "\n      ]"...)
 	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("core: %w", err)
+	b = append(b, "\n    }"...)
+
+	if path := CriticalPath(a); len(path) > 0 {
+		b = append(b, ",\n    \"critical_path\": ["...)
+		for i, s := range path {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(append(b, "\n      {\n        \"label\": "...), s.Label)
+			b = append(appendInt(b, ",\n        \"ms\": ", s.Duration()), "\n      }"...)
+		}
+		b = append(b, "\n    ]"...)
 	}
-	return string(b), nil
+
+	if len(a.Containers) == 0 {
+		return append(b, ",\n    \"containers\": null\n  }"...)
+	}
+	b = append(b, ",\n    \"containers\": ["...)
+	for i, c := range a.Containers {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(append(b, "\n      {\n        \"id\": "...), c.idString())
+		b = appendOptString(b, ",\n        \"instance\": ", string(c.Instance))
+		b = appendOptString(b, ",\n        \"node\": ", c.Node)
+		b = appendOptInt(b, ",\n        \"allocated_ms\": ", c.Allocated)
+		b = appendOptInt(b, ",\n        \"acquired_ms\": ", c.Acquired)
+		b = appendOptInt(b, ",\n        \"localizing_ms\": ", c.Localizing)
+		b = appendOptInt(b, ",\n        \"scheduled_ms\": ", c.Scheduled)
+		b = appendOptInt(b, ",\n        \"running_ms\": ", c.Running)
+		b = appendOptInt(b, ",\n        \"first_log_ms\": ", c.FirstLog)
+		b = appendOptInt(b, ",\n        \"first_task_ms\": ", c.FirstTask)
+		b = appendOptInt(b, ",\n        \"exited_ms\": ", c.Exited)
+		b = appendOptInt(b, ",\n        \"released_ms\": ", c.Released)
+		b = appendOptInt(b, ",\n        \"launch_invoked_ms\": ", c.LaunchInvoked)
+		b = appendOptInt(b, ",\n        \"lost_ms\": ", c.Lost)
+		b = append(b, "\n      }"...)
+	}
+	return append(b, "\n    ]\n  }"...)
+}
+
+// appendInt appends key, which holds the separator, indentation and
+// quoted name, then v.
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendOptInt is appendInt for an omitempty field: zero appends nothing.
+func appendOptInt(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return appendInt(b, key, v)
+}
+
+// appendOptString appends key and s quoted, unless s is empty.
+func appendOptString(b []byte, key, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return appendJSONString(append(b, key...), s)
+}
+
+// appendJSONString appends s as encoding/json quotes it. A string of
+// printable ASCII without '"', '\\' or the HTML-escaped '<', '>' and '&'
+// is copied between quotes; any other goes through json.Marshal, which
+// owns the escaping of control bytes, invalid UTF-8 and U+2028/U+2029.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

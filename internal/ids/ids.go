@@ -21,7 +21,31 @@ type AppID struct {
 
 // String renders the canonical YARN form.
 func (a AppID) String() string {
-	return fmt.Sprintf("application_%d_%04d", a.ClusterTS, a.Seq)
+	var buf [48]byte
+	return string(a.appendNumbers(append(buf[:0], "application"...)))
+}
+
+// appendNumbers appends "_<ClusterTS>_<Seq, 4 digits>", the part every ID
+// kind shares.
+func (a AppID) appendNumbers(b []byte) []byte {
+	b = strconv.AppendInt(append(b, '_'), a.ClusterTS, 10)
+	return appendPadded(append(b, '_'), int64(a.Seq), 4)
+}
+
+// appendPadded appends v in decimal, zero-padded to width characters
+// sign included, as fmt's %0<width>d spells it.
+func appendPadded(b []byte, v int64, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], v, 10)
+	if v < 0 {
+		b = append(b, '-')
+		d = d[1:]
+		width--
+	}
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // IsZero reports whether the ID is unset.
@@ -36,7 +60,9 @@ type AttemptID struct {
 
 // String renders the canonical YARN form.
 func (a AttemptID) String() string {
-	return fmt.Sprintf("appattempt_%d_%04d_%06d", a.App.ClusterTS, a.App.Seq, a.Attempt)
+	var buf [64]byte
+	b := a.App.appendNumbers(append(buf[:0], "appattempt"...))
+	return string(appendPadded(append(b, '_'), int64(a.Attempt), 6))
 }
 
 // ContainerID identifies one container, e.g.
@@ -50,7 +76,10 @@ type ContainerID struct {
 
 // String renders the canonical YARN form.
 func (c ContainerID) String() string {
-	return fmt.Sprintf("container_%d_%04d_%02d_%06d", c.App.ClusterTS, c.App.Seq, c.Attempt, c.Num)
+	var buf [80]byte
+	b := c.App.appendNumbers(append(buf[:0], "container"...))
+	b = appendPadded(append(b, '_'), int64(c.Attempt), 2)
+	return string(appendPadded(append(b, '_'), int64(c.Num), 6))
 }
 
 // IsZero reports whether the ID is unset.

@@ -1,6 +1,8 @@
 package ids
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -23,6 +25,38 @@ func TestAttemptIDString(t *testing.T) {
 	a := AttemptID{App: AppID{ClusterTS: 99, Seq: 2}, Attempt: 1}
 	if got := a.String(); got != "appattempt_99_0002_000001" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// TestIDStringsMatchSprintf holds the hand-padded spellings to fmt's
+// %0<width>d, including values wider than the pad, zero and negative
+// values.
+func TestIDStringsMatchSprintf(t *testing.T) {
+	for _, v := range []struct {
+		ts                int64
+		seq, attempt, num int
+	}{
+		{1499000000000, 42, 1, 3},
+		{0, 0, 0, 0},
+		{99, 7, 12, 1234567},
+		{1, 12345, 123, 9999999},
+		{-1, -5, -1, -42},
+		{-1499000000000, -12345, -123, -1234567},
+		{math.MaxInt64, math.MaxInt, math.MaxInt, math.MaxInt},
+		{math.MinInt64, math.MinInt, math.MinInt, math.MinInt},
+	} {
+		app := AppID{ClusterTS: v.ts, Seq: v.seq}
+		if got, want := app.String(), fmt.Sprintf("application_%d_%04d", v.ts, v.seq); got != want {
+			t.Errorf("AppID %+v: %q, want %q", app, got, want)
+		}
+		att := AttemptID{App: app, Attempt: v.attempt}
+		if got, want := att.String(), fmt.Sprintf("appattempt_%d_%04d_%06d", v.ts, v.seq, v.attempt); got != want {
+			t.Errorf("AttemptID %+v: %q, want %q", att, got, want)
+		}
+		c := ContainerID{App: app, Attempt: v.attempt, Num: v.num}
+		if got, want := c.String(), fmt.Sprintf("container_%d_%04d_%02d_%06d", v.ts, v.seq, v.attempt, v.num); got != want {
+			t.Errorf("ContainerID %+v: %q, want %q", c, got, want)
+		}
 	}
 }
 
