@@ -226,6 +226,39 @@ func TestDrainFilePartialLine(t *testing.T) {
 	}
 }
 
+// TestDrainFileBlocksOutliveRead: the reader's blocks are views of its
+// buffer, which its next read overwrites, while the stream's workers
+// mine a fed block later. A drain of a file of more than one read chunk
+// reads over its first block before the workers are done, so what it
+// feeds must be copies: after the drain the recorded blocks must still
+// spell the file's lines, and the stream must have mined every line.
+func TestDrainFileBlocksOutliveRead(t *testing.T) {
+	dir := t.TempDir()
+	st := core.NewShardedStream(2)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
+	blocks := recordBlocks(sc)
+
+	var b strings.Builder
+	n := 0
+	for ; b.Len() < 3<<20/2; n++ {
+		app := fmt.Sprintf("application_1499000000000_%04d", n+1)
+		b.WriteString(mkLine(int64(n), "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED") + "\n")
+	}
+	appendRaw(t, filepath.Join(dir, "rm.log"), b.String())
+	drainExpect(t, sc, "rm.log", n, int64(b.Len()))
+	if len(*blocks) < 2 {
+		t.Fatalf("the drain fed %d block(s), want one per read chunk", len(*blocks))
+	}
+	if got := strings.Join(*blocks, ""); got != b.String() {
+		t.Fatalf("the fed blocks no longer spell the file's lines after the drain")
+	}
+	st.Quiesce()
+	if got := st.EventCount(); got != n {
+		t.Fatalf("events=%d, want %d, one per line", got, n)
+	}
+}
+
 // TestScanSkipsOverLongLine: a line of core.MaxLineBytes or more neither
 // stops the walk nor wedges later scans. The first scan reports the
 // skipped line and still feeds the file walked after it; the second

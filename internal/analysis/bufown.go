@@ -13,11 +13,12 @@ import (
 
 // BufOwn proves the zero-copy scan discipline: no string or []byte
 // derived from a read block (a manifest-declared source such as
-// BlockReader.Next, whose result segmentIter slices into line views,
-// so a view that is kept pins the whole block) may be stored into
-// heap-lived state — a package variable, a
-// map, a channel send, or a struct that outlives the call — without
-// passing through a sanctioned clone site (strings.Clone and friends).
+// BlockReader.Next, whose result is a view of the reader's buffer that
+// segmentIter slices into line views, so a view that is kept reads
+// bytes the next read writes over) may be stored into heap-lived state
+// — a package variable, a map, a channel send, or a struct that
+// outlives the call — without passing through a sanctioned clone site
+// (strings.Clone and friends).
 //
 // The analysis is interprocedural: per-function ownership summaries are
 // computed by internal/analysis/flow over every scoped package, so a

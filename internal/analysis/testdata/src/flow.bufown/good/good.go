@@ -9,9 +9,9 @@ import (
 )
 
 // BlockReader mirrors internal/core's file reader: Next and tail return
-// blocks the miners slice into line views, and a view that is kept
-// pins its block, so the ownership manifest declares both taint
-// sources.
+// views of its buffer the miners slice into line views, and a view
+// that is kept reads bytes the next read writes over, so the ownership
+// manifest declares both taint sources.
 type BlockReader struct{ buf []byte }
 
 func (w *BlockReader) Next() string { return string(w.buf) }

@@ -128,44 +128,58 @@ func readerShapes(t *testing.T, data []byte) []readerShape {
 
 // diffParsers asserts the fast parser and the reference are
 // observationally identical on one input file, through every reader
-// shape.
+// shape. An uninstrumented fast parser, which skips daemon lines
+// without the prescreen byte before parsing them, must mine what the
+// instrumented one mines, which parses and counts every line.
 func diffParsers(t *testing.T, name string, data []byte) {
 	t.Helper()
-	for _, sh := range readerShapes(t, data) {
-		freg := metrics.NewRegistry()
-		fp := NewParser()
-		fp.Instrument(freg)
-		fr := sh.fast()
-		ferr := fp.ParseReader(name, fr)
-		if c, ok := fr.(io.Closer); ok {
+	parseFast := func(open func() io.Reader, reg *metrics.Registry) (*Parser, error) {
+		p := NewParser()
+		p.Instrument(reg)
+		r := open()
+		err := p.ParseReader(name, r)
+		if c, ok := r.(io.Closer); ok {
 			c.Close()
 		}
+		return p, err
+	}
+	for _, sh := range readerShapes(t, data) {
+		freg := metrics.NewRegistry()
+		fp, ferr := parseFast(sh.fast, freg)
 		f := collectOutputs(fp, ferr, freg)
-
 		rreg := metrics.NewRegistry()
 		rp, rerr := ParseReference(name, sh.ref(), rreg)
-		r := collectOutputs(rp, rerr, rreg)
+		diffOutputs(t, name+" ("+sh.name+")", "fast", "regex", f, collectOutputs(rp, rerr, rreg))
+		// The uninstrumented parser counts no hits, so its outputs take
+		// the instrumented parser's registry: only the rest can differ.
+		up, uerr := parseFast(sh.fast, nil)
+		diffOutputs(t, name+" ("+sh.name+")", "uninstrumented", "instrumented", collectOutputs(up, uerr, freg), f)
+	}
+}
 
-		if f.err != r.err {
-			t.Fatalf("%s (%s): error diverges: fast=%q regex=%q", name, sh.name, f.err, r.err)
+// diffOutputs fails t at the first output where parser a's outputs
+// diverge from parser b's.
+func diffOutputs(t *testing.T, where, an, bn string, a, b parserOutputs) {
+	t.Helper()
+	if a.err != b.err {
+		t.Fatalf("%s: error diverges: %s=%q %s=%q", where, an, a.err, bn, b.err)
+	}
+	if len(a.events) != len(b.events) {
+		t.Fatalf("%s: %s mined %d events, %s %d", where, an, len(a.events), bn, len(b.events))
+	}
+	for i := range a.events {
+		if !reflect.DeepEqual(a.events[i], b.events[i]) {
+			t.Fatalf("%s: event %d diverges:\n%s: %+v\n%s: %+v", where, i, an, a.events[i], bn, b.events[i])
 		}
-		if len(f.events) != len(r.events) {
-			t.Fatalf("%s (%s): fast mined %d events, regex %d", name, sh.name, len(f.events), len(r.events))
-		}
-		for i := range f.events {
-			if !reflect.DeepEqual(f.events[i], r.events[i]) {
-				t.Fatalf("%s (%s): event %d diverges:\nfast:  %+v\nregex: %+v", name, sh.name, i, f.events[i], r.events[i])
-			}
-		}
-		if !reflect.DeepEqual(f.warns, r.warns) {
-			t.Fatalf("%s (%s): warnings diverge:\nfast:  %q\nregex: %q", name, sh.name, f.warns, r.warns)
-		}
-		if f.files != r.files || f.lines != r.lines {
-			t.Fatalf("%s (%s): stats diverge: fast=(%d files, %d lines) regex=(%d, %d)", name, sh.name, f.files, f.lines, r.files, r.lines)
-		}
-		if !reflect.DeepEqual(f.hits, r.hits) {
-			t.Fatalf("%s (%s): hit counters diverge:\nfast:  %v\nregex: %v", name, sh.name, f.hits, r.hits)
-		}
+	}
+	if !reflect.DeepEqual(a.warns, b.warns) {
+		t.Fatalf("%s: warnings diverge:\n%s: %q\n%s: %q", where, an, a.warns, bn, b.warns)
+	}
+	if a.files != b.files || a.lines != b.lines {
+		t.Fatalf("%s: stats diverge: %s=(%d files, %d lines) %s=(%d, %d)", where, an, a.files, a.lines, bn, b.files, b.lines)
+	}
+	if !reflect.DeepEqual(a.hits, b.hits) {
+		t.Fatalf("%s: hit counters diverge:\n%s: %v\n%s: %v", where, an, a.hits, bn, b.hits)
 	}
 }
 

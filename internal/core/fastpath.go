@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/log4j"
@@ -773,14 +774,17 @@ const readChunk = 1 << 20
 
 // BlockReader is the one log-file reader, offline and live. It reads
 // through one reused buffer of readChunk bytes and hands out each run
-// of complete lines, '\n' included, as one block. The buffer grows only
+// of complete lines, '\n' included, as one block. A block is a view of
+// the buffer, not a copy: it is valid until the next Next or Reset,
+// which may read over its bytes, so a caller that keeps a block, or a
+// string sliced from it, past that must clone it. The buffer grows only
 // to hold an unfinished line: a line of MaxLineBytes or more, counting
 // a trailing '\r', is skipped even while unfinished, so no block holds
 // one. The unterminated tail is held back for the caller.
 type BlockReader struct {
 	r         io.Reader
 	buf       []byte
-	n         int   // buf[:n] holds the bytes read and not yet handed out
+	off, n    int   // buf[off:n] holds the bytes read and not yet handed out
 	consumed  int64 // bytes handed out in blocks or skipped
 	skipping  bool  // inside an over-long line
 	skipped   int   // over-long lines met since Reset
@@ -797,30 +801,31 @@ func (br *BlockReader) Reset(r io.Reader, skipping bool) {
 	}
 }
 
-// Next returns the next block of complete lines. It returns false once r
-// has ended or failed (see Err), the unterminated tail still held back.
+// Next returns the next block of complete lines, a view of the buffer
+// valid until the next call. It returns false once r has ended or failed
+// (see Err), the unterminated tail still held back.
 func (br *BlockReader) Next() (string, bool) {
 	for {
 		if br.skipping {
 			// Inside an over-long line: discard through its newline.
-			end := br.n
-			if i := bytes.IndexByte(br.buf[:br.n], '\n'); i >= 0 {
-				end, br.skipping = i+1, false
+			k := br.n - br.off
+			if i := bytes.IndexByte(br.buf[br.off:br.n], '\n'); i >= 0 {
+				k, br.skipping = i+1, false
 			}
-			br.consume(end)
+			br.consume(k)
 		}
-		if last := bytes.LastIndexByte(br.buf[:br.n], '\n'); last >= 0 {
-			block := string(br.buf[:last+1])
+		if last := bytes.LastIndexByte(br.buf[br.off:br.n], '\n'); last >= 0 {
+			block := unsafe.String(&br.buf[br.off], last+1)
 			br.consume(last + 1)
 			return block, true
 		}
-		if br.n == MaxLineBytes {
+		if br.n-br.off == MaxLineBytes {
 			if br.skippedAt < 0 {
 				br.skippedAt = br.consumed
 			}
 			br.skipped++
 			br.skipping = true
-			br.consume(br.n)
+			br.consume(br.n - br.off)
 		}
 		if br.err != nil {
 			return "", false
@@ -829,12 +834,26 @@ func (br *BlockReader) Next() (string, bool) {
 	}
 }
 
-// tail returns the unterminated bytes Next held back when r ended.
-func (br *BlockReader) tail() string { return string(br.buf[:br.n]) }
+// tail returns the unterminated bytes Next held back when r ended, a
+// view of the buffer like a block.
+func (br *BlockReader) tail() string {
+	if br.off == br.n {
+		return ""
+	}
+	return unsafe.String(&br.buf[br.off], br.n-br.off)
+}
 
-// fill reads until the buffer is full or r has ended, first growing the
-// buffer if an unfinished line fills it.
+// fill moves the unread bytes to the front of the buffer, over the
+// blocks already handed out, and reads until the buffer is full or r
+// has ended, first growing the buffer if an unfinished line fills it.
+// Once the unread bytes fit a chunk, a buffer an unfinished line grew
+// goes back to readChunk bytes.
 func (br *BlockReader) fill() {
+	rest := br.buf[br.off:br.n]
+	if len(br.buf) > readChunk && len(rest) <= readChunk {
+		br.buf = make([]byte, readChunk)
+	}
+	br.off, br.n = 0, copy(br.buf, rest)
 	if br.n == len(br.buf) {
 		grow := min(br.n, MaxLineBytes-br.n)
 		br.buf = slices.Grow(br.buf, grow)[:br.n+grow]
@@ -846,15 +865,10 @@ func (br *BlockReader) fill() {
 	}
 }
 
-// consume drops the first k buffered bytes. Once the rest fits a chunk,
-// a buffer an unfinished line grew goes back to readChunk bytes.
+// consume hands out or skips the first k unread bytes.
 func (br *BlockReader) consume(k int) {
 	br.consumed += int64(k)
-	rest := br.buf[k:br.n]
-	if len(br.buf) > readChunk && len(rest) <= readChunk {
-		br.buf = make([]byte, readChunk)
-	}
-	br.n = copy(br.buf, rest)
+	br.off += k
 }
 
 // Consumed returns how many bytes since Reset were handed out in blocks
@@ -882,11 +896,16 @@ func (p *Parser) warnSkipped(name string, n int) {
 
 // feedDaemonSegments mines raw's segments as daemon-log lines on the
 // fast matcher: no reader, no scanner buffer, no allocations on
-// non-matching lines.
+// non-matching lines. A line's message is a substring of it, so a line
+// without the prescreen byte cannot match and is not even parsed,
+// unless the parser counts parseable lines in its metrics.
 func (p *Parser) feedDaemonSegments(source, raw string) {
 	it := segmentIter{raw: raw}
 	for seg, ok := it.next(); ok; seg, ok = it.next() {
 		p.lines++
+		if p.met == nil && fastDaemonPrescreenOK && strings.IndexByte(seg, fastDaemonPrescreen) < 0 {
+			continue
+		}
 		line, lok := log4j.ParseLineFast(seg)
 		if !lok {
 			continue

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -117,5 +119,74 @@ func TestMineSinkMatchesChecker(t *testing.T) {
 func TestMineDirMissing(t *testing.T) {
 	if _, err := MineDir("testdata/does-not-exist", 4); err == nil {
 		t.Fatal("MineDir on missing dir: want error, got nil")
+	}
+}
+
+// TestMinedStringsOutliveReadBlock: a read block is a view of the
+// BlockReader's buffer, which the next read overwrites, so the strings
+// an event keeps of its line must be copies. A ResourceManager log of
+// more than one read chunk puts APP_SUMMARY and ASSIGNED lines in the
+// first block and chatter after them, which the second read copies over
+// the first block's bytes; the mined name, type, queue and node must
+// still read as they were logged, through ParseReader and MineDir.
+func TestMinedStringsOutliveReadBlock(t *testing.T) {
+	const (
+		app  = "application_1499000000000_0001"
+		cont = "container_1499000000000_0001_01_000001"
+		rm   = "hadoop/yarn-resourcemanager.log"
+	)
+	var b strings.Builder
+	for i, msg := range []string{
+		"Application " + app + " submitted: name=query-07 type=SPARK queue=interactive",
+		app + " State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED",
+		"Assigned container " + cont + " of capacity <memory:1024, vCores:1> on host node07",
+	} {
+		b.WriteString(line(int64(i), "org.apache.hadoop.yarn.server.resourcemanager.RMAppManager", msg) + "\n")
+	}
+	for i := 0; b.Len() < readChunk*3/2; i++ {
+		b.WriteString(line(10+int64(i%1000), "org.apache.hadoop.ipc.Server", fmt.Sprintf("IPC Server handler %d on 8030, call heartbeat from 10.0.0.%d", i%64, i%250)) + "\n")
+	}
+	check := func(how string, evs []Event) {
+		t.Helper()
+		var sum, assigned int
+		for _, e := range evs {
+			switch e.Kind {
+			case AppSubmitted0:
+				sum++
+				if e.Name != "query-07" || e.AppType != "SPARK" || e.Queue != "interactive" {
+					t.Errorf("%s: APP_SUMMARY mined name=%q type=%q queue=%q, want query-07, SPARK, interactive", how, e.Name, e.AppType, e.Queue)
+				}
+			case ContAssigned:
+				assigned++
+				if e.Node != "node07" {
+					t.Errorf("%s: ASSIGNED mined node %q, want node07", how, e.Node)
+				}
+			}
+		}
+		if sum != 1 || assigned != 1 {
+			t.Errorf("%s: mined %d APP_SUMMARY and %d ASSIGNED events, want 1 each", how, sum, assigned)
+		}
+	}
+
+	p := NewParser()
+	if err := p.ParseReader(rm, strings.NewReader(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	check("ParseReader", p.Events())
+
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "hadoop"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, filepath.FromSlash(rm)), []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := MineDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("MineDir", rep.Events)
+	if len(rep.Apps) != 1 || rep.Apps[0].Name != "query-07" || rep.Apps[0].Queue != "interactive" {
+		t.Errorf("MineDir: apps %+v, want one, named query-07 in queue interactive", rep.Apps)
 	}
 }

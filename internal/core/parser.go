@@ -16,7 +16,8 @@ import (
 // order, then hand Events() to the Correlator. An event keeps only what
 // it was mined for and never aliases the line it came from: the two
 // rules that keep strings of a line, APP_SUMMARY and ASSIGNED, clone
-// them, so a read block or a fed line is garbage once it is mined.
+// them. So a fed line is garbage once it is mined, and a read block,
+// a view of the BlockReader's buffer, may be read over by the next read.
 type Parser struct {
 	events []Event
 	warns  warnSet
@@ -198,8 +199,9 @@ func (p *Parser) warnf(format string, args ...any) {
 // FIRST_LOG event of Table I.
 //
 // Either kind is read with the parser's BlockReader, one block of whole
-// lines at a time, and each block is walked with the segment feeders
-// the live stream uses; the unterminated tail is mined last. A line of
+// lines at a time, and each block is walked in place, a view of the
+// reader's buffer, with the segment feeders the live stream uses; the
+// unterminated tail is mined last. A line of
 // MaxLineBytes or more is skipped with a warning. After a read error a
 // daemon log keeps what it mined from the bytes read and a container
 // log yields no events.

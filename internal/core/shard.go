@@ -265,8 +265,9 @@ func (ss *ShardedStream) Feed(source, rawLine string) bool {
 // and the block is handed off with one lock of the work counter and one
 // of each shard's queue, not once per line. Lines are substrings of
 // block; the workers clone what the events they mine keep, so nothing
-// pins it once they are parsed. It returns how many lines were accepted
-// (0 after Close).
+// pins it once they are parsed. Until then block must not change, so a
+// BlockReader's block, a view of its buffer, is cloned before it is fed.
+// It returns how many lines were accepted (0 after Close).
 func (ss *ShardedStream) FeedBlock(source, block string) (fed int) {
 	it := segmentIter{raw: block}
 	lines := make([][]shardLine, len(ss.shards))
