@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -111,14 +112,7 @@ func modeConflict(follow bool, serve string, outputModes int, sloFile, selfSLOFi
 // report's breakdown (attribution on) explained for one component, with
 // every exemplar resolved against the report's own traces.
 func explainReport(rep *core.Report, component string, q float64) (string, error) {
-	known := false
-	for _, c := range core.Components {
-		if c == component {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(core.Components, component) {
 		return "", fmt.Errorf("-explain %q: unknown component (one of %s)", component, strings.Join(core.Components, "|"))
 	}
 	if !(q > 0 && q <= 1) {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -293,12 +294,11 @@ func (s *liveServer) pollOnce() error {
 	if s.maxApps >= 0 {
 		s.st.EvictOldest(s.maxApps)
 	}
-	if d := s.dropped.Value(); d-s.lastDropped >= warnBurstThreshold {
+	d := s.dropped.Value()
+	if d-s.lastDropped >= warnBurstThreshold {
 		s.pl.RecordWarnBurst(d - s.lastDropped)
-		s.lastDropped = d
-	} else {
-		s.lastDropped = d
 	}
+	s.lastDropped = d
 	if err != nil {
 		s.consecFails++
 		s.lastErr = err.Error()
@@ -454,10 +454,16 @@ func (s *liveServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	out, err := s.st.Report().ChromeTraceApp(seq)
+	apps := s.st.Apps()
 	s.mu.Unlock()
+	i := slices.IndexFunc(apps, func(a *core.AppTrace) bool { return a.ID.Seq == seq })
+	if i < 0 {
+		http.Error(w, fmt.Sprintf("no application with sequence %d", seq), http.StatusNotFound)
+		return
+	}
+	out, err := core.ChromeTrace(apps[i])
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -471,9 +477,9 @@ func (s *liveServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *liveServer) handleTracePipeline(w http.ResponseWriter, _ *http.Request) {
 	spans := s.pl.Spans()
 	s.mu.Lock()
-	rep := s.st.Report()
+	apps := s.st.Apps()
 	s.mu.Unlock()
-	for _, a := range rep.Apps {
+	for _, a := range apps {
 		spans = append(spans, core.AppSpans(a)...)
 	}
 	out, err := sim.ChromeTrace(spans, 0)
@@ -552,7 +558,7 @@ func (s *liveServer) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		doc.Components = filterRows(doc.Components, comp)
 		doc.Rows = filterRows(doc.Rows, comp)
 	}
-	writeJSON(w, doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func filterRows(rows []core.BreakdownRow, component string) []core.BreakdownRow {
@@ -580,14 +586,7 @@ func (s *liveServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if comp == "" {
 		comp = "total"
 	}
-	known := false
-	for _, c := range core.Components {
-		if c == comp {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(core.Components, comp) {
 		http.Error(w, "unknown component (one of "+strings.Join(core.Components, "|")+")", http.StatusBadRequest)
 		return
 	}
@@ -617,7 +616,7 @@ func (s *liveServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.obsMu.Unlock()
 	s.mu.Unlock()
 	attachFlightSlices(doc, s.pl.FlightDump())
-	writeJSON(w, doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // attachFlightSlices fills each exemplar's Flight field with the events
@@ -680,7 +679,7 @@ func (s *liveServer) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	doc.SelfRules = s.selfEng.Status()
 	doc.SelfHistory = s.selfEng.History()
 	s.selfMu.Unlock()
-	writeJSON(w, doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // healthDoc is the /healthz body. Status is "ok" until either
@@ -741,19 +740,18 @@ func (s *liveServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		doc.Watchdog = reason
 		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	b, _ := json.MarshalIndent(doc, "", "  ")
-	w.Write(append(b, '\n'))
+	writeJSON(w, code, doc)
 }
 
-func writeJSON(w http.ResponseWriter, doc any) {
+// writeJSON sends doc, indented, with status code.
+func writeJSON(w http.ResponseWriter, code int, doc any) {
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	w.Write(append(b, '\n'))
 }
 

@@ -71,6 +71,7 @@ func seedCorpusWorkers(f *testing.F) {
 	f.Add([]byte("2017-07-02 12:53:22,505 INFO x.RMContainerImpl: application_1499000000000_0009 container_1499000000000_0001_01_000002 Container Transitioned from NEW to ALLOCATED"), uint8(7))
 	f.Add([]byte("garbage\n\x00\xff\n2017-07-02 99:99:99,999 INFO x: y"), uint8(0))
 	f.Add([]byte(strings.Repeat("no timestamp here\n", 40)), uint8(255))
+	f.Add(forwardingSeed(f))
 }
 
 // FuzzParseReader feeds arbitrary bytes through the whole offline
@@ -105,12 +106,14 @@ func FuzzParseReader(f *testing.F) {
 }
 
 // fuzzSources are the sources the stream fuzz targets interleave lines
-// across: an RM log, an NM log, and a container stderr (exercising
-// container attribution).
+// across: an RM log, an NM log, and two container stderr files, an AM's
+// and an executor's (exercising container attribution; an application
+// needs both to complete).
 var fuzzSources = []string{
 	"hadoop/yarn-resourcemanager.log",
 	"hadoop/yarn-nodemanager-node01.log",
 	"userlogs/application_1499000000000_0001/container_1499000000000_0001_01_000001/stderr",
+	"userlogs/application_1499000000000_0001/container_1499000000000_0001_01_000002/stderr",
 }
 
 // FuzzStreamFeed pushes arbitrary line streams through the incremental

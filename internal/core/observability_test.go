@@ -257,13 +257,3 @@ func TestStreamTraceMatchesOffline(t *testing.T) {
 		t.Fatal("stream trace differs from offline trace")
 	}
 }
-
-func TestChromeTraceApp(t *testing.T) {
-	rep := analyze(t, buildSparkCorpus())
-	if _, err := rep.ChromeTraceApp(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rep.ChromeTraceApp(42); err == nil {
-		t.Fatal("unknown sequence did not error")
-	}
-}

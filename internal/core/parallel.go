@@ -76,26 +76,13 @@ func MineSink(s *log4j.Sink, workers int) (*Report, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(min(workers, len(files)), 1)
+	rds := make([]BlockReader, workers) // rds[w] reads every file worker w mines
 	parsers := make([]*Parser, len(files))
 	errs := make([]error, len(files))
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var rd BlockReader // reads every file this worker mines
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(files) {
-					return
-				}
-				parsers[i] = &Parser{rd: &rd}
-				errs[i] = parsers[i].ParseReader(files[i], s.Reader(files[i]))
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(len(files), workers, func(w, i int) {
+		parsers[i] = &Parser{rd: &rds[w]}
+		errs[i] = parsers[i].ParseReader(files[i], s.Reader(files[i]))
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -131,27 +118,29 @@ func mineReport(parsers []*Parser, workers int) *Report {
 // pool. Each worker writes only its own apps' Decomp fields, so the
 // result is identical to a serial loop.
 func decomposeAll(apps []*AppTrace, workers int) {
-	if workers > len(apps) {
-		workers = len(apps)
-	}
+	fanOut(len(apps), workers, func(_, i int) { Decompose(apps[i]) })
+}
+
+// fanOut calls f(w, i) once for every i in [0, n), on up to workers
+// goroutines that take the next index as they finish one; w in
+// [0, workers) names the goroutine that runs the call. At one worker it
+// runs on the caller's goroutine.
+func fanOut(n, workers int, f func(w, i int)) {
+	workers = min(workers, n)
 	if workers <= 1 {
-		for _, a := range apps {
-			Decompose(a)
+		for i := range n {
+			f(0, i)
 		}
 		return
 	}
-	var next int64 = -1
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(apps) {
-					return
-				}
-				Decompose(apps[i])
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(w, i)
 			}
 		}()
 	}

@@ -24,8 +24,8 @@ var reAppInLine = regexp.MustCompile(`(?:application|container)_(\d+)_(\d+)`)
 // part — runs on the workers; correlation state stays shard-local
 // because every event of an application lives in exactly one shard
 // (events a line produces for a foreign application, possible only on
-// adversarial input, are forwarded to the owning shard). One worker is
-// the serial configuration.
+// adversarial input, are absorbed into the owning shard by the worker
+// that parsed the line). One worker is the serial configuration.
 //
 // All methods are safe for concurrent use. Feeding is asynchronous: call
 // Quiesce to wait until everything fed so far has been absorbed. Reports
@@ -35,9 +35,9 @@ var reAppInLine = regexp.MustCompile(`(?:application|container)_(\d+)_(\d+)`)
 type ShardedStream struct {
 	shards []*streamShard
 
-	// workMu/workCond track outstanding work items (queued lines plus
-	// forwarded event batches) for Quiesce. A counter with a condition
-	// variable instead of a WaitGroup: Add and Wait may race freely.
+	// workMu/workCond track the lines fed but not yet absorbed, for
+	// Quiesce. A counter with a condition variable instead of a
+	// WaitGroup: Add and Wait may race freely.
 	workMu   sync.Mutex
 	workCond *sync.Cond
 	pending  int
@@ -60,25 +60,25 @@ type ShardedStream struct {
 	pl *obs.Pipeline
 }
 
-// streamShard is one worker: an input queue (raw lines routed here plus
-// event batches forwarded from other shards) and the shard-local state.
+// streamShard is one worker: an input queue of the raw lines routed here
+// and the shard-local state.
 type streamShard struct {
 	ss *ShardedStream
 	i  int
 
-	qMu    sync.Mutex
-	qCond  *sync.Cond
-	lines  []shardLine
-	routed [][]Event
-	quit   bool
+	qMu   sync.Mutex
+	qCond *sync.Cond
+	lines []shardLine
+	quit  bool
 
-	// stMu guards the shard's Stream: the worker holds it while
-	// absorbing, readers hold it while snapshotting.
+	// stMu guards the shard's Stream: a worker holds it while absorbing
+	// (its own lines' events, or another shard's line's events for this
+	// shard's apps), readers hold it while snapshotting.
 	stMu sync.Mutex
 	st   *Stream
 
-	// processed counts work units (lines + routed batches) this worker
-	// has fully absorbed — the watchdog's per-shard progress signal.
+	// processed counts the lines this worker has fully absorbed — the
+	// watchdog's per-shard progress signal.
 	processed atomic.Int64
 
 	// scratch is this worker's reusable parser (only the worker goroutine
@@ -99,7 +99,7 @@ type streamShard struct {
 type shardLine struct{ source, raw string }
 
 // ShardStat is one worker's progress sample for the pipeline watchdog:
-// its current queue depth and its cumulative processed-batch count.
+// the lines queued for it and the lines it has absorbed so far.
 type ShardStat struct {
 	Queued    int
 	Processed int64
@@ -199,7 +199,7 @@ func (ss *ShardedStream) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(ss.shards))
 	for i, sh := range ss.shards {
 		sh.qMu.Lock()
-		q := len(sh.lines) + len(sh.routed)
+		q := len(sh.lines)
 		sh.qMu.Unlock()
 		out[i] = ShardStat{Queued: q, Processed: sh.processed.Load()}
 	}
@@ -314,32 +314,27 @@ func (ss *ShardedStream) admit(n int) bool {
 func (sh *streamShard) push(lines ...shardLine) {
 	sh.qMu.Lock()
 	sh.lines = append(sh.lines, lines...)
-	sh.depth.Set(int64(len(sh.lines) + len(sh.routed)))
+	sh.depth.Set(int64(len(sh.lines)))
 	sh.qCond.Signal()
 	sh.qMu.Unlock()
 }
 
-// forward hands events parsed on shard `from` to the shard owning their
-// application. The pending count is raised before the originating line's
-// unit is released, so Quiesce cannot observe zero while a forwarded
-// batch is still in flight.
+// forward absorbs events parsed on shard `from` into shard j, which owns
+// their application, at once: the forwarding worker holds only shard j's
+// stMu while it does, and returns before its line is retired, so Quiesce
+// never sees a forwarded event in flight. The forward stage batch is
+// timed here, labeled with shard j, inside the worker's decompose span.
 func (ss *ShardedStream) forward(from, j int, evs []Event) {
-	ss.workMu.Lock()
-	ss.pending++
-	ss.workMu.Unlock()
 	if ss.forwards != nil {
 		ss.forwards.Add(int64(len(evs)))
 	}
 	ss.pl.RecordForward(from, j, len(evs))
-	sh := ss.shards[j]
-	sh.qMu.Lock()
-	sh.routed = append(sh.routed, evs)
-	sh.depth.Set(int64(len(sh.lines) + len(sh.routed)))
-	sh.qCond.Signal()
-	sh.qMu.Unlock()
+	t := ss.pl.Begin()
+	ss.shards[j].absorb(evs)
+	ss.pl.StageBatch(obs.StageForward, j, t, len(evs))
 }
 
-// done retires n work items.
+// done retires n fed lines.
 func (ss *ShardedStream) done(n int) {
 	ss.workMu.Lock()
 	ss.pending -= n
@@ -349,9 +344,8 @@ func (ss *ShardedStream) done(n int) {
 	ss.workMu.Unlock()
 }
 
-// Quiesce blocks until every line accepted so far — and every event
-// batch forwarded between shards — has been parsed and absorbed, then
-// refreshes the app gauges.
+// Quiesce blocks until every line accepted so far has been parsed and
+// absorbed, then refreshes the app gauges.
 func (ss *ShardedStream) Quiesce() {
 	ss.workMu.Lock()
 	entering := ss.pending
@@ -386,64 +380,51 @@ func (ss *ShardedStream) Close() {
 	ss.wg.Wait()
 }
 
-// run is the worker loop. It takes everything queued as one batch and
-// absorbs it: forwarded event batches first, then the lines, all parsed
-// before any is absorbed. Each phase is bracketed by one clock read, so
-// stage timing costs O(1) per batch, not O(lines), and nothing when no
-// pipeline is attached.
+// run is the worker loop. It takes everything queued as one batch,
+// parses all its lines, then absorbs them in order. Each phase is
+// bracketed by one clock read, so stage timing costs O(1) per batch, not
+// O(lines), and nothing when no pipeline is attached.
 func (sh *streamShard) run() {
 	defer sh.ss.wg.Done()
 	for {
 		sh.qMu.Lock()
-		for len(sh.lines) == 0 && len(sh.routed) == 0 && !sh.quit {
+		for len(sh.lines) == 0 && !sh.quit {
 			sh.qCond.Wait()
 		}
-		if len(sh.lines) == 0 && len(sh.routed) == 0 {
+		if len(sh.lines) == 0 {
 			sh.qMu.Unlock()
 			return // quit and drained
 		}
-		lines, routed := sh.lines, sh.routed
-		sh.lines, sh.routed = nil, nil
+		lines := sh.lines
+		sh.lines = nil
 		sh.depth.Set(0)
 		sh.qMu.Unlock()
 
 		pl := sh.ss.pl
-		if len(routed) > 0 {
-			t := pl.Begin()
-			n := 0
-			for _, evs := range routed {
-				n += len(evs)
-				sh.absorb(evs)
-			}
-			sh.ss.done(len(routed))
-			pl.StageBatch(obs.StageForward, sh.i, t, n)
+		t := pl.Begin()
+		sh.linesTotal.Add(int64(len(lines)))
+		sh.scratch.met = sh.ss.pmet
+		evs, ends := sh.batchEvs[:0], sh.batchEnds[:0]
+		for _, ln := range lines {
+			// Copied out of the scratch parser, which the next line reuses.
+			evs = append(evs, sh.scratch.parseLine(ln.source, ln.raw)...)
+			ends = append(ends, len(evs))
 		}
-		if len(lines) > 0 {
-			t := pl.Begin()
-			sh.linesTotal.Add(int64(len(lines)))
-			sh.scratch.met = sh.ss.pmet
-			evs, ends := sh.batchEvs[:0], sh.batchEnds[:0]
-			for _, ln := range lines {
-				// Copied out of the scratch parser, which the next line reuses.
-				evs = append(evs, sh.scratch.parseLine(ln.source, ln.raw)...)
-				ends = append(ends, len(evs))
-			}
-			mid := pl.Begin()
-			start := 0
-			for _, end := range ends {
-				sh.routeAndAbsorb(evs[start:end:end])
-				start = end
-			}
-			sh.ss.done(len(lines))
-			clear(evs) // drop the batch's strings until the buffer is refilled
-			sh.batchEvs, sh.batchEnds = evs[:0], ends[:0]
-			// Parsing and absorbing (correlate, the Complete predicate and
-			// the hook's decompositions) share the middle clock read;
-			// splitting the phases costs no extra reads.
-			pl.StageSpan(obs.StageParse, sh.i, t, mid, len(lines))
-			pl.StageBatch(obs.StageDecompose, sh.i, mid, len(lines))
+		mid := pl.Begin()
+		start := 0
+		for _, end := range ends {
+			sh.routeAndAbsorb(evs[start:end:end])
+			start = end
 		}
-		sh.processed.Add(int64(len(lines) + len(routed)))
+		sh.ss.done(len(lines))
+		clear(evs) // drop the batch's strings until the buffer is refilled
+		sh.batchEvs, sh.batchEnds = evs[:0], ends[:0]
+		// Parsing and absorbing (correlate, the Complete predicate and
+		// the hook's decompositions) share the middle clock read;
+		// splitting the phases costs no extra reads.
+		pl.StageSpan(obs.StageParse, sh.i, t, mid, len(lines))
+		pl.StageBatch(obs.StageDecompose, sh.i, mid, len(lines))
+		sh.processed.Add(int64(len(lines)))
 		sh.batches.Inc()
 	}
 }
@@ -460,7 +441,8 @@ func (sh *streamShard) onComplete(a *AppTrace) {
 
 // routeAndAbsorb splits one line's events into shard-local and foreign,
 // forwards the foreign batches, absorbs the rest, and maintains the
-// matched/dropped line counters.
+// matched/dropped line counters. It holds no lock of its own shard while
+// it forwards, so a worker never holds two shards' stMu.
 func (sh *streamShard) routeAndAbsorb(evs []Event) {
 	matched := false
 	if len(evs) > 0 {
@@ -601,29 +583,7 @@ func (ss *ShardedStream) Forget(id ids.AppID) {
 // applications are never evicted: their decompositions are still
 // growing.
 func (ss *ShardedStream) EvictCompleted(keep int) int {
-	if keep < 0 {
-		keep = 0
-	}
-	var done []ids.AppID
-	for _, sh := range ss.shards {
-		sh.stMu.Lock()
-		for id, b := range sh.st.apps {
-			if b.completed {
-				done = append(done, id)
-			}
-		}
-		sh.stMu.Unlock()
-	}
-	if len(done) <= keep {
-		return 0
-	}
-	sortAppIDsBySeq(done)
-	victims := done[:len(done)-keep]
-	for _, id := range victims {
-		ss.Forget(id)
-	}
-	ss.updateAppGauges()
-	return len(victims)
+	return ss.evict(max(keep, 0), func(b *traceBuilder) bool { return b.completed })
 }
 
 // EvictOldest is the hard memory bound behind EvictCompleted: it
@@ -635,19 +595,27 @@ func (ss *ShardedStream) EvictOldest(max int) int {
 	if max < 0 {
 		return 0
 	}
-	var all []ids.AppID
+	return ss.evict(max, func(*traceBuilder) bool { return true })
+}
+
+// evict forgets the eligible applications, oldest submission first,
+// until at most keep of them remain, and returns how many it forgot.
+func (ss *ShardedStream) evict(keep int, eligible func(*traceBuilder) bool) int {
+	var cands []ids.AppID
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()
-		for id := range sh.st.apps {
-			all = append(all, id)
+		for id, b := range sh.st.apps {
+			if eligible(b) {
+				cands = append(cands, id)
+			}
 		}
 		sh.stMu.Unlock()
 	}
-	if len(all) <= max {
+	if len(cands) <= keep {
 		return 0
 	}
-	sortAppIDsBySeq(all)
-	victims := all[:len(all)-max]
+	sortAppIDsBySeq(cands)
+	victims := cands[:len(cands)-keep]
 	for _, id := range victims {
 		ss.Forget(id)
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -181,6 +182,184 @@ func TestShardedStreamGoldenTrees(t *testing.T) {
 				diffShardedSerial(t, lines, w)
 			})
 		}
+	}
+}
+
+// forwardContainerLine rewrites an RM "Container Transitioned" line to
+// name, ahead of its container ID, the lowest-sequence application of
+// the container's cluster that owner puts on another shard, as
+// FuzzShardedFeed's forwarding seed does: the line then routes to that
+// shard, and the event it yields is forwarded to the container's. Other
+// lines come back unchanged. owner must map onto two or more shards.
+func forwardContainerLine(raw string, owner func(ids.AppID) int) string {
+	i := strings.Index(raw, ": container_")
+	if i < 0 || !strings.Contains(raw, " Container Transitioned ") {
+		return raw
+	}
+	cid, err := ids.ParseContainerID(strings.Fields(raw[i+2:])[0])
+	if err != nil {
+		return raw
+	}
+	other := ids.AppID{ClusterTS: cid.App.ClusterTS, Seq: 1}
+	for owner(other) == owner(cid.App) {
+		other.Seq++
+	}
+	return raw[:i+2] + other.String() + " " + raw[i+2:]
+}
+
+// TestShardedForwardingMatchesSerial drives whole applications through
+// cross-shard forwarding: every RM container transition of the golden
+// trees names another shard's application first, so it is parsed on
+// that shard and its event absorbed into the container's shard by the
+// worker that parsed it. The sharded stream must absorb and report what
+// a serial stream fed the same lines does (forwarded kinds commute),
+// fire the hook at most once per application and once for each that
+// ends complete, and leave every queue empty.
+func TestShardedForwardingMatchesSerial(t *testing.T) {
+	for _, c := range []string{"pristine", "faulted"} {
+		golden := goldenTreeLines(t, filepath.Join("testdata", "golden", c, "input"))
+		goldenSerial, _ := feedSerial(golden)
+		goldenRep, err := goldenSerial.Report().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c, w), func(t *testing.T) {
+				reg := metrics.NewRegistry()
+				ss := NewShardedStream(w)
+				defer ss.Close()
+				ss.Instrument(reg)
+				fired := map[ids.AppID]int{}
+				// The hook is serialized across shards, so a plain map is safe.
+				ss.OnComplete(func(a *AppTrace) { fired[a.ID]++ })
+				lines := slices.Clone(golden)
+				for i := range lines {
+					lines[i].raw = forwardContainerLine(lines[i].raw, ss.shardOf)
+				}
+				for _, ln := range lines {
+					ss.Feed(ln.source, ln.raw)
+				}
+				ss.Quiesce()
+
+				st, refHooked := feedSerial(lines)
+				refRep, err := st.Report().JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if refRep != goldenRep {
+					t.Fatal("the rewritten lines mine differently from the golden tree")
+				}
+				if n := reg.Counter("core_shard_forwarded_events_total").Value(); n == 0 {
+					t.Fatal("no event was forwarded")
+				}
+				if got, want := ss.EventCount(), st.EventCount(); got != want {
+					t.Errorf("EventCount=%d serial=%d", got, want)
+				}
+				gotRep, err := ss.Report().JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotRep != refRep {
+					t.Error("report JSON diverges from serial stream")
+				}
+				// Which apps the hook delivers is not compared with the
+				// serial stream: a forwarded event reaches its shard
+				// out of line order, so an app may look complete before
+				// a forwarded transition (a lost container) undoes it.
+				for _, a := range ss.Apps() {
+					n := fired[a.ID]
+					if n > 1 || (n == 0 && ss.Complete(a.ID)) {
+						t.Errorf("%v (complete: %v): hook fired %d times", a.ID, ss.Complete(a.ID), n)
+					}
+				}
+				if len(refHooked) == 0 || len(fired) == 0 {
+					t.Fatalf("hook fired for %d apps, serial for %d", len(fired), len(refHooked))
+				}
+				for i := range w {
+					if d := reg.Gauge("core_shard_queue_depth", "shard", strconv.Itoa(i)).Value(); d != 0 {
+						t.Errorf("shard %d queue depth %d after Quiesce", i, d)
+					}
+				}
+			})
+		}
+	}
+}
+
+// forwardingSeed is a FuzzShardedFeed input that forwards an application
+// all the way to completion: the pristine golden tree's application 0001
+// (its RM and NM lines, its AM's stderr and one executor's), laid out
+// so each line reaches its own source in fuzzSources, with its RM
+// container transitions rewritten to route to the other shard of the
+// two the returned worker value selects.
+func forwardingSeed(tb testing.TB) ([]byte, uint8) {
+	const workers = 2
+	ss := NewShardedStream(workers)
+	defer ss.Close()
+	dir := filepath.Join("testdata", "golden", "pristine", "input")
+	bySource := make([][]string, len(fuzzSources))
+	for _, f := range goldenTreeFiles(tb, dir) {
+		k := slices.Index(fuzzSources, f.source)
+		switch {
+		case strings.Contains(f.source, "resourcemanager"):
+			k = 0
+		case strings.Contains(f.source, "nodemanager"):
+			k = 1
+		}
+		if k < 0 {
+			continue
+		}
+		for _, l := range strings.Split(strings.TrimSuffix(f.raw, "\n"), "\n") {
+			if strings.Contains(l, "1499000000000_0001") || k >= 2 {
+				bySource[k] = append(bySource[k], forwardContainerLine(l, ss.shardOf))
+			}
+		}
+	}
+	rounds := 0
+	for _, ls := range bySource {
+		rounds = max(rounds, len(ls))
+	}
+	var out []string
+	for r := range rounds {
+		for _, ls := range bySource {
+			l := ""
+			if r < len(ls) {
+				l = ls[r]
+			}
+			out = append(out, l)
+		}
+	}
+	return []byte(strings.Join(out, "\n")), workers - 1
+}
+
+// TestForwardingSeedCompletesForwardedApp pins that forwardingSeed,
+// fed as FuzzShardedFeed feeds it, forwards events, completes
+// application 0001, and absorbs and reports what a serial stream does.
+func TestForwardingSeedCompletesForwardedApp(t *testing.T) {
+	data, workers := forwardingSeed(t)
+	var lines []shardLine
+	for i, l := range strings.Split(string(data), "\n") {
+		lines = append(lines, shardLine{fuzzSources[i%len(fuzzSources)], l})
+	}
+	reg := metrics.NewRegistry()
+	ss := NewShardedStream(int(workers%8) + 1)
+	defer ss.Close()
+	ss.Instrument(reg)
+	for _, ln := range lines {
+		ss.Feed(ln.source, ln.raw)
+	}
+	ss.Quiesce()
+	if n := reg.Counter("core_shard_forwarded_events_total").Value(); n == 0 {
+		t.Fatal("the seed forwards no event")
+	}
+	if id := mustAppID(t, "application_1499000000000_0001"); !ss.Complete(id) {
+		t.Fatalf("%v is not complete", id)
+	}
+	st, _ := feedSerial(lines)
+	if got, want := ss.EventCount(), st.EventCount(); got != want {
+		t.Errorf("EventCount=%d serial=%d", got, want)
+	}
+	if ss.Report().Format() != st.Report().Format() {
+		t.Error("report diverges from serial stream")
 	}
 }
 
@@ -492,7 +671,7 @@ func TestShardedPublishedTracesImmutable(t *testing.T) {
 
 // goldenTreeFiles returns every file of a golden tree whole, in lexical
 // order, as one shardLine per file.
-func goldenTreeFiles(t *testing.T, dir string) []shardLine {
+func goldenTreeFiles(t testing.TB, dir string) []shardLine {
 	t.Helper()
 	var out []shardLine
 	err := WalkTree(dir, 1, func(_ int, f TreeFile) error {

@@ -12,11 +12,7 @@ package core
 // the simulation engine: only the span/renderer types, with timestamps
 // carried as epoch milliseconds exactly as mined from the logs.
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // appSpan emits one app-level or container-level span when both endpoints
 // were observed (non-zero) and ordered.
@@ -66,7 +62,7 @@ func ChromeTrace(a *AppTrace) ([]byte, error) {
 	return sim.ChromeTrace(AppSpans(a), 0)
 }
 
-// ChromeTraceAll renders every application of a report into one trace
+// ChromeTrace renders every application of a report into one trace
 // document (one process per application).
 func (r *Report) ChromeTrace() ([]byte, error) {
 	var spans []sim.TraceSpan
@@ -74,15 +70,4 @@ func (r *Report) ChromeTrace() ([]byte, error) {
 		spans = append(spans, AppSpans(a)...)
 	}
 	return sim.ChromeTrace(spans, 0)
-}
-
-// ChromeTraceApp renders the trace for the application with the given
-// submission sequence number, or errors when it is unknown.
-func (r *Report) ChromeTraceApp(seq int) ([]byte, error) {
-	for _, a := range r.Apps {
-		if a.ID.Seq == seq {
-			return ChromeTrace(a)
-		}
-	}
-	return nil, fmt.Errorf("core: no application with sequence %d", seq)
 }

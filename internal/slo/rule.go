@@ -1,8 +1,8 @@
 // Package slo evaluates service-level objectives over the delay
 // decompositions that internal/core produces. It consumes completed
-// application traces (typically via core.Stream's OnComplete hook), folds
-// every delay component into rolling event-time quantile sketches, and
-// checks declarative rules like
+// application traces (typically via core.ShardedStream's OnComplete
+// hook), folds every delay component into rolling event-time quantile
+// sketches, and checks declarative rules like
 //
 //	alloc-p99: p99(alloc) < 500ms over 5m
 //	prod-total: p95(total, queue=prod) < 30s over 10m burn 2m
