@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -27,6 +30,15 @@ type dirScanner struct {
 	pl *obs.Pipeline
 	// rd reads every drain; its buffer serves every file.
 	rd core.BlockReader
+	// w, when set, is the directory watch whose named files a wake
+	// drains between full walks (-serve on Linux); names is the list
+	// scanNamed reuses. Without it the full walk is the only path.
+	w     *watcher
+	names []string
+	// overflows and limits count the polls that fell back to the full
+	// walk because the kernel dropped events, and the watches given up
+	// at the watch limit.
+	overflows, limits *metrics.Counter
 }
 
 // fileState is what the tailer keeps of a file between drains: how far
@@ -46,11 +58,17 @@ func newDirScanner(dir string, st *core.ShardedStream) *dirScanner {
 // Quiesce and compare EventCount to learn whether events were produced).
 // One file's error never stops the walk: a file or directory that
 // vanished since it was listed is skipped, and every other per-file
-// error is joined into the returned error once the walk is done.
+// error is joined into the returned error once the walk is done. With a
+// watch, every directory the walk lists without a watch is noted for
+// watchEntered.
 func (s *dirScanner) scan() (changed bool, err error) {
 	t := s.pl.Begin()
 	fed := 0
-	err = core.WalkTree(s.dir, 1, func(_ int, f core.TreeFile) error {
+	var entered func(string)
+	if s.w != nil {
+		entered = s.w.enter
+	}
+	err = core.WalkTreeDirs(s.dir, 1, entered, func(_ int, f core.TreeFile) error {
 		n, err := s.drainFile(f)
 		fed += n
 		return err
@@ -59,6 +77,86 @@ func (s *dirScanner) scan() (changed bool, err error) {
 		s.pl.StageBatch(obs.StageRead, -1, t, fed)
 	}
 	return fed > 0, err
+}
+
+// scanNamed is the poll a wake runs: it drains only what the watch named
+// since the last poll, through drainFile as scan does. Each directory
+// created or moved in is watched first and then walked, every file below
+// it drained, so a file written before its directory's watch existed is
+// not missed; then each file named is drained. After the kernel dropped
+// events it is scan, the full walk. It reports what scan reports.
+func (s *dirScanner) scanNamed() (changed bool, err error) {
+	names, dirs, overflow := s.w.take(s.names[:0])
+	s.names = names
+	if overflow {
+		s.overflows.Inc()
+		return s.scan()
+	}
+	t := s.pl.Begin()
+	fed := 0
+	var errs []error
+	for _, dir := range dirs {
+		n, err := s.walkNew(dir)
+		fed += n
+		errs = append(errs, err)
+	}
+	for _, name := range names {
+		n, err := s.drainFile(core.TreeFileAt(s.dir, name))
+		fed += n
+		if !errors.Is(err, fs.ErrNotExist) {
+			errs = append(errs, err)
+		}
+	}
+	if fed > 0 {
+		s.pl.StageBatch(obs.StageRead, -1, t, fed)
+	}
+	return fed > 0, errors.Join(errs...)
+}
+
+// walkNew watches the directory called name and every directory below
+// it, each before it is listed, and drains every file below it. A
+// directory that vanished is skipped.
+func (s *dirScanner) walkNew(name string) (fed int, err error) {
+	below := func(rel string) string {
+		if rel == "" || rel == "." {
+			return name
+		}
+		return name + "/" + rel
+	}
+	err = core.WalkTreeDirs(filepath.Join(s.dir, filepath.FromSlash(name)), 1, func(rel string) {
+		if err := s.w.watch(below(rel)); err != nil {
+			s.stopWatch(err)
+		}
+	}, func(_ int, f core.TreeFile) error {
+		f.Name = below(f.Name)
+		n, err := s.drainFile(f)
+		fed += n
+		return err
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		err = nil
+	}
+	return fed, err
+}
+
+// watchEntered watches the directories the full walks listed without a
+// watch. The server runs it after a poll, outside its lock, so that the
+// first poll's answer does not wait for a watch on every directory.
+func (s *dirScanner) watchEntered() {
+	if s.w == nil {
+		return
+	}
+	if err := s.w.addEntered(); err != nil {
+		s.stopWatch(err)
+	}
+}
+
+// stopWatch gives the watch up after err, which only the watch limit
+// returns, and leaves the full walk as the only path.
+func (s *dirScanner) stopWatch(err error) {
+	s.w.close()
+	s.limits.Inc()
+	fmt.Printf("sdchecker: watch: %v; only the 1 s walk finds new lines\n", err)
 }
 
 // followDir is the live mode: it scans the log tree once, then polls for

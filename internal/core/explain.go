@@ -264,8 +264,8 @@ func (d *ExplainDoc) Format() string {
 func (cb *ClusterBreakdown) ExemplarApps() map[string]bool {
 	out := make(map[string]bool)
 	for _, s := range cb.Sketches {
-		for _, e := range s.Exemplars() {
-			out[e.App] = true
+		for i := range s.NumExemplars() {
+			out[s.ExemplarAt(i).App] = true
 		}
 	}
 	return out
@@ -276,7 +276,7 @@ func (cb *ClusterBreakdown) ExemplarApps() map[string]bool {
 // all top-k summaries (both bounded by construction).
 func (cb *ClusterBreakdown) AttrStats() (exemplars, topkEntries int) {
 	for _, s := range cb.Sketches {
-		exemplars += len(s.Exemplars())
+		exemplars += s.NumExemplars()
 	}
 	for _, tk := range cb.Attr.Apps {
 		topkEntries += tk.Len()

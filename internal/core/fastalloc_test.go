@@ -381,3 +381,54 @@ func TestWriteJSONAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestAttrStatsAlloc pins the attribution footprint count at zero
+// allocations: -serve reads it after every poll that ingested an
+// application, so it counts each reservoir through its length and never
+// copies one.
+func TestAttrStatsAlloc(t *testing.T) {
+	cb := NewClusterBreakdown()
+	plantObservations(cb)
+	if ex, _ := cb.AttrStats(); ex == 0 {
+		t.Fatal("no exemplars planted")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { cb.AttrStats() }); allocs != 0 {
+		t.Errorf("AttrStats makes %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestEvictUnderBoundAlloc: -serve calls both eviction bounds after
+// every poll, hundreds of times a second while lines arrive, and almost
+// always under them. Such a call counts the shards' applications and
+// returns without collecting a candidate; one over its bound still
+// forgets the oldest applications first.
+func TestEvictUnderBoundAlloc(t *testing.T) {
+	const apps = 20
+	s := NewShardedStream(2)
+	defer s.Close()
+	for i := 1; i <= apps; i++ {
+		feedCorpus(s, miniAppCorpus(i))
+	}
+	s.Quiesce()
+	if got := s.AppCount(); got != apps {
+		t.Fatalf("%d apps tracked, want %d", got, apps)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if s.EvictCompleted(apps) != 0 || s.EvictOldest(apps) != 0 {
+			t.Fatal("an under-bound call evicted")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("under-bound eviction makes %.0f allocs, want 0", allocs)
+	}
+	if got := s.EvictCompleted(apps - 5); got != 5 {
+		t.Errorf("EvictCompleted(%d) forgot %d apps, want 5", apps-5, got)
+	}
+	if got := s.EvictOldest(10); got != 5 {
+		t.Errorf("EvictOldest(10) forgot %d apps, want 5", got)
+	}
+	kept := s.Apps()
+	if len(kept) != 10 || kept[0].ID.Seq != apps-9 {
+		t.Errorf("kept %d apps from seq %d, want the newest 10", len(kept), kept[0].ID.Seq)
+	}
+}

@@ -583,7 +583,8 @@ func (ss *ShardedStream) Forget(id ids.AppID) {
 // applications are never evicted: their decompositions are still
 // growing.
 func (ss *ShardedStream) EvictCompleted(keep int) int {
-	return ss.evict(max(keep, 0), func(b *traceBuilder) bool { return b.completed })
+	return ss.evict(max(keep, 0), func(st *Stream) int { return st.nCompleted },
+		func(b *traceBuilder) bool { return b.completed })
 }
 
 // EvictOldest is the hard memory bound behind EvictCompleted: it
@@ -595,12 +596,25 @@ func (ss *ShardedStream) EvictOldest(max int) int {
 	if max < 0 {
 		return 0
 	}
-	return ss.evict(max, func(*traceBuilder) bool { return true })
+	return ss.evict(max, func(st *Stream) int { return len(st.apps) },
+		func(*traceBuilder) bool { return true })
 }
 
 // evict forgets the eligible applications, oldest submission first,
 // until at most keep of them remain, and returns how many it forgot.
-func (ss *ShardedStream) evict(keep int, eligible func(*traceBuilder) bool) int {
+// count is how many of a shard's applications are eligible: a call
+// that finds at most keep across the shards returns before collecting
+// a single candidate.
+func (ss *ShardedStream) evict(keep int, count func(*Stream) int, eligible func(*traceBuilder) bool) int {
+	n := 0
+	for _, sh := range ss.shards {
+		sh.stMu.Lock()
+		n += count(sh.st)
+		sh.stMu.Unlock()
+	}
+	if n <= keep {
+		return 0
+	}
 	var cands []ids.AppID
 	for _, sh := range ss.shards {
 		sh.stMu.Lock()

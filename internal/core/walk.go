@@ -37,6 +37,14 @@ type TreeFile struct {
 // descriptor where the platform allows it. A symlink is followed.
 func (f TreeFile) Open() (*os.File, error) { return f.dir.openFile(f.base) }
 
+// TreeFileAt is the file called name, slash-separated and relative to
+// the tree at root, as WalkTree would visit it; Open opens it by its
+// full path. The live tailer drains the files a watch names this way,
+// without walking the tree.
+func TreeFileAt(root, name string) TreeFile {
+	return TreeFile{Name: name, dir: &treeDir{}, base: filepath.Join(root, filepath.FromSlash(name))}
+}
+
 // treeDir is a directory of the tree, open while a worker walks its
 // entries or while a run of them waits on the shared stack.
 type treeDir struct {
@@ -78,6 +86,14 @@ func (d *treeDir) join(name string) string {
 // are handed off, never more than workers, and each holds one descriptor
 // per directory level it is inside.
 func WalkTree(dir string, workers int, visit func(worker int, f TreeFile) error) error {
+	return WalkTreeDirs(dir, workers, nil, visit)
+}
+
+// WalkTreeDirs is WalkTree that also calls entered, when it is not nil,
+// with each directory's slash-separated name relative to dir ("" for
+// dir itself) before it lists the directory. With more than one worker,
+// entered runs on several goroutines at once.
+func WalkTreeDirs(dir string, workers int, entered func(name string), visit func(worker int, f TreeFile) error) error {
 	root, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -90,7 +106,7 @@ func WalkTree(dir string, workers int, visit func(worker int, f TreeFile) error)
 		}
 		return visit(0, TreeFile{Name: ".", dir: &treeDir{}, base: dir})
 	}
-	w := &treeWalk{visit: visit, workers: max(workers, 1), started: 1, busy: 1}
+	w := &treeWalk{visit: visit, entered: entered, workers: max(workers, 1), started: 1, busy: 1}
 	w.cond.L = &w.mu
 	w.setSpare()
 	w.run(0, w.enter(&treeDir{f: root, path: dir}))
@@ -125,6 +141,7 @@ func compareWalk(a, b string) int {
 // treeWalk is one WalkTree call's shared state.
 type treeWalk struct {
 	visit   func(worker int, f TreeFile) error
+	entered func(name string) // nil, or called before each directory is listed
 	workers int
 	wg      sync.WaitGroup // the workers started after the first
 
@@ -274,6 +291,9 @@ func (w *treeWalk) split(path []dirRun) {
 
 // enter reads the open directory d's entries into a run, in name order.
 func (w *treeWalk) enter(d *treeDir) dirRun {
+	if w.entered != nil {
+		w.entered(d.name)
+	}
 	ents, err := d.f.ReadDir(-1)
 	if err != nil {
 		w.fail(d.name, err) // and walk what was read

@@ -58,6 +58,13 @@ func (s *Sketch) TrackExemplars(k int) {
 // ExemplarCap returns the reservoir capacity (0 = tracking disabled).
 func (s *Sketch) ExemplarCap() int { return s.exCap }
 
+// NumExemplars returns how many exemplars the reservoir holds.
+func (s *Sketch) NumExemplars() int { return len(s.ex) }
+
+// ExemplarAt returns the reservoir's i-th exemplar, largest value first,
+// without copying the reservoir; i is in [0, NumExemplars()).
+func (s *Sketch) ExemplarAt(i int) Exemplar { return s.ex[i] }
+
 // Exemplars returns a copy of the reservoir, largest value first.
 func (s *Sketch) Exemplars() []Exemplar {
 	if len(s.ex) == 0 {
