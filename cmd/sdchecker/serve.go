@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/digest"
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -622,7 +623,7 @@ func (s *liveServer) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	s.obsMu.Lock()
 	cb := s.eng.Breakdown()
 	doc := aggregateDoc{
-		Alpha:       cb.Alpha,
+		Alpha:       digest.DefaultAlpha,
 		Apps:        s.eng.AppsIngested(),
 		OverflowObs: s.eng.OverflowObservations(),
 		Components:  cb.ComponentRows(),

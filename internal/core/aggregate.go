@@ -108,56 +108,27 @@ type BreakdownRow struct {
 	MaxMS     float64 `json:"max_ms"`
 }
 
-// DefaultExemplarCap is the per-cell exemplar reservoir capacity:
-// enough to name the worst offenders of a cell without letting
-// drill-down state dominate sketch memory.
-const DefaultExemplarCap = 8
-
-// BreakdownAttr is the drill-down state of a ClusterBreakdown: per-cell
-// heavy hitters by contributed delay (worst apps per exact key) and
-// per-component worst nodes, alongside the exemplar reservoirs living
-// inside each cell sketch. Like the sketches it decorates, all of it is
-// bounded and mergeable. Origin is a free-form shard label stamped on
-// exemplars for the future multi-ingester fleet; it stays "" for
-// in-process shards so reports remain byte-identical at any -workers.
-type BreakdownAttr struct {
-	ResCap int    // exemplar reservoir capacity per cell sketch
-	TopCap int    // heavy-hitter capacity per top-k summary
-	Origin string // shard label for exemplars ("" in-process)
-
-	Apps  map[BreakdownKey]*attr.TopK // worst apps per (component, queue, node, instance)
-	Nodes map[string]*attr.TopK       // worst nodes per component
-}
-
-func newBreakdownAttr() *BreakdownAttr {
-	return &BreakdownAttr{
-		ResCap: DefaultExemplarCap,
-		TopCap: attr.DefaultTopK,
-		Apps:   make(map[BreakdownKey]*attr.TopK),
-		Nodes:  make(map[string]*attr.TopK),
-	}
-}
-
 // ClusterBreakdown holds one quantile sketch per observed
 // (component, queue, node, instance) combination. Rollups — one
 // component across the fleet, one component per queue, per node — are
 // computed by merging the exact-key sketches, which is lossless
 // (digest.Merge is exact), so every view shares the same error bound.
-// Cells additionally track exemplars and heavy hitters (Attr) for
-// drill-down.
+// Every sketch is at digest.DefaultAlpha. For drill-down, each cell
+// sketch keeps an exemplar reservoir, and the heavy-hitter summaries
+// name the worst apps per exact key and the worst nodes per component;
+// like the sketches they decorate, all of it is bounded and mergeable.
 type ClusterBreakdown struct {
-	Alpha    float64
 	Sketches map[BreakdownKey]*digest.Sketch
-	Attr     *BreakdownAttr
+	Apps     map[BreakdownKey]*attr.TopK // worst apps per (component, queue, node, instance)
+	Nodes    map[string]*attr.TopK       // worst nodes per component
 }
 
-// NewClusterBreakdown returns an empty breakdown at the repo's default
-// sketch accuracy.
+// NewClusterBreakdown returns an empty breakdown.
 func NewClusterBreakdown() *ClusterBreakdown {
 	return &ClusterBreakdown{
-		Alpha:    digest.DefaultAlpha,
 		Sketches: make(map[BreakdownKey]*digest.Sketch),
-		Attr:     newBreakdownAttr(),
+		Apps:     make(map[BreakdownKey]*attr.TopK),
+		Nodes:    make(map[string]*attr.TopK),
 	}
 }
 
@@ -173,8 +144,7 @@ func (cb *ClusterBreakdown) Add(o Observation) {
 	k := BreakdownKey{Component: o.Component, Queue: o.Queue, Node: o.Node, Instance: o.Instance}
 	s := cb.Sketches[k]
 	if s == nil {
-		s = digest.New(cb.Alpha)
-		s.TrackExemplars(cb.Attr.ResCap)
+		s = digest.New(digest.DefaultAlpha)
 		cb.Sketches[k] = s
 	}
 	ms := float64(o.MS)
@@ -182,18 +152,18 @@ func (cb *ClusterBreakdown) Add(o Observation) {
 		s.Add(ms)
 		return
 	}
-	s.AddExemplar(ms, o.App, o.AtMS, cb.Attr.Origin)
-	tk := cb.Attr.Apps[k]
+	s.AddExemplar(ms, o.App, o.AtMS)
+	tk := cb.Apps[k]
 	if tk == nil {
-		tk = attr.NewTopK(cb.Attr.TopCap)
-		cb.Attr.Apps[k] = tk
+		tk = attr.NewTopK(attr.DefaultTopK)
+		cb.Apps[k] = tk
 	}
 	tk.Offer(o.App, ms)
 	if o.Node != "" {
-		nk := cb.Attr.Nodes[o.Component]
+		nk := cb.Nodes[o.Component]
 		if nk == nil {
-			nk = attr.NewTopK(cb.Attr.TopCap)
-			cb.Attr.Nodes[o.Component] = nk
+			nk = attr.NewTopK(attr.DefaultTopK)
+			cb.Nodes[o.Component] = nk
 		}
 		nk.Offer(o.Node, ms)
 	}
@@ -205,27 +175,26 @@ func (cb *ClusterBreakdown) Merge(other *ClusterBreakdown) error {
 	for k, s := range other.Sketches {
 		dst := cb.Sketches[k]
 		if dst == nil {
-			dst = digest.New(cb.Alpha)
-			dst.TrackExemplars(cb.Attr.ResCap)
+			dst = digest.New(digest.DefaultAlpha)
 			cb.Sketches[k] = dst
 		}
 		if err := dst.Merge(s); err != nil {
 			return fmt.Errorf("core: breakdown key %+v: %w", k, err)
 		}
 	}
-	for k, tk := range other.Attr.Apps {
-		dst := cb.Attr.Apps[k]
+	for k, tk := range other.Apps {
+		dst := cb.Apps[k]
 		if dst == nil {
-			dst = attr.NewTopK(cb.Attr.TopCap)
-			cb.Attr.Apps[k] = dst
+			dst = attr.NewTopK(attr.DefaultTopK)
+			cb.Apps[k] = dst
 		}
 		dst.Merge(tk)
 	}
-	for c, tk := range other.Attr.Nodes {
-		dst := cb.Attr.Nodes[c]
+	for c, tk := range other.Nodes {
+		dst := cb.Nodes[c]
 		if dst == nil {
-			dst = attr.NewTopK(cb.Attr.TopCap)
-			cb.Attr.Nodes[c] = dst
+			dst = attr.NewTopK(attr.DefaultTopK)
+			cb.Nodes[c] = dst
 		}
 		dst.Merge(tk)
 	}
@@ -235,7 +204,7 @@ func (cb *ClusterBreakdown) Merge(other *ClusterBreakdown) error {
 // Component returns the fleet-wide rollup sketch for one component
 // (empty sketch when unobserved).
 func (cb *ClusterBreakdown) Component(component string) *digest.Sketch {
-	out := digest.New(cb.Alpha)
+	out := digest.New(digest.DefaultAlpha)
 	for k, s := range cb.Sketches {
 		if k.Component == component {
 			out.Merge(s) // same alpha by construction
@@ -256,7 +225,7 @@ func (cb *ClusterBreakdown) GroupBy(component string, dim func(BreakdownKey) str
 		g := dim(k)
 		dst := out[g]
 		if dst == nil {
-			dst = digest.New(cb.Alpha)
+			dst = digest.New(digest.DefaultAlpha)
 			out[g] = dst
 		}
 		dst.Merge(s)

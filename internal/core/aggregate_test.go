@@ -104,7 +104,7 @@ func TestClusterBreakdownRollups(t *testing.T) {
 			if r.Count != 1 {
 				t.Errorf("total count = %d, want 1", r.Count)
 			}
-			relErrInBound(t, "total p50", r.P50MS, 11900, cb.Alpha)
+			relErrInBound(t, "total p50", r.P50MS, 11900, digest.DefaultAlpha)
 		}
 	}
 
@@ -167,7 +167,7 @@ func TestWorstGroup(t *testing.T) {
 	if !ok || name != "node02" {
 		t.Fatalf("worst = %q ok=%v, want node02", name, ok)
 	}
-	relErrInBound(t, "worst p99", p99, 4000, cb.Alpha)
+	relErrInBound(t, "worst p99", p99, 4000, digest.DefaultAlpha)
 	if _, _, ok := Worst(map[string]*digest.Sketch{}, 1); ok {
 		t.Error("empty groups should not produce a callout")
 	}

@@ -117,7 +117,7 @@ const DefaultExplainCells = 10
 
 // explainTopApps bounds the heavy hitters listed per cell and the worst
 // nodes listed per report (the underlying summaries hold more; see
-// BreakdownAttr.TopCap).
+// attr.DefaultTopK).
 const explainTopApps = 8
 
 // Explain builds the attribution report for one component at quantile q
@@ -139,7 +139,7 @@ func (cb *ClusterBreakdown) Explain(component string, q float64, maxCells int, e
 		Component: component, Q: q,
 		TargetMS: fleet.Quantile(q),
 		Count:    fleet.Count(),
-		Alpha:    cb.Alpha,
+		Alpha:    digest.DefaultAlpha,
 	}
 	doc.TailCount = fleet.CountAbove(doc.TargetMS)
 
@@ -183,7 +183,7 @@ func (cb *ClusterBreakdown) Explain(component string, q float64, maxCells int, e
 		if doc.TailCount > 0 {
 			ec.TailShare = float64(ec.TailCount) / float64(doc.TailCount)
 		}
-		if tk := cb.Attr.Apps[c.key]; tk != nil {
+		if tk := cb.Apps[c.key]; tk != nil {
 			ec.TopApps = tk.Top(explainTopApps)
 		}
 		for _, e := range c.sk.Exemplars() {
@@ -199,7 +199,7 @@ func (cb *ClusterBreakdown) Explain(component string, q float64, maxCells int, e
 		}
 		doc.Cells = append(doc.Cells, ec)
 	}
-	if tk := cb.Attr.Nodes[component]; tk != nil {
+	if tk := cb.Nodes[component]; tk != nil {
 		doc.WorstNodes = tk.Top(explainTopApps)
 	}
 	return doc
@@ -278,10 +278,10 @@ func (cb *ClusterBreakdown) AttrStats() (exemplars, topkEntries int) {
 	for _, s := range cb.Sketches {
 		exemplars += s.NumExemplars()
 	}
-	for _, tk := range cb.Attr.Apps {
+	for _, tk := range cb.Apps {
 		topkEntries += tk.Len()
 	}
-	for _, tk := range cb.Attr.Nodes {
+	for _, tk := range cb.Nodes {
 		topkEntries += tk.Len()
 	}
 	return exemplars, topkEntries
@@ -321,7 +321,7 @@ func (cb *ClusterBreakdown) AttributionJSON() (string, error) {
 			Count:     s.Count(),
 			Exemplars: s.Exemplars(),
 		}
-		if tk := cb.Attr.Apps[k]; tk != nil {
+		if tk := cb.Apps[k]; tk != nil {
 			c.TopApps = tk.Entries()
 		}
 		doc.Cells = append(doc.Cells, c)
@@ -339,9 +339,9 @@ func (cb *ClusterBreakdown) AttributionJSON() (string, error) {
 		}
 		return a.Instance < b.Instance
 	})
-	if len(cb.Attr.Nodes) > 0 {
-		doc.Nodes = make(map[string][]attr.Entry, len(cb.Attr.Nodes))
-		for c, tk := range cb.Attr.Nodes {
+	if len(cb.Nodes) > 0 {
+		doc.Nodes = make(map[string][]attr.Entry, len(cb.Nodes))
+		for c, tk := range cb.Nodes {
 			doc.Nodes[c] = tk.Entries()
 		}
 	}

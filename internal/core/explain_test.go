@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/digest"
 )
 
 // plantObservations fills a breakdown with a crowd of fast applications
@@ -116,7 +118,7 @@ func TestExemplarAppsAndAttrStats(t *testing.T) {
 	if ex == 0 || tk == 0 {
 		t.Errorf("AttrStats = (%d, %d), want both non-zero", ex, tk)
 	}
-	maxEx := len(cb.Sketches) * cb.Attr.ResCap
+	maxEx := len(cb.Sketches) * digest.MaxExemplars
 	if ex > maxEx {
 		t.Errorf("%d exemplars exceeds the %d bound", ex, maxEx)
 	}

@@ -50,10 +50,7 @@ type Sketch struct {
 	min     float64
 	max     float64
 
-	// Tail-biased exemplar reservoir (see exemplar.go). exCap == 0 means
-	// tracking is off and the sketch behaves exactly as before.
-	exCap int
-	ex    []Exemplar // sorted by exemplarLess, len <= exCap
+	ex []Exemplar // tail-biased reservoir (see exemplar.go), sorted by exemplarLess
 }
 
 // New returns an empty sketch with the given relative accuracy alpha
@@ -258,8 +255,8 @@ func (s *Sketch) Clone() *Sketch {
 	return &c
 }
 
-// Reset empties the sketch, keeping its accuracy and its exemplar
-// capacity (a recycled window bucket keeps tracking).
+// Reset empties the sketch and its exemplar reservoir, keeping its
+// accuracy.
 func (s *Sketch) Reset() {
 	s.buckets = make(map[int32]uint64)
 	s.zero = 0
@@ -274,20 +271,21 @@ func (s *Sketch) Reset() {
 // shipped and merged. Layout (all multi-byte values little-endian or
 // varint):
 //
-//	magic "dg1" (3 bytes)
+//	magic "dg2" (3 bytes)
 //	alpha    float64 bits (8 bytes)
 //	zero     uvarint
 //	count    uvarint
 //	sum      float64 bits (8 bytes)
 //	min,max  float64 bits (8+8 bytes, only when count > 0)
 //	nbuckets uvarint
-//	then per bucket, keys ascending: key delta (varint from previous
-//	key), count (uvarint)
+//	then per bucket, keys strictly ascending: key delta (varint from
+//	previous key, > 0 after the first), count (uvarint, > 0)
+//	exemplar section (see exemplar.go)
 //
 // Delta-encoding the sorted keys keeps real sketches (dense runs of
 // adjacent buckets) to ~2 bytes per bucket.
 
-var magic = []byte("dg1")
+var magic = []byte("dg2")
 
 // MarshalBinary serializes the sketch.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
@@ -341,6 +339,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
 		return ErrCorrupt
 	}
+	if ns.zero > ns.count {
+		return ErrCorrupt
+	}
 	ns.sum = math.Float64frombits(binary.LittleEndian.Uint64(data))
 	data = data[8:]
 	if ns.count > 0 {
@@ -357,15 +358,15 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	data = data[n:]
 	prev := int64(0)
-	var total uint64
+	total := ns.zero
 	for i := uint64(0); i < nb; i++ {
 		delta, dn := binary.Varint(data)
-		if dn <= 0 {
+		if dn <= 0 || (i > 0 && delta <= 0) {
 			return ErrCorrupt
 		}
 		data = data[dn:]
 		cnt, cn := binary.Uvarint(data)
-		if cn <= 0 || cnt == 0 {
+		if cn <= 0 || cnt == 0 || cnt > ns.count-total {
 			return ErrCorrupt
 		}
 		data = data[cn:]
@@ -377,7 +378,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		prev = key
 		total += cnt
 	}
-	if total+ns.zero != ns.count {
+	if total != ns.count {
 		return ErrCorrupt
 	}
 	if err := decodeExemplarSection(data, ns); err != nil {

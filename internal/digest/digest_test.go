@@ -1,6 +1,7 @@
 package digest
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -210,12 +211,46 @@ func TestSerializationRoundtrip(t *testing.T) {
 	}
 }
 
+// bucket is one (key, count) pair for handFrame.
+type bucket struct {
+	key int32
+	n   uint64
+}
+
+// handFrame assembles a frame with the given zero and total counts and
+// buckets, written in the order given, and an empty exemplar section:
+// the frames MarshalBinary never writes.
+func handFrame(zero, count uint64, buckets ...bucket) []byte {
+	b := append([]byte(nil), magic...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(DefaultAlpha))
+	b = binary.AppendUvarint(b, zero)
+	b = binary.AppendUvarint(b, count)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(100)) // sum
+	if count > 0 {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0))   // min
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(100)) // max
+	}
+	b = binary.AppendUvarint(b, uint64(len(buckets)))
+	prev := int64(0)
+	for _, bk := range buckets {
+		b = binary.AppendVarint(b, int64(bk.key)-prev)
+		b = binary.AppendUvarint(b, bk.n)
+		prev = int64(bk.key)
+	}
+	return binary.AppendUvarint(b, 0)
+}
+
 func TestUnmarshalCorrupt(t *testing.T) {
 	s := New(DefaultAlpha)
 	s.Add(12)
 	s.Add(7000)
 	raw, _ := s.MarshalBinary()
 	var back Sketch
+	// The hand-built frames are well formed apart from their defect:
+	// the same layout with ascending keys decodes.
+	if err := back.UnmarshalBinary(handFrame(1, 3, bucket{5, 1}, bucket{9, 1})); err != nil {
+		t.Fatalf("well-formed hand frame rejected: %v", err)
+	}
 	for _, bad := range [][]byte{
 		nil,
 		[]byte("x"),
@@ -223,6 +258,11 @@ func TestUnmarshalCorrupt(t *testing.T) {
 		raw[:len(raw)-1],
 		raw[:5],
 		append([]byte("zz1"), raw[3:]...),
+		append([]byte("dg1"), raw[3:]...), // the previous layout
+		handFrame(0, 2, bucket{5, 1}, bucket{5, 1}), // repeated key
+		handFrame(0, 2, bucket{9, 1}, bucket{5, 1}), // descending keys
+		handFrame(3, 2), // zero count above total
+		handFrame(0, 1, bucket{5, math.MaxUint64}, bucket{9, 2}), // counts wrap to total
 	} {
 		if err := back.UnmarshalBinary(bad); err == nil {
 			t.Errorf("corrupt frame %q decoded without error", bad)

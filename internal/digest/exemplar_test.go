@@ -50,11 +50,10 @@ func bruteTopK(all []Exemplar, k int) []Exemplar {
 	return s
 }
 
-func feed(k int, exs []Exemplar) *Sketch {
+func feed(exs []Exemplar) *Sketch {
 	s := New(0.01)
-	s.TrackExemplars(k)
 	for _, e := range exs {
-		s.AddExemplar(e.ValueMS, e.App, e.AtMS, e.Shard)
+		s.AddExemplar(e.ValueMS, e.App, e.AtMS)
 	}
 	return s
 }
@@ -62,18 +61,18 @@ func feed(k int, exs []Exemplar) *Sketch {
 // TestExemplarReservoirExact pins the reservoir to the brute-force top-k
 // of the input multiset: tail-biased, bounded, deterministic.
 func TestExemplarReservoirExact(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 8, 9, 200} {
+	for _, n := range []int{0, 1, MaxExemplars - 1, MaxExemplars, MaxExemplars + 1, 200} {
 		exs := genExemplars(uint64(n)+1, n)
-		s := feed(8, exs)
+		s := feed(exs)
 		got := s.Exemplars()
-		want := bruteTopK(exs, 8)
+		want := bruteTopK(exs, MaxExemplars)
 		if len(want) == 0 {
 			want = nil
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("n=%d: reservoir %v, want %v", n, got, want)
 		}
-		if len(got) > 8 {
+		if len(got) > MaxExemplars {
 			t.Errorf("n=%d: reservoir exceeded cap: %d", n, len(got))
 		}
 		if s.Count() != uint64(n) {
@@ -97,7 +96,7 @@ func TestExemplarMergeOrderInsensitive(t *testing.T) {
 		}
 		return out
 	}
-	ref := feed(8, all)
+	ref := feed(all)
 	refBytes, err := ref.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +111,8 @@ func TestExemplarMergeOrderInsensitive(t *testing.T) {
 		}
 		for oi, order := range orders {
 			m := New(0.01)
-			m.TrackExemplars(8)
 			for _, i := range order {
-				if err := m.Merge(feed(8, chunk(i, parts))); err != nil {
+				if err := m.Merge(feed(chunk(i, parts))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -132,18 +130,18 @@ func TestExemplarMergeOrderInsensitive(t *testing.T) {
 // TestExemplarMergeAssociative checks (a⊔b)⊔c == a⊔(b⊔c) byte for byte.
 func TestExemplarMergeAssociative(t *testing.T) {
 	a, b, c := genExemplars(1, 30), genExemplars(2, 30), genExemplars(3, 30)
-	left := feed(8, a)
-	if err := left.Merge(feed(8, b)); err != nil {
+	left := feed(a)
+	if err := left.Merge(feed(b)); err != nil {
 		t.Fatal(err)
 	}
-	if err := left.Merge(feed(8, c)); err != nil {
+	if err := left.Merge(feed(c)); err != nil {
 		t.Fatal(err)
 	}
-	bc := feed(8, b)
-	if err := bc.Merge(feed(8, c)); err != nil {
+	bc := feed(b)
+	if err := bc.Merge(feed(c)); err != nil {
 		t.Fatal(err)
 	}
-	right := feed(8, a)
+	right := feed(a)
 	if err := right.Merge(bc); err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +158,10 @@ func TestExemplarMergeAssociative(t *testing.T) {
 	}
 }
 
-// TestExemplarBinaryRoundTrip pins the optional trailing section: frames
-// with tracking round-trip exactly, frames without it stay decodable
-// (backward compatibility with pre-exemplar frames).
+// TestExemplarBinaryRoundTrip pins the exemplar section: a full
+// reservoir and an empty one both round-trip exactly.
 func TestExemplarBinaryRoundTrip(t *testing.T) {
-	s := feed(4, genExemplars(7, 20))
+	s := feed(genExemplars(7, 20))
 	b, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -173,11 +170,11 @@ func TestExemplarBinaryRoundTrip(t *testing.T) {
 	if err := d.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
-	if d.ExemplarCap() != 4 || !reflect.DeepEqual(d.Exemplars(), s.Exemplars()) {
-		t.Errorf("round trip lost exemplars: cap=%d got %v want %v", d.ExemplarCap(), d.Exemplars(), s.Exemplars())
+	if len(d.Exemplars()) != MaxExemplars || !reflect.DeepEqual(d.Exemplars(), s.Exemplars()) {
+		t.Errorf("round trip lost exemplars: got %v want %v", d.Exemplars(), s.Exemplars())
 	}
 
-	// A plain sketch (no tracking) round-trips with tracking disabled.
+	// A sketch fed only through Add round-trips with an empty reservoir.
 	p := New(0.01)
 	p.Add(3)
 	pb, err := p.MarshalBinary()
@@ -188,8 +185,8 @@ func TestExemplarBinaryRoundTrip(t *testing.T) {
 	if err := pd.UnmarshalBinary(pb); err != nil {
 		t.Fatal(err)
 	}
-	if pd.ExemplarCap() != 0 || len(pd.Exemplars()) != 0 {
-		t.Errorf("plain frame decoded with tracking on: cap=%d", pd.ExemplarCap())
+	if pd.Count() != 1 || len(pd.Exemplars()) != 0 {
+		t.Errorf("plain frame decoded as count=%d exemplars=%v", pd.Count(), pd.Exemplars())
 	}
 }
 
@@ -197,9 +194,8 @@ func TestExemplarBinaryRoundTrip(t *testing.T) {
 // expects ErrCorrupt, not silent acceptance.
 func TestExemplarDecodeRejectsUnsorted(t *testing.T) {
 	a := New(0.01)
-	a.TrackExemplars(4)
-	a.AddExemplar(10, "app-b", 5, "")
-	a.AddExemplar(20, "app-a", 6, "")
+	a.AddExemplar(10, "app-b", 5)
+	a.AddExemplar(20, "app-a", 6)
 	b, err := a.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -224,12 +220,11 @@ func TestExemplarDecodeRejectsUnsorted(t *testing.T) {
 // to zero (consistent with Sketch.Add), empty app still counts.
 func TestExemplarEdgeValues(t *testing.T) {
 	s := New(0.01)
-	s.TrackExemplars(4)
-	s.AddExemplar(math.NaN(), "nan-app", 1, "")
+	s.AddExemplar(math.NaN(), "nan-app", 1)
 	if s.Count() != 0 || len(s.Exemplars()) != 0 {
 		t.Errorf("NaN was recorded: count=%d exemplars=%v", s.Count(), s.Exemplars())
 	}
-	s.AddExemplar(-5, "neg-app", 2, "")
+	s.AddExemplar(-5, "neg-app", 2)
 	if s.Count() != 1 {
 		t.Fatalf("negative value dropped: count=%d", s.Count())
 	}
@@ -238,18 +233,15 @@ func TestExemplarEdgeValues(t *testing.T) {
 	}
 }
 
-// TestExemplarResetKeepsCapacity pins the ring-slot recycling contract:
-// Reset clears the reservoir but keeps tracking enabled at the same cap.
-func TestExemplarResetKeepsCapacity(t *testing.T) {
-	s := feed(4, genExemplars(9, 10))
+// TestExemplarResetClears pins the ring-slot recycling contract: Reset
+// empties the reservoir, and the sketch keeps collecting afterwards.
+func TestExemplarResetClears(t *testing.T) {
+	s := feed(genExemplars(9, 10))
 	s.Reset()
-	if s.ExemplarCap() != 4 {
-		t.Fatalf("Reset dropped exemplar capacity: %d", s.ExemplarCap())
-	}
 	if len(s.Exemplars()) != 0 {
 		t.Fatalf("Reset kept exemplars: %v", s.Exemplars())
 	}
-	s.AddExemplar(7, "after-reset", 1, "")
+	s.AddExemplar(7, "after-reset", 1)
 	if ex := s.Exemplars(); len(ex) != 1 || ex[0].App != "after-reset" {
 		t.Errorf("tracking dead after Reset: %v", ex)
 	}

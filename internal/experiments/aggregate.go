@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/digest"
 )
 
 // SweepTable aggregates a parameter sweep (input size, interference
@@ -86,7 +87,7 @@ func (t *SweepTable) Format(components ...string) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — per-component delay percentiles (sketch alpha %.2g):\n",
-		t.Name, core.NewClusterBreakdown().Alpha)
+		t.Name, digest.DefaultAlpha)
 	for _, comp := range components {
 		rows := t.ComponentAcross(comp)
 		any := false
@@ -126,7 +127,7 @@ type sweepPointJSON struct {
 // per-point exact (component, queue, node) rows, and the whole-sweep
 // merged rollup.
 func (t *SweepTable) JSON() ([]byte, error) {
-	doc := sweepJSON{Name: t.Name, Alpha: core.NewClusterBreakdown().Alpha}
+	doc := sweepJSON{Name: t.Name, Alpha: digest.DefaultAlpha}
 	for _, p := range t.Points {
 		doc.Points = append(doc.Points, sweepPointJSON{
 			Label:      p.Label,

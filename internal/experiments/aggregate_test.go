@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/digest"
 )
 
 // exactQuantile is the same nearest-rank definition digest.Sketch uses
@@ -67,7 +68,7 @@ func TestSweepShardMergeParity(t *testing.T) {
 
 	// And the merged sketch's percentiles must sit within alpha of the
 	// exact sample percentiles for every component with data.
-	alpha := merged.Alpha
+	alpha := digest.DefaultAlpha
 	for _, comp := range core.Components {
 		var samples []float64
 		for _, a := range rep.Apps {

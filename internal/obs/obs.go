@@ -68,16 +68,6 @@ type StageObs struct {
 	DurUS int64
 }
 
-// StageStat is one stage's cumulative view, the bench/report row.
-type StageStat struct {
-	Stage   string  `json:"stage"`
-	Batches int64   `json:"batches"`
-	Items   int64   `json:"items"`
-	TotalMS float64 `json:"total_ms"`
-	P50MS   float64 `json:"p50_ms"`
-	P99MS   float64 `json:"p99_ms"`
-}
-
 // stageSet is one stage's metric instruments.
 type stageSet struct {
 	hist    *metrics.Histogram // obs_stage_duration_ms{stage=...}
@@ -381,26 +371,4 @@ func two(n int) string {
 		return "0" + strconv.Itoa(n)
 	}
 	return strconv.Itoa(n)
-}
-
-// StageStats summarizes every stage in pipeline order: batch/item
-// throughput plus interpolated latency quantiles, the bench_pipeline
-// rows.
-func (p *Pipeline) StageStats() []StageStat {
-	if p == nil {
-		return nil
-	}
-	out := make([]StageStat, 0, len(Stages))
-	for _, name := range Stages {
-		st := p.stages[name]
-		out = append(out, StageStat{
-			Stage:   name,
-			Batches: st.batches.Value(),
-			Items:   st.items.Value(),
-			TotalMS: st.hist.Sum(),
-			P50MS:   st.hist.Quantile(0.50),
-			P99MS:   st.hist.Quantile(0.99),
-		})
-	}
-	return out
 }

@@ -33,7 +33,7 @@ func TestNilPipelineIsInert(t *testing.T) {
 	p.RecordEvict("app")
 	p.RecordWarnBurst(9)
 	p.RecordQuiesce(true, 1)
-	if p.DrainSelf() != nil || p.Spans() != nil || p.StageStats() != nil || p.Flight() != nil {
+	if p.DrainSelf() != nil || p.Spans() != nil || p.Flight() != nil {
 		t.Fatal("nil pipeline leaked state")
 	}
 	if d := p.FlightDump(); len(d.Events) != 0 {
@@ -114,19 +114,6 @@ func TestStageSpansFlowEverywhere(t *testing.T) {
 	}
 	if p.DrainSelf() != nil {
 		t.Fatal("second drain not empty")
-	}
-
-	// StageStats summarizes in pipeline order.
-	stats := p.StageStats()
-	if len(stats) != len(Stages) {
-		t.Fatalf("stats = %d rows", len(stats))
-	}
-	for _, s := range stats {
-		if s.Stage == StageParse {
-			if s.Batches != 1 || s.Items != 100 || s.TotalMS != 5 || s.P99MS <= 0 {
-				t.Fatalf("parse stat %+v", s)
-			}
-		}
 	}
 }
 

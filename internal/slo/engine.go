@@ -65,7 +65,7 @@ type ruleState struct {
 const DefaultMaxKeys = 4096
 
 // Overflow is the queue/node label observations are folded under once
-// MaxKeys distinct breakdown keys exist.
+// DefaultMaxKeys distinct breakdown keys exist.
 const Overflow = "(overflow)"
 
 // historyCap bounds the recorded transition log; the oldest edges are
@@ -84,7 +84,6 @@ const historyCap = 512
 type Engine struct {
 	rules        []*ruleState
 	agg          *core.ClusterBreakdown
-	maxKeys      int
 	overflowObs  uint64
 	nowMS        int64
 	history      []Transition
@@ -95,24 +94,15 @@ type Engine struct {
 // NewEngine builds an engine evaluating the given rules (none is valid:
 // the engine still aggregates for /aggregate).
 func NewEngine(rules []Rule) *Engine {
-	e := &Engine{agg: core.NewClusterBreakdown(), maxKeys: DefaultMaxKeys}
+	e := &Engine{agg: core.NewClusterBreakdown()}
 	for _, r := range rules {
-		rs := &ruleState{rule: r, long: newRing(r.WindowMS, digest.DefaultAlpha)}
+		rs := &ruleState{rule: r, long: newRing(r.WindowMS)}
 		if r.BurnMS > 0 {
-			rs.burn = newRing(r.BurnMS, digest.DefaultAlpha)
+			rs.burn = newRing(r.BurnMS)
 		}
 		e.rules = append(e.rules, rs)
 	}
 	return e
-}
-
-// SetMaxKeys overrides the cumulative breakdown's cardinality cap (for
-// tests and memory-constrained deployments). Must be called before
-// observations arrive.
-func (e *Engine) SetMaxKeys(n int) {
-	if n > 0 {
-		e.maxKeys = n
-	}
 }
 
 // OnTransition registers a hook invoked synchronously for every
@@ -154,7 +144,7 @@ func (e *Engine) ObserveAt(obs []core.Observation, atMS int64) {
 
 func (e *Engine) addCumulative(o core.Observation) {
 	k := core.BreakdownKey{Component: o.Component, Queue: o.Queue, Node: o.Node, Instance: o.Instance}
-	if _, ok := e.agg.Sketches[k]; !ok && len(e.agg.Sketches) >= e.maxKeys {
+	if _, ok := e.agg.Sketches[k]; !ok && len(e.agg.Sketches) >= DefaultMaxKeys {
 		o.Queue, o.Node, o.Instance = Overflow, Overflow, ""
 		e.overflowObs++
 	}

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -216,18 +217,18 @@ func TestEngineEventClockMonotonic(t *testing.T) {
 
 func TestEngineCumulativeBreakdownAndOverflow(t *testing.T) {
 	e := NewEngine(nil)
-	e.SetMaxKeys(3)
-	nodes := []string{"n1", "n2", "n3", "n4", "n5"}
-	for i, n := range nodes {
-		e.ObserveAt([]core.Observation{{Component: "localization", Node: n, MS: int64(100 * (i + 1))}}, t0+int64(i)*1000)
+	n := DefaultMaxKeys + 2
+	for i := 0; i < n; i++ {
+		o := core.Observation{Component: "localization", Node: fmt.Sprintf("n%d", i), MS: int64(100 * (i + 1))}
+		e.ObserveAt([]core.Observation{o}, t0+int64(i)*1000)
 	}
 	cb := e.Breakdown()
-	if got := cb.Component("localization").Count(); got != 5 {
-		t.Fatalf("cumulative count %d, want 5 (overflow must not drop observations)", got)
+	if got := cb.Component("localization").Count(); got != uint64(n) {
+		t.Fatalf("cumulative count %d, want %d (overflow must not drop observations)", got, n)
 	}
-	// 3 exact keys + 1 overflow key.
-	if len(cb.Sketches) != 4 {
-		t.Fatalf("%d keys, want 4", len(cb.Sketches))
+	// DefaultMaxKeys exact keys + 1 overflow key.
+	if len(cb.Sketches) != DefaultMaxKeys+1 {
+		t.Fatalf("%d keys, want %d", len(cb.Sketches), DefaultMaxKeys+1)
 	}
 	if e.OverflowObservations() != 2 {
 		t.Fatalf("overflow observations %d, want 2", e.OverflowObservations())
@@ -272,7 +273,7 @@ func TestEngineObserveApp(t *testing.T) {
 func TestRingPartialBucketApproximation(t *testing.T) {
 	// The oldest overlapping bucket is included whole: a sample just
 	// outside the nominal window but inside its bucket still counts.
-	r := newRing(60_000, 0.01) // 5s buckets
+	r := newRing(60_000) // 5s buckets
 	r.add(100, t0, "")
 	if got := r.merged(t0 + 60_000 + 2_000).Count(); got != 1 {
 		t.Fatalf("sample in partial bucket dropped (count %d)", got)
@@ -284,13 +285,17 @@ func TestRingPartialBucketApproximation(t *testing.T) {
 }
 
 func TestRingRecyclesSlots(t *testing.T) {
-	r := newRing(10_000, 0.01) // 1s buckets, 11 slots
-	r.add(1, t0, "")
-	// Far future stamp maps to the same slot index family eventually;
-	// the old epoch must be discarded, not merged.
-	r.add(2, t0+11_000, "")
+	r := newRing(10_000) // 1s buckets, 11 slots
+	r.add(1, t0, "old-epoch-app")
+	// t0+11s maps to the same slot as t0: the old epoch must be
+	// discarded, not merged, and so must its exemplars, or an alert
+	// fired on the new window would name an app from outside it.
+	r.add(2, t0+11_000, "new-epoch-app")
 	m := r.merged(t0 + 11_000)
 	if m.Count() != 1 {
 		t.Fatalf("stale epoch leaked: count %d", m.Count())
+	}
+	if ex := m.Exemplars(); len(ex) != 1 || ex[0].App != "new-epoch-app" {
+		t.Fatalf("recycled slot exemplars %v, want only new-epoch-app", ex)
 	}
 }

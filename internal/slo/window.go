@@ -1,9 +1,6 @@
 package slo
 
-import (
-	"repro/internal/core"
-	"repro/internal/digest"
-)
+import "repro/internal/digest"
 
 // ring is a rolling event-time window of quantile sketches: the window is
 // chopped into fixed-width buckets laid out circularly, each holding one
@@ -15,7 +12,6 @@ import (
 type ring struct {
 	windowMS int64
 	widthMS  int64
-	alpha    float64
 	buckets  []ringBucket
 }
 
@@ -32,14 +28,14 @@ const ringBuckets = 12
 // nothing for delays mined from second-resolution logs.
 const minBucketMS = int64(1000)
 
-func newRing(windowMS int64, alpha float64) *ring {
+func newRing(windowMS int64) *ring {
 	w := windowMS / ringBuckets
 	if w < minBucketMS {
 		w = minBucketMS
 	}
 	// Cover at least the nominal window even after rounding.
 	n := int(windowMS/w) + 1
-	return &ring{windowMS: windowMS, widthMS: w, alpha: alpha, buckets: make([]ringBucket, n)}
+	return &ring{windowMS: windowMS, widthMS: w, buckets: make([]ringBucket, n)}
 }
 
 // add lands one observation in its event-time bucket. app, when
@@ -54,15 +50,14 @@ func (r *ring) add(v float64, atMS int64, app string) {
 	b := &r.buckets[i]
 	if b.startMS != start {
 		if b.sk == nil {
-			b.sk = digest.New(r.alpha)
-			b.sk.TrackExemplars(core.DefaultExemplarCap)
+			b.sk = digest.New(digest.DefaultAlpha)
 		} else {
-			b.sk.Reset() // keeps the exemplar capacity
+			b.sk.Reset()
 		}
 		b.startMS = start
 	}
 	if app != "" {
-		b.sk.AddExemplar(v, app, atMS, "")
+		b.sk.AddExemplar(v, app, atMS)
 	} else {
 		b.sk.Add(v)
 	}
@@ -71,7 +66,7 @@ func (r *ring) add(v float64, atMS int64, app string) {
 // merged folds every bucket overlapping (nowMS-windowMS, nowMS] into one
 // sketch.
 func (r *ring) merged(nowMS int64) *digest.Sketch {
-	out := digest.New(r.alpha)
+	out := digest.New(digest.DefaultAlpha)
 	lo := nowMS - r.windowMS
 	for i := range r.buckets {
 		b := &r.buckets[i]
@@ -79,7 +74,7 @@ func (r *ring) merged(nowMS int64) *digest.Sketch {
 			continue
 		}
 		if b.startMS+r.widthMS > lo && b.startMS <= nowMS {
-			out.Merge(b.sk) // same alpha by construction
+			out.Merge(b.sk) // every sketch is at DefaultAlpha
 		}
 	}
 	return out
