@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/log4j"
+	"repro/internal/obs"
 )
 
 // writePlantedLogs writes a log tree holding `fast` quick applications
@@ -246,4 +247,40 @@ func TestHealthzWatchdogFields(t *testing.T) {
 	if h.WatchdogEpisodes != 0 {
 		t.Errorf("healthy server reports %d stall episodes", h.WatchdogEpisodes)
 	}
+}
+
+// TestServeExplainFlightOutlivesStageTraffic: stage batches several
+// flight rings long, recorded after an app completes, must not push the
+// app's hook_fired event out of its /explain flight slice.
+func TestServeExplainFlightOutlivesStageTraffic(t *testing.T) {
+	dir := t.TempDir()
+	outlier := writePlantedLogs(t, dir, 5)
+	srv := newLiveServer(dir, testServeOptions(2, nil))
+	defer srv.close()
+	if err := srv.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*4096; i++ {
+		srv.pl.StageBatch(obs.StageParse, i%2, srv.pl.Begin(), 1)
+	}
+	if err := srv.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	_, body := get(t, ts.URL+"/explain?component=total")
+	var doc core.ExplainDoc
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Cells) == 0 || len(doc.Cells[0].Exemplars) == 0 || doc.Cells[0].Exemplars[0].App != outlier {
+		t.Fatalf("planted outlier is not the top exemplar: %s", body)
+	}
+	for _, e := range doc.Cells[0].Exemplars[0].Flight {
+		if e.Kind == obs.KindHook && e.Detail == outlier {
+			return
+		}
+	}
+	t.Errorf("outlier's flight slice lost its hook_fired event: %+v", doc.Cells[0].Exemplars[0].Flight)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -509,14 +510,16 @@ func (s *liveServer) handler() http.Handler {
 	return mux
 }
 
+// handleMetrics renders under s.mu and writes after it, so a client
+// that reads slowly cannot hold up the poll that needs mu.
 func (s *liveServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.rt.Collect() // runtime gauges are as fresh as the scrape
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	var buf bytes.Buffer
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.reg.WriteText(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	s.reg.WriteText(&buf) // fails only when its writer does, and a Buffer does not
+	s.mu.Unlock()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Write(buf.Bytes())
 }
 
 // handleApps encodes outside s.mu: the report is an immutable snapshot,
@@ -594,7 +597,7 @@ func (s *liveServer) handleFlight(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.pl.FlightDump().JSON())
+	w.Write(s.pl.Flight().Dump().JSON())
 }
 
 // aggregateDoc is the /aggregate response: cumulative percentile tables
@@ -660,8 +663,8 @@ func filterRows(rows []core.BreakdownRow, component string) []core.BreakdownRow 
 	return out
 }
 
-// explainFlightContext is how many flight events either side of an
-// exemplar's completion-hook event the /explain response includes.
+// explainFlightContext is how many flight sequence numbers either side
+// of an exemplar's completion-hook event the /explain response includes.
 const explainFlightContext = 4
 
 // handleExplain serves the ranked tail-attribution report: which cells
@@ -704,39 +707,24 @@ func (s *liveServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 	})
 	s.obsMu.Unlock()
 	s.mu.Unlock()
-	attachFlightSlices(doc, s.pl.FlightDump())
+	attachFlightSlices(doc, s.pl.Flight())
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// attachFlightSlices fills each exemplar's Flight field with the events
-// around its application's hook_fired entry — what the pipeline was
-// doing when that app completed — when the flight ring still holds it.
-func attachFlightSlices(doc *core.ExplainDoc, d obs.Dump) {
-	idx := make(map[string]int)
-	for i, e := range d.Events {
-		if e.Kind == obs.KindHook {
-			idx[e.Detail] = i
+// attachFlightSlices fills each exemplar's Flight field with the records
+// around its app's hook_fired event — what the pipeline was doing when
+// that app completed — when the flight recorder still holds it.
+func attachFlightSlices(doc *core.ExplainDoc, f *obs.Flight) {
+	var apps []string
+	for _, c := range doc.Cells {
+		for _, ex := range c.Exemplars {
+			apps = append(apps, ex.App)
 		}
 	}
-	if len(idx) == 0 {
-		return
-	}
-	for ci := range doc.Cells {
-		for ei := range doc.Cells[ci].Exemplars {
-			ex := &doc.Cells[ci].Exemplars[ei]
-			i, ok := idx[ex.App]
-			if !ok {
-				continue
-			}
-			lo := i - explainFlightContext
-			if lo < 0 {
-				lo = 0
-			}
-			hi := i + explainFlightContext + 1
-			if hi > len(d.Events) {
-				hi = len(d.Events)
-			}
-			ex.Flight = append([]obs.Event(nil), d.Events[lo:hi]...)
+	around := f.HookContext(apps, explainFlightContext)
+	for _, c := range doc.Cells {
+		for i, ex := range c.Exemplars {
+			c.Exemplars[i].Flight = around[ex.App]
 		}
 	}
 }

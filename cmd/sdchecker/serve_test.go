@@ -528,3 +528,55 @@ func TestServeCloseStopsServing(t *testing.T) {
 		t.Fatal("listener still accepting connections after close()")
 	}
 }
+
+// stalledClient is a ResponseWriter whose Write blocks until release is
+// closed: a /metrics client that has stopped reading.
+type stalledClient struct {
+	header  http.Header
+	once    sync.Once
+	writing chan struct{} // closed by the first Write
+	release chan struct{}
+}
+
+func (c *stalledClient) Header() http.Header { return c.header }
+func (c *stalledClient) WriteHeader(int)     {}
+func (c *stalledClient) Write(b []byte) (int, error) {
+	c.once.Do(func() { close(c.writing) })
+	<-c.release
+	return len(b), nil
+}
+
+// TestServeMetricsSlowClientDoesNotStallPoll: a /metrics client that
+// stops reading must not hold the lock the poll needs, or ingestion
+// stops and the watchdog declares a stall.
+func TestServeMetricsSlowClientDoesNotStallPoll(t *testing.T) {
+	dir := writeScenarioLogs(t)
+	srv := newLiveServer(dir, testServeOptions(1, nil))
+	defer srv.close()
+	if err := srv.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	c := &stalledClient{header: http.Header{}, writing: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.handleMetrics(c, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	}()
+	<-c.writing
+	polled := make(chan error, 1)
+	go func() { polled <- srv.pollOnce() }()
+	select {
+	case err := <-polled:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("pollOnce blocked behind a /metrics client that stopped reading")
+		close(c.release)
+		<-polled
+		<-served
+		return
+	}
+	close(c.release)
+	<-served
+}

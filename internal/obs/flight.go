@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"sort"
 	"sync"
 
 	"repro/internal/metrics"
@@ -39,83 +40,169 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// DefaultFlightSize is the default ring capacity. At one stage event
-// per batch and one scan per second this holds well over an hour of
-// serve-loop history in a few hundred kilobytes.
-const DefaultFlightSize = 4096
+func (e Event) seqNo() uint64 { return e.Seq }
 
-// Flight is the fixed-size flight recorder: a preallocated ring of
-// recent Events. Record is allocation-free beyond the Detail strings
-// its callers build; overwriting the oldest entry is the design, not a
-// failure mode. All methods are nil-safe.
+// stageRec is one stage batch: its KindStage event, which ends at AtMS,
+// and the batch's start.
+type stageRec struct {
+	Event
+	startMS int64
+}
+
+// flightSize is the capacity of each ring. Stage batches have a ring of
+// their own, so the hundreds a wake-driven serve loop records each
+// second cannot overwrite the rare per-app events.
+const flightSize = 4096
+
+// ring is a preallocated buffer that overwrites its oldest entry when
+// full. n counts every entry ever pushed; sequence numbers rise in push
+// order.
+type ring[T interface{ seqNo() uint64 }] struct {
+	buf []T
+	n   uint64
+}
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, v)
+	} else if cap(r.buf) > 0 {
+		r.buf[r.n%uint64(cap(r.buf))] = v
+	}
+	r.n++
+}
+
+// at returns the i-th oldest entry held.
+func (r *ring[T]) at(i int) T {
+	if r.n > uint64(len(r.buf)) {
+		i = int((r.n + uint64(i)) % uint64(len(r.buf)))
+	}
+	return r.buf[i]
+}
+
+// from returns the position of the oldest entry held whose sequence
+// number is at least seq.
+func (r *ring[T]) from(seq uint64) int {
+	return sort.Search(len(r.buf), func(i int) bool { return r.at(i).seqNo() >= seq })
+}
+
+// Flight is the pipeline's only store of its own records: one lock and
+// one sequence counter over a stage ring, one record per stage batch,
+// and an event ring for every other kind. Recording allocates nothing
+// beyond the Detail strings callers build. All methods are nil-safe.
 type Flight struct {
-	mu     sync.Mutex
-	buf    []Event
-	next   uint64 // total events ever recorded
-	events *metrics.Counter
+	mu      sync.Mutex
+	next    uint64 // sequence number of the next record, of either kind
+	stages  ring[stageRec]
+	events  ring[Event]
+	drained uint64  // stages.n at the last DrainSelf
+	self    []Event // DrainSelf's result, reused
+
+	recorded    *metrics.Counter // obs_flight_events_total
+	selfDropped *metrics.Counter // obs_self_observations_dropped_total
 }
 
-func newFlight(reg *metrics.Registry, size int) *Flight {
-	return &Flight{buf: make([]Event, 0, size), events: reg.Counter("obs_flight_events_total")}
+func newFlight(reg *metrics.Registry) *Flight {
+	return &Flight{
+		stages:      ring[stageRec]{buf: make([]stageRec, 0, flightSize)},
+		events:      ring[Event]{buf: make([]Event, 0, flightSize)},
+		recorded:    reg.Counter("obs_flight_events_total"),
+		selfDropped: reg.Counter("obs_self_observations_dropped_total"),
+	}
 }
 
-// resize replaces the ring (only sensible before any Record).
-func (f *Flight) resize(size int) {
-	f.mu.Lock()
-	f.buf = make([]Event, 0, size)
-	f.next = 0
-	f.mu.Unlock()
-}
-
-// Record appends one event and returns its assigned sequence number
-// (0 on a nil recorder). The ring overwrites the oldest entry when
-// full.
+// Record appends one event to the event ring and returns its assigned
+// sequence number (0 on a nil recorder).
 func (f *Flight) Record(e Event) uint64 {
 	if f == nil {
 		return 0
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	e.Seq = f.next
-	if len(f.buf) < cap(f.buf) {
-		f.buf = append(f.buf, e)
-	} else if cap(f.buf) > 0 {
-		f.buf[f.next%uint64(cap(f.buf))] = e
-	}
 	f.next++
-	f.mu.Unlock()
-	f.events.Inc()
+	f.events.push(e)
+	f.recorded.Inc()
 	return e.Seq
 }
 
-// Dump is a point-in-time snapshot of the ring: the events still held,
-// oldest first, plus how many were ever recorded (Recorded - len(Events)
-// have been overwritten).
+func (f *Flight) recordStage(r stageRec) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	r.Seq = f.next
+	f.next++
+	f.stages.push(r)
+	f.recorded.Inc()
+}
+
+// merge appends to dst the stage records at positions [s, sEnd) and the
+// events at [e, eEnd), in sequence order. The caller holds mu.
+func (f *Flight) merge(dst []Event, s, sEnd, e, eEnd int) []Event {
+	for s < sEnd || e < eEnd {
+		if e == eEnd || (s < sEnd && f.stages.at(s).Seq < f.events.at(e).Seq) {
+			dst = append(dst, f.stages.at(s).Event)
+			s++
+		} else {
+			dst = append(dst, f.events.at(e))
+			e++
+		}
+	}
+	return dst
+}
+
+// HookContext returns, for each of apps whose hook_fired event the
+// event ring still holds, the records whose sequence numbers lie within
+// radius of the app's newest hook event, oldest first: what the
+// pipeline was doing when the app completed. Neither ring is copied.
+func (f *Flight) HookContext(apps []string, radius uint64) map[string][]Event {
+	if f == nil {
+		return nil
+	}
+	want := make(map[string]bool, len(apps))
+	for _, a := range apps {
+		want[a] = true
+	}
+	out := make(map[string][]Event, len(want))
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i := len(f.events.buf) - 1; i >= 0 && len(want) > 0; i-- {
+		e := f.events.at(i)
+		if e.Kind != KindHook || !want[e.Detail] {
+			continue
+		}
+		delete(want, e.Detail)
+		lo, hi := e.Seq-min(e.Seq, radius), e.Seq+radius+1
+		out[e.Detail] = f.merge(make([]Event, 0, 2*radius+1), f.stages.from(lo), f.stages.from(hi), f.events.from(lo), f.events.from(hi))
+	}
+	return out
+}
+
+// Dump is a point-in-time snapshot of the recorder: the records still
+// held, oldest first, plus how many were ever recorded (Recorded -
+// len(Events) have been overwritten). Cap is the two rings' capacities
+// added together.
 type Dump struct {
 	Cap      int     `json:"cap"`
 	Recorded uint64  `json:"recorded"`
 	Events   []Event `json:"events"`
 }
 
-// Dump snapshots the recorder. The result is deterministic for a
-// deterministic event sequence: events come out in sequence order.
+// Dump snapshots the recorder, merging both rings by sequence number.
+// The result is deterministic for a deterministic record sequence.
 func (f *Flight) Dump() Dump {
 	if f == nil {
 		return Dump{}
 	}
 	f.mu.Lock()
-	d := Dump{Cap: cap(f.buf), Recorded: f.next, Events: make([]Event, 0, len(f.buf))}
-	if n := uint64(len(f.buf)); f.next > n && cap(f.buf) > 0 {
-		start := f.next % uint64(cap(f.buf))
-		d.Events = append(d.Events, f.buf[start:]...)
-		d.Events = append(d.Events, f.buf[:start]...)
-	} else {
-		d.Events = append(d.Events, f.buf...)
+	defer f.mu.Unlock()
+	ns, ne := len(f.stages.buf), len(f.events.buf)
+	return Dump{
+		Cap:      cap(f.stages.buf) + cap(f.events.buf),
+		Recorded: f.next,
+		Events:   f.merge(make([]Event, 0, ns+ne), 0, ns, 0, ne),
 	}
-	f.mu.Unlock()
-	return d
 }
 
-// Recorded returns how many events were ever recorded.
+// Recorded returns how many records of either kind were ever recorded.
 func (f *Flight) Recorded() uint64 {
 	if f == nil {
 		return 0

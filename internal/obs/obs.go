@@ -2,18 +2,15 @@
 // paper's tool decomposes *other* systems' scheduling pipelines from
 // their logs, and this package turns the same lens on the tool itself.
 //
-// A Pipeline carries three coordinated views of the six pipeline stages
-// (read, parse, cross-shard forward, decompose, aggregate, serve-scan):
-//
-//   - stage spans: per-stage latency histograms and throughput counters
-//     in an internal/metrics registry, plus a bounded ring of recent
-//     spans renderable as a Perfetto track next to mined app timelines;
-//   - a flight recorder: a fixed-size ring of structured pipeline
-//     events (see flight.go) dumped deterministically on demand and
-//     automatically when the watchdog trips;
-//   - self-observations: a bounded buffer of (stage, duration) samples
-//     the serve loop drains into its own internal/slo engine, so the
-//     checker's SLO machinery evaluates the checker itself.
+// A Pipeline observes the six pipeline stages (read, parse, cross-shard
+// forward, decompose, aggregate, serve-scan) two ways: per-stage latency
+// histograms and throughput counters in an internal/metrics registry,
+// and a flight recorder (see flight.go), the only store of pipeline
+// records. The recorder's stage ring renders as a Perfetto track next to
+// mined app timelines and drains into the serve loop's own internal/slo
+// engine, so the checker's SLO machinery evaluates the checker itself;
+// dumps merge it with the event ring by sequence number, on demand and
+// automatically when the watchdog trips.
 //
 // Instrumentation stays out of the per-line hot path by contract: every
 // recording method is called once per batch/chunk/scan, never per line,
@@ -25,7 +22,6 @@ package obs
 
 import (
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -60,27 +56,11 @@ type Tick struct {
 	NS int64
 }
 
-// StageObs is one self-observation: a stage latency sample the serve
-// loop feeds through its own SLO engine.
-type StageObs struct {
-	Stage string
-	AtMS  int64
-	DurUS int64
-}
-
 // stageSet is one stage's metric instruments.
 type stageSet struct {
 	hist    *metrics.Histogram // obs_stage_duration_ms{stage=...}
 	items   *metrics.Counter   // obs_stage_items_total{stage=...}
 	batches *metrics.Counter   // obs_stage_batches_total{stage=...}
-}
-
-// spanRec is one completed stage span in the bounded span ring.
-type spanRec struct {
-	stage          string
-	shard          int
-	startMS, endMS int64
-	items          int
 }
 
 // Pipeline is the per-deployment observability hub. Create one with New
@@ -92,17 +72,6 @@ type Pipeline struct {
 
 	stages map[string]*stageSet
 	flight *Flight
-
-	spanMu   sync.Mutex
-	spans    []spanRec
-	spanNext uint64 // total spans ever recorded
-
-	selfMu      sync.Mutex
-	selfBuf     []StageObs
-	selfDropped *metrics.Counter
-
-	// selfCap bounds selfBuf between drains.
-	selfCap int
 }
 
 // Option configures a Pipeline.
@@ -115,44 +84,15 @@ func WithClock(fn func() int64) Option {
 	return func(p *Pipeline) { p.clock = fn }
 }
 
-// WithFlightSize overrides the flight recorder ring capacity
-// (DefaultFlightSize).
-func WithFlightSize(n int) Option {
-	return func(p *Pipeline) {
-		if n > 0 {
-			p.flight.resize(n)
-		}
-	}
-}
-
-// WithSpanCap overrides the span ring capacity (DefaultSpanCap).
-func WithSpanCap(n int) Option {
-	return func(p *Pipeline) {
-		if n > 0 {
-			p.spans = make([]spanRec, 0, n)
-		}
-	}
-}
-
-// DefaultSpanCap bounds the recent-span ring behind the Perfetto export.
-const DefaultSpanCap = 4096
-
-// defaultSelfCap bounds the self-observation buffer between drains; a
-// stuck serve loop must not leak memory through its own instruments.
-const defaultSelfCap = 8192
-
 // New builds a Pipeline registering its metric families in reg (which
-// may be nil: the instruments are then inert, the rings still work).
+// may be nil: the instruments are then inert, the recorder still works).
 // Every stage's series are pre-registered so /metrics always exposes
 // all six, observed or not.
 func New(reg *metrics.Registry, opts ...Option) *Pipeline {
 	p := &Pipeline{
-		base:        time.Now(),
-		stages:      make(map[string]*stageSet, len(Stages)),
-		flight:      newFlight(reg, DefaultFlightSize),
-		spans:       make([]spanRec, 0, DefaultSpanCap),
-		selfCap:     defaultSelfCap,
-		selfDropped: reg.Counter("obs_self_observations_dropped_total"),
+		base:   time.Now(),
+		stages: make(map[string]*stageSet, len(Stages)),
+		flight: newFlight(reg),
 	}
 	for _, st := range Stages {
 		p.stages[st] = &stageSet{
@@ -180,10 +120,9 @@ func (p *Pipeline) Begin() Tick {
 	return Tick{MS: time.Now().UnixMilli(), NS: time.Since(p.base).Nanoseconds()}
 }
 
-// StageBatch records one completed batch of a stage, ending now: the
-// histograms, the span ring, the flight recorder, and the self-SLO
-// buffer all see it. shard is the worker index, or -1 when the stage is
-// not shard-scoped.
+// StageBatch records one completed batch of a stage, ending now, in the
+// histograms and the flight recorder's stage ring. shard is the worker
+// index, or -1 when the stage is not shard-scoped.
 func (p *Pipeline) StageBatch(stage string, shard int, start Tick, items int) {
 	if p == nil {
 		return
@@ -209,39 +148,38 @@ func (p *Pipeline) StageSpan(stage string, shard int, start, end Tick, items int
 	st.items.Add(int64(items))
 	st.batches.Inc()
 
-	p.spanMu.Lock()
-	rec := spanRec{stage: stage, shard: shard, startMS: start.MS, endMS: end.MS, items: items}
-	if len(p.spans) < cap(p.spans) {
-		p.spans = append(p.spans, rec)
-	} else if cap(p.spans) > 0 {
-		p.spans[p.spanNext%uint64(cap(p.spans))] = rec
-	}
-	p.spanNext++
-	p.spanMu.Unlock()
-
-	p.flight.Record(Event{AtMS: end.MS, Kind: KindStage, Stage: stage, Shard: shard, N: int64(items), DurUS: durNS / int64(time.Microsecond)})
-
-	p.selfMu.Lock()
-	if len(p.selfBuf) < p.selfCap {
-		p.selfBuf = append(p.selfBuf, StageObs{Stage: stage, AtMS: end.MS, DurUS: durNS / int64(time.Microsecond)})
-	} else {
-		p.selfDropped.Inc()
-	}
-	p.selfMu.Unlock()
+	p.flight.recordStage(stageRec{
+		Event:   Event{AtMS: end.MS, Kind: KindStage, Stage: stage, Shard: shard, N: int64(items), DurUS: durNS / int64(time.Microsecond)},
+		startMS: start.MS,
+	})
 }
 
-// DrainSelf returns and clears the buffered self-observations, oldest
-// first. The serve loop calls it once per scan and feeds the samples
-// through its self-SLO engine.
-func (p *Pipeline) DrainSelf() []StageObs {
+// DrainSelf returns the stage events recorded since the last drain,
+// oldest first; obs_self_observations_dropped_total counts those the
+// stage ring overwrote before it. The serve loop calls it once per scan
+// and feeds the samples through its self-SLO engine. The result is
+// valid until the next DrainSelf.
+func (p *Pipeline) DrainSelf() []Event {
 	if p == nil {
 		return nil
 	}
-	p.selfMu.Lock()
-	out := p.selfBuf
-	p.selfBuf = nil
-	p.selfMu.Unlock()
-	return out
+	f := p.flight
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	pending, held := f.stages.n-f.drained, uint64(len(f.stages.buf))
+	if pending > held {
+		f.selfDropped.Add(int64(pending - held))
+		pending = held
+	}
+	f.drained = f.stages.n
+	if pending == 0 {
+		return nil
+	}
+	f.self = f.self[:0]
+	for i := held - pending; i < held; i++ {
+		f.self = append(f.self, f.stages.at(int(i)).Event)
+	}
+	return f.self
 }
 
 // RecordForward notes a cross-shard event forward in the flight
@@ -256,27 +194,18 @@ func (p *Pipeline) RecordForward(from, to int, events int) {
 
 // RecordHook notes one completion-hook fire.
 func (p *Pipeline) RecordHook(app string) {
-	if p == nil {
-		return
-	}
-	p.flight.Record(Event{AtMS: p.Begin().MS, Kind: KindHook, Shard: -1, N: 1, Detail: app})
+	p.record(Event{Kind: KindHook, Shard: -1, N: 1, Detail: app})
 }
 
 // RecordEvict notes one application eviction.
 func (p *Pipeline) RecordEvict(app string) {
-	if p == nil {
-		return
-	}
-	p.flight.Record(Event{AtMS: p.Begin().MS, Kind: KindEvict, Shard: -1, N: 1, Detail: app})
+	p.record(Event{Kind: KindEvict, Shard: -1, N: 1, Detail: app})
 }
 
 // RecordWarnBurst notes a burst of dropped/unmatched lines between two
 // scans (n is the burst size).
 func (p *Pipeline) RecordWarnBurst(n int64) {
-	if p == nil {
-		return
-	}
-	p.flight.Record(Event{AtMS: p.Begin().MS, Kind: KindWarnBurst, Shard: -1, N: n})
+	p.record(Event{Kind: KindWarnBurst, Shard: -1, N: n})
 }
 
 // RecordSLOTransition notes one SLO alert edge: rule is the rule name,
@@ -285,27 +214,30 @@ func (p *Pipeline) RecordWarnBurst(n int64) {
 // this as the engine's transition hook so stall snapshots show alert
 // edges in context.
 func (p *Pipeline) RecordSLOTransition(rule string, firing bool, apps int) {
-	if p == nil {
-		return
-	}
 	kind := KindSLOResolve
 	if firing {
 		kind = KindSLOFire
 	}
-	p.flight.Record(Event{AtMS: p.Begin().MS, Kind: kind, Shard: -1, N: int64(apps), Detail: rule})
+	p.record(Event{Kind: kind, Shard: -1, N: int64(apps), Detail: rule})
 }
 
 // RecordQuiesce notes a Quiesce boundary; begin events carry the
 // pending work count at entry.
 func (p *Pipeline) RecordQuiesce(begin bool, pending int) {
-	if p == nil {
-		return
-	}
 	kind := KindQuiesceEnd
 	if begin {
 		kind = KindQuiesceBegin
 	}
-	p.flight.Record(Event{AtMS: p.Begin().MS, Kind: kind, Shard: -1, N: int64(pending)})
+	p.record(Event{Kind: kind, Shard: -1, N: int64(pending)})
+}
+
+// record stamps e with the clock and appends it to the flight recorder.
+func (p *Pipeline) record(e Event) {
+	if p == nil {
+		return
+	}
+	e.AtMS = p.Begin().MS
+	p.flight.Record(e)
 }
 
 // Flight exposes the flight recorder (nil on a nil pipeline).
@@ -316,46 +248,34 @@ func (p *Pipeline) Flight() *Flight {
 	return p.flight
 }
 
-// FlightDump snapshots the flight recorder; see Flight.Dump.
-func (p *Pipeline) FlightDump() Dump {
-	if p == nil {
-		return Dump{}
-	}
-	return p.flight.Dump()
-}
-
-// Spans renders the recent-span ring as trace spans on a single
-// "pipeline" process: one track per stage, shard-scoped stages split
-// into per-shard tracks so imbalance is visible next to the mined app
-// timelines in the same Perfetto UI. Spans come out oldest first.
+// Spans renders the flight recorder's stage ring as trace spans on a
+// single "pipeline" process: one track per stage, shard-scoped stages
+// split into per-shard tracks so imbalance is visible next to the mined
+// app timelines in the same Perfetto UI. Spans come out oldest first.
 func (p *Pipeline) Spans() []sim.TraceSpan {
 	if p == nil {
 		return nil
 	}
-	p.spanMu.Lock()
-	recs := make([]spanRec, 0, len(p.spans))
-	if n := uint64(len(p.spans)); p.spanNext > n && cap(p.spans) > 0 {
-		start := p.spanNext % uint64(cap(p.spans))
-		recs = append(recs, p.spans[start:]...)
-		recs = append(recs, p.spans[:start]...)
-	} else {
-		recs = append(recs, p.spans...)
+	f := p.flight
+	f.mu.Lock()
+	recs := make([]stageRec, len(f.stages.buf))
+	for i := range recs {
+		recs[i] = f.stages.at(i)
 	}
-	p.spanMu.Unlock()
-
+	f.mu.Unlock()
 	out := make([]sim.TraceSpan, 0, len(recs))
 	for _, r := range recs {
-		thread := r.stage
-		if r.shard >= 0 {
-			thread = r.stage + "/shard-" + two(r.shard)
+		thread := r.Stage
+		if r.Shard >= 0 {
+			thread = r.Stage + "/shard-" + two(r.Shard)
 		}
 		out = append(out, sim.TraceSpan{
 			Process: PipelineTrack,
 			Thread:  thread,
-			Name:    r.stage,
+			Name:    r.Stage,
 			Start:   sim.Time(r.startMS),
-			End:     sim.Time(r.endMS),
-			Args:    map[string]string{"items": strconv.Itoa(r.items)},
+			End:     sim.Time(r.AtMS),
+			Args:    map[string]string{"items": strconv.FormatInt(r.N, 10)},
 		})
 	}
 	return out

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,11 +14,17 @@ type fakeClock struct{ now int64 }
 
 func (c *fakeClock) fn() func() int64 { return func() int64 { return c.now } }
 
-func newTestPipeline(opts ...Option) (*Pipeline, *metrics.Registry, *fakeClock) {
+func newTestPipeline() (*Pipeline, *metrics.Registry, *fakeClock) {
 	clk := &fakeClock{now: 1_000}
 	reg := metrics.NewRegistry()
-	opts = append([]Option{WithClock(clk.fn())}, opts...)
-	return New(reg, opts...), reg, clk
+	return New(reg, WithClock(clk.fn())), reg, clk
+}
+
+// sizeRings gives a fresh pipeline's flight recorder rings of the given
+// capacities, so tests can wrap them in a few records.
+func sizeRings(p *Pipeline, stages, events int) {
+	p.flight.stages = ring[stageRec]{buf: make([]stageRec, 0, stages)}
+	p.flight.events = ring[Event]{buf: make([]Event, 0, events)}
 }
 
 func TestNilPipelineIsInert(t *testing.T) {
@@ -36,7 +43,7 @@ func TestNilPipelineIsInert(t *testing.T) {
 	if p.DrainSelf() != nil || p.Spans() != nil || p.Flight() != nil {
 		t.Fatal("nil pipeline leaked state")
 	}
-	if d := p.FlightDump(); len(d.Events) != 0 {
+	if d := p.Flight().Dump(); len(d.Events) != 0 {
 		t.Fatal("nil pipeline dumped events")
 	}
 
@@ -102,7 +109,7 @@ func TestStageSpansFlowEverywhere(t *testing.T) {
 	}
 
 	// Flight recorder saw both batches with microsecond durations.
-	d := p.FlightDump()
+	d := p.Flight().Dump()
 	if len(d.Events) != 2 || d.Events[0].Kind != KindStage || d.Events[0].DurUS != 5000 {
 		t.Fatalf("flight %+v", d.Events)
 	}
@@ -118,7 +125,8 @@ func TestStageSpansFlowEverywhere(t *testing.T) {
 }
 
 func TestSpanRingWraps(t *testing.T) {
-	p, _, clk := newTestPipeline(WithSpanCap(4))
+	p, _, clk := newTestPipeline()
+	sizeRings(p, 4, flightSize)
 	for i := 0; i < 6; i++ {
 		t0 := p.Begin()
 		clk.now++
@@ -135,11 +143,12 @@ func TestSpanRingWraps(t *testing.T) {
 }
 
 func TestFlightRingOverwritesOldest(t *testing.T) {
-	p, _, _ := newTestPipeline(WithFlightSize(3))
+	p, _, _ := newTestPipeline()
+	sizeRings(p, 0, 3)
 	for i := 0; i < 5; i++ {
 		p.RecordHook("app-" + string(rune('a'+i)))
 	}
-	d := p.FlightDump()
+	d := p.Flight().Dump()
 	if d.Cap != 3 || d.Recorded != 5 || len(d.Events) != 3 {
 		t.Fatalf("dump header %+v", d)
 	}
@@ -161,7 +170,7 @@ func TestFlightDumpDeterministic(t *testing.T) {
 		p.RecordHook("application_1499000000000_0001")
 		p.RecordQuiesce(true, 2)
 		p.RecordQuiesce(false, 0)
-		return p.FlightDump().JSON()
+		return p.Flight().Dump().JSON()
 	}
 	a, b := record(), record()
 	if !bytes.Equal(a, b) {
@@ -174,7 +183,7 @@ func TestFlightDumpDeterministic(t *testing.T) {
 
 func TestSelfBufferBounded(t *testing.T) {
 	p, reg, clk := newTestPipeline()
-	p.selfCap = 4
+	sizeRings(p, 4, flightSize)
 	for i := 0; i < 10; i++ {
 		t0 := p.Begin()
 		clk.now++
@@ -240,7 +249,7 @@ func TestWatchdogScanStallSnapshotOnceAndRecover(t *testing.T) {
 
 	// The flight recorder holds the episode markers.
 	kinds := map[string]int{}
-	for _, e := range p.FlightDump().Events {
+	for _, e := range p.Flight().Dump().Events {
 		kinds[e.Kind]++
 	}
 	if kinds[KindStall] != 2 || kinds[KindRecover] != 1 || kinds[KindSnapshot] != 2 {
@@ -296,5 +305,53 @@ func TestRuntimeCollector(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("runtime exposition missing %q", want)
 		}
+	}
+}
+
+// TestFlightHookContext: the slice around an app's newest hook_fired
+// event merges both rings by sequence number, and leaves out what the
+// stage ring has overwritten.
+func TestFlightHookContext(t *testing.T) {
+	p, _, clk := newTestPipeline()
+	sizeRings(p, 2, flightSize)
+	stage := func() {
+		t0 := p.Begin()
+		clk.now++
+		p.StageBatch(StageParse, 0, t0, 1)
+	}
+	stage()            // 0
+	p.RecordHook("a")  // 1
+	stage()            // 2
+	p.RecordHook("b")  // 3
+	stage()            // 4 (overwritten)
+	p.RecordHook("a")  // 5
+	stage()            // 6
+	stage()            // 7
+	p.RecordEvict("a") // 8
+
+	seqs := func(evs []Event) []uint64 {
+		var out []uint64
+		for _, e := range evs {
+			out = append(out, e.Seq)
+		}
+		return out
+	}
+	got := p.Flight().HookContext([]string{"a", "b", "c", "a"}, 2)
+	if len(got) != 2 {
+		t.Fatalf("slices for %d apps, want 2 (c never completed): %v", len(got), got)
+	}
+	if s := seqs(got["a"]); !reflect.DeepEqual(s, []uint64{3, 5, 6, 7}) {
+		t.Errorf("a's slice seqs %v, want [3 5 6 7]", s)
+	}
+	if s := seqs(got["b"]); !reflect.DeepEqual(s, []uint64{1, 3, 5}) {
+		t.Errorf("b's slice seqs %v, want [1 3 5]", s)
+	}
+	if e := got["a"][2]; e.Kind != KindStage || e.Stage != StageParse || e.DurUS != 1000 {
+		t.Errorf("stage record rendered as %+v", e)
+	}
+
+	d := p.Flight().Dump()
+	if s := seqs(d.Events); d.Cap != 2+flightSize || d.Recorded != 9 || !reflect.DeepEqual(s, []uint64{1, 3, 5, 6, 7, 8}) {
+		t.Errorf("dump cap %d recorded %d seqs %v", d.Cap, d.Recorded, s)
 	}
 }

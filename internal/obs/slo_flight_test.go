@@ -11,7 +11,7 @@ func TestRecordSLOTransition(t *testing.T) {
 	p.RecordSLOTransition("tight-total", true, 3)
 	p.RecordSLOTransition("tight-total", false, 0)
 
-	d := p.FlightDump()
+	d := p.Flight().Dump()
 	if len(d.Events) != 2 {
 		t.Fatalf("%d events, want 2", len(d.Events))
 	}
@@ -73,7 +73,7 @@ func TestWatchdogEpisodeAccounting(t *testing.T) {
 		t.Fatalf("snapshot seq did not advance: %d -> %d", seq1, seq2)
 	}
 	// The pointed-at event really is the snapshot record.
-	for _, e := range p.FlightDump().Events {
+	for _, e := range p.Flight().Dump().Events {
 		if e.Seq == seq2 && e.Kind != KindSnapshot {
 			t.Fatalf("seq %d is %q, want %q", seq2, e.Kind, KindSnapshot)
 		}

@@ -12,7 +12,7 @@ import (
 // per-shard progress; an independent checker goroutine calls Check. A
 // stall is either a scan that has not made progress for stallAfterMS
 // (stuck mid-scan or loop dead) or a shard whose queue is non-empty
-// while its processed-batch counter stands still.
+// while its count of absorbed lines stands still.
 //
 // On the healthy→stalled edge the watchdog records the stall in the
 // flight recorder, snapshots it exactly once per stall episode, and
@@ -94,9 +94,9 @@ func (w *Watchdog) ScanEnd(nowMS int64) {
 }
 
 // ObserveShards folds one per-shard progress sample in: queued[i] is
-// shard i's queue depth, processed[i] its cumulative processed-batch
-// count. A shard with work queued whose counter stands still across
-// samples spanning stallAfterMS is stuck.
+// shard i's queue depth, processed[i] the cumulative count of lines it
+// has absorbed. A shard with work queued whose count stands still
+// across samples spanning stallAfterMS is stuck.
 func (w *Watchdog) ObserveShards(queued []int, processed []int64, nowMS int64) {
 	if w == nil {
 		return
@@ -153,7 +153,7 @@ func (w *Watchdog) Check(nowMS int64) (stalled bool, reason string) {
 		w.pl.Flight().Record(Event{AtMS: nowMS, Kind: KindStall, Shard: -1, Detail: reason})
 		if !w.snapped {
 			w.snapped = true
-			w.lastDump = w.pl.FlightDump().JSON()
+			w.lastDump = w.pl.Flight().Dump().JSON()
 			w.lastSnapSeq = w.pl.Flight().Record(Event{AtMS: nowMS, Kind: KindSnapshot, Shard: -1, N: int64(len(w.lastDump))})
 			w.snapshots.Inc()
 			if h := w.onSnapshot; h != nil {
