@@ -522,17 +522,19 @@ func (s *liveServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// handleApps encodes outside s.mu: the report is an immutable snapshot,
-// so scans and other handlers do not wait on the encoder or the client.
+// handleApps encodes outside s.mu: the traces are immutable, decomposed
+// snapshots, so scans and other handlers do not wait on the encoder or
+// the client. It writes from the traces alone; a full report would copy
+// every event and compute every sample the body never shows.
 func (s *liveServer) handleApps(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	rep := s.st.Report()
+	apps := s.st.Apps()
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	// A write fails only once the client has gone and the status line
 	// is sent, so its error has no one left to go to.
 	bw := bufio.NewWriter(w)
-	if rep.WriteJSON(bw) == nil {
+	if core.WriteAppsJSON(bw, apps) == nil {
 		bw.WriteByte('\n')
 		bw.Flush()
 	}

@@ -485,6 +485,15 @@ func TestServeWorkersByteIdentical(t *testing.T) {
 	if want, err := serial.st.Report().JSON(); err != nil || body1 != want+"\n" {
 		t.Fatalf("/apps body differs from Report().JSON() plus a newline (err %v)", err)
 	}
+	// /apps writes from the live traces without building a report, and
+	// still says what the offline -dir -json says about the same tree.
+	offline, err := core.MineDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := offline.JSON(); err != nil || body1 != want+"\n" {
+		t.Fatalf("/apps body differs from the offline report's JSON plus a newline (err %v)", err)
+	}
 
 	// The cumulative aggregates (fed through the completion hook on
 	// worker goroutines) must agree as well.

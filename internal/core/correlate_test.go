@@ -18,10 +18,10 @@ func correlateWholeList(events []Event) []*AppTrace {
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].TimeMS < sorted[j].TimeMS })
 	builders := make(map[ids.AppID]*traceBuilder)
 	for _, e := range sorted {
-		b := builders[e.App]
+		b := builders[e.App()]
 		if b == nil {
-			b = newTraceBuilder(e.App)
-			builders[e.App] = b
+			b = newTraceBuilder(e.App())
+			builders[e.App()] = b
 		}
 		b.absorb(e)
 	}
@@ -53,15 +53,15 @@ func TestCorrelateMatchesWholeListSort(t *testing.T) {
 		events := make([]Event, n)
 		for i := range events {
 			app := ids.AppID{ClusterTS: 1499000000000 + int64(rng.Intn(2)), Seq: 1 + rng.Intn(4)}
-			e := Event{Kind: kinds[rng.Intn(len(kinds))], App: app, TimeMS: base + int64(rng.Intn(8))}
+			e := Event{Kind: kinds[rng.Intn(len(kinds))], Container: ids.ContainerID{App: app}, TimeMS: base + int64(rng.Intn(8))}
 			switch e.Kind {
 			case AppSubmitted0:
-				e.Name, e.AppType, e.Queue = pick("", "q1", "q2"), pick("SPARK", "MR"), pick("default", "prod")
+				e.Submission = &Submission{Name: pick("", "q1", "q2"), AppType: pick("SPARK", "MR"), Queue: pick("default", "prod")}
 			case AppSubmitted, AppAccepted, AttemptRegistered, AppFinished:
 			default:
 				e.Container = ids.ContainerID{App: app, Attempt: 1 + rng.Intn(2), Num: 1 + rng.Intn(3)}
 				e.Node = pick("", "node01", "node02")
-				e.Instance = InstanceType(pick("", "spm", "spe", "mrm"))
+				e.Instance = InstanceCode(rng.Intn(4)) // unknown, spm, spe or mrm
 			}
 			events[i] = e
 		}

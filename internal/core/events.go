@@ -21,7 +21,7 @@ import (
 // Kind identifies one mined log message type. The first fourteen map 1:1
 // to Table I of the paper; the remainder are extensions SDchecker uses
 // for queueing delay, bug detection, and job-runtime accounting.
-type Kind int
+type Kind uint8
 
 // Table I message kinds (numbered comments give the paper's row).
 const (
@@ -112,29 +112,81 @@ const (
 	InstMRReduce      InstanceType = "mrsr"
 )
 
-// Event is one mined log message, bound to its global IDs.
+// InstanceCode is an InstanceType packed into the one byte an Event
+// carries; Type unpacks it.
+type InstanceCode uint8
+
+// The instance codes, in instanceTypes order.
+const (
+	codeUnknown InstanceCode = iota
+	codeSparkDriver
+	codeSparkExecutor
+	codeMRMaster
+	codeMRMap
+	codeMRReduce
+)
+
+// instanceTypes indexes InstanceCode.
+var instanceTypes = [...]InstanceType{
+	codeUnknown:       InstUnknown,
+	codeSparkDriver:   InstSparkDriver,
+	codeSparkExecutor: InstSparkExecutor,
+	codeMRMaster:      InstMRMaster,
+	codeMRMap:         InstMRMap,
+	codeMRReduce:      InstMRReduce,
+}
+
+// Type returns the instance label c stands for.
+func (c InstanceCode) Type() InstanceType { return instanceTypes[c] }
+
+// Submission is what the RM's submission summary line says about an
+// application. Only APP_SUMMARY events carry one.
+type Submission struct {
+	Name, AppType, Queue string
+}
+
+// Event is one mined log message, bound to its global IDs. It is laid
+// out for size, 72 bytes on a 64-bit platform, because the parser's
+// list, each app's event array and every sorted copy hold one per mined
+// line.
 type Event struct {
-	Kind      Kind
-	TimeMS    int64 // epoch milliseconds (log4j precision)
-	App       ids.AppID
-	Container ids.ContainerID // zero for application-level events
+	Kind Kind
 	// Instance is set on FIRST_LOG events: what ran in the container,
 	// inferred from the logging classes in its stderr.
-	Instance InstanceType
-	// Name, AppType and Queue are set on APP_SUMMARY events, mined from
-	// the RM's submission line.
-	Name, AppType, Queue string
+	Instance InstanceCode
+	TimeMS   int64 // epoch milliseconds (log4j precision)
+	// Container is the container the event is bound to. An
+	// application-level event leaves its Attempt and Num zero and sets
+	// only its App (see AppLevel).
+	Container ids.ContainerID
 	// Node is the host a container-level event was observed on: the
 	// scheduler's "Assigned container ... on host" binding for ASSIGNED
 	// events, or the NodeManager whose log file the event came from.
 	Node string
+	// Submission is set on APP_SUMMARY events, mined from the RM's
+	// submission line, and nil on every other event.
+	Submission *Submission
+}
+
+// App returns the application the event belongs to.
+func (e Event) App() ids.AppID { return e.Container.App }
+
+// AppLevel reports whether e is an application-level event, bound to no
+// container.
+func (e Event) AppLevel() bool { return e.Container.Attempt == 0 && e.Container.Num == 0 }
+
+// summary returns e's submission summary, empty when it has none.
+func (e Event) summary() Submission {
+	if e.Submission == nil {
+		return Submission{}
+	}
+	return *e.Submission
 }
 
 // String renders the event for debugging and graph dumps.
 func (e Event) String() string {
-	id := e.App.String()
-	if !e.Container.IsZero() {
-		id = e.Container.String()
+	if e.AppLevel() {
+		return fmt.Sprintf("%d %s %s", e.TimeMS, e.Kind, e.Container.App)
 	}
-	return fmt.Sprintf("%d %s %s", e.TimeMS, e.Kind, id)
+	return fmt.Sprintf("%d %s %s", e.TimeMS, e.Kind, e.Container)
 }

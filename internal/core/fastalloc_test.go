@@ -141,8 +141,14 @@ func TestFastPathAllocBudgetMatching(t *testing.T) {
 // files, as ParseDir reuses it and every MineDir worker reuses its
 // reader, and its event list is reset between runs so its growth is
 // not counted.
+//
+// runtime.MemStats counts every goroutine's allocations, the runtime's
+// own background ones too, and those land in about one trial in 30-40.
+// So each shape is measured over several trials and the least is
+// judged: ParseReader allocates the same every run, and the runtime's
+// strays do not come back in every trial.
 func TestParseReaderPerFileAlloc(t *testing.T) {
-	const runs = 200
+	const runs, trials = 200, 5
 	p := NewParser()
 	for _, file := range perFileInputs() {
 		path := filepath.Join(t.TempDir(), "log")
@@ -162,41 +168,47 @@ func TestParseReaderPerFileAlloc(t *testing.T) {
 				return f
 			}},
 		} {
-			// Open every reader up front so the measurement is
-			// ParseReader's alone, then warm the parser (its read buffer,
-			// its event list).
-			readers := make([]io.Reader, runs+1)
-			for i := range readers {
-				readers[i] = tc.open()
-			}
 			parse := func(r io.Reader) {
 				p.events = p.events[:0]
 				if err := p.ParseReader(file.name, r); err != nil {
 					t.Fatal(err)
 				}
 			}
-			parse(readers[runs])
-			if len(p.events) != file.events {
-				t.Fatalf("%s from %s: mined %d events, want %d", file.name, tc.shape, len(p.events), file.events)
-			}
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			for _, r := range readers[:runs] {
-				parse(r)
-			}
-			runtime.ReadMemStats(&after)
-			for _, r := range readers {
-				if c, ok := r.(io.Closer); ok {
-					c.Close()
+			// trial opens every reader up front so the measurement is
+			// ParseReader's alone, warms the parser (its read buffer, its
+			// event list) and returns whole bytes and allocations per
+			// file, rounded down as testing.AllocsPerRun rounds.
+			trial := func() (bytesPer, allocsPer uint64) {
+				readers := make([]io.Reader, runs+1)
+				for i := range readers {
+					readers[i] = tc.open()
 				}
+				defer func() {
+					for _, r := range readers {
+						if c, ok := r.(io.Closer); ok {
+							c.Close()
+						}
+					}
+				}()
+				parse(readers[runs])
+				if len(p.events) != file.events {
+					t.Fatalf("%s from %s: mined %d events, want %d", file.name, tc.shape, len(p.events), file.events)
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for _, r := range readers[:runs] {
+					parse(r)
+				}
+				runtime.ReadMemStats(&after)
+				return (after.TotalAlloc - before.TotalAlloc) / runs, (after.Mallocs - before.Mallocs) / runs
 			}
-			// Whole bytes and allocations per file, rounded down as
-			// testing.AllocsPerRun rounds: the runtime's own rare
-			// allocations during the loop are not ParseReader's.
-			bytesPer := (after.TotalAlloc - before.TotalAlloc) / runs
-			allocsPer := (after.Mallocs - before.Mallocs) / runs
-			t.Logf("%s from %s: %d-byte file: %d B/file, %d allocs/file", file.name, tc.shape, len(file.data), bytesPer, allocsPer)
+			bytesPer, allocsPer := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			for range trials {
+				b, a := trial()
+				bytesPer, allocsPer = min(bytesPer, b), min(allocsPer, a)
+			}
+			t.Logf("%s from %s: %d-byte file: %d B/file, %d allocs/file (least of %d trials)", file.name, tc.shape, len(file.data), bytesPer, allocsPer, trials)
 			// Measured 0 from either reader for either file: the blocks are
 			// views of the read buffer, and the two events keep no string
 			// of them. The budget is the measurement with the file's 1.6
@@ -240,12 +252,14 @@ func TestStreamBackfillAlloc(t *testing.T) {
 		bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(lines))
 		allocsPer := float64(after.Mallocs-before.Mallocs) / float64(len(lines))
 		t.Logf("%s: %d lines, %d events: %.0f B/line, %.2f allocs/line", tree, len(lines), st.EventCount(), bytesPer, allocsPer)
-		// Measured ~0.3-0.4 KiB: the apps' builders, containers and event
+		// Measured 146-151 B: the apps' builders, containers and event
 		// arrays growing; with no reader nothing is sorted or decomposed.
-		// Decomposing per absorb and
-		// inserting out-of-order events in place measured ~1.2 KiB;
-		// copying the event array per out-of-order event ~5.1-5.7 KiB.
-		const budget = 2 << 10
+		// The budget keeps the 7.3x headroom the 2 KiB budget had over
+		// the 271-280 B that 144-byte events measured. Decomposing per
+		// absorb and inserting out-of-order events in place measured
+		// ~1.2 KiB; copying the event array per out-of-order event
+		// ~5.1-5.7 KiB.
+		const budget = 1104
 		if bytesPer > budget {
 			t.Errorf("%s: backfill allocates %.0f B/line, budget %d", tree, bytesPer, budget)
 		}
@@ -281,14 +295,16 @@ func TestShardedBackfillAlloc(t *testing.T) {
 		bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
 		allocsPer := float64(after.Mallocs-before.Mallocs) / float64(lines)
 		t.Logf("%s: %d lines, %d events: %.0f B/line, %.2f allocs/line", tree, lines, ss.EventCount(), bytesPer, allocsPer)
-		// Measured 0.7-1.3 KiB and 1.0-1.4 allocs/line at GOMAXPROCS 1-8,
+		// Measured 478-743 B and 1.0-1.3 allocs/line at GOMAXPROCS 1-8,
 		// most of it the workers' event buffers and the apps' event
-		// arrays growing on a fresh stream. With each event's source,
-		// class and message kept (192-byte events, class and message
-		// cloned) it measured 1.0-1.9 KiB and 3.0-3.5 allocs/line (budget
-		// 2560). Feeding the same lines one Feed each, copied out of a
-		// line scanner, measured 1.8-2.3 KiB and 5 allocs/line.
-		const budget = 1768
+		// arrays growing on a fresh stream. The budget keeps the 1.38x
+		// headroom the 1768 B budget had over the 0.7-1.3 KiB that
+		// 144-byte events measured. With each event's source, class and
+		// message kept (192-byte events, class and message cloned) it
+		// measured 1.0-1.9 KiB and 3.0-3.5 allocs/line (budget 2560).
+		// Feeding the same lines one Feed each, copied out of a line
+		// scanner, measured 1.8-2.3 KiB and 5 allocs/line.
+		const budget = 1025
 		if bytesPer > budget {
 			t.Errorf("%s: sharded backfill allocates %.0f B/line, budget %d", tree, bytesPer, budget)
 		}
@@ -297,14 +313,17 @@ func TestShardedBackfillAlloc(t *testing.T) {
 
 // TestEventAllocSize holds the event diet: an Event keeps only what
 // SDchecker reads, so every copy of one (the parser's list, the apps'
-// event arrays, a report's event list) costs 144 bytes on a 64-bit
-// platform.
+// event arrays, a report's event list) costs 72 bytes on a 64-bit
+// platform. Kind and instance take a byte each, the app rides in the
+// container ID, and the submission summary's three strings sit behind
+// one pointer; with a full-int kind, a string instance, an AppID of its
+// own and the three strings inline it was 144.
 func TestEventAllocSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Event{}); got != 144 {
-		t.Errorf("Event is %d bytes, want 144", got)
+	if got := unsafe.Sizeof(Event{}); got != 72 {
+		t.Errorf("Event is %d bytes, want 72", got)
 	}
 }
 

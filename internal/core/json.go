@@ -28,13 +28,19 @@ func (r *Report) JSON() (string, error) {
 // WriteJSON writes what JSON returns to w, one application per Write,
 // so the whole document is never held in memory. The only error it
 // returns is w's.
-func (r *Report) WriteJSON(w io.Writer) error {
-	if len(r.Apps) == 0 {
+func (r *Report) WriteJSON(w io.Writer) error { return WriteAppsJSON(w, r.Apps) }
+
+// WriteAppsJSON writes the JSON export of apps to w as Report.WriteJSON
+// does, for callers that hold the traces without a report. An app with
+// no decomposition renders as an undecomposed one; it is not decomposed
+// here.
+func WriteAppsJSON(w io.Writer, apps []*AppTrace) error {
+	if len(apps) == 0 {
 		_, err := io.WriteString(w, "[]")
 		return err
 	}
 	b := make([]byte, 0, 8<<10)
-	for i, a := range r.Apps {
+	for i, a := range apps {
 		if i == 0 {
 			b = append(b, '[')
 		} else {

@@ -153,8 +153,8 @@ func TestMinedStringsOutliveReadBlock(t *testing.T) {
 			switch e.Kind {
 			case AppSubmitted0:
 				sum++
-				if e.Name != "query-07" || e.AppType != "SPARK" || e.Queue != "interactive" {
-					t.Errorf("%s: APP_SUMMARY mined name=%q type=%q queue=%q, want query-07, SPARK, interactive", how, e.Name, e.AppType, e.Queue)
+				if sub := e.summary(); sub != (Submission{Name: "query-07", AppType: "SPARK", Queue: "interactive"}) {
+					t.Errorf("%s: APP_SUMMARY mined %+v, want query-07, SPARK, interactive", how, sub)
 				}
 			case ContAssigned:
 				assigned++

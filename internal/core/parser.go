@@ -282,7 +282,8 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 			// three fields share its backing array instead of pinning the
 			// block msg was sliced from.
 			msg = strings.Clone(msg)
-			p.emit(Event{Kind: AppSubmitted0, TimeMS: line.TimeMS, App: app, Name: m.get(msg, 1), AppType: m.get(msg, 2), Queue: m.get(msg, 3)})
+			sub := &Submission{Name: m.get(msg, 1), AppType: m.get(msg, 2), Queue: m.get(msg, 3)}
+			p.emit(Event{Kind: AppSubmitted0, TimeMS: line.TimeMS, Container: ids.ContainerID{App: app}, Submission: sub})
 		case ruleAppState:
 			app, err := fastParseAppID(m.get(msg, 0))
 			if err != nil {
@@ -302,7 +303,7 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 			default:
 				return // other transitions are not scheduling-relevant
 			}
-			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: app})
+			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, Container: ids.ContainerID{App: app}})
 		case ruleRMContainer:
 			cid, err := fastParseContainerID(m.get(msg, 0))
 			if err != nil {
@@ -322,7 +323,7 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 			default:
 				return
 			}
-			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid})
+			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, Container: cid})
 		case ruleNMContainer:
 			cid, err := fastParseContainerID(m.get(msg, 0))
 			if err != nil {
@@ -342,18 +343,18 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 			default:
 				return
 			}
-			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: fastNodeFromPath(name)})
+			p.emit(Event{Kind: kind, TimeMS: line.TimeMS, Container: cid, Node: fastNodeFromPath(name)})
 		case ruleLaunchInvoked:
 			if cid, err := fastParseContainerID(m.get(msg, 0)); err == nil {
-				p.emit(Event{Kind: LaunchInvoked, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: fastNodeFromPath(name)})
+				p.emit(Event{Kind: LaunchInvoked, TimeMS: line.TimeMS, Container: cid, Node: fastNodeFromPath(name)})
 			}
 		case ruleOppQueued:
 			if cid, err := fastParseContainerID(m.get(msg, 0)); err == nil {
-				p.emit(Event{Kind: OppQueued, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: fastNodeFromPath(name)})
+				p.emit(Event{Kind: OppQueued, TimeMS: line.TimeMS, Container: cid, Node: fastNodeFromPath(name)})
 			}
 		case ruleAssigned, ruleOppAssigned:
 			if cid, err := fastParseContainerID(m.get(msg, 0)); err == nil {
-				p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: strings.Clone(m.get(msg, 1))})
+				p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, Container: cid, Node: strings.Clone(m.get(msg, 1))})
 			}
 		}
 		return
@@ -366,7 +367,7 @@ func (p *Parser) mineDaemonLineFast(name string, line log4j.Line) {
 // finish inserts the FIRST_LOG event in front of them.
 type containerScan struct {
 	bodyStart int
-	instance  InstanceType
+	instance  InstanceCode
 	// The first parseable line's time, for FIRST_LOG.
 	firstTime   int64
 	hasFirst    bool
@@ -374,7 +375,7 @@ type containerScan struct {
 }
 
 func (p *Parser) beginContainerScan() containerScan {
-	return containerScan{bodyStart: len(p.events), instance: InstUnknown}
+	return containerScan{bodyStart: len(p.events)}
 }
 
 // feed walks raw's segments as container-log lines.
@@ -409,7 +410,7 @@ func (cs *containerScan) line(p *Parser, cid ids.ContainerID, line log4j.Line) {
 	default:
 		return
 	}
-	p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid})
+	p.emit(Event{Kind: kind, TimeMS: line.TimeMS, Container: cid})
 }
 
 // observe counts one parsed container-log line, remembers the first
@@ -424,24 +425,24 @@ func (cs *containerScan) observe(p *Parser, line log4j.Line) {
 }
 
 // lineInstance classifies one container-log line's instance from its
-// logging class and message shape; most lines say nothing (InstUnknown).
-func lineInstance(line log4j.Line) InstanceType {
+// logging class and message shape; most lines say nothing (codeUnknown).
+func lineInstance(line log4j.Line) InstanceCode {
 	switch {
 	case strings.Contains(line.Class, "CoarseGrainedExecutorBackend"):
-		return InstSparkExecutor
+		return codeSparkExecutor
 	case strings.Contains(line.Class, "deploy.yarn.ApplicationMaster"):
-		return InstSparkDriver
+		return codeSparkDriver
 	case strings.Contains(line.Class, "MRAppMaster"):
-		return InstMRMaster
+		return codeMRMaster
 	case strings.Contains(line.Class, "YarnChild"):
 		if strings.Contains(line.Message, "Starting MAP") {
-			return InstMRMap
+			return codeMRMap
 		}
 		if strings.Contains(line.Message, "Starting REDUCE") {
-			return InstMRReduce
+			return codeMRReduce
 		}
 	}
-	return InstUnknown
+	return codeUnknown
 }
 
 // foldInstance folds one line's classification into a container's
@@ -449,8 +450,8 @@ func lineInstance(line log4j.Line) InstanceType {
 // overwrite, the Spark driver only replaces unknown, and an
 // unclassified line changes nothing. The offline scan and the live
 // stream (Stream.takeFirstLog) both classify a container this way.
-func foldInstance(cur, line InstanceType) InstanceType {
-	if line == InstUnknown || (line == InstSparkDriver && cur != InstUnknown) {
+func foldInstance(cur, line InstanceCode) InstanceCode {
+	if line == codeUnknown || (line == codeSparkDriver && cur != codeUnknown) {
 		return cur
 	}
 	return line
@@ -464,18 +465,18 @@ func (cs *containerScan) finish(p *Parser, name string, cid ids.ContainerID) {
 		return
 	}
 	p.hit("first_log")
-	ev := Event{Kind: firstLogKind(cs.instance), TimeMS: cs.firstTime, App: cid.App, Container: cid, Instance: cs.instance}
+	ev := Event{Kind: firstLogKind(cs.instance), TimeMS: cs.firstTime, Container: cid, Instance: cs.instance}
 	p.events = append(p.events, Event{})
 	copy(p.events[cs.bodyStart+1:], p.events[cs.bodyStart:len(p.events)-1])
 	p.events[cs.bodyStart] = ev
 }
 
 // firstLogKind is the FIRST_LOG kind of a container classified inst.
-func firstLogKind(inst InstanceType) Kind {
+func firstLogKind(inst InstanceCode) Kind {
 	switch inst {
-	case InstSparkDriver:
+	case codeSparkDriver:
 		return DriverFirstLog
-	case InstSparkExecutor:
+	case codeSparkExecutor:
 		return ExecutorFirstLog
 	}
 	return TaskFirstLog

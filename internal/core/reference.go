@@ -102,7 +102,7 @@ func (p *Parser) parseContainerLogRegex(name string, cid ids.ContainerID, r io.R
 		default:
 			continue
 		}
-		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid})
+		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, Container: cid})
 	}
 	p.warnSkipped(name, skipped)
 	if err != nil {
@@ -133,7 +133,7 @@ func (p *Parser) mineDaemonLineRegex(name string, line log4j.Line) {
 			p.warnf("%s: %v", name, err)
 			return
 		}
-		p.emit(Event{Kind: AppSubmitted0, TimeMS: line.TimeMS, App: app, Name: m[2], AppType: m[3], Queue: m[4]})
+		p.emit(Event{Kind: AppSubmitted0, TimeMS: line.TimeMS, Container: ids.ContainerID{App: app}, Submission: &Submission{Name: m[2], AppType: m[3], Queue: m[4]}})
 		return
 	}
 	if m := reAppState.FindStringSubmatch(msg); m != nil {
@@ -156,7 +156,7 @@ func (p *Parser) mineDaemonLineRegex(name string, line log4j.Line) {
 		default:
 			return // other transitions are not scheduling-relevant
 		}
-		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: app})
+		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, Container: ids.ContainerID{App: app}})
 		return
 	}
 	if m := reRMCont.FindStringSubmatch(msg); m != nil {
@@ -179,7 +179,7 @@ func (p *Parser) mineDaemonLineRegex(name string, line log4j.Line) {
 		default:
 			return
 		}
-		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid})
+		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, Container: cid})
 		return
 	}
 	if m := reNMCont.FindStringSubmatch(msg); m != nil {
@@ -202,34 +202,34 @@ func (p *Parser) mineDaemonLineRegex(name string, line log4j.Line) {
 		default:
 			return
 		}
-		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: nodeFromPath(name)})
+		p.emit(Event{Kind: kind, TimeMS: line.TimeMS, Container: cid, Node: nodeFromPath(name)})
 		return
 	}
 	if m := reInvoke.FindStringSubmatch(msg); m != nil {
 		p.hit("launch_invoked")
 		if cid, err := ids.ParseContainerID(m[1]); err == nil {
-			p.emit(Event{Kind: LaunchInvoked, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: nodeFromPath(name)})
+			p.emit(Event{Kind: LaunchInvoked, TimeMS: line.TimeMS, Container: cid, Node: nodeFromPath(name)})
 		}
 		return
 	}
 	if m := reOppQueue.FindStringSubmatch(msg); m != nil {
 		p.hit("opp_queued")
 		if cid, err := ids.ParseContainerID(m[1]); err == nil {
-			p.emit(Event{Kind: OppQueued, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: nodeFromPath(name)})
+			p.emit(Event{Kind: OppQueued, TimeMS: line.TimeMS, Container: cid, Node: nodeFromPath(name)})
 		}
 		return
 	}
 	if m := reAssigned.FindStringSubmatch(msg); m != nil {
 		p.hit("assigned")
 		if cid, err := ids.ParseContainerID(m[1]); err == nil {
-			p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: m[2]})
+			p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, Container: cid, Node: m[2]})
 		}
 		return
 	}
 	if m := reOppAssigned.FindStringSubmatch(msg); m != nil {
 		p.hit("opp_assigned")
 		if cid, err := ids.ParseContainerID(m[1]); err == nil {
-			p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, App: cid.App, Container: cid, Node: m[2]})
+			p.emit(Event{Kind: ContAssigned, TimeMS: line.TimeMS, Container: cid, Node: m[2]})
 		}
 	}
 }

@@ -449,7 +449,7 @@ func (sh *streamShard) routeAndAbsorb(evs []Event) {
 		own := evs[:0]
 		var foreign map[int][]Event
 		for _, e := range evs {
-			j := sh.ss.shardOf(e.App)
+			j := sh.ss.shardOf(e.App())
 			if j == sh.i {
 				own = append(own, e)
 				continue

@@ -717,6 +717,7 @@ func TestFeedBlockEventsDoNotAliasBlock(t *testing.T) {
 	if len(apps) == 0 {
 		t.Fatal("no apps absorbed")
 	}
+	summaries := 0
 	for _, a := range apps {
 		check("app name", a.Name)
 		check("app type", a.AppType)
@@ -725,10 +726,17 @@ func TestFeedBlockEventsDoNotAliasBlock(t *testing.T) {
 			check("container node", c.Node)
 		}
 		for _, e := range a.Events {
-			for _, s := range []string{e.Name, e.AppType, e.Queue, e.Node} {
-				check(e.Kind.String()+" event string", s)
+			check(e.Kind.String()+" event node", e.Node)
+			if sub := e.Submission; sub != nil {
+				summaries++
+				for _, s := range []string{sub.Name, sub.AppType, sub.Queue} {
+					check(e.Kind.String()+" submission string", s)
+				}
 			}
 		}
+	}
+	if summaries == 0 {
+		t.Fatal("no APP_SUMMARY event carries a submission summary")
 	}
 }
 

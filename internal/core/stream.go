@@ -79,7 +79,7 @@ func (s *Stream) absorbRouted(evs []Event) int {
 	for _, e := range evs {
 		switch e.Kind {
 		case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
-			if !e.Container.IsZero() && !s.takeFirstLog(e) {
+			if !e.AppLevel() && !s.takeFirstLog(e) {
 				continue
 			}
 		case FirstTask:
@@ -104,11 +104,11 @@ func (s *Stream) absorbRouted(evs []Event) int {
 // absorb in progress. A container's events belong to its own app, so
 // the builder this creates absorbs the event right after.
 func (s *Stream) takeFirstLog(e Event) bool {
-	b := s.builder(e.App)
+	b := s.builder(e.App())
 	inst, seen := b.instances[e.Container]
 	if !seen {
 		if b.instances == nil {
-			b.instances = make(map[ids.ContainerID]InstanceType)
+			b.instances = make(map[ids.ContainerID]InstanceCode)
 		}
 		b.instances[e.Container] = e.Instance
 		return true
@@ -157,7 +157,7 @@ func (s *Stream) builder(id ids.AppID) *traceBuilder {
 func (s *Stream) absorb(evs []Event) {
 	dirty := s.dirty
 	for _, e := range evs {
-		b := s.builder(e.App)
+		b := s.builder(e.App())
 		if !slices.Contains(dirty, b) {
 			dirty = append(dirty, b)
 		}

@@ -274,15 +274,15 @@ func contendedEvent(rng *rand.Rand, app ids.AppID) Event {
 		ContAllocated, ContAcquired, ContLocalizing, ContScheduled, ContRunning,
 		DriverFirstLog, ExecutorFirstLog, FirstTask, ContLost, DriverRegister, StartAllo}
 	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
-	e := Event{Kind: kinds[rng.Intn(len(kinds))], App: app, TimeMS: base + int64(rng.Intn(6))}
+	e := Event{Kind: kinds[rng.Intn(len(kinds))], Container: ids.ContainerID{App: app}, TimeMS: base + int64(rng.Intn(6))}
 	switch e.Kind {
 	case AppSubmitted0:
-		e.Name, e.AppType, e.Queue = pick("", "q1", "q2"), pick("SPARK", "MR"), pick("default", "prod")
+		e.Submission = &Submission{Name: pick("", "q1", "q2"), AppType: pick("SPARK", "MR"), Queue: pick("default", "prod")}
 	case AppSubmitted, AppAccepted, AttemptRegistered, AppFinished:
 	default:
 		e.Container = ids.ContainerID{App: app, Attempt: 1 + rng.Intn(2), Num: 1 + rng.Intn(3)}
 		e.Node = pick("", "node01", "node02")
-		e.Instance = InstanceType(pick("", "spm", "spe"))
+		e.Instance = InstanceCode(rng.Intn(3)) // unknown, spm or spe
 	}
 	return e
 }
@@ -341,7 +341,7 @@ func TestStreamSnapshotsOnRead(t *testing.T) {
 			s.absorb(batch)
 			switch rng.Intn(4) {
 			case 0:
-				capture(s.trace(batch[0].App))
+				capture(s.trace(batch[0].App()))
 			case 1:
 				for _, a := range s.traces() {
 					capture(a)
@@ -401,11 +401,11 @@ func TestStreamReclassifiesFirstLog(t *testing.T) {
 		t.Fatalf("live report differs from offline:\nlive:\n%s\noffline:\n%s", live, offline)
 	}
 	a := s.trace(id)
-	if fl := a.Events[0]; fl.Kind != DriverFirstLog || fl.Instance != InstSparkDriver {
-		t.Fatalf("kept FIRST_LOG is %v/%q, want %v/%q", fl.Kind, fl.Instance, DriverFirstLog, InstSparkDriver)
+	if fl := a.Events[0]; fl.Kind != DriverFirstLog || fl.Instance.Type() != InstSparkDriver {
+		t.Fatalf("kept FIRST_LOG is %v/%q, want %v/%q", fl.Kind, fl.Instance.Type(), DriverFirstLog, InstSparkDriver)
 	}
-	if fl := before.Events[0]; fl.Kind != TaskFirstLog || fl.Instance != InstUnknown {
-		t.Fatalf("snapshot's FIRST_LOG became %v/%q", fl.Kind, fl.Instance)
+	if fl := before.Events[0]; fl.Kind != TaskFirstLog || fl.Instance != codeUnknown {
+		t.Fatalf("snapshot's FIRST_LOG became %v/%q", fl.Kind, fl.Instance.Type())
 	}
 }
 

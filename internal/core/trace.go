@@ -173,10 +173,10 @@ func Correlate(events []Event) []*AppTrace {
 	gs := make([]int32, len(events)) // each event's group
 	var count []int                  // events per group, numbered by first arrival
 	for i := range events {
-		g, ok := group[events[i].App]
+		g, ok := group[events[i].Container.App]
 		if !ok {
 			g = int32(len(count))
-			group[events[i].App] = g
+			group[events[i].Container.App] = g
 			count = append(count, 0)
 		}
 		gs[i] = g
@@ -199,7 +199,7 @@ func Correlate(events []Event) []*AppTrace {
 		start := end - count[g]
 		evs := byApp[start:end:end]
 		placeByTime(evs, events, idx[start:end])
-		b := newTraceBuilder(evs[0].App)
+		b := newTraceBuilder(evs[0].Container.App)
 		for i := range evs {
 			b.apply(evs[i])
 		}
@@ -264,7 +264,7 @@ type traceBuilder struct {
 	// instances holds the instance of each live container whose
 	// FIRST_LOG was already absorbed, folded over every FIRST_LOG its
 	// lines produced since (see Stream.takeFirstLog); nil offline.
-	instances map[ids.ContainerID]InstanceType
+	instances map[ids.ContainerID]InstanceCode
 	// completed caches whether the working trace's headline
 	// decomposition is fully observable (the Complete predicate) as of
 	// the last live refresh, feeding the in-flight / completed gauges and
@@ -309,7 +309,7 @@ func (b *traceBuilder) absorb(e Event) {
 // first-seen order of containers sharing e's container number.
 func (b *traceBuilder) commutes(e Event) bool {
 	a := b.a
-	if e.Container.IsZero() {
+	if e.AppLevel() {
 		if e.Kind != AppSubmitted0 {
 			return true
 		}
@@ -317,10 +317,11 @@ func (b *traceBuilder) commutes(e Event) bool {
 		// unnamed one overwrites the last. So a named e wins if none won
 		// yet, an unnamed e loses if one did, and otherwise only an
 		// identical e is safe.
-		if e.Name == a.Name && e.AppType == a.AppType && e.Queue == a.Queue {
+		sub := e.summary()
+		if sub.Name == a.Name && sub.AppType == a.AppType && sub.Queue == a.Queue {
 			return true
 		}
-		return (a.Name == "") == (e.Name != "")
+		return (a.Name == "") == (sub.Name != "")
 	}
 	lo, hi := a.numRange(e.Container.Num)
 	switch {
@@ -335,7 +336,7 @@ func (b *traceBuilder) commutes(e Event) bool {
 	}
 	switch e.Kind {
 	case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
-		return e.Instance == InstUnknown || c.Instance == InstUnknown || e.Instance == c.Instance
+		return e.Instance == codeUnknown || c.Instance == InstUnknown || e.Instance.Type() == c.Instance
 	}
 	return true
 }
@@ -390,7 +391,7 @@ func (b *traceBuilder) sortEvents() {
 // reclassify rewrites container cid's kept FIRST_LOG to instance inst
 // and marks the trace for a rebuild at the next refresh, copying the
 // event array first if a snapshot holds it.
-func (b *traceBuilder) reclassify(cid ids.ContainerID, inst InstanceType) {
+func (b *traceBuilder) reclassify(cid ids.ContainerID, inst InstanceCode) {
 	b.stale = true
 	for i := range b.events {
 		e := &b.events[i]
@@ -426,11 +427,12 @@ func (b *traceBuilder) apply(e Event) {
 		b.a = &h
 	}
 	a := b.a
-	if e.Container.IsZero() {
+	if e.AppLevel() {
 		switch e.Kind {
 		case AppSubmitted0:
 			if a.Name == "" {
-				a.Name, a.AppType, a.Queue = e.Name, e.AppType, e.Queue
+				sub := e.summary()
+				a.Name, a.AppType, a.Queue = sub.Name, sub.AppType, sub.Queue
 			}
 		case AppSubmitted:
 			setEarliest(&a.Submitted, e.TimeMS)
@@ -463,7 +465,7 @@ func (b *traceBuilder) apply(e Event) {
 	case DriverFirstLog, ExecutorFirstLog, TaskFirstLog:
 		setEarliest(&c.FirstLog, e.TimeMS)
 		if c.Instance == InstUnknown {
-			c.Instance = e.Instance
+			c.Instance = e.Instance.Type()
 		}
 	case FirstTask:
 		setEarliest(&c.FirstTask, e.TimeMS)

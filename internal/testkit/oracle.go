@@ -209,6 +209,8 @@ func diffReference(t testing.TB, scenario string, s *log4j.Sink, name string) {
 	if fmt.Sprint(ferr) != fmt.Sprint(rerr) {
 		t.Errorf("%s: %s: reference error diverges: fast=%v regex=%v", scenario, name, ferr, rerr)
 	}
+	// DeepEqual follows each APP_SUMMARY event's Submission pointer, so
+	// the two miners' summaries compare by content.
 	if !reflect.DeepEqual(fp.Events(), rp.Events()) {
 		t.Errorf("%s: %s: reference events diverge from the fast parser", scenario, name)
 	}
