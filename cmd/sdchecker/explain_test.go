@@ -284,3 +284,37 @@ func TestServeExplainFlightOutlivesStageTraffic(t *testing.T) {
 	}
 	t.Errorf("outlier's flight slice lost its hook_fired event: %+v", doc.Cells[0].Exemplars[0].Flight)
 }
+
+// TestServeExplainFlightOutlivesIdlePolls: polls that find nothing new,
+// more than an event ring's worth of two records each, recorded after an
+// app completes, must not push the app's hook_fired event out of its
+// /explain flight slice. Each poll's scan is a stage record; the poll
+// adds nothing to the event ring.
+func TestServeExplainFlightOutlivesIdlePolls(t *testing.T) {
+	dir := t.TempDir()
+	outlier := writePlantedLogs(t, dir, 5)
+	srv := newLiveServer(dir, testServeOptions(2, nil))
+	defer srv.close()
+	for i := 0; i < 4096/2+64; i++ {
+		if err := srv.pollOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	_, body := get(t, ts.URL+"/explain?component=total")
+	var doc core.ExplainDoc
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Cells) == 0 || len(doc.Cells[0].Exemplars) == 0 || doc.Cells[0].Exemplars[0].App != outlier {
+		t.Fatalf("planted outlier is not the top exemplar: %s", body)
+	}
+	for _, e := range doc.Cells[0].Exemplars[0].Flight {
+		if e.Kind == obs.KindHook && e.Detail == outlier {
+			return
+		}
+	}
+	t.Errorf("outlier's flight slice lost its hook_fired event: %+v", doc.Cells[0].Exemplars[0].Flight)
+}

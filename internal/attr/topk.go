@@ -74,7 +74,6 @@ func (t *TopK) Offer(key string, amount float64) {
 		return
 	}
 	if len(t.heap) < t.cap {
-		t.idx[key] = len(t.heap)
 		t.heap = append(t.heap, Entry{Key: key, SumMS: amount})
 		t.up(len(t.heap) - 1)
 		return
@@ -83,7 +82,6 @@ func (t *TopK) Offer(key string, amount float64) {
 	// the reporting order, so eviction choice is deterministic too.
 	min := t.heap[0]
 	delete(t.idx, min.Key)
-	t.idx[key] = 0
 	t.heap[0] = Entry{Key: key, SumMS: min.SumMS + amount, ErrMS: min.SumMS}
 	t.down(0)
 }
@@ -98,41 +96,51 @@ func entryLess(a, b Entry) bool {
 	return a.Key > b.Key
 }
 
-func (t *TopK) swap(i, j int) {
-	h := t.heap
-	h[i], h[j] = h[j], h[i]
-	t.idx[h[i].Key], t.idx[h[j].Key] = i, j
-}
+// The sifts move a hole rather than swapping entries, so each entry
+// they pass is written, with its index, once, and the sifted entry once,
+// where the hole stops: Offer runs in the completion hook, which
+// serializes every shard.
 
-// up restores the heap order after an entry was appended at i.
+// up restores the heap order after an entry was appended at i, and
+// indexes it.
 func (t *TopK) up(i int) {
+	h := t.heap
+	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !entryLess(t.heap[i], t.heap[p]) {
-			return
+		if !entryLess(e, h[p]) {
+			break
 		}
-		t.swap(i, p)
+		h[i] = h[p]
+		t.idx[h[i].Key] = i
 		i = p
 	}
+	h[i] = e
+	t.idx[e.Key] = i
 }
 
-// down restores the heap order after the entry at i got heavier.
+// down restores the heap order after the entry at i got heavier or was
+// replaced, and indexes it.
 func (t *TopK) down(i int) {
 	h := t.heap
+	e := h[i]
 	for {
-		min, l := i, 2*i+1
-		if l < len(h) && entryLess(h[l], h[min]) {
-			min = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r := l + 1; r < len(h) && entryLess(h[r], h[min]) {
-			min = r
+		if r := c + 1; r < len(h) && entryLess(h[r], h[c]) {
+			c = r
 		}
-		if min == i {
-			return
+		if !entryLess(h[c], e) {
+			break
 		}
-		t.swap(i, min)
-		i = min
+		h[i] = h[c]
+		t.idx[h[i].Key] = i
+		i = c
 	}
+	h[i] = e
+	t.idx[e.Key] = i
 }
 
 // Merge folds other into t: per-key sums and error bounds add, then the

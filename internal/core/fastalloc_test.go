@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -308,6 +310,62 @@ func TestShardedBackfillAlloc(t *testing.T) {
 		if bytesPer > budget {
 			t.Errorf("%s: sharded backfill allocates %.0f B/line, budget %d", tree, bytesPer, budget)
 		}
+	}
+}
+
+// TestShardedBackfillRetainedAlloc bounds the heap the live engine
+// keeps per event once it has caught up on a finished tree: 600
+// synthesized Spark apps handed to FeedBlock one block per file in walk
+// order, with a completion hook installed, then Quiesce. Each app
+// completes on its executors' logs, so its hook snapshot is taken before
+// the events that follow it; nothing reads the traces afterwards. The
+// golden trees hold too few events for the heap to resolve. The heap is
+// read after a collection, and the least of three trials is judged, as
+// the runtime's own allocations only add to it. One worker and
+// GOMAXPROCS 2 fix how far the feeder runs ahead of the worker, which
+// sets how far the worker's reused parse buffer grows.
+func TestShardedBackfillRetainedAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const apps, trials = 600, 3
+	cs := buildMultiAppCorpus(apps)
+	var files []shardLine
+	for _, f := range sortedKeys(cs) {
+		files = append(files, shardLine{f, strings.Join(cs[f], "\n") + "\n"})
+	}
+	trial := func() (bytesPer float64, events int) {
+		ss := NewShardedStream(1)
+		defer ss.Close()
+		var hooked atomic.Int64
+		ss.OnComplete(func(*AppTrace) { hooked.Add(1) })
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, f := range files {
+			ss.FeedBlock(f.source, f.raw)
+		}
+		ss.Quiesce()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if hooked.Load() != apps {
+			t.Fatalf("%d of %d apps completed", hooked.Load(), apps)
+		}
+		events = ss.EventCount()
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(events), events
+	}
+	bytesPer, events := math.Inf(1), 0
+	for range trials {
+		b, n := trial()
+		bytesPer, events = min(bytesPer, b), n
+	}
+	t.Logf("%d events: %.0f B/event retained (least of %d trials)", events, bytesPer, trials)
+	// Measured 239-257 B. Keeping each app's last snapshot, and the
+	// working trace's copy of its Events, until the next snapshot, which
+	// held the superseded sorted array next to the one appends
+	// reallocated, measured 347-378 B (one worker at GOMAXPROCS 1: 306
+	// B, and 400-427 B kept that way).
+	const budget = 310
+	if bytesPer > budget {
+		t.Errorf("caught-up stream retains %.0f B/event, budget %d", bytesPer, budget)
 	}
 }
 

@@ -180,10 +180,9 @@ func (ss *ShardedStream) Instrument(reg *metrics.Registry) {
 }
 
 // ObservePipeline attaches the self-observability pipeline: workers
-// record per-batch stage timings (parse, forward, decompose), Quiesce
-// boundaries land in the flight recorder, and each shard's Stream
-// reports hook fires and evictions. Attach before feeding; nil keeps
-// the stream unobserved.
+// record per-batch stage timings (parse, forward, decompose), and each
+// shard's Stream reports hook fires and evictions. Attach before
+// feeding; nil keeps the stream unobserved.
 func (ss *ShardedStream) ObservePipeline(p *obs.Pipeline) {
 	ss.pl = p
 	for _, sh := range ss.shards {
@@ -348,15 +347,10 @@ func (ss *ShardedStream) done(n int) {
 // absorbed, then refreshes the app gauges.
 func (ss *ShardedStream) Quiesce() {
 	ss.workMu.Lock()
-	entering := ss.pending
-	ss.workMu.Unlock()
-	ss.pl.RecordQuiesce(true, entering)
-	ss.workMu.Lock()
 	for ss.pending > 0 {
 		ss.workCond.Wait()
 	}
 	ss.workMu.Unlock()
-	ss.pl.RecordQuiesce(false, 0)
 	ss.updateAppGauges()
 }
 

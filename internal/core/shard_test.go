@@ -584,28 +584,49 @@ func TestShardedStreamConcurrentHammer(t *testing.T) {
 }
 
 // TestShardedPublishedTracesImmutable runs readers against a sharded
-// stream while it absorbs lines fed partly out of time order: every trace
-// a reader captured from Apps must be unchanged once feeding ends, and
-// under -race no absorb may write memory a reader holds.
+// stream while it absorbs lines fed file by file, as a restarted -serve
+// scan feeds them, so most events arrive before an earlier one of their
+// app. The feeder reads every app after each line as well: a trace's
+// first snapshot sorts its events in place, and later ones share an
+// array that appends keep growing. Each app also gains a container
+// whose first line names no instance and whose second makes it a Spark
+// driver, rewriting the kept FIRST_LOG between two reads. Every trace
+// read must deep-equal the copy taken when it was read, and under -race
+// no absorb may write memory a reader holds.
 func TestShardedPublishedTracesImmutable(t *testing.T) {
-	lines := corpusLines(t, buildMultiAppCorpus(12))
-	// Swap neighbours so many events arrive before an earlier one.
-	for i := 0; i+1 < len(lines); i += 2 {
-		lines[i], lines[i+1] = lines[i+1], lines[i]
+	const apps = 12
+	cs := buildMultiAppCorpus(apps)
+	for i := 1; i <= apps; i++ {
+		tag := fmt.Sprintf("1499000000000_%04d", i)
+		f := "userlogs/application_" + tag + "/container_" + tag + "_01_000006/stderr"
+		cs.add(f, line(1600, "org.apache.spark.SparkContext", "Running Spark version 2.2.0"))
+		cs.add(f, line(29000, "org.apache.spark.deploy.yarn.ApplicationMaster", "Registered with ResourceManager as x"))
+	}
+	var lines []shardLine
+	for _, f := range sortedKeys(cs) {
+		for _, l := range cs[f] {
+			lines = append(lines, shardLine{f, l})
+		}
 	}
 	ss := NewShardedStream(3)
 	defer ss.Close()
 
-	type capture struct {
-		a    *AppTrace
-		snap string
-	}
 	var (
 		mu       sync.Mutex
-		captured []capture
+		captured = make(map[*AppTrace]*AppTrace)
 		readErr  error
 		wg       sync.WaitGroup
 	)
+	// take records a copy of each trace read the first time it is seen.
+	take := func(traces []*AppTrace) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, a := range traces {
+			if _, seen := captured[a]; !seen {
+				captured[a] = cloneTrace(a)
+			}
+		}
+	}
 	stop := make(chan struct{})
 	// first is closed once a reader holds a trace.
 	first := make(chan struct{})
@@ -620,16 +641,8 @@ func TestShardedPublishedTracesImmutable(t *testing.T) {
 					return
 				default:
 				}
-				for _, a := range ss.Apps() {
-					snap, err := traceSnapshot(a)
-					mu.Lock()
-					if err != nil && readErr == nil {
-						readErr = err
-					}
-					if len(captured) < 5000 {
-						captured = append(captured, capture{a, snap})
-					}
-					mu.Unlock()
+				if traces := ss.Apps(); len(traces) > 0 {
+					take(traces)
 					once.Do(func() { close(first) })
 				}
 				if _, err := ss.Report().JSON(); err != nil {
@@ -640,31 +653,36 @@ func TestShardedPublishedTracesImmutable(t *testing.T) {
 			}
 		}()
 	}
-	// Feed in two halves, and start the second only once a reader holds
-	// traces from the first, so some captures always predate absorbs that
-	// change their apps, however the goroutines are scheduled.
+	// Start the second half only once a reader holds traces from the
+	// first, so some of the readers' captures always predate absorbs
+	// that change their apps, however the goroutines are scheduled.
 	half := len(lines) / 2
-	for _, ln := range lines[:half] {
+	for i, ln := range lines {
+		if i == half {
+			<-first
+		}
 		ss.Feed(ln.source, ln.raw)
+		ss.Quiesce()
+		take(ss.Apps())
 	}
-	ss.Quiesce()
-	<-first
-	for _, ln := range lines[half:] {
-		ss.Feed(ln.source, ln.raw)
-	}
-	ss.Quiesce()
 	close(stop)
 	wg.Wait()
 
 	if readErr != nil {
 		t.Fatal(readErr)
 	}
-	if len(captured) == 0 {
-		t.Fatal("readers captured no traces")
+	if len(captured) < len(lines)/2 {
+		t.Fatalf("%d distinct traces read over %d lines", len(captured), len(lines))
 	}
-	for _, c := range captured {
-		if got := mustSnapshot(t, c.a); got != c.snap {
-			t.Fatalf("%v: captured trace changed after capture", c.a.ID)
+	for a, c := range captured {
+		if !reflect.DeepEqual(a, c) {
+			t.Fatalf("%v: trace changed after it was read:\nbefore %s\nafter  %s", a.ID, mustSnapshot(t, c), mustSnapshot(t, a))
+		}
+	}
+	for _, a := range ss.Apps() {
+		cid := ids.ContainerID{App: a.ID, Attempt: 1, Num: 6}
+		if c := a.Container(cid); c == nil || c.Instance != InstSparkDriver {
+			t.Fatalf("%v was not reclassified: %+v", cid, c)
 		}
 	}
 }

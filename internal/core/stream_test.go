@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -194,15 +196,46 @@ func mustSnapshot(t *testing.T, a *AppTrace) string {
 	return s
 }
 
+// cloneTrace deep-copies what a snapshot holds: its header, events,
+// containers and decomposition.
+func cloneTrace(a *AppTrace) *AppTrace {
+	c := *a
+	c.Events = slices.Clone(a.Events)
+	c.Containers = slices.Clone(a.Containers)
+	for i, ct := range c.Containers {
+		cc := *ct
+		c.Containers[i] = &cc
+	}
+	if a.Decomp != nil {
+		d := *a.Decomp
+		d.Acquisitions, d.Localizations = slices.Clone(d.Acquisitions), slices.Clone(d.Localizations)
+		d.Launchings, d.Queueings = slices.Clone(d.Launchings), slices.Clone(d.Queueings)
+		d.Anomalies = slices.Clone(d.Anomalies)
+		c.Decomp = &d
+	}
+	return &c
+}
+
 // TestStreamPublishedTracesImmutable: a trace handed out by trace or by the
-// completion hook is a snapshot. Feeding more events of its app — in
-// order, out of order and at equal timestamps — publishes new traces and
-// leaves the captured ones unchanged.
+// completion hook is a snapshot. The corpus arrives file by file, out of
+// time order, so the first snapshot sorts the events in place. More
+// events of its app then arrive — in order, at equal timestamps, out of
+// order, and a container's two first lines, the second of which
+// reclassifies it — and the trace is read after each. Every snapshot
+// must deep-equal the copy taken when it was read: later appends land
+// past a snapshot's events in the array it shares, and a sort of that
+// array must write a fresh one.
 func TestStreamPublishedTracesImmutable(t *testing.T) {
 	s := NewStream()
+	want := make(map[*AppTrace]*AppTrace)
 	var hooked *AppTrace
-	s.OnComplete(func(a *AppTrace) { hooked = a })
-	streamFeedInto(t, s, buildSparkCorpus())
+	s.OnComplete(func(a *AppTrace) { hooked, want[a] = a, cloneTrace(a) })
+	cs := buildSparkCorpus()
+	for _, f := range sortedKeys(cs) {
+		for _, l := range cs[f] {
+			s.Feed(f, l)
+		}
+	}
 	if hooked == nil {
 		t.Fatal("completion hook did not fire")
 	}
@@ -213,15 +246,14 @@ func TestStreamPublishedTracesImmutable(t *testing.T) {
 	if len(captured.Events) != cap(captured.Events) {
 		t.Fatalf("published Events has spare capacity: len %d cap %d", len(captured.Events), cap(captured.Events))
 	}
-	want := map[*AppTrace]string{
-		hooked:   mustSnapshot(t, hooked),
-		captured: mustSnapshot(t, captured),
-	}
+	want[captured] = cloneTrace(captured)
 
 	rm := "hadoop/yarn-resourcemanager.log"
 	nm := "hadoop/yarn-nodemanager-node01.log"
 	e1 := "container_1499000000000_0001_01_000002"
 	e3 := "container_1499000000000_0001_01_000004"
+	e5 := "container_1499000000000_0001_01_000006"
+	e5Log := "userlogs/application_1499000000000_0001/" + e5 + "/stderr"
 	for _, f := range [][2]string{
 		// In order: a new container, then a touched one at an equal stamp.
 		{rm, line(31000, "x.RMContainerImpl", e3+" Container Transitioned from NEW to ALLOCATED")},
@@ -231,20 +263,34 @@ func TestStreamPublishedTracesImmutable(t *testing.T) {
 		{rm, line(50, "x.RMAppImpl", "application_1499000000000_0001 State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED")},
 		{nm, line(5900, "y.ContainerImpl", "Container "+e3+" transitioned from LOCALIZING to SCHEDULED")},
 		{rm, line(200, "x.RMContainerImpl", e1+" Container Transitioned from NEW to ALLOCATED")},
+		// A container whose first line names no instance, out of order,
+		// and whose second makes it a Spark driver: the kept FIRST_LOG is
+		// rewritten.
+		{e5Log, line(20000, "org.apache.spark.SparkContext", "Running Spark version 2.2.0")},
+		{e5Log, line(31500, "org.apache.spark.deploy.yarn.ApplicationMaster", "Registered with ResourceManager as x")},
+		{rm, line(150, "x.RMContainerImpl", e3+" Container Transitioned from ALLOCATED to ACQUIRED")},
 	} {
 		if !s.Feed(f[0], f[1]) {
 			t.Fatalf("line produced no event: %s", f[1])
 		}
-		for a, snap := range want {
-			if got := mustSnapshot(t, a); got != snap {
-				t.Fatalf("published trace changed after feeding %q:\nbefore %s\nafter  %s", f[1], snap, got)
+		for a, c := range want {
+			if !reflect.DeepEqual(a, c) {
+				t.Fatalf("published trace changed after feeding %q:\nbefore %s\nafter  %s", f[1], mustSnapshot(t, c), mustSnapshot(t, a))
 			}
 		}
+		a := s.trace(id)
+		want[a] = cloneTrace(a)
+	}
+	if len(want) < 10 {
+		t.Fatalf("%d distinct snapshots, want one per line and two before", len(want))
 	}
 
 	now := s.trace(id)
 	if now == captured || now.Submitted != base+50 || now.Container(mustContainerID(t, e3)) == nil {
 		t.Fatalf("stream did not publish the new events: submitted=%d containers=%d", now.Submitted, len(now.Containers))
+	}
+	if c := now.Container(mustContainerID(t, e5)); c == nil || c.Instance != InstSparkDriver {
+		t.Fatalf("container %s was not reclassified: %+v", e5, c)
 	}
 	// The incremental trace equals a batch correlation of its own events.
 	batch := Correlate(now.Events)

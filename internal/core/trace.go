@@ -85,29 +85,30 @@ type AppTrace struct {
 
 // Container returns the trace for cid, or nil.
 func (a *AppTrace) Container(cid ids.ContainerID) *ContainerTrace {
-	if i, ok := a.containerIndex(cid); ok {
+	if i, ok := containerIndex(a.Containers, cid); ok {
 		return a.Containers[i]
 	}
 	return nil
 }
 
-// containerIndex binary-searches the Num-ordered Containers for cid. When
-// cid is absent it returns the index a new container must be inserted at
-// to keep the order: after every container with the same or a lower
-// number, which is where a stable sort by number puts the latest-seen one.
-func (a *AppTrace) containerIndex(cid ids.ContainerID) (int, bool) {
-	lo, hi := a.numRange(cid.Num)
+// containerIndex binary-searches the Num-ordered containers cs for cid.
+// When cid is absent it returns the index a new container must be
+// inserted at to keep the order: after every container with the same or
+// a lower number, which is where a stable sort by number puts the
+// latest-seen one.
+func containerIndex(cs []*ContainerTrace, cid ids.ContainerID) (int, bool) {
+	lo, hi := numRange(cs, cid.Num)
 	for i := lo; i < hi; i++ {
-		if a.Containers[i].ID == cid {
+		if cs[i].ID == cid {
 			return i, true
 		}
 	}
 	return hi, false
 }
 
-// numRange returns the index range [lo, hi) of the containers numbered num.
-func (a *AppTrace) numRange(num int) (lo, hi int) {
-	cs := a.Containers
+// numRange returns the index range [lo, hi) of the containers of cs
+// numbered num.
+func numRange(cs []*ContainerTrace, num int) (lo, hi int) {
 	lo = sort.Search(len(cs), func(i int) bool { return cs[i].ID.Num >= num })
 	for hi = lo; hi < len(cs) && cs[hi].ID.Num == num; hi++ {
 	}
@@ -232,30 +233,40 @@ func placeByTime(dst, events []Event, order []int32) {
 // (snapshot): the completion hook, Stream.trace and Stream.traces.
 // Snapshots are never mutated afterwards — callers, completion hooks and
 // concurrent ShardedStream readers hold on to them — so the builder
-// copies on write: the first change after a snapshot copies the header
-// and its Containers slice, a container is copied before its first
-// change while the snapshot still holds it, and the events are sorted
-// into a fresh array. Untouched containers stay shared. Between
-// snapshots every change is made in place.
+// copies on write, and keeps a snapshot only while it is current. The
+// first change after a snapshot, or a replay, releases it: the working
+// trace becomes a copy of the header and its Containers slice, without
+// the Events only a snapshot sets, and the builder keeps no more of the
+// released snapshot than its Containers list, to copy a container before
+// its first change while that snapshot still holds it. Untouched
+// containers stay shared. The events are sorted in place unless a
+// snapshot shares their array, and into a fresh array when one does.
+// Between snapshots every change is made in place.
 type traceBuilder struct {
 	// a is the working trace apply mutates. Right after a snapshot it is
 	// the snapshot itself, and the next change copies it first.
 	a *AppTrace
-	// pub is the last snapshot; nil on the offline path, which never
+	// pub is the current snapshot: nil once a change or a replay
+	// released it, and always nil on the offline path, which never
 	// snapshots and so mutates a freely.
 	pub *AppTrace
-	// events backs a.Events: in arrival order since the last sort, and
-	// in time order, ties in arrival order, right after one. Snapshots
-	// share it as a cap-limited prefix, so appends past their length
-	// never show through.
+	// frozen is the Containers list of the snapshot the last change
+	// released: a working container found in it is shared with that
+	// snapshot.
+	frozen []*ContainerTrace
+	// events backs the snapshots' Events: in arrival order since the
+	// last sort, and in time order, ties in arrival order, right after
+	// one. Snapshots share it as a cap-limited prefix, so appends past
+	// their length never show through.
 	events []Event
 	// latest is the latest timestamp among events, and unsorted is set
 	// once an event earlier than it was appended: the next snapshot or
 	// replay sorts the events first.
 	latest   int64
 	unsorted bool
-	// shared is set while a snapshot holds the events array: reclassify,
-	// which rewrites an event inside it, copies it first.
+	// shared is set while a snapshot may hold the events array, released
+	// or not: sortEvents then writes a fresh array, and reclassify, which
+	// rewrites an event inside it, copies it first.
 	shared bool
 	// stale is set when an out-of-order event did not commute, or a
 	// FIRST_LOG was reclassified: a no longer reflects events and refresh
@@ -323,7 +334,7 @@ func (b *traceBuilder) commutes(e Event) bool {
 		}
 		return (a.Name == "") == (sub.Name != "")
 	}
-	lo, hi := a.numRange(e.Container.Num)
+	lo, hi := numRange(a.Containers, e.Container.Num)
 	switch {
 	case hi == lo:
 		return true // a new container with a number of its own
@@ -349,7 +360,7 @@ func (b *traceBuilder) commutes(e Event) bool {
 func (b *traceBuilder) refresh() bool {
 	if b.stale {
 		b.sortEvents()
-		b.a, b.stale = &AppTrace{ID: b.a.ID}, false
+		b.a, b.pub, b.frozen, b.stale = &AppTrace{ID: b.a.ID}, nil, nil, false
 		for _, e := range b.events {
 			b.apply(e)
 		}
@@ -367,16 +378,22 @@ func (b *traceBuilder) snapshot() *AppTrace {
 		Decompose(b.a)
 		n := len(b.events)
 		b.a.Events = b.events[:n:n]
-		b.pub, b.shared = b.a, true
+		b.pub, b.frozen, b.shared = b.a, nil, true
 	}
 	return b.pub
 }
 
 // sortEvents puts the events in time order, ties in arrival order, as
-// Correlate orders an app's events: it sorts them as indices and copies
-// each once into a fresh array, which no snapshot holds.
+// Correlate orders an app's events. It stable-sorts them in place when no
+// snapshot shares the array. When one does, it sorts them as indices and
+// copies each once into a fresh array, which no snapshot holds.
 func (b *traceBuilder) sortEvents() {
 	if !b.unsorted {
+		return
+	}
+	if !b.shared {
+		slices.SortStableFunc(b.events, func(x, y Event) int { return cmp.Compare(x.TimeMS, y.TimeMS) })
+		b.unsorted = false
 		return
 	}
 	order := make([]int32, len(b.events))
@@ -423,8 +440,9 @@ func setEarliest(dst *int64, v int64) {
 func (b *traceBuilder) apply(e Event) {
 	if b.a == b.pub {
 		h := *b.pub
+		h.Events = nil
 		h.Containers = append(make([]*ContainerTrace, 0, len(h.Containers)+1), h.Containers...)
-		b.a = &h
+		b.a, b.pub, b.frozen = &h, nil, b.pub.Containers
 	}
 	a := b.a
 	if e.AppLevel() {
@@ -487,14 +505,14 @@ func (b *traceBuilder) apply(e Event) {
 }
 
 // container returns the working trace's container cid, ready to mutate:
-// created in number order on first sight, copied if the last snapshot
-// still holds it.
+// created in number order on first sight, copied if the released
+// snapshot still holds it.
 func (b *traceBuilder) container(cid ids.ContainerID) *ContainerTrace {
 	a := b.a
-	i, ok := a.containerIndex(cid)
+	i, ok := containerIndex(a.Containers, cid)
 	if ok {
 		c := a.Containers[i]
-		if b.pub == nil || b.pub.Container(cid) != c {
+		if j, held := containerIndex(b.frozen, cid); !held || b.frozen[j] != c {
 			return c
 		}
 		cc := *c

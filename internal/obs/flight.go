@@ -12,18 +12,16 @@ import (
 // Everything an operator needs to reconstruct "what was the pipeline
 // doing just before the anomaly" is one of these.
 const (
-	KindStage        = "stage"            // one stage batch completed
-	KindForward      = "forward"          // events forwarded across shards
-	KindHook         = "hook_fired"       // completion hook delivered one app
-	KindEvict        = "evict"            // one application evicted
-	KindWarnBurst    = "warn_burst"       // burst of unmatched/dropped lines
-	KindQuiesceBegin = "quiesce_begin"    // Quiesce entered (N = pending units)
-	KindQuiesceEnd   = "quiesce_end"      // Quiesce returned
-	KindStall        = "watchdog_stall"   // watchdog flipped to stalled
-	KindRecover      = "watchdog_recover" // watchdog recovered
-	KindSnapshot     = "flight_snapshot"  // automatic dump taken on anomaly
-	KindSLOFire      = "slo_fire"         // SLO rule transitioned to firing
-	KindSLOResolve   = "slo_resolve"      // SLO rule resolved back to ok
+	KindStage      = "stage"            // one stage batch completed
+	KindForward    = "forward"          // events forwarded across shards
+	KindHook       = "hook_fired"       // completion hook delivered one app
+	KindEvict      = "evict"            // one application evicted
+	KindWarnBurst  = "warn_burst"       // burst of unmatched/dropped lines
+	KindStall      = "watchdog_stall"   // watchdog flipped to stalled
+	KindRecover    = "watchdog_recover" // watchdog recovered
+	KindSnapshot   = "flight_snapshot"  // automatic dump taken on anomaly
+	KindSLOFire    = "slo_fire"         // SLO rule transitioned to firing
+	KindSLOResolve = "slo_resolve"      // SLO rule resolved back to ok
 )
 
 // Event is one flight-recorder entry. Shard is the worker index or -1

@@ -221,16 +221,6 @@ func (p *Pipeline) RecordSLOTransition(rule string, firing bool, apps int) {
 	p.record(Event{Kind: kind, Shard: -1, N: int64(apps), Detail: rule})
 }
 
-// RecordQuiesce notes a Quiesce boundary; begin events carry the
-// pending work count at entry.
-func (p *Pipeline) RecordQuiesce(begin bool, pending int) {
-	kind := KindQuiesceEnd
-	if begin {
-		kind = KindQuiesceBegin
-	}
-	p.record(Event{Kind: kind, Shard: -1, N: int64(pending)})
-}
-
 // record stamps e with the clock and appends it to the flight recorder.
 func (p *Pipeline) record(e Event) {
 	if p == nil {

@@ -39,7 +39,6 @@ func TestNilPipelineIsInert(t *testing.T) {
 	p.RecordHook("app")
 	p.RecordEvict("app")
 	p.RecordWarnBurst(9)
-	p.RecordQuiesce(true, 1)
 	if p.DrainSelf() != nil || p.Spans() != nil || p.Flight() != nil {
 		t.Fatal("nil pipeline leaked state")
 	}
@@ -168,8 +167,6 @@ func TestFlightDumpDeterministic(t *testing.T) {
 		p.StageBatch(StageParse, 0, t0, 42)
 		p.RecordForward(0, 3, 5)
 		p.RecordHook("application_1499000000000_0001")
-		p.RecordQuiesce(true, 2)
-		p.RecordQuiesce(false, 0)
 		return p.Flight().Dump().JSON()
 	}
 	a, b := record(), record()
