@@ -623,19 +623,30 @@ type worstSpot struct {
 
 // handleAggregate serves the cumulative cluster breakdown. An optional
 // ?component=alloc query narrows both tables to one component.
+//
+// Under obsMu it only copies the breakdown's sketches, the part the
+// tables read (Clone is an exact copy); the rows and worst spots are
+// built from the copy after the lock is released, so the completion
+// hook, which waits on obsMu, is held up for the copy and not for every
+// quantile.
 func (s *liveServer) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	comp := r.URL.Query().Get("component")
 	s.obsMu.Lock()
-	cb := s.eng.Breakdown()
+	live := s.eng.Breakdown().Sketches
+	cb := &core.ClusterBreakdown{Sketches: make(map[core.BreakdownKey]*digest.Sketch, len(live))}
+	for k, sk := range live {
+		cb.Sketches[k] = sk.Clone()
+	}
 	doc := aggregateDoc{
 		Alpha:       digest.DefaultAlpha,
 		Apps:        s.eng.AppsIngested(),
 		OverflowObs: s.eng.OverflowObservations(),
-		Components:  cb.ComponentRows(),
-		Rows:        cb.Rows(),
-		WorstNodes:  make(map[string]worstSpot),
-		WorstQueues: make(map[string]worstSpot),
 	}
+	s.obsMu.Unlock()
+	doc.Components = cb.ComponentRows()
+	doc.Rows = cb.Rows()
+	doc.WorstNodes = make(map[string]worstSpot)
+	doc.WorstQueues = make(map[string]worstSpot)
 	for _, c := range core.Components {
 		if comp != "" && c != comp {
 			continue
@@ -647,7 +658,6 @@ func (s *liveServer) handleAggregate(w http.ResponseWriter, r *http.Request) {
 			doc.WorstQueues[c] = worstSpot{Name: q, P99MS: p99}
 		}
 	}
-	s.obsMu.Unlock()
 	if comp != "" {
 		doc.Components = filterRows(doc.Components, comp)
 		doc.Rows = filterRows(doc.Rows, comp)

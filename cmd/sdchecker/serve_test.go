@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -588,4 +590,35 @@ func TestServeMetricsSlowClientDoesNotStallPoll(t *testing.T) {
 	}
 	close(c.release)
 	<-served
+}
+
+// TestServeAggregateBodyFixed pins the /aggregate body on a fixed feed:
+// the handler builds its rows and worst spots from a snapshot of the
+// breakdown taken under obsMu, and the body must stay byte for byte what
+// building them under the lock wrote.
+func TestServeAggregateBodyFixed(t *testing.T) {
+	tr := experiments.DefaultTraceRun(24)
+	tr.Seed = 97
+	s, _ := tr.Run()
+	dir := t.TempDir()
+	if err := s.Sink.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv := newLiveServer(dir, testServeOptions(2, nil))
+	defer srv.close()
+	if err := srv.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	for _, c := range []struct{ path, want string }{
+		{"/aggregate", "8075257d0169e39f0d4befac44e938a6081448e67de82a0afd77879af91be39d"},
+		{"/aggregate?component=alloc", "362e65ec82e0132c6d5808e58215f02efd73c26e08d7fe3f6b438a32f19cc71e"},
+	} {
+		code, body := get(t, ts.URL+c.path)
+		sum := sha256.Sum256([]byte(body))
+		if got := hex.EncodeToString(sum[:]); code != http.StatusOK || got != c.want {
+			t.Errorf("%s: status %d, body sha256 %s, want %s (%d bytes)", c.path, code, got, c.want, len(body))
+		}
+	}
 }

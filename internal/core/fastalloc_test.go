@@ -358,12 +358,14 @@ func TestShardedBackfillRetainedAlloc(t *testing.T) {
 		bytesPer, events = min(bytesPer, b), n
 	}
 	t.Logf("%d events: %.0f B/event retained (least of %d trials)", events, bytesPer, trials)
-	// Measured 239-257 B. Keeping each app's last snapshot, and the
-	// working trace's copy of its Events, until the next snapshot, which
-	// held the superseded sorted array next to the one appends
-	// reallocated, measured 347-378 B (one worker at GOMAXPROCS 1: 306
-	// B, and 400-427 B kept that way).
-	const budget = 310
+	// Measured 175 B. Each shard keeping its parse buffer at the size of
+	// its largest batch (here nearly the whole input: one Event and one
+	// int per event) measured 239-257 B. Keeping each app's last
+	// snapshot, and the working trace's copy of its Events, until the
+	// next snapshot, which held the superseded sorted array next to the
+	// one appends reallocated, measured 347-378 B on top of that (one
+	// worker at GOMAXPROCS 1: 306 B, and 400-427 B kept that way).
+	const budget = 190
 	if bytesPer > budget {
 		t.Errorf("caught-up stream retains %.0f B/event, budget %d", bytesPer, budget)
 	}

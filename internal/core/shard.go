@@ -87,7 +87,9 @@ type streamShard struct {
 	scratch Parser
 	// batchEvs and batchEnds are run's reusable parse buffer: the events
 	// of a whole line batch back to back, and where each line's events
-	// end (worker goroutine only).
+	// end (worker goroutine only). A buffer that grew past batchKeep
+	// entries is released after its batch, so a backlog does not pin
+	// its size for the life of the shard.
 	batchEvs  []Event
 	batchEnds []int
 
@@ -411,8 +413,7 @@ func (sh *streamShard) run() {
 			start = end
 		}
 		sh.ss.done(len(lines))
-		clear(evs) // drop the batch's strings until the buffer is refilled
-		sh.batchEvs, sh.batchEnds = evs[:0], ends[:0]
+		sh.batchEvs, sh.batchEnds = keepBatch(evs), keepBatch(ends)
 		// Parsing and absorbing (correlate, the Complete predicate and
 		// the hook's decompositions) share the middle clock read;
 		// splitting the phases costs no extra reads.
@@ -421,6 +422,21 @@ func (sh *streamShard) run() {
 		sh.processed.Add(int64(len(lines)))
 		sh.batches.Inc()
 	}
+}
+
+// batchKeep is the most entries a shard's parse buffers keep between
+// batches: the steady live trickle fits, a backfill's batches do not.
+const batchKeep = 1024
+
+// keepBatch returns buf emptied for the next batch, or nil when it grew
+// past batchKeep. A kept buffer is cleared so it holds no strings of the
+// batch until it is refilled.
+func keepBatch[T any](buf []T) []T {
+	if cap(buf) > batchKeep {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
 }
 
 // onComplete is installed on every shard's Stream: it relays to the user

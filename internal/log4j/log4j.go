@@ -43,9 +43,51 @@ type Clock struct {
 
 // Stamp renders the log4j timestamp for a virtual instant.
 func (c Clock) Stamp(t sim.Time) string {
-	ms := c.EpochMS + int64(t)
-	wall := time.UnixMilli(ms).UTC()
-	return fmt.Sprintf("%s,%03d", wall.Format("2006-01-02 15:04:05"), ms%1000)
+	var (
+		sc  stampCache
+		buf [32]byte
+	)
+	return string(sc.append(buf[:0], c.EpochMS+int64(t)))
+}
+
+// stampLayout is the seconds part of a log4j timestamp; a comma and the
+// three millisecond digits follow it.
+const stampLayout = "2006-01-02 15:04:05"
+
+// stampCache holds the rendered stampLayout prefix of the second it
+// stamped last. A sink's lines are logged in time order, so consecutive
+// stamps nearly always share their second and skip time.Format. The
+// zero value is empty.
+type stampCache struct {
+	sec    int64
+	prefix []byte // nil until the first stamp
+}
+
+// append appends the log4j timestamp of epoch millisecond ms to b.
+func (c *stampCache) append(b []byte, ms int64) []byte {
+	if ms < 0 {
+		// Before the epoch the second is the floor and the millis keep
+		// their sign; nothing stamps there but tests.
+		return fmt.Appendf(b, "%s,%03d", time.UnixMilli(ms).UTC().Format(stampLayout), ms%1000)
+	}
+	if sec := ms / 1000; c.prefix == nil || c.sec != sec {
+		c.sec = sec
+		c.prefix = time.Unix(sec, 0).UTC().AppendFormat(c.prefix[:0], stampLayout)
+	}
+	m := ms % 1000
+	b = append(b, c.prefix...)
+	return append(b, ',', byte('0'+m/100), byte('0'+m/10%10), byte('0'+m%10))
+}
+
+// appendLine appends the log4j layout of a line up to its message: stamp,
+// level and class, single-space separated, then ": ".
+func (c *stampCache) appendLine(b []byte, ms int64, level Level, class string) []byte {
+	b = c.append(b, ms)
+	b = append(b, ' ')
+	b = append(b, level...)
+	b = append(b, ' ')
+	b = append(b, class...)
+	return append(b, ':', ' ')
 }
 
 // ParseStamp inverts Stamp, returning epoch milliseconds.
@@ -80,9 +122,9 @@ type Line struct {
 
 // Format renders the line in log4j layout.
 func (l Line) Format() string {
-	wall := time.UnixMilli(l.TimeMS).UTC()
-	return fmt.Sprintf("%s,%03d %s %s: %s",
-		wall.Format("2006-01-02 15:04:05"), l.TimeMS%1000, l.Level, l.Class, l.Message)
+	var sc stampCache
+	b := sc.appendLine(make([]byte, 0, 32+len(l.Level)+len(l.Class)+len(l.Message)), l.TimeMS, l.Level, l.Class)
+	return string(append(b, l.Message...))
 }
 
 // ParseLine parses a log4j-layout line. Lines that do not match (stack
@@ -125,6 +167,10 @@ type Sink struct {
 	files map[string][]string
 	order []string
 	deg   *degrader
+	// Loggers build each line in line, stamped through stamp, and copy
+	// it out once.
+	line  []byte
+	stamp stampCache
 }
 
 // NewSink creates a sink stamping lines with eng's clock mapped through
@@ -166,10 +212,11 @@ func (s *Sink) Append(file, line string) {
 }
 
 func (s *Sink) append(file, line string) {
-	if _, ok := s.files[file]; !ok {
+	lines, ok := s.files[file]
+	if !ok {
 		s.order = append(s.order, file)
 	}
-	s.files[file] = append(s.files[file], line)
+	s.files[file] = append(lines, line)
 }
 
 // Files returns the logical file paths in first-write order.
@@ -251,9 +298,10 @@ func (l *Logger) Errorf(format string, args ...any) {
 }
 
 func (l *Logger) logf(level Level, format string, args ...any) {
-	stamp := l.sink.clock.Stamp(l.sink.eng.Now())
-	msg := fmt.Sprintf(format, args...)
-	l.sink.Append(l.file, fmt.Sprintf("%s %s %s: %s", stamp, level, l.class, msg))
+	s := l.sink
+	b := s.stamp.appendLine(s.line[:0], s.clock.EpochMS+int64(s.eng.Now()), level, l.class)
+	s.line = fmt.Appendf(b, format, args...)
+	s.Append(l.file, string(s.line))
 }
 
 // Class returns the emitting class name.

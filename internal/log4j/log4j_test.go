@@ -2,11 +2,14 @@ package log4j
 
 import (
 	"bufio"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -19,6 +22,30 @@ func TestStampFormat(t *testing.T) {
 	}
 	if got := c.Stamp(1234); got != "2017-07-02 12:53:21,234" {
 		t.Fatalf("stamp(+1234)=%q", got)
+	}
+}
+
+// TestStampCacheMatchesTimeFormat checks one reused stamp cache, as a
+// sink holds it, against time.Format over runs of stamps that stay in a
+// second, step to the next, jump back and forth, and cross the epoch and
+// year 10000.
+func TestStampCacheMatchesTimeFormat(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	var sc stampCache
+	ms := int64(1499000000000)
+	for i := 0; i < 20000; i++ {
+		switch rnd.Intn(8) {
+		case 0:
+			ms = rnd.Int63n(400_000_000_000_000) - 1_000_000 // around the epoch to beyond year 10000
+		case 1:
+			ms -= rnd.Int63n(5000)
+		default:
+			ms += rnd.Int63n(700)
+		}
+		want := fmt.Sprintf("%s,%03d", time.UnixMilli(ms).UTC().Format("2006-01-02 15:04:05"), ms%1000)
+		if got := string(sc.append(nil, ms)); got != want {
+			t.Fatalf("stamp of %d is %q, want %q", ms, got, want)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ package share
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -43,9 +43,12 @@ type Resource struct {
 	eng      *sim.Engine
 	name     string
 	capacity float64 // units per second
-	jobs     map[*Job]struct{}
+	jobs     []*Job  // active jobs in admission order
 	settled  sim.Time
-	next     *sim.Event
+	// timer fires at the next completion. It is created on first use and
+	// then moved with Engine.Reschedule; it is pending exactly when some
+	// active job can still finish.
+	timer *sim.Event
 
 	// Degrade, when set, scales effective capacity by the number of
 	// active jobs. Rotational disks lose aggregate bandwidth as
@@ -55,8 +58,6 @@ type Resource struct {
 	// busyUnitMs accumulates utilized capacity integrated over time
 	// (unit-milliseconds), for utilization accounting.
 	busyUnitMs float64
-
-	seq uint64 // monotonically increasing job admission counter
 }
 
 // Job is one consumer of a Resource. Create with (*Resource).Start.
@@ -67,7 +68,6 @@ type Job struct {
 	rate      float64 // current allocation, units/s
 	done      func(at sim.Time)
 	started   sim.Time
-	seq       uint64 // admission order, the deterministic tie-breaker
 }
 
 // NewResource creates a resource with the given capacity in units/second.
@@ -79,7 +79,6 @@ func NewResource(eng *sim.Engine, name string, capacity float64) *Resource {
 		eng:      eng,
 		name:     name,
 		capacity: capacity,
-		jobs:     make(map[*Job]struct{}),
 		settled:  eng.Now(),
 	}
 }
@@ -97,7 +96,7 @@ func (r *Resource) Active() int { return len(r.jobs) }
 // A value above Capacity means the resource is saturated.
 func (r *Resource) DemandSum() float64 {
 	var sum float64
-	for j := range r.jobs {
+	for _, j := range r.jobs {
 		sum += j.demand
 	}
 	return sum
@@ -122,9 +121,8 @@ func (r *Resource) Start(work, demand float64, done func(at sim.Time)) *Job {
 		panic(fmt.Sprintf("share: invalid job on %q: work=%v demand=%v", r.name, work, demand))
 	}
 	r.settle()
-	j := &Job{res: r, demand: demand, remaining: work, done: done, started: r.eng.Now(), seq: r.seq}
-	r.seq++
-	r.jobs[j] = struct{}{}
+	j := &Job{res: r, demand: demand, remaining: work, done: done, started: r.eng.Now()}
+	r.jobs = append(r.jobs, j)
 	r.reschedule()
 	return j
 }
@@ -132,14 +130,12 @@ func (r *Resource) Start(work, demand float64, done func(at sim.Time)) *Job {
 // Cancel removes a job before completion; its done callback never fires.
 // Cancelling a finished or already-cancelled job is a no-op.
 func (r *Resource) Cancel(j *Job) {
-	if j == nil {
-		return
-	}
-	if _, ok := r.jobs[j]; !ok {
+	i := slices.Index(r.jobs, j)
+	if i < 0 {
 		return
 	}
 	r.settle()
-	delete(r.jobs, j)
+	r.jobs = slices.Delete(r.jobs, i, i+1)
 	r.reschedule()
 }
 
@@ -158,7 +154,8 @@ func (j *Job) Remaining() float64 {
 }
 
 // settle advances every job's remaining work from the last settle point to
-// now at the rates fixed at that point.
+// now at the rates fixed at that point. Every loop over the jobs runs in
+// admission order, so float sums come out the same in every run.
 func (r *Resource) settle() {
 	now := r.eng.Now()
 	dt := float64(now - r.settled)
@@ -167,7 +164,7 @@ func (r *Resource) settle() {
 		return
 	}
 	sec := dt / 1000.0
-	for j := range r.jobs {
+	for _, j := range r.jobs {
 		consumed := j.rate * sec
 		if consumed > j.remaining {
 			consumed = j.remaining
@@ -178,26 +175,21 @@ func (r *Resource) settle() {
 	r.settled = now
 }
 
-// reschedule recomputes fair rates and schedules the next completion.
+// reschedule recomputes fair rates and moves the timer to the next
+// completion, or cancels it when no active job can finish.
 func (r *Resource) reschedule() {
-	if r.next != nil {
-		r.eng.Cancel(r.next)
-		r.next = nil
-	}
 	if len(r.jobs) == 0 {
+		r.eng.Cancel(r.timer)
 		return
 	}
 	r.assignRates()
 
 	// Find soonest completion among jobs with positive rate.
-	var (
-		soonest     sim.Duration = -1
-		anyFinished bool
-	)
-	for j := range r.jobs {
+	var soonest sim.Duration = -1
+	for _, j := range r.jobs {
 		if j.remaining <= epsilon {
-			anyFinished = true
-			continue
+			soonest = 0
+			break
 		}
 		if j.rate <= 0 {
 			continue
@@ -213,30 +205,32 @@ func (r *Resource) reschedule() {
 			soonest = ms
 		}
 	}
-	if anyFinished {
-		soonest = 0
+	switch {
+	case soonest < 0:
+		r.eng.Cancel(r.timer)
+	case r.timer == nil:
+		r.timer = r.eng.After(soonest, r.onTimer)
+	default:
+		r.eng.Reschedule(r.timer, r.eng.Now()+sim.Time(soonest))
 	}
-	if soonest < 0 {
-		return
-	}
-	r.next = r.eng.After(soonest, r.onTimer)
 }
 
 func (r *Resource) onTimer() {
-	r.next = nil
 	r.settle()
-	var finished []*Job
-	for j := range r.jobs {
+	// Finished jobs leave in admission order, which is also the order
+	// their done callbacks run in when several finish at once.
+	var buf [4]*Job
+	finished := buf[:0]
+	kept := r.jobs[:0]
+	for _, j := range r.jobs {
 		if j.remaining <= epsilon {
 			finished = append(finished, j)
+		} else {
+			kept = append(kept, j)
 		}
 	}
-	// Deterministic completion order for simultaneous finishes:
-	// admission order, never map iteration order.
-	sort.Slice(finished, func(a, b int) bool { return finished[a].seq < finished[b].seq })
-	for _, j := range finished {
-		delete(r.jobs, j)
-	}
+	clear(r.jobs[len(kept):])
+	r.jobs = kept
 	r.reschedule()
 	now := r.eng.Now()
 	for _, j := range finished {
@@ -253,27 +247,31 @@ func (r *Resource) onTimer() {
 // slices, and disk/NIC bandwidth divides across streams. When total
 // demand fits, everyone runs at full demand.
 func (r *Resource) assignRates() {
-	pending := make([]*Job, 0, len(r.jobs))
-	var sum float64
-	for j := range r.jobs {
+	var (
+		sum     float64
+		pending int
+	)
+	for _, j := range r.jobs {
 		j.rate = 0
 		if j.remaining > epsilon {
-			pending = append(pending, j)
+			pending++
 			sum += j.demand
 		}
 	}
-	if len(pending) == 0 {
+	if pending == 0 {
 		return
 	}
 	cap := r.capacity
 	if r.Degrade != nil {
-		cap *= r.Degrade(len(pending))
+		cap *= r.Degrade(pending)
 	}
 	scale := 1.0
 	if sum > cap {
 		scale = cap / sum
 	}
-	for _, j := range pending {
-		j.rate = j.demand * scale
+	for _, j := range r.jobs {
+		if j.remaining > epsilon {
+			j.rate = j.demand * scale
+		}
 	}
 }

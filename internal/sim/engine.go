@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -37,12 +36,14 @@ const (
 const MaxTime Time = math.MaxInt64
 
 // Event is a scheduled callback. It is exposed so callers can cancel
-// pending events (e.g. heartbeat timers torn down on daemon shutdown).
+// pending events (e.g. heartbeat timers torn down on daemon shutdown) or
+// move them (Engine.Reschedule). An event keeps its callback after it
+// fires or is cancelled, so it can be rescheduled.
 type Event struct {
 	at    Time
 	seq   uint64
 	fn    func()
-	index int // heap index; -1 once fired or cancelled
+	index int // queue index; -1 once fired or cancelled
 }
 
 // Time returns the virtual time the event fires at.
@@ -56,7 +57,7 @@ func (e *Event) Cancelled() bool { return e.index < 0 }
 type Engine struct {
 	now     Time
 	seq     uint64
-	pq      eventHeap
+	pq      eventQueue
 	stopped bool
 	fired   uint64
 	met     engineMetrics
@@ -109,10 +110,33 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	}
 	ev := &Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.pq, ev)
+	e.pq.push(ev)
 	e.met.scheduled.Inc()
 	e.met.pending.Set(int64(len(e.pq)))
 	return ev
+}
+
+// Reschedule moves ev to fire at t, whether it is pending, has fired or
+// was cancelled. It means exactly Cancel(ev) followed by At(t) with ev's
+// callback: the event takes the next sequence number, so it fires after
+// every event already scheduled for t. A component that moves one timer
+// over and over (a shared resource's next completion) reuses the event
+// instead of allocating a new one each time. Rescheduling into the past
+// panics, as At does.
+func (e *Engine) Reschedule(ev *Event, t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
+	}
+	ev.at = t
+	ev.seq = e.seq
+	e.seq++
+	if ev.index >= 0 {
+		e.pq.fix(ev.index)
+	} else {
+		e.pq.push(ev)
+	}
+	e.met.scheduled.Inc()
+	e.met.pending.Set(int64(len(e.pq)))
 }
 
 // After schedules fn to run d milliseconds from now. Negative d panics.
@@ -129,9 +153,7 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.index < 0 {
 		return
 	}
-	heap.Remove(&e.pq, ev.index)
-	ev.index = -1
-	ev.fn = nil
+	e.pq.remove(ev.index)
 	e.met.pending.Set(int64(len(e.pq)))
 }
 
@@ -153,16 +175,12 @@ func (e *Engine) Step() bool {
 	if len(e.pq) == 0 {
 		return false
 	}
-	next := e.pq[0]
-	heap.Pop(&e.pq)
-	next.index = -1
+	next := e.pq.remove(0)
 	e.now = next.at
-	fn := next.fn
-	next.fn = nil
 	e.fired++
 	e.met.fired.Inc()
 	e.met.pending.Set(int64(len(e.pq)))
-	fn()
+	next.fn()
 	return true
 }
 
@@ -204,14 +222,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			e.now = deadline
 			break
 		}
-		heap.Pop(&e.pq)
-		next.index = -1
+		e.pq.remove(0)
 		e.now = next.at
-		fn := next.fn
-		next.fn = nil
 		e.fired++
 		e.met.fired.Inc()
-		fn()
+		next.fn()
 	}
 	e.met.pending.Set(int64(len(e.pq)))
 	if e.met.sliceWallMS != nil {
@@ -221,36 +236,81 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// eventHeap orders events by (time, insertion sequence) so simultaneous
-// events fire in the order they were scheduled.
-type eventHeap []*Event
+// eventQueue is a binary min-heap of pending events ordered by (time,
+// insertion sequence), so simultaneous events fire in the order they were
+// scheduled. Each event records its slot in index, which lets Cancel and
+// Reschedule reach it without a search.
+type eventQueue []*Event
 
-func (h eventHeap) Len() int { return len(h) }
+// before is the queue order. Sequence numbers are unique, so it is total:
+// every heap layout fires the same events in the same order.
+func (a *Event) before(b *Event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (q *eventQueue) push(ev *Event) {
+	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
+}
+
+// remove takes the event at slot i out of the queue and marks it fired
+// or cancelled.
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	ev := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n {
+		q.place(i, last)
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	ev.index = -1
 	return ev
+}
+
+// fix restores the order after the key of the event at slot i changed.
+func (q eventQueue) fix(i int) { q.place(i, q[i]) }
+
+// place puts ev into the hole at slot i, moving it down or up to where
+// the order holds.
+func (q eventQueue) place(i int, ev *Event) {
+	if j := q.down(i, ev); j != i {
+		q[j], ev.index = ev, j
+		return
+	}
+	q.up(i, ev)
+}
+
+// up moves ev from the hole at slot i toward the root and stores it.
+func (q eventQueue) up(i int, ev *Event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i], q[p].index = q[p], i
+		i = p
+	}
+	q[i], ev.index = ev, i
+}
+
+// down moves the hole at slot i toward the leaves while a child comes
+// before ev, and returns the slot where ev belongs without storing it.
+func (q eventQueue) down(i int, ev *Event) int {
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return i
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			return i
+		}
+		q[i], q[c].index = q[c], i
+		i = c
+	}
 }
