@@ -34,11 +34,12 @@ type Entry struct {
 //
 // Entries live in a binary min-heap under entryLess, indexed by key, so
 // an offer at capacity finds and replaces the minimum in O(log cap)
-// instead of scanning every entry.
+// instead of scanning every entry. Both grow as keys arrive: a summary
+// nothing was offered to holds neither.
 type TopK struct {
 	cap  int
 	heap []Entry
-	idx  map[string]int // key -> position in heap
+	idx  map[string]int // key -> position in heap; nil until the first key
 }
 
 // NewTopK returns an empty summary holding at most cap keys (cap <= 0
@@ -47,7 +48,7 @@ func NewTopK(cap int) *TopK {
 	if cap <= 0 {
 		cap = DefaultTopK
 	}
-	return &TopK{cap: cap, heap: make([]Entry, 0, cap), idx: make(map[string]int, cap)}
+	return &TopK{cap: cap}
 }
 
 // Cap returns the summary's key capacity.
@@ -72,6 +73,9 @@ func (t *TopK) Offer(key string, amount float64) {
 		t.heap[i].SumMS += amount
 		t.down(i)
 		return
+	}
+	if t.idx == nil {
+		t.idx = make(map[string]int)
 	}
 	if len(t.heap) < t.cap {
 		t.heap = append(t.heap, Entry{Key: key, SumMS: amount})
@@ -155,6 +159,9 @@ func (t *TopK) Merge(other *TopK) {
 	if other.cap > t.cap {
 		t.cap = other.cap
 	}
+	if t.idx == nil && len(other.heap) > 0 {
+		t.idx = make(map[string]int, len(other.heap))
+	}
 	for _, oe := range other.heap {
 		if i, ok := t.idx[oe.Key]; ok {
 			t.heap[i].SumMS += oe.SumMS
@@ -182,7 +189,11 @@ func (t *TopK) Merge(other *TopK) {
 // Clone returns an independent deep copy.
 func (t *TopK) Clone() *TopK {
 	c := NewTopK(t.cap)
-	c.heap = append(c.heap, t.heap...)
+	if len(t.heap) == 0 {
+		return c
+	}
+	c.heap = slices.Clone(t.heap)
+	c.idx = make(map[string]int, len(c.heap))
 	for i, e := range c.heap {
 		c.idx[e.Key] = i
 	}

@@ -136,6 +136,34 @@ func TestTopKCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestTopKEmptyIsLazy: a new summary allocates only its header, and
+// an empty one clones, merges and is merged into like a filled one.
+func TestTopKEmptyIsLazy(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = NewTopK(0) }); n > 1 {
+		t.Errorf("NewTopK allocates %.0f times, want 1 (the header)", n)
+	}
+	full := NewTopK(4)
+	full.Offer("x", 10)
+	full.Offer("y", 5)
+	want := full.Entries()
+
+	into := NewTopK(2)
+	into.Merge(full)
+	if got := into.Entries(); !reflect.DeepEqual(got, want) || into.Cap() != 4 {
+		t.Errorf("empty.Merge(full) = %+v cap %d, want %+v cap 4", got, into.Cap(), want)
+	}
+	full.Merge(NewTopK(8))
+	if got := full.Entries(); !reflect.DeepEqual(got, want) || full.Cap() != 8 {
+		t.Errorf("full.Merge(empty) = %+v cap %d, want %+v cap 8", got, full.Cap(), want)
+	}
+	c := NewTopK(4).Clone()
+	c.Offer("z", 1)
+	c.Merge(c.Clone())
+	if got := c.Entries(); !reflect.DeepEqual(got, []Entry{{Key: "z", SumMS: 2}}) {
+		t.Errorf("offers to a clone of an empty summary = %+v", got)
+	}
+}
+
 // TestTopKTop truncates without mutating.
 func TestTopKTop(t *testing.T) {
 	k := NewTopK(8)

@@ -137,7 +137,7 @@ func TestFastPathAllocBudgetMatching(t *testing.T) {
 // file of a log tree, where fixed per-file costs outweigh the per-line
 // ones, and a daemon log of chatter, lines the vocabulary never
 // matches. A file is
-// read through the parser's BlockReader, whose 1 MiB buffer is reused,
+// read through the parser's BlockReader, whose buffer is reused,
 // and mined in place, each block a view of that buffer; only what the
 // mined events keep is cloned out of it. The parser is reused across
 // files, as ParseDir reuses it and every MineDir worker reuses its
@@ -368,6 +368,60 @@ func TestShardedBackfillRetainedAlloc(t *testing.T) {
 	const budget = 190
 	if bytesPer > budget {
 		t.Errorf("caught-up stream retains %.0f B/event, budget %d", bytesPer, budget)
+	}
+}
+
+// TestMineDirRetainedAlloc bounds the heap the offline miner's report
+// keeps per event: 600 synthesized Spark apps written as a log tree and
+// mined on two workers. The report holds one copy of the events, the
+// array whose slices are the traces' Events; the per-file parses and
+// the workers' read buffers are garbage once MineDir returns. The heap
+// is read after a collection, with the report still live, and the least
+// of three trials is judged, as the runtime's own allocations only add
+// to it.
+func TestMineDirRetainedAlloc(t *testing.T) {
+	const apps, trials = 600, 3
+	dir := t.TempDir()
+	cs := buildMultiAppCorpus(apps)
+	for f, lines := range cs {
+		path := filepath.Join(dir, filepath.FromSlash(f))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trial := func() (bytesPer float64, events int) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		r, err := MineDir(dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if len(r.Apps) != apps {
+			t.Fatalf("mined %d apps, want %d", len(r.Apps), apps)
+		}
+		events = len(r.Events)
+		runtime.KeepAlive(r)
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(events), events
+	}
+	bytesPer, events := math.Inf(1), 0
+	for range trials {
+		b, n := trial()
+		bytesPer, events = min(bytesPer, b), n
+	}
+	t.Logf("%d events: %.0f B/event retained (least of %d trials)", events, bytesPer, trials)
+	// Measured 143-144 B at GOMAXPROCS 1-4: the 72-byte event, its app's
+	// share of the traces, containers and decompositions. Keeping the
+	// merged event list as Report.Events next to the traces' grouped
+	// copy measured 216 B.
+	const budget = 160
+	if bytesPer > budget {
+		t.Errorf("mined report retains %.0f B/event, budget %d", bytesPer, budget)
 	}
 }
 

@@ -304,6 +304,27 @@ func TestFastVsRegexCorpus(t *testing.T) {
 	}
 }
 
+// TestAppInLineAnchor runs the router's app-in-line match against the
+// regex on lines where the word before an underscore decides the
+// leftmost match: alternatives glued together, an alternative whose
+// underscore is not followed by digits before a later one that is,
+// repeated and trailing underscores, and an ID at the line's very
+// start and end.
+func TestAppInLineAnchor(t *testing.T) {
+	diffRouting(t, strings.Join([]string{
+		"application_1_2",
+		"containerapplication_1499_7 x",
+		"applicationcontainer_1499_7 x",
+		"application_x container_1499_3_01_000002",
+		"container__application_1499_8",
+		"application__container_1499_9_01_000001 ",
+		"app_lication_1_2 container_ container_4_",
+		"_ __ ___ application_",
+		"see container_99999999999999999999_1_01_000001 then application_1499_5",
+		"ends with container_1499_6",
+	}, "\n"))
+}
+
 // TestFastVsRegexLongLines runs lines at the 4 MiB line cap through the
 // differential harness on a daemon and a container path: one byte under
 // the cap, at it, at it only with its '\r', and an unterminated last
@@ -366,7 +387,7 @@ func TestFastVsRegexLongLines(t *testing.T) {
 
 // TestFastVsRegexMultiChunk runs a file of several read chunks through
 // the differential harness on a daemon and a container path: ordinary
-// RM lines, a CRLF pair whose '\r' ends the first 1 MiB chunk and whose
+// RM lines, a CRLF pair whose '\r' ends the first read chunk and whose
 // '\n' starts the second, a line of exactly MaxLineBytes, more RM lines
 // past 6 MiB, and an unterminated last line. Every reader shape,
 // failing ones included, must match the reference, and the parse must

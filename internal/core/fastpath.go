@@ -325,6 +325,11 @@ func (r *fastRule) anchor(s string, from int) int {
 		}
 		return from + j
 	case segAltLit:
+		if len(r.segs) > 1 && r.segs[1].kind == segLit {
+			if c := r.segs[1].lit[0]; strings.IndexByte(first.lit, c) < 0 && strings.IndexByte(first.lit2, c) < 0 {
+				return altBefore(s, from, first.lit, first.lit2, c)
+			}
+		}
 		j := strings.Index(s[from:], first.lit)
 		j2 := strings.Index(s[from:], first.lit2)
 		if j < 0 || (j2 >= 0 && j2 < j) {
@@ -336,6 +341,32 @@ func (r *fastRule) anchor(s string, from int) int {
 		return from + j
 	}
 	panic("core: fast rule " + r.name + " starts with an unanchorable segment")
+}
+
+// altBefore returns the leftmost start >= from of lit or lit2 followed
+// by the byte c, or -1: it scans s for c once, and checks the word
+// before each c, rather than scanning s once per literal. Neither
+// literal may contain c. Then a literal that ends at a later c starts
+// after one that ends at an earlier c, so the first c that either
+// literal precedes gives the leftmost start.
+func altBefore(s string, from int, lit, lit2 string, c byte) int {
+	for p := from; ; p++ {
+		j := strings.IndexByte(s[p:], c)
+		if j < 0 {
+			return -1
+		}
+		p += j
+		start := -1
+		if b := p - len(lit); b >= from && s[b:p] == lit {
+			start = b
+		}
+		if b := p - len(lit2); b >= from && s[b:p] == lit2 && (start < 0 || b < start) {
+			start = b
+		}
+		if start >= 0 {
+			return start
+		}
+	}
 }
 
 // match runs the rule over s with regexp search semantics and fills m's
@@ -770,7 +801,7 @@ func (it *segmentIter) next() (string, bool) {
 }
 
 // readChunk is how much a BlockReader reads at a time.
-const readChunk = 1 << 20
+const readChunk = 128 << 10
 
 // BlockReader is the one log-file reader, offline and live. It reads
 // through one reused buffer of readChunk bytes and hands out each run

@@ -43,7 +43,9 @@ func MineDir(dir string, workers int) (*Report, error) {
 		}
 		p := &Parser{rd: &m.rd}
 		m.files = append(m.files, minedFile{f.Name, p})
-		return p.parseFile(f)
+		err := p.parseFile(f)
+		p.rd = nil // the worker's buffer is garbage once the walk ends
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -80,8 +82,9 @@ func MineSink(s *log4j.Sink, workers int) (*Report, error) {
 	parsers := make([]*Parser, len(files))
 	errs := make([]error, len(files))
 	fanOut(len(files), workers, func(w, i int) {
-		parsers[i] = &Parser{rd: &rds[w]}
-		errs[i] = parsers[i].ParseReader(files[i], s.Reader(files[i]))
+		p := &Parser{rd: &rds[w]}
+		errs[i] = p.ParseReader(files[i], s.Reader(files[i]))
+		p.rd, parsers[i] = nil, p
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -89,26 +92,24 @@ func MineSink(s *log4j.Sink, workers int) (*Report, error) {
 	return mineReport(parsers, workers), nil
 }
 
-// mineReport merges the per-file parsers in file order (events,
-// line/file counts, and warnings — the latter replayed occurrence by
-// occurrence so dedup counts match a serial parse), then correlates,
-// decomposes on up to workers goroutines, and builds the report.
+// mineReport correlates the per-file parsers' events in file order
+// without merging them first, taking them from the parsers so that
+// they are garbage once correlateParts has copied them; merges the
+// parsers' line/file counts and warnings (the latter replayed
+// occurrence by occurrence so dedup counts match a serial parse);
+// decomposes on up to workers goroutines; and builds the report.
 func mineReport(parsers []*Parser, workers int) *Report {
-	total := 0
-	for _, p := range parsers {
-		total += len(p.events)
-	}
-	merged := &Parser{events: make([]Event, 0, total)}
-	for _, p := range parsers {
-		merged.events = append(merged.events, p.events...)
+	var merged Parser
+	parts := make([][]Event, len(parsers))
+	for i, p := range parsers {
+		parts[i], p.events = p.events, nil
 		merged.files += p.files
 		merged.lines += p.lines
 		merged.warns.absorb(&p.warns)
 	}
-
-	apps := Correlate(merged.Events())
+	apps, events := correlateParts(parts)
 	decomposeAll(apps, workers)
-	r := buildReport(apps, merged.Events())
+	r := buildReport(apps, events)
 	r.Warnings = merged.Warnings()
 	r.FilesParsed, r.LinesParsed = merged.Stats()
 	return r

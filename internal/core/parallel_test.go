@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,6 +111,32 @@ func TestMineSinkMatchesChecker(t *testing.T) {
 		}
 		if rep.Format() != ref.Format() {
 			t.Errorf("workers=%d: text report diverges from serial checker", w)
+		}
+	}
+}
+
+// TestMineDirEventsMatchStream pins the order of Report.Events, offline
+// and live alike: the traces' events in submission order, each app's in
+// time order. MineDir's list must equal, element for element, the
+// Report of a ShardedStream fed the same golden tree in walk order.
+func TestMineDirEventsMatchStream(t *testing.T) {
+	for _, tree := range []string{"pristine", "faulted"} {
+		dir := filepath.Join("testdata", "golden", tree, "input")
+		for _, w := range []int{1, 3} {
+			rep, err := MineDir(dir, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss := NewShardedStream(2)
+			for _, f := range goldenTreeFiles(t, dir) {
+				ss.FeedBlock(f.source, f.raw)
+			}
+			ss.Quiesce()
+			live := ss.Report().Events
+			ss.Close()
+			if len(rep.Events) == 0 || !reflect.DeepEqual(rep.Events, live) {
+				t.Errorf("%s, %d workers: MineDir's %d events differ from the stream's %d", tree, w, len(rep.Events), len(live))
+			}
 		}
 	}
 }

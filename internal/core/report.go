@@ -42,11 +42,11 @@ func (c *Checker) AddDir(dir string) error {
 
 // Analyze correlates, decomposes, aggregates, and runs bug detection.
 func (c *Checker) Analyze() *Report {
-	apps := Correlate(c.parser.Events())
+	apps, events := correlateParts([][]Event{c.parser.Events()})
 	for _, a := range apps {
 		Decompose(a)
 	}
-	r := buildReport(apps, c.parser.Events())
+	r := buildReport(apps, events)
 	r.Warnings = c.parser.Warnings()
 	r.FilesParsed, r.LinesParsed = c.parser.Stats()
 	return r
@@ -106,7 +106,12 @@ func (r *Report) Filter(keep func(a *AppTrace) bool) *Report {
 // Report aggregates the per-application decompositions across a run. All
 // delay samples are in milliseconds.
 type Report struct {
-	Apps   []*AppTrace
+	Apps []*AppTrace
+	// Events is every mined event: the traces' events in submission
+	// order, each app's in time order, offline and live alike. A mined
+	// or analyzed report's traces share it, each Events a slice of it.
+	// Merge lays its reports' lists end to end; Filter keeps its
+	// report's whole list. Every reader ignores the order.
 	Events []Event
 
 	FilesParsed int

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/ids"
 	"repro/internal/obs"
@@ -252,23 +252,19 @@ func (s *Stream) forget(id ids.AppID) {
 	s.pl.RecordEvict(id.String())
 }
 
-// sortAppIDsBySeq orders application IDs by submission sequence, ties
+// compareBySeq orders application IDs by submission sequence, ties
 // (distinct cluster timestamps, garbage input only) by cluster timestamp.
-func sortAppIDsBySeq(a []ids.AppID) {
-	sort.Slice(a, func(i, j int) bool {
-		if a[i].Seq != a[j].Seq {
-			return a[i].Seq < a[j].Seq
-		}
-		return a[i].ClusterTS < a[j].ClusterTS
-	})
+func compareBySeq(a, b ids.AppID) int {
+	if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ClusterTS, b.ClusterTS)
 }
 
-// sortTracesBySeq orders traces the same way sortAppIDsBySeq orders IDs.
+// sortAppIDsBySeq orders application IDs by compareBySeq.
+func sortAppIDsBySeq(a []ids.AppID) { slices.SortFunc(a, compareBySeq) }
+
+// sortTracesBySeq orders traces by their IDs' compareBySeq.
 func sortTracesBySeq(out []*AppTrace) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Seq != out[j].ID.Seq {
-			return out[i].ID.Seq < out[j].ID.Seq
-		}
-		return out[i].ID.ClusterTS < out[j].ID.ClusterTS
-	})
+	slices.SortFunc(out, func(x, y *AppTrace) int { return compareBySeq(x.ID, y.ID) })
 }

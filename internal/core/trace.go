@@ -163,52 +163,112 @@ func (a *AppTrace) WorkerContainers() []*ContainerTrace {
 // corresponding global ID ... aggregates and groups state transformations
 // based on the IDs").
 func Correlate(events []Event) []*AppTrace {
-	// Events can arrive in any order across files; order each app's events
-	// by time so "first occurrence wins" rules are well-defined. Group by
-	// app in arrival order, then stable-sort each group: restricted to one
-	// app, a stable sort of the whole list is exactly the stable sort of
-	// that app's arrival-ordered events, and traces are built per app.
-	// The groups are sorted as event indices and each event is copied
-	// once, to its final place, rather than swapped around as it sorts.
+	apps, _ := correlateParts([][]Event{events})
+	return apps
+}
+
+// correlateParts is Correlate over the concatenation of parts, the
+// per-file parses in walk order, without building that concatenation.
+// It copies each event once, into one array that holds the apps in
+// submission order and each app's events in time order, and returns it
+// with the traces, whose Events are cap-limited slices of it. It
+// releases the parts (sets each parts[i] to nil) once they are copied,
+// so a caller holding no other reference can free them.
+//
+// Events can arrive in any order across files; an app's events are
+// ordered by time so "first occurrence wins" rules are well-defined.
+// Each app's events are stable-sorted: restricted to one app, a stable
+// sort of the whole list is exactly the stable sort of that app's
+// arrival-ordered events, and traces are built per app. An app is
+// sorted as keys that name its events, which are then copied to their
+// final places, rather than swapped around as they sort.
+func correlateParts(parts [][]Event) ([]*AppTrace, []Event) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	group := make(map[ids.AppID]int32)
-	gs := make([]int32, len(events)) // each event's group
-	var count []int                  // events per group, numbered by first arrival
-	for i := range events {
-		g, ok := group[events[i].Container.App]
-		if !ok {
-			g = int32(len(count))
-			group[events[i].Container.App] = g
-			count = append(count, 0)
+	gs := make([]int32, 0, n) // each event's group
+	var apps []ids.AppID      // each group's app, numbered by first arrival
+	var count []int           // events per group
+	for _, p := range parts {
+		for i := range p {
+			id := p[i].Container.App
+			g, ok := group[id]
+			if !ok {
+				g = int32(len(apps))
+				group[id] = g
+				apps = append(apps, id)
+				count = append(count, 0)
+			}
+			gs = append(gs, g)
+			count[g]++
 		}
-		gs[i] = g
-		count[g]++
 	}
-	// next[g] is where group g's next index goes, and its end once placed.
-	next := make([]int, len(count))
-	for g := 1; g < len(count); g++ {
-		next[g] = next[g-1] + count[g-1]
+	bySeq := make([]int32, len(apps))
+	for g := range bySeq {
+		bySeq[g] = int32(g)
 	}
-	idx := make([]int32, len(events))
-	for i, g := range gs {
-		idx[next[g]] = int32(i)
-		next[g]++
+	slices.SortFunc(bySeq, func(x, y int32) int { return compareBySeq(apps[x], apps[y]) })
+	// next[g] is where group g's next key goes, and its end once placed.
+	next := make([]int, len(apps))
+	at := 0
+	for _, g := range bySeq {
+		next[g] = at
+		at += count[g]
+	}
+	keys := make([]eventKey, n)
+	k := 0
+	for pi, p := range parts {
+		for i := range p {
+			g := gs[k]
+			keys[next[g]] = eventKey{p[i].TimeMS, int32(pi), int32(i)}
+			next[g]++
+			k++
+		}
 	}
 
-	byApp := make([]Event, len(events))
-	out := make([]*AppTrace, len(count))
-	for g, end := range next {
-		start := end - count[g]
-		evs := byApp[start:end:end]
-		placeByTime(evs, events, idx[start:end])
-		b := newTraceBuilder(evs[0].Container.App)
-		for i := range evs {
-			b.apply(evs[i])
+	for _, g := range bySeq {
+		slices.SortFunc(keys[next[g]-count[g]:next[g]], compareEventKeys)
+	}
+	all := make([]Event, n)
+	for i, key := range keys {
+		all[i] = parts[key.part][key.off]
+	}
+	clear(parts)
+
+	out := make([]*AppTrace, len(bySeq))
+	for i, g := range bySeq {
+		end := next[g]
+		evs := all[end-count[g] : end : end]
+		b := newTraceBuilder(apps[g])
+		for j := range evs {
+			b.apply(evs[j])
 		}
 		b.a.Events = evs
-		out[g] = b.a
+		out[i] = b.a
 	}
-	sortTracesBySeq(out)
-	return out
+	return out, all
+}
+
+// eventKey names one event of correlateParts' parts, with its
+// timestamp to sort it by.
+type eventKey struct {
+	t         int64
+	part, off int32
+}
+
+// compareEventKeys orders keys by time, ties in arrival order (part,
+// then offset). No two keys are equal, so an unstable sort by it is a
+// stable sort by time.
+func compareEventKeys(x, y eventKey) int {
+	if c := cmp.Compare(x.t, y.t); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.part, y.part); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.off, y.off)
 }
 
 // placeByTime stable-sorts order, indices into events, by timestamp and

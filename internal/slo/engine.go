@@ -114,13 +114,17 @@ func (e *Engine) OnTransition(fn func(Transition)) { e.onTransition = fn }
 // ObserveApp folds one decomposed application in, stamped at its event
 // time (submission plus total delay, i.e. when its first task ran — the
 // moment the delays became knowable), then re-evaluates every rule.
-func (e *Engine) ObserveApp(a *core.AppTrace) {
+func (e *Engine) ObserveApp(a *core.AppTrace) { e.ObserveAppWith(a, core.Observations(a)) }
+
+// ObserveAppWith is ObserveApp for a caller that already extracted a's
+// observations (core.Observations(a)) for its own use.
+func (e *Engine) ObserveAppWith(a *core.AppTrace, obs []core.Observation) {
 	at := a.Submitted
 	if d := a.Decomp; d != nil && d.Total >= 0 {
 		at += d.Total
 	}
 	e.appsIngested++
-	e.ObserveAt(core.Observations(a), at)
+	e.ObserveAt(obs, at)
 }
 
 // ObserveAt folds raw observations in at an explicit event time and
