@@ -263,7 +263,7 @@ func newLiveServer(dir string, o serveOptions) *liveServer {
 			s.compHist[o.Component].Observe(float64(o.MS))
 		}
 		s.obsMu.Lock()
-		s.eng.ObserveAppWith(a, observations)
+		s.eng.ObserveApp(a, observations)
 		s.obsMu.Unlock()
 		s.exOffered.Add(int64(len(observations)))
 		s.pl.StageBatch(obs.StageAggregate, -1, t, len(observations))
@@ -307,7 +307,7 @@ func (s *liveServer) poll(wake bool) error {
 	s.eng.Advance(clock)
 	s.firing.Set(int64(s.eng.FiringCount()))
 	// Pin exemplar-referenced app summaries BEFORE eviction below, while
-	// the full traces are still live in the stream. ObserveAppWith is the
+	// the full traces are still live in the stream. ObserveApp is the
 	// only writer of the reservoirs, and it counts every app it ingests.
 	if n := s.eng.AppsIngested(); n != s.syncedApps {
 		s.syncedApps = n

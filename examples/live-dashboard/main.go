@@ -64,7 +64,7 @@ func main() {
 		panic(err)
 	}
 	engine := slo.NewEngine(rules)
-	stream.OnComplete(engine.ObserveApp)
+	stream.OnComplete(func(a *core.AppTrace) { engine.ObserveApp(a, core.Observations(a)) })
 
 	for slice := 1; slice <= 6; slice++ {
 		s.Eng.RunUntil(sim.Time(int64(slice) * 10_000))

@@ -35,6 +35,8 @@ import (
 //     the first newline (greedy dot, no dot-all flag);
 //   - `(.+)lit$` requires lit as a suffix and a newline-free, non-empty
 //     capture (no multiline flag, so $ is end of text).
+//   - `(?:lit|lit2)lit3` is found by scanning for lit3's first byte,
+//     which segValidate checks is in neither branch (altBefore).
 
 type segKind uint8
 
@@ -325,20 +327,7 @@ func (r *fastRule) anchor(s string, from int) int {
 		}
 		return from + j
 	case segAltLit:
-		if len(r.segs) > 1 && r.segs[1].kind == segLit {
-			if c := r.segs[1].lit[0]; strings.IndexByte(first.lit, c) < 0 && strings.IndexByte(first.lit2, c) < 0 {
-				return altBefore(s, from, first.lit, first.lit2, c)
-			}
-		}
-		j := strings.Index(s[from:], first.lit)
-		j2 := strings.Index(s[from:], first.lit2)
-		if j < 0 || (j2 >= 0 && j2 < j) {
-			j = j2
-		}
-		if j < 0 {
-			return -1
-		}
-		return from + j
+		return altBefore(s, from, first.lit, first.lit2, r.segs[1].lit[0])
 	}
 	panic("core: fast rule " + r.name + " starts with an unanchorable segment")
 }
@@ -346,9 +335,9 @@ func (r *fastRule) anchor(s string, from int) int {
 // altBefore returns the leftmost start >= from of lit or lit2 followed
 // by the byte c, or -1: it scans s for c once, and checks the word
 // before each c, rather than scanning s once per literal. Neither
-// literal may contain c. Then a literal that ends at a later c starts
-// after one that ends at an earlier c, so the first c that either
-// literal precedes gives the leftmost start.
+// literal may contain c (segValidate checks it), so a literal that ends
+// at a later c starts after one that ends at an earlier c, and the
+// first c that either literal precedes gives the leftmost start.
 func altBefore(s string, from int, lit, lit2 string, c byte) int {
 	for p := from; ; p++ {
 		j := strings.IndexByte(s[p:], c)
@@ -558,6 +547,11 @@ func segValidate() {
 			case segEnd:
 				if k+1 != len(segs) {
 					bad("$ must be last")
+				}
+			case segAltLit:
+				if sg.lit == "" || sg.lit2 == "" || k+1 >= len(segs) || segs[k+1].kind != segLit || segs[k+1].lit == "" ||
+					strings.IndexByte(sg.lit, segs[k+1].lit[0]) >= 0 || strings.IndexByte(sg.lit2, segs[k+1].lit[0]) >= 0 {
+					bad("alternation must be followed by a literal whose first byte is in neither branch")
 				}
 			}
 		}

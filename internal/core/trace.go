@@ -271,17 +271,6 @@ func compareEventKeys(x, y eventKey) int {
 	return cmp.Compare(x.off, y.off)
 }
 
-// placeByTime stable-sorts order, indices into events, by timestamp and
-// copies the events it names into dst in that order: each event moves
-// once, to its final place, rather than being swapped around as it
-// sorts.
-func placeByTime(dst, events []Event, order []int32) {
-	slices.SortStableFunc(order, func(i, j int32) int { return cmp.Compare(events[i].TimeMS, events[j].TimeMS) })
-	for k, i := range order {
-		dst[k] = events[i]
-	}
-}
-
 // traceBuilder assembles one application's trace event by event, in time
 // order. It is the single correlation path: Correlate feeds it each
 // app's time-sorted events, and a Stream keeps one per live application,
@@ -460,8 +449,11 @@ func (b *traceBuilder) sortEvents() {
 	for i := range order {
 		order[i] = int32(i)
 	}
+	slices.SortStableFunc(order, func(i, j int32) int { return cmp.Compare(b.events[i].TimeMS, b.events[j].TimeMS) })
 	sorted := make([]Event, len(b.events))
-	placeByTime(sorted, b.events, order)
+	for k, i := range order {
+		sorted[k] = b.events[i]
+	}
 	b.events, b.unsorted, b.shared = sorted, false, false
 }
 

@@ -111,14 +111,12 @@ func NewEngine(rules []Rule) *Engine {
 // to land slo_fire/slo_resolve events in the flight recorder.
 func (e *Engine) OnTransition(fn func(Transition)) { e.onTransition = fn }
 
-// ObserveApp folds one decomposed application in, stamped at its event
-// time (submission plus total delay, i.e. when its first task ran — the
-// moment the delays became knowable), then re-evaluates every rule.
-func (e *Engine) ObserveApp(a *core.AppTrace) { e.ObserveAppWith(a, core.Observations(a)) }
-
-// ObserveAppWith is ObserveApp for a caller that already extracted a's
-// observations (core.Observations(a)) for its own use.
-func (e *Engine) ObserveAppWith(a *core.AppTrace, obs []core.Observation) {
+// ObserveApp folds one decomposed application's observations
+// (core.Observations(a), which the caller may also use for its own
+// histograms) in, stamped at its event time (submission plus total
+// delay, i.e. when its first task ran — the moment the delays became
+// knowable), then re-evaluates every rule.
+func (e *Engine) ObserveApp(a *core.AppTrace, obs []core.Observation) {
 	at := a.Submitted
 	if d := a.Decomp; d != nil && d.Total >= 0 {
 		at += d.Total

@@ -249,7 +249,7 @@ func TestEngineObserveApp(t *testing.T) {
 			Alloc: core.Missing, Complete: true,
 		},
 	}
-	e.ObserveApp(a)
+	e.ObserveApp(a, core.Observations(a))
 	if e.AppsIngested() != 1 {
 		t.Fatal("app not counted")
 	}
