@@ -46,7 +46,7 @@ func main() {
 		return
 	}
 
-	pristine := runScenario(3, yarn.FaultSchedule{}, log4j.DegradeConfig{})
+	pristine := runScenario(3, yarn.FaultSchedule{})
 	writeTree(pristine, filepath.Join(*out, "golden", "pristine", "input"))
 
 	faulted := runScenario(3, yarn.FaultSchedule{Crashes: []yarn.NodeCrash{
@@ -54,14 +54,14 @@ func main() {
 		{Node: 2, AtMs: 8_200, DownForMs: 35_000},
 		{Node: 3, AtMs: 8_400, DownForMs: 0},
 		{Node: 4, AtMs: 8_600, DownForMs: 40_000},
-	}}, log4j.DegradeConfig{})
+	}})
 	writeTree(faulted, filepath.Join(*out, "golden", "faulted", "input"))
 
 	// Fuzz seeds: a pristine RM log, a faulted RM log, a degraded run's
 	// worth of torn/truncated/skewed files, and one container stderr.
 	degraded := runScenario(2, yarn.FaultSchedule{Crashes: []yarn.NodeCrash{
 		{Node: 0, AtMs: 7_000, DownForMs: 20_000},
-	}}, log4j.DegradeConfig{
+	}}).Damaged(log4j.DegradeConfig{
 		DropProb: 0.05, TruncateProb: 0.05, TearProb: 0.05,
 		GarbageProb: 0.03, SkewMaxMs: 1500, Seed: 99,
 	})
@@ -109,13 +109,12 @@ func writeMCSeeds(corpus, cxDir string) {
 
 // runScenario drives a small cluster through n TPC-H queries and returns
 // the log sink.
-func runScenario(n int, faults yarn.FaultSchedule, deg log4j.DegradeConfig) *log4j.Sink {
+func runScenario(n int, faults yarn.FaultSchedule) *log4j.Sink {
 	opts := experiments.DefaultOptions()
 	opts.Seed = 20260806
 	opts.Cluster = cluster.DefaultConfig()
 	opts.Cluster.Workers = 6
 	opts.Faults = faults
-	opts.LogDegrade = deg
 	s := experiments.NewScenario(opts)
 	tables := workload.CreateTPCHTables(s.FS, 512)
 	for i := 0; i < n; i++ {

@@ -67,7 +67,7 @@ type serveOptions struct {
 	selfRules []slo.Rule
 	// debug exposes net/http/pprof under /debug/pprof/ (the -debug flag).
 	debug bool
-	// stallAfterMS / watchdogTickMS tune the stall detector (0 = defaults).
+	// stallAfterMS / watchdogTickMS tune the stall detector.
 	stallAfterMS   int64
 	watchdogTickMS int64
 	// clock, when set, replaces the pipeline's wall clock (tests; makes
@@ -178,12 +178,6 @@ type liveServer struct {
 }
 
 func newLiveServer(dir string, o serveOptions) *liveServer {
-	if o.stallAfterMS <= 0 {
-		o.stallAfterMS = defaultStallAfterMS
-	}
-	if o.watchdogTickMS <= 0 {
-		o.watchdogTickMS = defaultWatchdogTickMS
-	}
 	if o.selfRules == nil {
 		o.selfRules = defaultSelfRules(defaultScanP99MS)
 	}

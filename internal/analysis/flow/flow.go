@@ -33,7 +33,6 @@ package flow
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"os"
@@ -118,11 +117,6 @@ func (f *Func) Retains(i int) bool {
 	return false
 }
 
-// DebugString renders f's resolved summary for tests and debugging.
-func (f *Func) DebugString() string {
-	return fmt.Sprintf("escapes=%b toPointee=%b toResult=%b", f.sum.escapes, f.sum.toPointee, f.sum.toResult)
-}
-
 // FlowsToResult reports whether input i's backing memory can flow into
 // result r without an intervening copy. Valid after Program.Resolve.
 func (f *Func) FlowsToResult(i, r int) bool {
@@ -167,9 +161,6 @@ func (p *Program) Add(decl *ast.FuncDecl, info *types.Info) *Func {
 	p.list = append(p.list, f)
 	return f
 }
-
-// FuncOf returns the analyzed function for obj, or nil.
-func (p *Program) FuncOf(obj *types.Func) *Func { return p.funcs[obj.FullName()] }
 
 // Funcs returns every registered function, in registration order.
 func (p *Program) Funcs() []*Func { return p.list }
@@ -1267,16 +1258,4 @@ func inputName(callee *Func, j int) string {
 		}
 	}
 	return fmt.Sprintf("#%d", j)
-}
-
-// ---------------------------------------------------------------------
-// Shared const-string helper (used by smconform's extraction).
-
-// ConstString resolves an expression to its compile-time string value.
-func ConstString(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

@@ -84,9 +84,6 @@ func (n *Node) Fail() { n.down = true }
 // Recover marks the machine as back up after a restart. Idempotent.
 func (n *Node) Recover() { n.down = false }
 
-// IsDown reports whether the machine is currently crashed.
-func (n *Node) IsDown() bool { return n.down }
-
 // Cluster is the set of worker nodes plus the shared fabric.
 type Cluster struct {
 	Eng    *sim.Engine

@@ -258,18 +258,14 @@ func FuzzFastVsRegex(f *testing.F) {
 
 		// The same bytes after lossy collection (cmd/gencorpus's model),
 		// seeded from the fuzzed byte for deterministic variety.
-		sink := log4j.NewSink(nil, log4j.Clock{})
-		sink.Degrade(log4j.DegradeConfig{
+		cfg := log4j.DegradeConfig{
 			TruncateProb: 0.2,
 			TearProb:     0.2,
 			GarbageProb:  0.1,
 			SkewMaxMs:    5000,
 			Seed:         uint64(n),
-		})
-		for _, ln := range strings.Split(string(data), "\n") {
-			sink.Append(name, ln)
 		}
-		mangled := strings.Join(sink.Lines(name), "\n")
+		mangled := strings.Join(cfg.Damage(name, strings.Split(string(data), "\n")), "\n")
 		diffParsers(t, name, []byte(mangled))
 
 		// Line-interleaved and whole-blob stream feeds: the latter makes

@@ -32,21 +32,24 @@ func sinkDigest(s *log4j.Sink) string {
 // never what they write. Each digest covers every file name and line of
 // a small default trace run. A change that moves one timestamp or
 // reorders two same-instant lines fails here; if the change is meant to
-// alter the simulated cluster, recompute the digests and say why.
+// alter the simulated cluster, recompute the digests and say why. The
+// degraded case damages the seed=97 run after simulating, so it also
+// pins DegradeConfig.Damage and Sink.Damaged.
 func TestSimulatedSinkGolden(t *testing.T) {
 	cases := []struct {
-		name string
-		seed uint64
-		opts func(*Options)
-		want string
+		name   string
+		seed   uint64
+		opts   func(*Options)
+		damage log4j.DegradeConfig
+		want   string
 	}{
 		{name: "seed=97", seed: 97,
 			want: "23d836870327c17a1ed8f8874676bf95a33a3477d1cf2cf7228dc509645bc4e8"},
 		{name: "seed=131", seed: 131,
 			want: "69703b6658a8e2d1de21b8aff385a1674dcb86d2db08aa7e94f3ad53028edc9c"},
-		{name: "degraded", seed: 97, opts: func(o *Options) {
-			o.LogDegrade = log4j.DegradeConfig{DropProb: 0.03, TearProb: 0.03, SkewMaxMs: 1500, Seed: 0x5eed}
-		}, want: "a1b88fd6d9c176a0fe7fa16a1640c9e68a2fcbfaa6b50a2eaf23e512b44e3c85"},
+		{name: "degraded", seed: 97,
+			damage: log4j.DegradeConfig{DropProb: 0.03, TearProb: 0.03, SkewMaxMs: 1500, Seed: 0x5eed},
+			want:   "a9fbac07c23b650702a87c8a0a8f9c82398f6c440a715c0888b9a113eb62e8dc"},
 		{name: "crash", seed: 131, opts: func(o *Options) {
 			o.Faults = yarn.FaultSchedule{Crashes: []yarn.NodeCrash{{Node: 2, AtMs: 30_000, DownForMs: 25_000}}}
 		}, want: "515ccc2abede7fda0d9ac89e2b5413e3d4cf92e3559fd339c2b6dde0858e1c7e"},
@@ -59,11 +62,36 @@ func TestSimulatedSinkGolden(t *testing.T) {
 				tc.opts(&tr.Opts)
 			}
 			s, _ := tr.Run()
-			if got := sinkDigest(s.Sink); got != tc.want {
+			sink := s.Sink
+			if tc.damage != (log4j.DegradeConfig{}) {
+				sink = sink.Damaged(tc.damage)
+			}
+			if got := sinkDigest(sink); got != tc.want {
 				t.Errorf("sink digest %s, want %s (%d files, %d lines)",
-					got, tc.want, len(s.Sink.Files()), s.Sink.TotalLines())
+					got, tc.want, len(sink.Files()), sink.TotalLines())
 			}
 		})
+	}
+}
+
+// TestDamagedZeroConfigKeepsDigest pins that damage with a zero config
+// copies a simulated sink exactly, and that the copy is its own: lines
+// appended to the source afterwards, to its files and to a new one, do
+// not reach it.
+func TestDamagedZeroConfigKeepsDigest(t *testing.T) {
+	tr := DefaultTraceRun(10)
+	s, _ := tr.Run()
+	want := sinkDigest(s.Sink)
+	d := s.Sink.Damaged(log4j.DegradeConfig{})
+	if got := sinkDigest(d); got != want {
+		t.Fatalf("zero-config damage digest %s, source %s", got, want)
+	}
+	for _, f := range s.Sink.Files() {
+		s.Sink.Append(f, "appended to the source")
+	}
+	s.Sink.Append("new.log", "appended to the source")
+	if got := sinkDigest(d); got != want {
+		t.Fatalf("appending to the source moved the damaged digest from %s to %s", want, got)
 	}
 }
 

@@ -34,26 +34,37 @@ func oracleScenario(t *testing.T, opts Options, queries int, trace bool) (*Scena
 	return s, rec
 }
 
-// oracleOptions returns the options of one oracle matrix cell:
-// "pristine", "faults" (random node crashes) or "degraded" (dropped,
-// truncated, torn, garbage and clock-skewed log lines).
+// oracleOptions returns the options of one simulated oracle matrix cell:
+// "pristine" or "faults" (random node crashes).
 func oracleOptions(seed uint64, cell string) Options {
 	opts := DefaultOptions()
 	opts.Seed = seed
-	switch cell {
-	case "faults":
+	if cell == "faults" {
 		opts.Faults = yarn.RandomFaults(seed+1, opts.Cluster.Workers, 120_000, 90_000, 20_000)
+	}
+	return opts
+}
+
+// oracleSink returns the logs of one oracle matrix cell at seed, given
+// the seed's pristine logs: the "degraded" cell is not simulated but
+// damages them (dropped, truncated, torn, garbage and clock-skewed
+// lines), so it shares the pristine cell's simulation.
+func oracleSink(t *testing.T, seed uint64, cell string, pristine *log4j.Sink) *log4j.Sink {
+	switch cell {
+	case "pristine":
+		return pristine
 	case "degraded":
-		opts.LogDegrade = log4j.DegradeConfig{
+		return pristine.Damaged(log4j.DegradeConfig{
 			DropProb:     0.05,
 			TruncateProb: 0.05,
 			TearProb:     0.05,
 			GarbageProb:  0.05,
 			SkewMaxMs:    2000,
 			Seed:         seed ^ 0xbeef,
-		}
+		})
 	}
-	return opts
+	s, _ := oracleScenario(t, oracleOptions(seed, cell), 3, false)
+	return s.Sink
 }
 
 // TestDiffOracleMatrix drives the differential harness over a
@@ -65,10 +76,11 @@ func oracleOptions(seed uint64, cell string) Options {
 func TestDiffOracleMatrix(t *testing.T) {
 	oracle := testkit.DiffOracle{Workers: []int{1, 2, 3, 4, 8}}
 	for _, seed := range []uint64{11, 23} {
-		seed := seed
+		// The recorder only records, so the traced run's logs are the
+		// pristine logs the degraded cell damages.
+		s, rec := oracleScenario(t, oracleOptions(seed, "pristine"), 3, true)
 
 		t.Run(fmt.Sprintf("pristine/seed=%d", seed), func(t *testing.T) {
-			s, rec := oracleScenario(t, oracleOptions(seed, "pristine"), 3, true)
 			rep := oracle.Check(t, testkit.OracleInput{
 				Name:    fmt.Sprintf("pristine-%d", seed),
 				Sink:    s.Sink,
@@ -86,10 +98,9 @@ func TestDiffOracleMatrix(t *testing.T) {
 
 		for _, cell := range []string{"faults", "degraded"} {
 			t.Run(fmt.Sprintf("%s/seed=%d", cell, seed), func(t *testing.T) {
-				s, _ := oracleScenario(t, oracleOptions(seed, cell), 3, false)
 				oracle.Check(t, testkit.OracleInput{
 					Name: fmt.Sprintf("%s-%d", cell, seed),
-					Sink: s.Sink,
+					Sink: oracleSink(t, seed, cell, s.Sink),
 				})
 			})
 		}
@@ -106,23 +117,24 @@ func TestDiffOracleMatrix(t *testing.T) {
 // line that changes the instance rewrites the kept FIRST_LOG
 // (TestStreamReclassifiesFirstLog).
 func TestOfflineEqualsLivePristine(t *testing.T) {
-	for _, cell := range []string{"pristine", "faults", "degraded"} {
-		for _, seed := range []uint64{5, 11, 17, 23, 29} {
+	for _, seed := range []uint64{5, 11, 17, 23, 29} {
+		pristine, _ := oracleScenario(t, oracleOptions(seed, "pristine"), 3, false)
+		for _, cell := range []string{"pristine", "faults", "degraded"} {
 			t.Run(fmt.Sprintf("%s/seed=%d", cell, seed), func(t *testing.T) {
-				s, _ := oracleScenario(t, oracleOptions(seed, cell), 3, false)
+				sink := oracleSink(t, seed, cell, pristine.Sink)
 				ck := core.New()
-				if err := ck.AddSink(s.Sink); err != nil {
+				if err := ck.AddSink(sink); err != nil {
 					t.Fatalf("AddSink: %v", err)
 				}
 				offline, err := ck.Analyze().JSON()
 				if err != nil {
 					t.Fatalf("offline JSON: %v", err)
 				}
-				files := s.Sink.Files()
+				files := sink.Files()
 				slices.Sort(files)
 				live := func(name string, feed func(source, raw string) bool, rep func() *core.Report) {
 					for _, f := range files {
-						for _, l := range s.Sink.Lines(f) {
+						for _, l := range sink.Lines(f) {
 							feed(f, l)
 						}
 					}
@@ -148,7 +160,7 @@ func TestOfflineEqualsLivePristine(t *testing.T) {
 				ss := core.NewShardedStream(2)
 				defer ss.Close()
 				for _, f := range files {
-					ss.FeedBlock(f, strings.Join(s.Sink.Lines(f), "\n")+"\n")
+					ss.FeedBlock(f, strings.Join(sink.Lines(f), "\n")+"\n")
 				}
 				ss.Quiesce()
 				if got, err := ss.Report().JSON(); err != nil || got != offline {
@@ -203,14 +215,15 @@ func TestBreakdownWorkerCountInvariant(t *testing.T) {
 // and the decomposition's own Complete flag.
 func TestCompletePredicateMatchesDecomposeOracle(t *testing.T) {
 	complete, incomplete := 0, 0
-	for _, cell := range []string{"pristine", "faults", "degraded"} {
-		for _, seed := range []uint64{5, 11, 17, 23, 29} {
-			s, _ := oracleScenario(t, oracleOptions(seed, cell), 3, false)
-			files := s.Sink.Files()
+	for _, seed := range []uint64{5, 11, 17, 23, 29} {
+		pristine, _ := oracleScenario(t, oracleOptions(seed, "pristine"), 3, false)
+		for _, cell := range []string{"pristine", "faults", "degraded"} {
+			sink := oracleSink(t, seed, cell, pristine.Sink)
+			files := sink.Files()
 			slices.Sort(files)
 			ss := core.NewShardedStream(1)
 			for _, f := range files {
-				for n, l := range s.Sink.Lines(f) {
+				for n, l := range sink.Lines(f) {
 					ss.Feed(f, l)
 					ss.Quiesce()
 					for _, a := range ss.Apps() {

@@ -34,10 +34,6 @@ type Options struct {
 	// Faults schedules deterministic node crashes/restarts into the run
 	// (empty = the paper's fault-free testbed).
 	Faults yarn.FaultSchedule
-	// LogDegrade corrupts the log sink the way dying daemons and full
-	// disks do — dropped, truncated, torn, and skewed lines — to exercise
-	// SDchecker against degraded logs. Zero value = pristine logs.
-	LogDegrade log4j.DegradeConfig
 }
 
 // DefaultOptions mirrors the paper's testbed and deployment.
@@ -75,11 +71,6 @@ func NewScenario(opts Options) *Scenario {
 	opts.Cluster.Seed ^= opts.Seed * 0x9e3779b97f4a7c15
 	cl := cluster.New(eng, opts.Cluster)
 	sink := log4j.NewSink(eng, log4j.Clock{EpochMS: opts.ClusterTS})
-	deg := opts.LogDegrade
-	if deg.Seed == 0 {
-		deg.Seed = opts.Seed ^ 0xde9
-	}
-	sink.Degrade(deg)
 	fs := hdfs.New(eng, cl, opts.Seed^0xfd5)
 	factory := ids.NewFactory(opts.ClusterTS)
 	rm := yarn.NewRM(eng, opts.Yarn, cl, sink, factory, opts.Seed^0x12)

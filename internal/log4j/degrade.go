@@ -10,8 +10,8 @@ import (
 // DegradeConfig models lossy, real-world log collection: the paper mines
 // logs scp'd off a live 26-node cluster, where rotated files lose lines,
 // crashed daemons leave torn partial writes, and per-node clocks drift.
-// A degraded sink reproduces those defects deterministically so the miner
-// can be tested against them.
+// Damage reproduces those defects deterministically on a simulated run's
+// pristine lines, so the miner can be tested against them.
 //
 // All probabilities are per line. The zero value disables everything.
 type DegradeConfig struct {
@@ -33,14 +33,8 @@ type DegradeConfig struct {
 	// GarbageProb inserts a non-log4j noise line (a stack-trace fragment)
 	// before the line, like the stdout noise real daemon logs carry.
 	GarbageProb float64
-	// Seed drives the deterministic per-file degradation streams.
+	// Seed drives the deterministic per-file damage streams.
 	Seed uint64
-}
-
-// enabled reports whether any degradation is configured.
-func (c DegradeConfig) enabled() bool {
-	return c.DropProb > 0 || c.TruncateProb > 0 || c.TearProb > 0 ||
-		c.SkewMaxMs > 0 || c.GarbageProb > 0
 }
 
 // garbageLines are the noise fragments GarbageProb injects; they mimic
@@ -53,67 +47,45 @@ var garbageLines = []string{
 	"#### stray stdout from user code ####",
 }
 
-// degrader corrupts lines on their way into a Sink. Each file gets its
-// own forked RNG stream and skew offset, so degradation is a pure
-// function of (config, file, line sequence) — reruns are byte-identical.
-type degrader struct {
-	cfg  DegradeConfig
-	root *rng.Source
-	per  map[string]*fileDegrade
-}
-
-type fileDegrade struct {
-	rng    *rng.Source
-	skewMS int64
-	tail   string // second half of a torn line, pending the next write
-}
-
-func newDegrader(cfg DegradeConfig) *degrader {
-	return &degrader{cfg: cfg, root: rng.New(cfg.Seed ^ 0xdead10cc), per: make(map[string]*fileDegrade)}
-}
-
-func (d *degrader) file(name string) *fileDegrade {
-	fd := d.per[name]
-	if fd == nil {
-		h := fnv.New64a()
-		h.Write([]byte(name))
-		fd = &fileDegrade{rng: d.root.Fork(h.Sum64())}
-		if d.cfg.SkewMaxMs > 0 {
-			fd.skewMS = fd.rng.Int63n(2*d.cfg.SkewMaxMs+1) - d.cfg.SkewMaxMs
+// Damage returns the raw lines a lossy collector would leave of one
+// file's pristine lines: each line may be dropped, cut, torn across two
+// writes, time-shifted or preceded by garbage. The file gets its own RNG
+// stream, forked from the seed by the file name's hash, and its own skew
+// offset, so damage is a pure function of (config, file, lines): reruns
+// are byte-identical, and what happens to one file does not depend on
+// any other. A torn tail still pending after the last line is lost. The
+// result never shares lines' backing array.
+func (c DegradeConfig) Damage(file string, lines []string) []string {
+	h := fnv.New64a()
+	h.Write([]byte(file))
+	r := rng.New(c.Seed ^ 0xdead10cc).Fork(h.Sum64())
+	var skewMS int64
+	if c.SkewMaxMs > 0 {
+		skewMS = r.Int63n(2*c.SkewMaxMs+1) - c.SkewMaxMs
+	}
+	out := make([]string, 0, len(lines))
+	var tail string // second half of a torn line, pending the next write
+	for _, line := range lines {
+		if c.GarbageProb > 0 && r.Float64() < c.GarbageProb {
+			out = append(out, garbageLines[r.Intn(len(garbageLines))])
 		}
-		d.per[name] = fd
-	}
-	return fd
-}
-
-// transform maps one intended line to the zero or more raw lines actually
-// written to the file.
-func (d *degrader) transform(file, line string) []string {
-	fd := d.file(file)
-	var out []string
-	if d.cfg.GarbageProb > 0 && fd.rng.Float64() < d.cfg.GarbageProb {
-		out = append(out, garbageLines[fd.rng.Intn(len(garbageLines))])
-	}
-	if fd.skewMS != 0 {
-		line = skewStamp(line, fd.skewMS)
-	}
-	// A pending torn tail glues onto the front of this write.
-	if fd.tail != "" {
-		line = fd.tail + line
-		fd.tail = ""
-	}
-	switch {
-	case d.cfg.DropProb > 0 && fd.rng.Float64() < d.cfg.DropProb:
-		return out // line lost
-	case d.cfg.TruncateProb > 0 && fd.rng.Float64() < d.cfg.TruncateProb && len(line) > 1:
-		cut := 1 + fd.rng.Intn(len(line)-1)
-		out = append(out, line[:cut])
-	case d.cfg.TearProb > 0 && fd.rng.Float64() < d.cfg.TearProb && len(line) > 1:
-		cut := 1 + fd.rng.Intn(len(line)-1)
-		out = append(out, line[:cut])
-		fd.tail = line[cut:]
-	default:
-		out = append(out, line)
+		if skewMS != 0 {
+			line = skewStamp(line, skewMS)
+		}
+		// A pending torn tail glues onto the front of this write.
+		line, tail = tail+line, ""
+		switch {
+		case c.DropProb > 0 && r.Float64() < c.DropProb:
+			// line lost
+		case c.TruncateProb > 0 && r.Float64() < c.TruncateProb && len(line) > 1:
+			out = append(out, line[:1+r.Intn(len(line)-1)])
+		case c.TearProb > 0 && r.Float64() < c.TearProb && len(line) > 1:
+			cut := 1 + r.Intn(len(line)-1)
+			out = append(out, line[:cut])
+			tail = line[cut:]
+		default:
+			out = append(out, line)
+		}
 	}
 	return out
 }

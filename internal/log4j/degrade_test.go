@@ -1,46 +1,47 @@
 package log4j
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-func degradedSink(cfg DegradeConfig) *Sink {
+// pristineSink returns a sink holding n padded lines in each of files,
+// written round-robin so that the files interleave.
+func pristineSink(n int, files ...string) *Sink {
 	s := NewSink(sim.NewEngine(), Clock{EpochMS: 1499000000000})
-	s.Degrade(cfg)
+	for i := 0; i < n; i++ {
+		for _, f := range files {
+			s.Logger(f, "org.test.Class").Infof("message number %d with some padding to allow cuts", i)
+		}
+	}
 	return s
 }
 
-func emitN(s *Sink, file string, n int) {
-	log := s.Logger(file, "org.test.Class")
-	for i := 0; i < n; i++ {
-		log.Infof("message number %d with some padding to allow cuts", i)
-	}
+// damagedLines returns what cfg leaves of n pristine lines in a.log.
+func damagedLines(cfg DegradeConfig, n int) []string {
+	return pristineSink(n, "a.log").Damaged(cfg).Lines("a.log")
 }
 
 func TestDegradeZeroConfigIsTransparent(t *testing.T) {
-	s := degradedSink(DegradeConfig{})
-	emitN(s, "a.log", 10)
-	if got := len(s.Lines("a.log")); got != 10 {
-		t.Fatalf("zero config changed line count: got %d, want 10", got)
+	s := pristineSink(10, "a.log")
+	if got := s.Damaged(DegradeConfig{}).Lines("a.log"); !slices.Equal(got, s.Lines("a.log")) {
+		t.Fatalf("zero config changed the lines:\n%q\nwant\n%q", got, s.Lines("a.log"))
 	}
 }
 
 func TestDegradeDropLosesLines(t *testing.T) {
-	s := degradedSink(DegradeConfig{DropProb: 0.5, Seed: 7})
-	emitN(s, "a.log", 200)
-	got := len(s.Lines("a.log"))
+	got := len(damagedLines(DegradeConfig{DropProb: 0.5, Seed: 7}, 200))
 	if got >= 200 || got == 0 {
 		t.Fatalf("drop 0.5 kept %d of 200 lines", got)
 	}
 }
 
 func TestDegradeTruncateCutsLines(t *testing.T) {
-	s := degradedSink(DegradeConfig{TruncateProb: 1, Seed: 7})
-	emitN(s, "a.log", 50)
-	lines := s.Lines("a.log")
+	lines := damagedLines(DegradeConfig{TruncateProb: 1, Seed: 7}, 50)
 	if len(lines) != 50 {
 		t.Fatalf("truncate changed line count: %d", len(lines))
 	}
@@ -56,18 +57,14 @@ func TestDegradeTruncateCutsLines(t *testing.T) {
 }
 
 func TestDegradeTearGluesHalves(t *testing.T) {
-	s := degradedSink(DegradeConfig{TearProb: 1, Seed: 7})
-	emitN(s, "a.log", 20)
-	lines := s.Lines("a.log")
+	lines := damagedLines(DegradeConfig{TearProb: 1, Seed: 7}, 20)
 	// Every line is torn, so each stored line after the first carries the
 	// previous line's tail glued on. Total bytes are conserved.
 	var stored, emitted int
 	for _, l := range lines {
 		stored += len(l)
 	}
-	s2 := degradedSink(DegradeConfig{})
-	emitN(s2, "a.log", 20)
-	for _, l := range s2.Lines("a.log") {
+	for _, l := range pristineSink(20, "a.log").Lines("a.log") {
 		emitted += len(l)
 	}
 	// The last torn tail is still pending, so stored <= emitted.
@@ -86,13 +83,9 @@ func TestDegradeTearGluesHalves(t *testing.T) {
 }
 
 func TestDegradeSkewShiftsWholeFileConstantly(t *testing.T) {
-	s := degradedSink(DegradeConfig{SkewMaxMs: 5000, Seed: 3})
-	emitN(s, "a.log", 5)
-	clean := degradedSink(DegradeConfig{})
-	emitN(clean, "a.log", 5)
-
+	clean := pristineSink(5, "a.log")
 	var offset int64
-	for i, l := range s.Lines("a.log") {
+	for i, l := range clean.Damaged(DegradeConfig{SkewMaxMs: 5000, Seed: 3}).Lines("a.log") {
 		got, err := ParseLine(l)
 		if err != nil {
 			t.Fatalf("skewed line %d unparseable: %v", i, err)
@@ -114,9 +107,7 @@ func TestDegradeSkewShiftsWholeFileConstantly(t *testing.T) {
 }
 
 func TestDegradeGarbageInsertsNoise(t *testing.T) {
-	s := degradedSink(DegradeConfig{GarbageProb: 1, Seed: 7})
-	emitN(s, "a.log", 10)
-	lines := s.Lines("a.log")
+	lines := damagedLines(DegradeConfig{GarbageProb: 1, Seed: 7}, 10)
 	if len(lines) != 20 {
 		t.Fatalf("garbage 1.0: got %d lines, want 20", len(lines))
 	}
@@ -127,11 +118,8 @@ func TestDegradeGarbageInsertsNoise(t *testing.T) {
 
 func TestDegradeDeterministic(t *testing.T) {
 	cfg := DegradeConfig{DropProb: 0.2, TruncateProb: 0.2, TearProb: 0.2, SkewMaxMs: 1000, GarbageProb: 0.1, Seed: 42}
-	a, b := degradedSink(cfg), degradedSink(cfg)
-	for _, s := range []*Sink{a, b} {
-		emitN(s, "x.log", 100)
-		emitN(s, "y.log", 100)
-	}
+	a := pristineSink(100, "x.log", "y.log").Damaged(cfg)
+	b := pristineSink(100, "x.log", "y.log").Damaged(cfg)
 	for _, f := range []string{"x.log", "y.log"} {
 		la, lb := a.Lines(f), b.Lines(f)
 		if len(la) != len(lb) {
@@ -149,17 +137,68 @@ func TestDegradePerFileStreamsIndependent(t *testing.T) {
 	cfg := DegradeConfig{DropProb: 0.5, Seed: 9}
 	// Writing to file B between writes to file A must not change what
 	// happens to A's lines.
-	a := degradedSink(cfg)
-	emitN(a, "a.log", 50)
-	b := degradedSink(cfg)
-	ba := b.Logger("a.log", "org.test.Class")
-	bb := b.Logger("b.log", "org.test.Class")
-	for i := 0; i < 50; i++ {
-		ba.Infof("message number %d with some padding to allow cuts", i)
-		bb.Infof("message number %d with some padding to allow cuts", i)
-	}
-	la, lb := a.Lines("a.log"), b.Lines("a.log")
-	if len(la) != len(lb) {
+	la := pristineSink(50, "a.log").Damaged(cfg).Lines("a.log")
+	lb := pristineSink(50, "a.log", "b.log").Damaged(cfg).Lines("a.log")
+	if !slices.Equal(la, lb) {
 		t.Fatalf("interleaving changed a.log: %d vs %d lines", len(la), len(lb))
+	}
+}
+
+// TestDamagedKeepsFirstWriteOrder pins Damaged's file list: the source's
+// first-write order, minus the files the damage emptied, each holding
+// exactly what Damage leaves of it.
+func TestDamagedKeepsFirstWriteOrder(t *testing.T) {
+	var files []string
+	for i := 9; i >= 0; i-- {
+		files = append(files, fmt.Sprintf("f%d.log", i))
+	}
+	s := pristineSink(1, files...)
+	cfg := DegradeConfig{DropProb: 0.5, Seed: 11}
+	d := s.Damaged(cfg)
+	var want []string
+	for _, f := range s.Files() {
+		lines := cfg.Damage(f, s.Lines(f))
+		if len(lines) > 0 {
+			want = append(want, f)
+		}
+		if got := d.Lines(f); !slices.Equal(got, lines) {
+			t.Errorf("%s: damaged sink holds %q, Damage gives %q", f, got, lines)
+		}
+	}
+	if got := d.Files(); !slices.Equal(got, want) {
+		t.Fatalf("damaged files %v, want %v", got, want)
+	}
+	if len(want) == 0 || len(want) == len(files) {
+		t.Fatalf("%d of %d one-line files survived; want some dropped and some kept", len(want), len(files))
+	}
+}
+
+// TestDamagedSharesNoBackingArray appends to the damaged sink and then to
+// its source: neither append may show in the other, even though a zero
+// config copies every line and the source's slices have spare capacity.
+func TestDamagedSharesNoBackingArray(t *testing.T) {
+	s := pristineSink(3, "a.log", "b.log")
+	want := slices.Clone(s.Lines("a.log"))
+	d := s.Damaged(DegradeConfig{})
+	for _, f := range d.Files() {
+		d.Append(f, "damaged")
+	}
+	for _, f := range s.Files() {
+		s.Append(f, "source")
+	}
+	s.Append("c.log", "source")
+	for _, f := range []string{"a.log", "b.log"} {
+		if got := d.Lines(f); len(got) != 4 || got[3] != "damaged" {
+			t.Errorf("damaged %s = %q, want 3 lines then %q", f, got, "damaged")
+		}
+		if got := s.Lines(f); len(got) != 4 || got[3] != "source" {
+			t.Errorf("source %s = %q, want 3 lines then %q", f, got, "source")
+		}
+	}
+	if got := d.Lines("a.log")[:3]; !slices.Equal(got, want) {
+		t.Errorf("damaged a.log = %q, want %q", got, want)
+	}
+	if got := d.Files(); !slices.Equal(got, []string{"a.log", "b.log"}) {
+		t.Errorf("damaged files %v, want [a.log b.log]", got)
 	}
 }

@@ -166,7 +166,6 @@ type Sink struct {
 	eng   *sim.Engine
 	files map[string][]string
 	order []string
-	deg   *degrader
 	// Loggers build each line in line, stamped through stamp, and copy
 	// it out once.
 	line  []byte
@@ -187,36 +186,28 @@ func (s *Sink) Logger(file, class string) *Logger {
 	return &Logger{sink: s, file: file, class: class}
 }
 
-// Degrade installs a lossy-collection model on the sink: every line
-// subsequently appended passes through cfg's drop/truncate/tear/skew
-// transformations before being stored. A zero config removes the model.
-func (s *Sink) Degrade(cfg DegradeConfig) {
-	if !cfg.enabled() {
-		s.deg = nil
-		return
-	}
-	s.deg = newDegrader(cfg)
-}
-
-// Append writes a raw line to file (used by Logger). With a degradation
-// model installed, the line may be dropped, cut, torn across writes, or
-// time-shifted on the way in.
+// Append writes a raw line to file (used by Logger).
 func (s *Sink) Append(file, line string) {
-	if s.deg != nil {
-		for _, raw := range s.deg.transform(file, line) {
-			s.append(file, raw)
-		}
-		return
-	}
-	s.append(file, line)
-}
-
-func (s *Sink) append(file, line string) {
 	lines, ok := s.files[file]
 	if !ok {
 		s.order = append(s.order, file)
 	}
 	s.files[file] = append(lines, line)
+}
+
+// Damaged returns a new sink holding s's files after cfg's lossy
+// collection (DegradeConfig.Damage), listed in s's first-write order. A
+// file the damage emptied is left out. The new sink shares no backing
+// array with s, so later appends to either leave the other unchanged.
+func (s *Sink) Damaged(cfg DegradeConfig) *Sink {
+	d := NewSink(s.eng, s.clock)
+	for _, f := range s.order {
+		if lines := cfg.Damage(f, s.files[f]); len(lines) > 0 {
+			d.order = append(d.order, f)
+			d.files[f] = lines
+		}
+	}
+	return d
 }
 
 // Files returns the logical file paths in first-write order.

@@ -106,13 +106,6 @@ func (s *Source) BoundedNormal(mean, stddev, lo, hi float64) float64 {
 	return v
 }
 
-// LogNormal returns a log-normally distributed value parameterized by the
-// underlying normal's mu and sigma. Log-normal is the canonical shape for
-// launch and warm-up latencies (long right tail).
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
 // LogNormalMedian returns a log-normal sample parameterized by its median
 // and the sigma of the underlying normal — more convenient for calibrating
 // latency models against a paper's reported medians.

@@ -43,6 +43,3 @@ func (t *Ticker) Stop() {
 	t.live = false
 	t.eng.Cancel(t.ev)
 }
-
-// Period returns the tick period.
-func (t *Ticker) Period() Duration { return t.period }

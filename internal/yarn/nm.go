@@ -39,8 +39,6 @@ type NodeManager struct {
 	oppVCores int
 	oppMemMB  int
 
-	freeVCores int // cached totalVCores - reservedVCores, read by the RM
-
 	cache    *localCache // localized public resources (LRU)
 	oppQueue []*containerRun
 	running  map[ids.ContainerID]*containerRun
@@ -111,7 +109,6 @@ func NewNodeManager(rm *RM, node *cluster.Node, fs *hdfs.FS, sink *log4j.Sink) *
 		logLaunch:   sink.Logger(NMLogFile(node), ClassContainerLaunch),
 		totalVCores: node.VCores,
 		totalMemMB:  node.MemoryMB,
-		freeVCores:  node.VCores,
 		cache:       newLocalCache(rm.Cfg.LocalCacheCapacityMB),
 		running:     make(map[ids.ContainerID]*containerRun),
 		localizing:  make(map[ids.ContainerID]*containerRun),
@@ -146,9 +143,6 @@ func (nm *NodeManager) CacheStats() (hits, misses, evictions int, usedMB float64
 	return nm.cache.Stats()
 }
 
-// FreeVCores returns unreserved guaranteed capacity.
-func (nm *NodeManager) FreeVCores() int { return nm.freeVCores }
-
 // RunningContainers returns the number of containers currently executing.
 func (nm *NodeManager) RunningContainers() int { return len(nm.running) }
 
@@ -167,14 +161,12 @@ func (nm *NodeManager) reserve(p Profile) bool {
 	}
 	nm.reservedVCores += p.VCores
 	nm.reservedMemMB += p.MemoryMB
-	nm.freeVCores = nm.totalVCores - nm.reservedVCores
 	return true
 }
 
 func (nm *NodeManager) unreserve(p Profile) {
 	nm.reservedVCores -= p.VCores
 	nm.reservedMemMB -= p.MemoryMB
-	nm.freeVCores = nm.totalVCores - nm.reservedVCores
 }
 
 // FreeMemMB returns unreserved guaranteed memory.
@@ -455,13 +447,6 @@ func (nm *NodeManager) drainOppQueue() {
 	}
 }
 
-// Shutdown stops the heartbeat ticker (used when tearing down scenarios).
-func (nm *NodeManager) Shutdown() {
-	if nm.hb != nil {
-		nm.hb.Stop()
-	}
-}
-
 // Down reports whether the NM is currently crashed.
 func (nm *NodeManager) Down() bool { return nm.down }
 
@@ -532,7 +517,6 @@ func (nm *NodeManager) Restart() {
 	nm.Node.Recover()
 	nm.reservedVCores, nm.reservedMemMB = 0, 0
 	nm.oppVCores, nm.oppMemMB = 0, 0
-	nm.freeVCores = nm.totalVCores
 	nm.running = make(map[ids.ContainerID]*containerRun)
 	nm.localizing = make(map[ids.ContainerID]*containerRun)
 	nm.oppQueue = nil

@@ -414,14 +414,6 @@ func (rm *RM) Pull(appID ids.AppID) []*Allocation {
 	return grants
 }
 
-// PendingGrantCount reports containers allocated but not yet acquired.
-func (rm *RM) PendingGrantCount(appID ids.AppID) int {
-	if a := rm.apps[appID]; a != nil {
-		return len(a.pendingGrants)
-	}
-	return 0
-}
-
 // AskOpportunistic requests n containers through the distributed
 // scheduler: a single RPC that picks random nodes with no global state and
 // returns the grants directly (Mercury-style). deliver runs after the RPC

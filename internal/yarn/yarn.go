@@ -250,11 +250,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// ResourceFit reports whether a profile fits in the given free capacity.
-func ResourceFit(freeVCores, freeMemMB int, p Profile) bool {
-	return p.VCores <= freeVCores && p.MemoryMB <= freeMemMB
-}
-
 func containerLogDir(app ids.AppID, c ids.ContainerID) string {
 	return fmt.Sprintf("userlogs/%s/%s", app, c)
 }
