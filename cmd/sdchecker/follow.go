@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -190,8 +189,9 @@ func followDir(dir string, workers int) error {
 // drainFile feeds every complete line of f appended since the recorded
 // offset and advances the offset by the bytes those lines take, line
 // terminators included. It opens f, stats the open file, and reads from
-// the offset up to that size with a core.BlockReader, handing a copy of
-// each block of complete lines to FeedBlock at once. An unterminated
+// the offset up to that size with a core.BlockReader, handing each block
+// of complete lines to FeedBlock at once, which copies it before the
+// next read writes over the reader's buffer. An unterminated
 // tail — a line its writer has not finished — is held back until its
 // newline arrives.
 // A CR before the newline is dropped from the fed line, as the offline
@@ -223,9 +223,7 @@ func (s *dirScanner) drainFile(f core.TreeFile) (int, error) {
 	s.rd.Reset(io.NewSectionReader(r, file.off, size-file.off), file.skipping)
 	fed := 0
 	for block, ok := s.rd.Next(); ok; block, ok = s.rd.Next() {
-		// The block is a view of the reader's buffer, which the next read
-		// overwrites, and the stream's workers mine it later.
-		fed += s.feed(rel, strings.Clone(block))
+		fed += s.feed(rel, block)
 	}
 	n, skipping, skipAt := s.rd.Consumed()
 	s.files[rel] = fileState{off: file.off + n, skipping: skipping}

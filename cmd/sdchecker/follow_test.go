@@ -87,13 +87,14 @@ func TestDrainFileContainerLog(t *testing.T) {
 	}
 }
 
-// recordBlocks makes sc record every block its drains hand the stream,
-// in order, and still feed it.
+// recordBlocks makes sc record a copy of every block its drains hand
+// the stream, in order, and still feed it. A block is a view of the
+// reader's buffer, which the next read writes over.
 func recordBlocks(sc *dirScanner) *[]string {
 	var blocks []string
 	feed := sc.feed
 	sc.feed = func(source, block string) int {
-		blocks = append(blocks, block)
+		blocks = append(blocks, strings.Clone(block))
 		return feed(source, block)
 	}
 	return &blocks
@@ -229,9 +230,11 @@ func TestDrainFilePartialLine(t *testing.T) {
 // TestDrainFileBlocksOutliveRead: the reader's blocks are views of its
 // buffer, which its next read overwrites, while the stream's workers
 // mine a fed block later. A drain of a file of more than one read chunk
-// reads over its first block before the workers are done, so what it
-// feeds must be copies: after the drain the recorded blocks must still
-// spell the file's lines, and the stream must have mined every line.
+// reads over its first block before the workers are done, so FeedBlock
+// must have copied each block before it returned: the drain must hand
+// over blocks that spell the file's lines, and the stream must report
+// what a serial stream fed the same lines reports. Under -race the
+// stream also poisons each of its buffers once its lines are parsed.
 func TestDrainFileBlocksOutliveRead(t *testing.T) {
 	dir := t.TempDir()
 	st := core.NewShardedStream(2)
@@ -256,6 +259,17 @@ func TestDrainFileBlocksOutliveRead(t *testing.T) {
 	st.Quiesce()
 	if got := st.EventCount(); got != n {
 		t.Fatalf("events=%d, want %d, one per line", got, n)
+	}
+	ref := core.NewStream()
+	for _, l := range strings.SplitAfter(b.String(), "\n") {
+		ref.Feed("rm.log", strings.TrimSuffix(l, "\n"))
+	}
+	got, err := st.Report().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := ref.Report().JSON(); got != want {
+		t.Fatalf("the drained stream's report differs from a serial stream's of the same lines")
 	}
 }
 

@@ -112,6 +112,8 @@ func TestServeEndpoints(t *testing.T) {
 		"# TYPE core_component_delay_ms histogram",
 		`component="total"`,
 		"slo_rules_firing 0",
+		"# TYPE core_stream_inflight_bytes gauge",
+		"# TYPE core_stream_feed_stall_ms_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -620,5 +622,50 @@ func TestServeAggregateBodyFixed(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); code != http.StatusOK || got != c.want {
 			t.Errorf("%s: status %d, body sha256 %s, want %s (%d bytes)", c.path, code, got, c.want, len(body))
 		}
+	}
+}
+
+// TestServeBackfillWithinFeedBudget: a poll that catches up on a file
+// several times the stream's byte budget feeds every line and mines what
+// the offline miner does, and once it returns the stream holds at most
+// its current read chunk.
+func TestServeBackfillWithinFeedBudget(t *testing.T) {
+	dir := t.TempDir()
+	var b strings.Builder
+	n := 0
+	for ; b.Len() < 3<<20/2; n++ {
+		app := fmt.Sprintf("application_1499000000000_%04d", n+1)
+		b.WriteString(mkLine(int64(n), "x.RMAppImpl", app+" State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED") + "\n")
+	}
+	appendRaw(t, filepath.Join(dir, "rm.log"), b.String())
+	srv := newLiveServer(dir, testServeOptions(2, nil))
+	defer srv.close()
+	if err := srv.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.reg.Counter("core_stream_lines_total").Value(); got != int64(n) {
+		t.Fatalf("fed %d lines, want %d", got, n)
+	}
+	if got := srv.st.EventCount(); got != n {
+		t.Fatalf("events=%d, want %d", got, n)
+	}
+	offline, err := core.MineDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := offline.JSON()
+	if got, _ := srv.st.Report().JSON(); got != want {
+		t.Fatal("the live report differs from the offline miner's")
+	}
+	rec := httptest.NewRecorder()
+	srv.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var held int64 = -1
+	for _, ln := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(ln, "core_stream_inflight_bytes "); ok {
+			fmt.Sscan(v, &held)
+		}
+	}
+	if held < 0 || held > 128<<10 {
+		t.Fatalf("core_stream_inflight_bytes = %d after the poll, want at most one 128 KiB chunk", held)
 	}
 }

@@ -114,3 +114,16 @@ func scanSlice(w *BlockReader) {
 func (p *parser) scanTail(w *BlockReader) {
 	p.events = append(p.events, event{Raw: w.tail()}) // want `field events of p`
 }
+
+// queuedLine mirrors internal/core's queued live line: view returns a
+// view of a feed-arena buffer that is written over once the line is
+// retired.
+type queuedLine struct{ raw string }
+
+func (q *queuedLine) view() string { return q.raw }
+
+// mutant 12: a worker keeps a substring of a queued line in an event.
+func (p *parser) parseQueued(q *queuedLine) {
+	raw := q.view()
+	p.mineNoClone(line{Class: raw[:1], Message: raw[1:]}) // want `passed to mineNoClone`
+}

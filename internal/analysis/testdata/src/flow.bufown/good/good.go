@@ -97,3 +97,18 @@ func scanLocal(w *BlockReader) string {
 	}
 	return strings.Join(parts, ",") // Join allocates a fresh string
 }
+
+// queuedLine mirrors internal/core's queued live line: view returns a
+// view of a feed-arena buffer that is written over once the line is
+// retired, so the ownership manifest declares it a source.
+type queuedLine struct{ source, raw string }
+
+func (q *queuedLine) view() string { return q.raw }
+
+// parseQueued is the live worker's discipline: what it keeps of a
+// queued line is cloned by mine.
+func (p *parser) parseQueued(lines []queuedLine) {
+	for i := range lines {
+		p.mine(parseLine(lines[i].view()))
+	}
+}

@@ -271,9 +271,11 @@ func TestStreamBackfillAlloc(t *testing.T) {
 // TestShardedBackfillAlloc bounds what the live engine allocates per
 // line while it catches up on a finished tree through its bulk feed:
 // the golden trees handed to FeedBlock one block per file, in lexical
-// order, as a restarted -serve scan reads them, then Quiesce. The lines
-// are slices of the blocks, the workers clone only what mined events
-// keep, out-of-order events are appended rather than inserted, and no
+// order, as a restarted -serve scan reads them, then Quiesce. The blocks
+// are copied into the stream's feed arena, whose first buffers are
+// small, the lines are slices of the copies, the workers clone only what
+// mined events keep, out-of-order events are appended rather than
+// inserted, and no
 // trace is decomposed or sorted until it is read — here only by the
 // completion hook's snapshots.
 func TestShardedBackfillAlloc(t *testing.T) {
@@ -297,9 +299,12 @@ func TestShardedBackfillAlloc(t *testing.T) {
 		bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
 		allocsPer := float64(after.Mallocs-before.Mallocs) / float64(lines)
 		t.Logf("%s: %d lines, %d events: %.0f B/line, %.2f allocs/line", tree, lines, ss.EventCount(), bytesPer, allocsPer)
-		// Measured 478-743 B and 1.0-1.3 allocs/line at GOMAXPROCS 1-8,
-		// most of it the workers' event buffers and the apps' event
-		// arrays growing on a fresh stream. The budget keeps the 1.38x
+		// Measured 625-801 B and 0.6-0.8 allocs/line at GOMAXPROCS 1-8,
+		// most of it the workers' event buffers, the apps' event arrays
+		// and the arena's buffers (4, 8, 16, ... KiB) growing on a fresh
+		// stream. Cloning each block instead measured 478-743 B and
+		// 1.0-1.3 allocs/line; a first arena buffer of a whole 128 KiB
+		// read chunk 881-1066 B. The budget keeps the 1.38x
 		// headroom the 1768 B budget had over the 0.7-1.3 KiB that
 		// 144-byte events measured. With each event's source, class and
 		// message kept (192-byte events, class and message cloned) it
@@ -358,9 +363,12 @@ func TestShardedBackfillRetainedAlloc(t *testing.T) {
 		bytesPer, events = min(bytesPer, b), n
 	}
 	t.Logf("%d events: %.0f B/event retained (least of %d trials)", events, bytesPer, trials)
-	// Measured 175 B. Each shard keeping its parse buffer at the size of
-	// its largest batch (here nearly the whole input: one Event and one
-	// int per event) measured 239-257 B. Keeping each app's last
+	// Measured 182 B, the feed arena's current 128 KiB buffer included
+	// (~7 B); 175 B when each block was cloned instead. Each shard
+	// keeping its parse buffer at the size of its largest batch (here
+	// nearly the whole input: one Event and one int per event) measured
+	// 239-257 B, and keeping its spare queue and the arena's route
+	// slices at theirs 235 B. Keeping each app's last
 	// snapshot, and the working trace's copy of its Events, until the
 	// next snapshot, which held the superseded sorted array next to the
 	// one appends reallocated, measured 347-378 B on top of that (one

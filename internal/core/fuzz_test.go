@@ -72,7 +72,16 @@ func seedCorpusWorkers(f *testing.F) {
 	f.Add([]byte("garbage\n\x00\xff\n2017-07-02 99:99:99,999 INFO x: y"), uint8(0))
 	f.Add([]byte(strings.Repeat("no timestamp here\n", 40)), uint8(255))
 	f.Add(forwardingSeed(f))
+	// The forwarding input again through an arena of 256 bytes, whose
+	// feeds stall on the budget.
+	data, workers := forwardingSeed(f)
+	f.Add(data, workers|tightArena)
 }
+
+// tightArena, set in FuzzShardedFeed's worker byte, shrinks the sharded
+// stream's arena to two 128-byte chunks: most feeds wait for the
+// workers, and longer lines take buffers of their own.
+const tightArena = 0x80
 
 // FuzzParseReader feeds arbitrary bytes through the whole offline
 // pipeline: parse, correlate, decompose, report, JSON. The contract under
@@ -151,15 +160,26 @@ func FuzzStreamFeed(f *testing.F) {
 // fuzzSources, through a ShardedStream with a fuzzed worker count and
 // through a one-worker stream, the serial side: the absorbed event
 // multiset must match no matter how lines shard, even on adversarial
-// input that triggers cross-shard event forwarding. It also checks the
-// memory bound.
+// input that triggers cross-shard event forwarding. A worker byte with
+// tightArena set gives the sharded side a byte budget of a few hundred
+// bytes, which its feeds stall on; its buffers are poisoned once their
+// lines are retired. It also checks the memory bounds: apps tracked, and
+// no buffer but the current chunk held once the stream is quiesced.
 func FuzzShardedFeed(f *testing.F) {
 	seedCorpusWorkers(f)
 	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
 		lines := strings.Split(string(data), "\n")
 		w := int(workers%8) + 1
 		reg := metrics.NewRegistry()
-		st, ss := NewShardedStream(1), NewShardedStream(w)
+		tight := workers&tightArena != 0
+		chunk, chunks := readChunk, feedBudgetChunks
+		if tight {
+			chunk, chunks = 128, 2
+		}
+		st, ss := NewShardedStream(1), newShardedStream(w, chunk, chunks)
+		if tight {
+			poisoned(ss)
+		}
 		defer st.Close()
 		defer ss.Close()
 		ss.Instrument(reg)
@@ -169,6 +189,9 @@ func FuzzShardedFeed(f *testing.F) {
 		}
 		st.Quiesce()
 		ss.Quiesce()
+		if held := reg.Gauge("core_stream_inflight_bytes").Value(); held > int64(chunk) {
+			t.Fatalf("workers=%d: %d bytes held after Quiesce, want at most one %d-byte chunk", w, held, chunk)
+		}
 
 		// Order-independent invariants that hold even when adversarial
 		// lines force cross-shard forwarding: same events absorbed, same

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
+	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/metrics"
@@ -26,6 +28,10 @@ var reAppInLine = regexp.MustCompile(`(?:application|container)_(\d+)_(\d+)`)
 // (events a line produces for a foreign application, possible only on
 // adversarial input, are absorbed into the owning shard by the worker
 // that parsed the line). One worker is the serial configuration.
+//
+// Feed and FeedBlock copy what they queue into a small arena of reused
+// read-chunk buffers (feedArena), which bounds the bytes fed and not yet
+// parsed: when every buffer is held, a feed waits for the workers.
 //
 // All methods are safe for concurrent use. Feeding is asynchronous: call
 // Quiesce to wait until everything fed so far has been absorbed. Reports
@@ -50,6 +56,8 @@ type ShardedStream struct {
 
 	wg sync.WaitGroup
 
+	arena feedArena
+
 	pmet     *parserMetrics
 	met      *streamMetrics
 	forwards *metrics.Counter
@@ -68,8 +76,12 @@ type streamShard struct {
 
 	qMu   sync.Mutex
 	qCond *sync.Cond
-	lines []shardLine
+	lines []queuedLine
 	quit  bool
+	// spare is the emptied queue of the worker's previous batch, which
+	// the worker swaps in for the next one unless keepBatch dropped it
+	// (worker goroutine only).
+	spare []queuedLine
 
 	// stMu guards the shard's Stream: a worker holds it while absorbing
 	// (its own lines' events, or another shard's line's events for this
@@ -82,8 +94,8 @@ type streamShard struct {
 	processed atomic.Int64
 
 	// scratch is this worker's reusable parser (only the worker goroutine
-	// touches it); see Stream.scratch. FeedBlock's lines are slices of a
-	// whole block, which the events it mines never alias (see Parser).
+	// touches it); see Stream.scratch. The queued lines are views of the
+	// arena's buffers, which the events it mines never alias (see Parser).
 	scratch Parser
 	// batchEvs and batchEnds are run's reusable parse buffer: the events
 	// of a whole line batch back to back, and where each line's events
@@ -98,7 +110,17 @@ type streamShard struct {
 	batches    *metrics.Counter // core_shard_batches_total{shard=i}
 }
 
-type shardLine struct{ source, raw string }
+// queuedLine is one line in a shard's queue. raw is a view of chunk's
+// buffer, which is written over once the line is retired.
+type queuedLine struct {
+	source, raw string
+	chunk       *feedChunk
+}
+
+// view returns the line's bytes, a view of an arena buffer that the
+// arena reuses once the worker retires the line: the parse must clone
+// whatever it keeps.
+func (q *queuedLine) view() string { return q.raw }
 
 // ShardStat is one worker's progress sample for the pipeline watchdog:
 // the lines queued for it and the lines it has absorbed so far.
@@ -122,11 +144,18 @@ type streamMetrics struct {
 // NewShardedStream starts workers goroutines (0 = GOMAXPROCS), each
 // owning one shard. Call Close to stop them.
 func NewShardedStream(workers int) *ShardedStream {
+	return newShardedStream(workers, readChunk, feedBudgetChunks)
+}
+
+// newShardedStream is NewShardedStream with an arena of chunks buffers
+// of chunk bytes each.
+func newShardedStream(workers, chunk, chunks int) *ShardedStream {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	ss := &ShardedStream{shards: make([]*streamShard, workers)}
 	ss.workCond = sync.NewCond(&ss.workMu)
+	ss.arena.init(chunk, chunks, workers)
 	for i := range ss.shards {
 		sh := &streamShard{ss: ss, i: i, st: NewStream()}
 		sh.qCond = sync.NewCond(&sh.qMu)
@@ -174,6 +203,10 @@ func (ss *ShardedStream) Instrument(reg *metrics.Registry) {
 		evicted:   reg.Counter("core_stream_apps_evicted_total"),
 	}
 	ss.forwards = reg.Counter("core_shard_forwarded_events_total")
+	ss.arena.poolMu.Lock()
+	ss.arena.inflight = reg.Gauge("core_stream_inflight_bytes")
+	ss.arena.stallMS = reg.Counter("core_stream_feed_stall_ms_total")
+	ss.arena.poolMu.Unlock()
 	for _, sh := range ss.shards {
 		sh.linesTotal = reg.Counter("core_shard_lines_total", "shard", strconv.Itoa(sh.i))
 		sh.depth = reg.Gauge("core_shard_queue_depth", "shard", strconv.Itoa(sh.i))
@@ -248,50 +281,84 @@ func (ss *ShardedStream) routeDaemon(source, raw string) int {
 	return fnvShard(source, len(ss.shards))
 }
 
-// Feed routes one raw log line to its owning shard's queue. It returns
-// true when the line was accepted (false after Close). The parse happens
-// asynchronously, so acceptance does not imply the line produced events
-// — compare EventCount after Quiesce for that.
+// Feed copies one raw log line into the arena and routes it to its
+// owning shard's queue, waiting first while the arena is full. It
+// returns true when the line was accepted (false after Close). The
+// parse happens asynchronously, so acceptance does not imply the line
+// produced events — compare EventCount after Quiesce for that.
 func (ss *ShardedStream) Feed(source, rawLine string) bool {
-	if !ss.admit(1) {
+	a := &ss.arena
+	a.feedMu.Lock()
+	defer a.feedMu.Unlock()
+	// At least one byte, so the budget also bounds how many lines queue.
+	c, buf := a.take(max(len(rawLine), 1))
+	if c == nil {
 		return false
 	}
-	ss.shards[ss.route(source, rawLine)].push(shardLine{source, rawLine})
-	return true
+	copy(buf, rawLine)
+	raw := unsafe.String(unsafe.SliceData(buf), len(rawLine))
+	j := ss.route(source, raw)
+	a.route[j] = append(a.route[j], queuedLine{source, raw, c})
+	return ss.enqueue(c, 1) == 1
 }
 
-// FeedBlock routes every line of block — split as the offline parser
-// splits a file, lines of MaxLineBytes or more skipped — from source to
-// its owning shard's queue. The source's container is resolved once,
-// and the block is handed off with one lock of the work counter and one
-// of each shard's queue, not once per line. Lines are substrings of
-// block; the workers clone what the events they mine keep, so nothing
-// pins it once they are parsed. Until then block must not change, so a
-// BlockReader's block, a view of its buffer, is cloned before it is fed.
-// It returns how many lines were accepted (0 after Close).
+// FeedBlock copies block into the arena and routes every line of it —
+// split as the offline parser splits a file, lines of MaxLineBytes or
+// more skipped — from source to its owning shard's queue, waiting first
+// while the arena is full. The source's container is resolved once, and
+// the block is handed off with one lock of the work counter and one of
+// each shard's queue, not once per line. The caller may reuse block as
+// soon as FeedBlock returns: a BlockReader's block, a view of its
+// buffer, is fed as it is. It returns how many lines were accepted (0
+// after Close).
 func (ss *ShardedStream) FeedBlock(source, block string) (fed int) {
-	it := segmentIter{raw: block}
-	lines := make([][]shardLine, len(ss.shards))
+	if block == "" {
+		return 0
+	}
+	a := &ss.arena
+	a.feedMu.Lock()
+	defer a.feedMu.Unlock()
+	c, buf := a.take(len(block))
+	if c == nil {
+		return 0
+	}
+	copy(buf, block)
 	own := -1
 	if cid, found, err := fastFindContainerID(source); found && err == nil {
 		own = ss.shardOf(cid.App)
 	}
+	it := segmentIter{raw: unsafe.String(unsafe.SliceData(buf), len(buf))}
 	for seg, ok := it.next(); ok; seg, ok = it.next() {
 		j := own
 		if j < 0 {
 			j = ss.routeDaemon(source, seg)
 		}
-		lines[j] = append(lines[j], shardLine{source, seg})
+		a.route[j] = append(a.route[j], queuedLine{source, seg, c})
 		fed++
 	}
-	if fed == 0 || !ss.admit(fed) {
-		return 0
-	}
-	for j, ls := range lines {
-		if len(ls) > 0 {
-			ss.shards[j].push(ls...)
+	return ss.enqueue(c, fed)
+}
+
+// enqueue admits the fed lines routed into the arena's route slices,
+// hands them to their shards' queues and drops the feed's hold on c,
+// the chunk they view. It returns how many lines were accepted: fed, or
+// 0 after Close. feedMu is held.
+func (ss *ShardedStream) enqueue(c *feedChunk, fed int) int {
+	a := &ss.arena
+	if fed > 0 && ss.admit(fed) {
+		c.refs.Add(int32(fed))
+		for j, ls := range a.route {
+			if len(ls) > 0 {
+				ss.shards[j].push(ls)
+			}
 		}
+	} else {
+		fed = 0
 	}
+	for j, ls := range a.route {
+		a.route[j] = keepBatch(ls)
+	}
+	a.release(c, 1)
 	return fed
 }
 
@@ -312,7 +379,7 @@ func (ss *ShardedStream) admit(n int) bool {
 }
 
 // push appends admitted lines to the shard's queue and wakes its worker.
-func (sh *streamShard) push(lines ...shardLine) {
+func (sh *streamShard) push(lines []queuedLine) {
 	sh.qMu.Lock()
 	sh.lines = append(sh.lines, lines...)
 	sh.depth.Set(int64(len(sh.lines)))
@@ -361,6 +428,7 @@ func (ss *ShardedStream) Quiesce() {
 // false. Stop concurrent feeders first: lines racing Close may be
 // rejected.
 func (ss *ShardedStream) Close() {
+	ss.arena.close()
 	ss.workMu.Lock()
 	ss.closed = true
 	for ss.pending > 0 {
@@ -374,6 +442,10 @@ func (ss *ShardedStream) Close() {
 		sh.qMu.Unlock()
 	}
 	ss.wg.Wait()
+	// The workers are done, so this leaves no buffer held.
+	ss.arena.feedMu.Lock()
+	ss.arena.dropCurrent()
+	ss.arena.feedMu.Unlock()
 }
 
 // run is the worker loop. It takes everything queued as one batch,
@@ -392,7 +464,7 @@ func (sh *streamShard) run() {
 			return // quit and drained
 		}
 		lines := sh.lines
-		sh.lines = nil
+		sh.lines, sh.spare = sh.spare, nil
 		sh.depth.Set(0)
 		sh.qMu.Unlock()
 
@@ -401,11 +473,25 @@ func (sh *streamShard) run() {
 		sh.linesTotal.Add(int64(len(lines)))
 		sh.scratch.met = sh.ss.pmet
 		evs, ends := sh.batchEvs[:0], sh.batchEnds[:0]
-		for _, ln := range lines {
+		// The parse is the last reader of a line's bytes, so each run of
+		// lines in one chunk is retired as soon as it is parsed, and a
+		// waiting feed need not wait for the rest of the batch.
+		var c *feedChunk
+		run := 0
+		for i := range lines {
+			ln := &lines[i]
+			if ln.chunk != c {
+				if run > 0 {
+					sh.ss.arena.release(c, run)
+				}
+				c, run = ln.chunk, 0
+			}
 			// Copied out of the scratch parser, which the next line reuses.
-			evs = append(evs, sh.scratch.parseLine(ln.source, ln.raw)...)
+			evs = append(evs, sh.scratch.parseLine(ln.source, ln.view())...)
 			ends = append(ends, len(evs))
+			run++
 		}
+		sh.ss.arena.release(c, run)
 		mid := pl.Begin()
 		start := 0
 		for _, end := range ends {
@@ -414,6 +500,7 @@ func (sh *streamShard) run() {
 		}
 		sh.ss.done(len(lines))
 		sh.batchEvs, sh.batchEnds = keepBatch(evs), keepBatch(ends)
+		sh.spare = keepBatch(lines)
 		// Parsing and absorbing (correlate, the Complete predicate and
 		// the hook's decompositions) share the middle clock read;
 		// splitting the phases costs no extra reads.
@@ -424,9 +511,14 @@ func (sh *streamShard) run() {
 	}
 }
 
-// batchKeep is the most entries a shard's parse buffers keep between
-// batches: the steady live trickle fits, a backfill's batches do not.
-const batchKeep = 1024
+// batchKeep is the most entries a shard's parse buffers, its spare
+// queue and the arena's route slices keep between batches: a budget's
+// worth of 512-byte lines, a quarter of the ~128-byte lines of the
+// simulator's daemon logs that fill the budget. The steady live trickle
+// fits, a backfill's batches do not; keeping those too, at up to a
+// budget's worth of lines each, measured 235 B/event retained in
+// TestShardedBackfillRetainedAlloc.
+const batchKeep = feedBudgetChunks * readChunk / 512
 
 // keepBatch returns buf emptied for the next batch, or nil when it grew
 // past batchKeep. A kept buffer is cleared so it holds no strings of the
@@ -437,6 +529,204 @@ func keepBatch[T any](buf []T) []T {
 	}
 	clear(buf)
 	return buf[:0]
+}
+
+// feedBudgetChunks bounds the live engine's admitted, unretired bytes,
+// in read chunks: the arena holds at most this many buffers of
+// readChunk bytes (512 KiB). Everything a feeder reads ahead of the
+// workers is held there, so the bound is what a -serve catch-up keeps of
+// the tree. Measured on a 2-CPU VM (bench/run.sh serve-backfill, 10 s,
+// median peak RSS of 10 alternating pairs): 4 chunks 61.9 MB at seed 97
+// and 62.2 MB at seed 131, against 68.4 and 69.7 MB with every block
+// cloned and queued without a bound; 16 chunks 63.3 MB (3 runs, seed
+// 97). Catch-up time did not move beyond run-to-run spread.
+const feedBudgetChunks = 4
+
+// feedChunk is one arena buffer. refs counts the queued lines that view
+// buf, plus one while it is the arena's current chunk and one while a
+// feed copies into it; the release of the last returns it to the arena.
+type feedChunk struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+// feedArena is the pool of buffers that Feed and FeedBlock copy what they
+// queue into, and the live engine's byte budget. A feed takes room in
+// the current chunk, packed back to back with the feeds before it, or a
+// fresh chunk once it does not fit; a block longer than a chunk gets a
+// buffer of its own. Chunks are allocated lazily up to the budget, the
+// first ones small: each fresh chunk is twice the size of the one before
+// it, up to a full chunk, so a small tree or a trickle does not pay for
+// full chunks. A feed that finds every byte of the budget held waits for
+// the workers to retire lines, on poolCond, holding no lock of the
+// stream's. Once nothing but the current chunk is held the spare chunks
+// are dropped, so an idle stream keeps one chunk.
+type feedArena struct {
+	// feedMu serializes feeds, each held across its wait for room; it
+	// guards cur, off and route.
+	feedMu sync.Mutex
+	cur    *feedChunk
+	off    int // where the next feed goes in cur
+	// route is the feed's lines per shard, emptied after each feed.
+	route [][]queuedLine
+
+	// poolMu guards the rest; poolCond wakes a feed waiting for room.
+	poolMu   sync.Mutex
+	poolCond *sync.Cond
+	// chunk is a full chunk's size in bytes, budget the most bytes held,
+	// and grow the size of the next fresh chunk.
+	chunk, budget, grow int
+	// held is the bytes of the chunks that lines, a feed or the current
+	// chunk hold, and nheld how many chunks that is.
+	held, nheld int
+	free        []*feedChunk // full chunks
+	closed      bool
+	waiting     bool // a feed waits for room
+	// stalled is the time feeds waited, stallReported what stallMS has
+	// been told of it, in milliseconds.
+	stalled       time.Duration
+	stallReported int64
+	// poison overwrites each buffer with 0xFF once its lines are retired,
+	// so a view kept past retirement reads garbage; race builds set it.
+	poison bool
+
+	inflight *metrics.Gauge   // core_stream_inflight_bytes: held
+	stallMS  *metrics.Counter // core_stream_feed_stall_ms_total
+}
+
+// firstChunk is the size of an arena's first chunk.
+const firstChunk = 4 << 10
+
+func (a *feedArena) init(chunk, chunks, shards int) {
+	a.chunk, a.budget, a.grow = chunk, chunk*chunks, min(firstChunk, chunk)
+	a.route = make([][]queuedLine, shards)
+	a.poolCond = sync.NewCond(&a.poolMu)
+	a.poison = raceBuild
+}
+
+// take returns n bytes of arena for one feed and the chunk they are in,
+// held for the feed, or nil after Close. It waits while the budget is
+// spent. feedMu is held.
+func (a *feedArena) take(n int) (*feedChunk, []byte) {
+	if c := a.cur; c != nil && n <= len(c.buf) {
+		if c.refs.Load() == 1 {
+			// Only the current-chunk hold is left: every line that
+			// viewed it is retired, so it is reused from its start.
+			a.scrub(c.buf[:a.off])
+			a.off = 0
+		}
+		if a.off+n <= len(c.buf) {
+			c.refs.Add(1)
+			b := c.buf[a.off : a.off+n : a.off+n]
+			a.off += n
+			return c, b
+		}
+	}
+	a.dropCurrent()
+	c := a.acquire(n)
+	if c == nil {
+		return nil, nil
+	}
+	if n <= a.chunk {
+		c.refs.Store(2)
+		a.cur, a.off = c, n
+	} else {
+		c.refs.Store(1)
+	}
+	return c, c.buf[:n:n]
+}
+
+// acquire returns a chunk of at least n bytes, counted as held, once it
+// fits in the budget beside what is held (or nothing is held), or nil
+// after Close: a buffer of its own for n above a chunk, else a full
+// chunk off the free list or a fresh one of the growing size.
+func (a *feedArena) acquire(n int) *feedChunk {
+	a.poolMu.Lock()
+	defer a.poolMu.Unlock()
+	size := n
+	if n <= a.chunk {
+		// A full chunk is on the free list only once grow is full.
+		size = max(n, a.grow)
+	}
+	if !a.closed && a.held > 0 && a.held+size > a.budget {
+		start := time.Now()
+		a.waiting = true
+		for !a.closed && a.held > 0 && a.held+size > a.budget {
+			a.poolCond.Wait()
+		}
+		a.waiting = false
+		a.stalled += time.Since(start)
+		ms := a.stalled.Milliseconds()
+		a.stallMS.Add(ms - a.stallReported)
+		a.stallReported = ms
+	}
+	if a.closed {
+		return nil
+	}
+	var c *feedChunk
+	if k := len(a.free); k > 0 && size == a.chunk {
+		c = a.free[k-1]
+		a.free[k-1] = nil
+		a.free = a.free[:k-1]
+	} else {
+		c = &feedChunk{buf: make([]byte, size)}
+		if size <= a.chunk {
+			a.grow = min(2*size, a.chunk)
+		}
+	}
+	a.held += size
+	a.nheld++
+	a.inflight.Set(int64(a.held))
+	return c
+}
+
+// release drops n holds on c. The last one returns its buffer: to the
+// free list while other chunks are held, else to the collector with
+// the free list, and wakes a waiting feed.
+func (a *feedArena) release(c *feedChunk, n int) {
+	if c.refs.Add(int32(-n)) != 0 {
+		return
+	}
+	a.poolMu.Lock()
+	a.held -= len(c.buf)
+	a.nheld--
+	a.scrub(c.buf)
+	switch {
+	case a.nheld <= 1:
+		clear(a.free)
+		a.free = a.free[:0]
+	case len(c.buf) == a.chunk:
+		a.free = append(a.free, c)
+	}
+	a.inflight.Set(int64(a.held))
+	a.poolCond.Signal()
+	a.poolMu.Unlock()
+}
+
+// scrub overwrites b with 0xFF when the arena poisons retired bytes.
+func (a *feedArena) scrub(b []byte) {
+	if a.poison {
+		for i := range b {
+			b[i] = 0xFF
+		}
+	}
+}
+
+// close fails every feed from now on, a waiting one included.
+func (a *feedArena) close() {
+	a.poolMu.Lock()
+	a.closed = true
+	a.poolCond.Broadcast()
+	a.poolMu.Unlock()
+}
+
+// dropCurrent releases the arena's hold on its current chunk. feedMu is
+// held.
+func (a *feedArena) dropCurrent() {
+	if c := a.cur; c != nil {
+		a.cur = nil
+		a.release(c, 1)
+	}
 }
 
 // onComplete is installed on every shard's Stream: it relays to the user

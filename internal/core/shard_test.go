@@ -12,12 +12,24 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/log4j"
 	"repro/internal/metrics"
 )
+
+// shardLine is one line of a test feed and the source it is fed from.
+type shardLine struct{ source, raw string }
+
+// poisoned makes ss overwrite each arena buffer with 0xFF once its
+// lines are retired, as race builds do, so a kept view of a fed line
+// reads garbage. Call it before feeding.
+func poisoned(ss *ShardedStream) *ShardedStream {
+	ss.arena.poison = true
+	return ss
+}
 
 // corpusLines flattens a corpus into one deterministic feed sequence:
 // global timestamp order with file order breaking ties, as a live
@@ -86,7 +98,7 @@ func diffShardedSerial(t *testing.T, lines []shardLine, w int) {
 		t.Fatalf("serial report: %v", err)
 	}
 
-	ss := NewShardedStream(w)
+	ss := poisoned(NewShardedStream(w))
 	defer ss.Close()
 	var hooked []*AppTrace
 	ss.OnComplete(func(a *AppTrace) { hooked = append(hooked, a) })
@@ -226,7 +238,7 @@ func TestShardedForwardingMatchesSerial(t *testing.T) {
 		for _, w := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", c, w), func(t *testing.T) {
 				reg := metrics.NewRegistry()
-				ss := NewShardedStream(w)
+				ss := poisoned(NewShardedStream(w))
 				defer ss.Close()
 				ss.Instrument(reg)
 				fired := map[ids.AppID]int{}
@@ -482,6 +494,8 @@ func TestShardedStreamInstrumented(t *testing.T) {
 		"core_stream_events_total",
 		"core_stream_apps_completed",
 		"core_shard_forwarded_events_total",
+		"core_stream_inflight_bytes",
+		"core_stream_feed_stall_ms_total",
 		`core_shard_lines_total{shard="0"}`,
 		`core_shard_lines_total{shard="1"}`,
 	} {
@@ -709,8 +723,9 @@ func goldenTreeFiles(t testing.TB, dir string) []shardLine {
 }
 
 // TestFeedBlockEventsDoNotAliasBlock: no string an event or a trace
-// holds after FeedBlock and Quiesce points into a fed block, so a block
-// is garbage once the workers have parsed it.
+// holds after FeedBlock and Quiesce points into a fed block, so the
+// caller may reuse a block once FeedBlock returns. That events keep no
+// view of the arena's copy either, the poisoned tests check.
 func TestFeedBlockEventsDoNotAliasBlock(t *testing.T) {
 	files := goldenTreeFiles(t, filepath.Join("testdata", "golden", "pristine", "input"))
 	ss := NewShardedStream(2)
@@ -782,5 +797,164 @@ func TestSegmentIterSplitsTailedBlocks(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("block %q split into %q, want %q", tc.block, got, tc.want)
 		}
+	}
+}
+
+// TestFeedBlockTightBudgetMatchesSerial feeds both golden trees one
+// FeedBlock per file through arenas of a few hundred bytes, whose
+// buffers are reused and poisoned many times over and whose feeds stall
+// on the budget, and requires the serial stream's report. Files longer
+// than a chunk take buffers of their own.
+func TestFeedBlockTightBudgetMatchesSerial(t *testing.T) {
+	for _, tree := range []string{"pristine", "faulted"} {
+		dir := filepath.Join("testdata", "golden", tree, "input")
+		st, _ := feedSerial(goldenTreeLines(t, dir))
+		want, err := st.Report().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := goldenTreeFiles(t, dir)
+		for _, w := range []int{1, 3} {
+			for _, chunk := range []int{256, 4 << 10} {
+				reg := metrics.NewRegistry()
+				ss := poisoned(newShardedStream(w, chunk, 2))
+				ss.Instrument(reg)
+				fed := 0
+				for _, f := range files {
+					fed += ss.FeedBlock(f.source, f.raw)
+				}
+				ss.Quiesce()
+				if got, _ := ss.Report().JSON(); got != want {
+					t.Errorf("%s workers=%d chunk=%d: report diverges from the serial stream's", tree, w, chunk)
+				}
+				if fed != len(goldenTreeLines(t, dir)) {
+					t.Errorf("%s workers=%d chunk=%d: fed %d lines", tree, w, chunk, fed)
+				}
+				if held := reg.Gauge("core_stream_inflight_bytes").Value(); held > int64(chunk) {
+					t.Errorf("%s workers=%d chunk=%d: %d bytes held after Quiesce, want at most the current chunk", tree, w, chunk, held)
+				}
+				ss.Close()
+				if held := reg.Gauge("core_stream_inflight_bytes").Value(); held != 0 {
+					t.Errorf("%s workers=%d chunk=%d: %d bytes held after Close", tree, w, chunk, held)
+				}
+			}
+		}
+	}
+}
+
+// TestFeedStallsOnBudget: with the worker held up, feeds fill the
+// budget and the next one waits until the worker retires lines; the
+// wait is counted, and no more than the budget is ever held.
+func TestFeedStallsOnBudget(t *testing.T) {
+	reg := metrics.NewRegistry()
+	ss := newShardedStream(1, 256, 2)
+	defer ss.Close()
+	ss.Instrument(reg)
+	sh := ss.shards[0]
+	sh.stMu.Lock()
+	done := make(chan int)
+	go func() {
+		fed := 0
+		for i := range 8 {
+			fed += ss.FeedBlock("hadoop/yarn-resourcemanager.log", budgetLine(i)+"\n")
+		}
+		done <- fed
+	}()
+	waitFeedWaiting(t, ss)
+	ss.arena.poolMu.Lock()
+	held := ss.arena.held
+	ss.arena.poolMu.Unlock()
+	if held > ss.arena.budget {
+		t.Errorf("%d bytes held, budget %d", held, ss.arena.budget)
+	}
+	time.Sleep(5 * time.Millisecond)
+	sh.stMu.Unlock()
+	if fed := <-done; fed != 8 {
+		t.Fatalf("fed %d of 8 lines", fed)
+	}
+	ss.Quiesce()
+	if n := ss.EventCount(); n != 8 {
+		t.Fatalf("%d events, want 8", n)
+	}
+	if ms := reg.Counter("core_stream_feed_stall_ms_total").Value(); ms < 5 {
+		t.Errorf("core_stream_feed_stall_ms_total = %d, want the 5 ms the feed waited at least", ms)
+	}
+}
+
+// TestCloseWakesStalledFeed: Close racing a FeedBlock that waits on a
+// spent budget returns, the waiting FeedBlock returns 0 while the
+// worker is still held up, and once Close is done no buffer is counted.
+func TestCloseWakesStalledFeed(t *testing.T) {
+	reg := metrics.NewRegistry()
+	ss := newShardedStream(1, 256, 2)
+	ss.Instrument(reg)
+	sh := ss.shards[0]
+	sh.stMu.Lock()
+	last := make(chan int)
+	go func() {
+		for i := 0; ; i++ {
+			if n := ss.FeedBlock("hadoop/yarn-resourcemanager.log", budgetLine(i)+"\n"); n == 0 {
+				last <- n
+				return
+			}
+		}
+	}()
+	waitFeedWaiting(t, ss)
+	closed := make(chan struct{})
+	go func() {
+		ss.Close()
+		close(closed)
+	}()
+	select {
+	case <-last:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiting FeedBlock did not return after Close")
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a line still unabsorbed")
+	default:
+	}
+	sh.stMu.Unlock()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	ss.arena.poolMu.Lock()
+	held, nheld := ss.arena.held, ss.arena.nheld
+	ss.arena.poolMu.Unlock()
+	if held != 0 || nheld != 0 {
+		t.Errorf("after Close %d buffers (%d bytes) are still counted", nheld, held)
+	}
+	if g := reg.Gauge("core_stream_inflight_bytes").Value(); g != 0 {
+		t.Errorf("core_stream_inflight_bytes = %d after Close", g)
+	}
+	if ss.FeedBlock("hadoop/yarn-resourcemanager.log", budgetLine(0)+"\n") != 0 {
+		t.Error("FeedBlock accepted a line after Close")
+	}
+}
+
+// budgetLine is an RM line of its own application, shorter than the
+// budget tests' 256-byte chunks.
+func budgetLine(i int) string {
+	return line(int64(i), "x.RMAppImpl", fmt.Sprintf("application_1499000000000_%04d State change from NEW_SAVING to SUBMITTED on event = APP_NEW_SAVED", i+1))
+}
+
+// waitFeedWaiting waits until a feed of ss waits for room in its arena.
+func waitFeedWaiting(t *testing.T, ss *ShardedStream) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ss.arena.poolMu.Lock()
+		waiting := ss.arena.waiting
+		ss.arena.poolMu.Unlock()
+		if waiting {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no feed waited on the budget")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
