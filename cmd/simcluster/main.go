@@ -5,6 +5,12 @@
 //
 //	simcluster -queries 200 -out ./logs
 //	sdchecker -dir ./logs
+//
+// Files already in the -out directory are overwritten in place, and a
+// file the run does not write is left there: simcluster -out D over a
+// larger earlier run leaves D holding files of both runs, which
+// sdchecker mines as one. Point -out at an empty or missing directory
+// for a tree of this run alone.
 package main
 
 import (
@@ -28,7 +34,7 @@ func main() {
 		scheduler = flag.String("scheduler", "ce", "scheduler: ce (centralized Capacity) or de (distributed opportunistic)")
 		useDocker = flag.Bool("docker", false, "launch containers through Docker")
 		seed      = flag.Uint64("seed", 7, "simulation seed")
-		out       = flag.String("out", "", "directory to write the log tree to (required)")
+		out       = flag.String("out", "", "directory to write the log tree to (required); files already there are overwritten, and files this run does not write are kept")
 	)
 	flag.Parse()
 	if *out == "" {

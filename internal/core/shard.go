@@ -413,13 +413,15 @@ func (ss *ShardedStream) done(n int) {
 }
 
 // Quiesce blocks until every line accepted so far has been parsed and
-// absorbed, then refreshes the app gauges.
+// absorbed, then drops the arena's free chunks and refreshes the app
+// gauges.
 func (ss *ShardedStream) Quiesce() {
 	ss.workMu.Lock()
 	for ss.pending > 0 {
 		ss.workCond.Wait()
 	}
 	ss.workMu.Unlock()
+	ss.arena.dropFree()
 	ss.updateAppGauges()
 }
 
@@ -446,6 +448,7 @@ func (ss *ShardedStream) Close() {
 	ss.arena.feedMu.Lock()
 	ss.arena.dropCurrent()
 	ss.arena.feedMu.Unlock()
+	ss.arena.dropFree()
 }
 
 // run is the worker loop. It takes everything queued as one batch,
@@ -559,8 +562,10 @@ type feedChunk struct {
 // it, up to a full chunk, so a small tree or a trickle does not pay for
 // full chunks. A feed that finds every byte of the budget held waits for
 // the workers to retire lines, on poolCond, holding no lock of the
-// stream's. Once nothing but the current chunk is held the spare chunks
-// are dropped, so an idle stream keeps one chunk.
+// stream's. A retired full chunk goes on the free list for the next
+// feed, so a backlog of any length allocates at most the budget's worth
+// of full chunks; Quiesce and Close drop the free list, so an idle
+// stream keeps at most its current chunk.
 type feedArena struct {
 	// feedMu serializes feeds, each held across its wait for room; it
 	// guards cur, off and route.
@@ -579,7 +584,8 @@ type feedArena struct {
 	// held is the bytes of the chunks that lines, a feed or the current
 	// chunk hold, and nheld how many chunks that is.
 	held, nheld int
-	free        []*feedChunk // full chunks
+	free        []*feedChunk // full chunks, kept until Quiesce or Close
+	fresh       int          // chunks allocated
 	closed      bool
 	waiting     bool // a feed waits for room
 	// stalled is the time feeds waited, stallReported what stallMS has
@@ -670,6 +676,7 @@ func (a *feedArena) acquire(n int) *feedChunk {
 		a.free = a.free[:k-1]
 	} else {
 		c = &feedChunk{buf: make([]byte, size)}
+		a.fresh++
 		if size <= a.chunk {
 			a.grow = min(2*size, a.chunk)
 		}
@@ -680,9 +687,8 @@ func (a *feedArena) acquire(n int) *feedChunk {
 	return c
 }
 
-// release drops n holds on c. The last one returns its buffer: to the
-// free list while other chunks are held, else to the collector with
-// the free list, and wakes a waiting feed.
+// release drops n holds on c. The last one returns its buffer, to the
+// free list if it is a full chunk, and wakes a waiting feed.
 func (a *feedArena) release(c *feedChunk, n int) {
 	if c.refs.Add(int32(-n)) != 0 {
 		return
@@ -691,11 +697,7 @@ func (a *feedArena) release(c *feedChunk, n int) {
 	a.held -= len(c.buf)
 	a.nheld--
 	a.scrub(c.buf)
-	switch {
-	case a.nheld <= 1:
-		clear(a.free)
-		a.free = a.free[:0]
-	case len(c.buf) == a.chunk:
+	if len(c.buf) == a.chunk {
 		a.free = append(a.free, c)
 	}
 	a.inflight.Set(int64(a.held))
@@ -710,6 +712,14 @@ func (a *feedArena) scrub(b []byte) {
 			b[i] = 0xFF
 		}
 	}
+}
+
+// dropFree hands the free list's chunks to the collector.
+func (a *feedArena) dropFree() {
+	a.poolMu.Lock()
+	clear(a.free)
+	a.free = a.free[:0]
+	a.poolMu.Unlock()
 }
 
 // close fails every feed from now on, a waiting one included.

@@ -10,13 +10,17 @@
 package log4j
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -229,40 +233,125 @@ func (s *Sink) TotalLines() int {
 	return n
 }
 
-// Reader returns an io.Reader over one file's content.
+// Reader returns an io.Reader over one file's content: its lines, each
+// followed by a newline, or a lone newline for a file with no lines. It
+// reads the lines in place and copies none of them.
 func (s *Sink) Reader(file string) io.Reader {
-	return strings.NewReader(strings.Join(s.files[file], "\n") + "\n")
+	lines := s.files[file]
+	if len(lines) == 0 {
+		lines = emptyFile
+	}
+	return &linesReader{lines: lines}
+}
+
+// emptyFile is what Reader reads for a file with no lines: the one empty
+// line strings.Join(nil, "\n")+"\n" renders.
+var emptyFile = []string{""}
+
+// linesReader reads lines joined by newlines, with a newline after the
+// last one.
+type linesReader struct {
+	lines []string // lines[0] is the line being read
+	off   int      // bytes of lines[0] already read
+}
+
+func (r *linesReader) Read(p []byte) (int, error) {
+	if len(r.lines) == 0 {
+		return 0, io.EOF
+	}
+	n := 0
+	for n < len(p) && len(r.lines) > 0 {
+		if l := r.lines[0]; r.off < len(l) {
+			c := copy(p[n:], l[r.off:])
+			n += c
+			r.off += c
+			continue
+		}
+		p[n] = '\n'
+		n++
+		r.lines, r.off = r.lines[1:], 0
+	}
+	return n, nil
 }
 
 // WriteDir materializes all files under dir, creating subdirectories as
 // needed. This is what cmd/simcluster uses to hand a log tree to the
-// sdchecker CLI.
+// sdchecker CLI. Each file holds its lines, each followed by a newline.
+//
+// Files are written in place: an existing file is overwritten and cut to
+// its new length, not truncated first, so a rewrite of a tree reuses its
+// blocks. A file under dir that the sink does not hold is left as it is,
+// so writing over a larger earlier tree mixes the two. Directories are
+// made first, then the files are written on up to GOMAXPROCS goroutines.
+// On failure the error names the first file in sorted order that could
+// not be written, the one a serial writer would have stopped at, joined
+// with any other failure met by then.
 func (s *Sink) WriteDir(dir string) error {
 	files := append([]string(nil), s.order...)
 	sort.Strings(files)
-	for _, f := range files {
-		path := filepath.Join(dir, filepath.FromSlash(f))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fmt.Errorf("log4j: %w", err)
+	errs := make([]error, len(files))
+	n := len(files) // files[:n] have their directories
+	made := map[string]bool{}
+	for i, f := range files {
+		d := path.Dir(f)
+		if made[d] {
+			continue
 		}
-		w, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("log4j: %w", err)
+		if err := os.MkdirAll(filepath.Join(dir, filepath.FromSlash(d)), 0o755); err != nil {
+			errs[i], n = fmt.Errorf("log4j: %s: %w", filepath.Join(dir, filepath.FromSlash(f)), err), i
+			break
 		}
-		bw := bufio.NewWriter(w)
-		for _, line := range s.files[f] {
-			bw.WriteString(line)
-			bw.WriteByte('\n')
-		}
-		if err := bw.Flush(); err != nil {
-			w.Close()
-			return fmt.Errorf("log4j: flushing %s: %w", path, err)
-		}
-		if err := w.Close(); err != nil {
-			return fmt.Errorf("log4j: closing %s: %w", path, err)
-		}
+		made[d] = true
 	}
-	return nil
+	workers := min(runtime.GOMAXPROCS(0), n)
+	// Files are handed out in sorted order and a worker stops taking
+	// them after any failure, so every file before the first failure has
+	// been written or has failed too.
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				buf = buf[:0]
+				for _, line := range s.files[files[i]] {
+					buf = append(buf, line...)
+					buf = append(buf, '\n')
+				}
+				if err := writeInPlace(filepath.Join(dir, filepath.FromSlash(files[i])), buf); err != nil {
+					errs[i] = fmt.Errorf("log4j: %w", err)
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// writeInPlace makes the file at name hold exactly b: it overwrites the
+// file's bytes from its start, creating it if needed, and cuts it to
+// len(b).
+func writeInPlace(name string, b []byte) error {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE, 0o666)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Truncate(int64(len(b)))
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Logger emits lines for a fixed (file, class) pair, stamped with the
