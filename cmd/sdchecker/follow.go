@@ -188,10 +188,11 @@ func followDir(dir string, workers int) error {
 
 // drainFile feeds every complete line of f appended since the recorded
 // offset and advances the offset by the bytes those lines take, line
-// terminators included. It opens f, stats the open file, and reads from
-// the offset up to that size with a core.BlockReader, handing each block
-// of complete lines to FeedBlock at once, which copies it before the
-// next read writes over the reader's buffer. An unterminated
+// terminators included. It opens f, takes the open file's size, and
+// reads by pread from the offset up to that size with a
+// core.BlockReader, handing each block of complete lines to FeedBlock
+// at once, which copies it before the next read writes over the
+// reader's buffer. An unterminated
 // tail — a line its writer has not finished — is held back until its
 // newline arrives.
 // A CR before the newline is dropped from the fed line, as the offline
@@ -207,12 +208,12 @@ func (s *dirScanner) drainFile(f core.TreeFile) (int, error) {
 		return 0, err
 	}
 	defer r.Close()
-	info, err := r.Stat()
+	size, err := r.Size()
 	if err != nil {
 		return 0, err
 	}
 	rel := f.Name
-	file, size := s.files[rel], info.Size()
+	file := s.files[rel]
 	if size < file.off {
 		file = fileState{}
 		s.files[rel] = file

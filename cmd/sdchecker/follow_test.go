@@ -516,3 +516,32 @@ func FuzzDrainFile(f *testing.F) {
 		}
 	})
 }
+
+// TestScanClosesDescriptors: the tailer's reads go through raw
+// descriptors, which nothing finalizes, so two full scans — the first
+// feeding the tree, the second idle — leave as many descriptors open
+// as there were before, also past a file that fails to read.
+func TestScanClosesDescriptors(t *testing.T) {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	dir := t.TempDir()
+	writePlantedLogs(t, dir, 20)
+	if err := os.Symlink(t.TempDir(), filepath.Join(dir, "b-dir.log")); err != nil {
+		t.Fatal(err)
+	}
+	st := core.NewShardedStream(2)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
+	before := len(fds)
+	for i := 0; i < 2; i++ {
+		if _, err := sc.scan(); err == nil || !strings.Contains(err.Error(), "b-dir.log") {
+			t.Fatalf("scan %d: %v, want b-dir.log's read error", i, err)
+		}
+	}
+	fds, _ = os.ReadDir("/proc/self/fd")
+	if len(fds) != before {
+		t.Errorf("%d descriptors open before the scans, %d after", before, len(fds))
+	}
+}

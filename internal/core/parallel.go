@@ -31,8 +31,9 @@ func MineDir(dir string, workers int) (*Report, error) {
 	// mined holds what one worker parsed; made by the worker on its first
 	// file, so an unstarted worker costs a nil pointer.
 	type mined struct {
-		rd    BlockReader // reads every file the worker parses
-		files []minedFile
+		rd     BlockReader // reads every file the worker parses
+		files  []minedFile
+		events []Event // the unused rest of the worker's event chunk
 	}
 	byWorker := make([]*mined, workers)
 	err := WalkTree(dir, workers, func(w int, f TreeFile) error {
@@ -41,9 +42,18 @@ func MineDir(dir string, workers int) (*Report, error) {
 			m = new(mined)
 			byWorker[w] = m
 		}
-		p := &Parser{rd: &m.rd}
+		if cap(m.events) < minChunkRest {
+			m.events = make([]Event, 0, eventChunk)
+		}
+		// The file's events go to the chunk's rest, and it keeps what
+		// they took; a file that overflows the rest appends past it, to
+		// an array of its own, and leaves the rest to the next file.
+		p := &Parser{rd: &m.rd, events: m.events}
 		m.files = append(m.files, minedFile{f.Name, p})
 		err := p.parseFile(f)
+		if n := len(p.events); cap(p.events) == cap(m.events) {
+			m.events, p.events = p.events[n:n], p.events[:n:n]
+		}
 		p.rd = nil // the worker's buffer is garbage once the walk ends
 		return err
 	})
@@ -63,6 +73,15 @@ func MineDir(dir string, workers int) (*Report, error) {
 	}
 	return mineReport(parsers, workers), nil
 }
+
+// A MineDir worker's per-file parses take their events from chunks of
+// eventChunk events rather than each growing a slice from nothing: a
+// container's stderr file yields a handful. A chunk with less than
+// minChunkRest left is given up for a new one.
+const (
+	eventChunk   = 4096
+	minChunkRest = 64
+)
 
 // minedFile is one file's parse, under the file's name.
 type minedFile struct {

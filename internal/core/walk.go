@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -21,7 +20,10 @@ import (
 // each file relative to it, and visits each file where it finds it, so
 // the walk overlaps whatever the visitor does with the file. An idle
 // worker is handed half of what a busy one has still to walk at its
-// shallowest level, so few hand-offs balance the workers.
+// shallowest level, so few hand-offs balance the workers. On Linux the
+// descriptors are raw: a directory is listed by getdents64 into its
+// worker's buffer and a file is read by read and pread, with no os.File
+// made for either.
 
 // TreeFile is one file WalkTree visits. It is valid only during the
 // visit, while its directory is held open.
@@ -35,36 +37,54 @@ type TreeFile struct {
 
 // Open opens the file for reading, relative to its directory's
 // descriptor where the platform allows it. A symlink is followed.
-func (f TreeFile) Open() (*os.File, error) { return f.dir.openFile(f.base) }
+func (f TreeFile) Open() (*TreeReader, error) { return f.dir.openFile(f.base) }
 
 // TreeFileAt is the file called name, slash-separated and relative to
 // the tree at root, as WalkTree would visit it; Open opens it by its
 // full path. The live tailer drains the files a watch names this way,
 // without walking the tree.
 func TreeFileAt(root, name string) TreeFile {
-	return TreeFile{Name: name, dir: &treeDir{}, base: filepath.Join(root, filepath.FromSlash(name))}
+	return TreeFile{Name: name, dir: cwdDir, base: filepath.Join(root, filepath.FromSlash(name))}
 }
 
 // treeDir is a directory of the tree, open while a worker walks its
 // entries or while a run of them waits on the shared stack.
 type treeDir struct {
-	f    *os.File     // nil only for the file that is the root, opened from the working directory
-	path string       // the OS path, for error text and the platforms without openat
+	h    dirHandle    // its open descriptor
+	root string       // the OS path of the tree's root; "" for cwdDir
 	name string       // slash-separated, relative to the root; "" at the root
-	refs atomic.Int32 // dirRuns of its entries not yet walked: the last one closes f
+	refs atomic.Int32 // dirRuns of its entries not yet walked: the last one closes h
 }
 
-// join returns the OS path of the entry called name in d, spelled as
-// filepath.Join(d.path, name) spells it. Below the root d.path is
-// already clean, so name is appended without cleaning the path again.
-func (d *treeDir) join(name string) string {
-	switch {
-	case d.path == "":
-		return name
-	case d.name == "":
-		return filepath.Join(d.path, name)
+// cwdDir stands for the working directory: a file in it is opened by
+// the path it is given.
+var cwdDir = &treeDir{h: cwdHandle}
+
+// dirEnt is one entry of a listed directory. On Linux its name is
+// followed by a NUL in the string it shares with its directory's other
+// names, which openat relies on.
+type dirEnt struct {
+	name string
+	dir  bool // a directory, not a symlink to one
+}
+
+// path returns d's OS path, for error text: the root as WalkTree was
+// given it, and below the root as filepath.Join spells it.
+func (d *treeDir) path() string {
+	if d.name == "" {
+		return d.root
 	}
-	return d.path + string(filepath.Separator) + name
+	return d.join("")
+}
+
+// join returns the OS path of the entry called base in d, spelled as
+// filepath.Join spells it; in cwdDir, base is that path already. It is
+// made only for error text, and on the platforms without openat.
+func (d *treeDir) join(base string) string {
+	if d.root == "" {
+		return base
+	}
+	return filepath.Join(d.root, filepath.FromSlash(d.name), base)
 }
 
 // WalkTree visits every entry of the log tree at dir that is not a
@@ -94,22 +114,18 @@ func WalkTree(dir string, workers int, visit func(worker int, f TreeFile) error)
 // dir itself) before it lists the directory. With more than one worker,
 // entered runs on several goroutines at once.
 func WalkTreeDirs(dir string, workers int, entered func(name string), visit func(worker int, f TreeFile) error) error {
-	root, err := os.Open(dir)
+	root, isDir, err := openRoot(dir)
 	if err != nil {
 		return err
 	}
-	info, err := root.Stat()
-	if err != nil || !info.IsDir() {
-		root.Close()
-		if err != nil {
-			return err
-		}
-		return visit(0, TreeFile{Name: ".", dir: &treeDir{}, base: dir})
+	if !isDir {
+		return visit(0, TreeFile{Name: ".", dir: cwdDir, base: dir})
 	}
 	w := &treeWalk{visit: visit, entered: entered, workers: max(workers, 1), started: 1, busy: 1}
 	w.cond.L = &w.mu
 	w.setSpare()
-	w.run(0, w.enter(&treeDir{f: root, path: dir}))
+	lb := listBufs.Get().(*listBuf)
+	w.run(0, lb, w.enter(lb, &treeDir{h: root, root: dir}))
 	w.wg.Wait()
 	slices.SortStableFunc(w.errs, func(a, b treeErr) int { return compareWalk(a.name, b.name) })
 	errs := make([]error, len(w.errs))
@@ -162,7 +178,7 @@ type treeWalk struct {
 // walked. It holds one of the directory's refs.
 type dirRun struct {
 	d    *treeDir
-	ents []fs.DirEntry
+	ents []dirEnt
 }
 
 // treeErr is an error met at the entry called name.
@@ -176,12 +192,19 @@ func (w *treeWalk) setSpare() {
 	w.spare.Store(w.idle > len(w.stack) || w.started < w.workers)
 }
 
-// run walks s and then every run handed to it, until the walk ends.
-func (w *treeWalk) run(worker int, s dirRun) {
+// run walks s and then every run handed to it, until the walk ends,
+// listing directories through lb, which it then gives back.
+func (w *treeWalk) run(worker int, lb *listBuf, s dirRun) {
 	for ok := true; ok; s, ok = w.next() {
-		w.walk(worker, s)
+		w.walk(worker, lb, s)
 	}
+	listBufs.Put(lb)
 }
+
+// listBufs holds the workers' listing buffers between walks, so a walk
+// repeated every second, as the live tailer's is, does not make them
+// again.
+var listBufs = sync.Pool{New: func() any { return new(listBuf) }}
 
 // next retires the run the caller walked and waits for another: it
 // reports false once no worker is walking and none is handed off.
@@ -224,7 +247,7 @@ func (w *treeWalk) handOff(s dirRun) bool {
 		w.wg.Add(1)
 		go func() {
 			defer w.wg.Done()
-			w.run(worker, s)
+			w.run(worker, listBufs.Get().(*listBuf), s)
 		}()
 	default:
 		return false
@@ -236,7 +259,7 @@ func (w *treeWalk) handOff(s dirRun) bool {
 // walk walks the entries of s depth first, visiting each file where it
 // finds it. path holds the runs of the directories it is inside, the
 // deepest last.
-func (w *treeWalk) walk(worker int, s dirRun) {
+func (w *treeWalk) walk(worker int, lb *listBuf, s dirRun) {
 	path := []dirRun{s}
 	for len(path) > 0 {
 		if w.spare.Load() {
@@ -248,25 +271,25 @@ func (w *treeWalk) walk(worker int, s dirRun) {
 			path = path[:len(path)-1]
 			continue
 		}
-		d, base := top.d, top.ents[0].Name()
-		isDir := top.ents[0].IsDir()
+		d, e := top.d, top.ents[0]
 		top.ents = top.ents[1:]
+		base := e.name
 		name := base
 		if d.name != "" {
 			name = d.name + "/" + base
 		}
-		if !isDir {
+		if !e.dir {
 			if err := w.visit(worker, TreeFile{Name: name, dir: d, base: base}); err != nil {
 				w.fail(name, err)
 			}
 			continue
 		}
-		f, err := d.openDir(base)
+		h, err := d.openDir(base)
 		if err != nil {
 			w.fail(name, err)
 			continue
 		}
-		path = append(path, w.enter(&treeDir{f: f, path: d.join(base), name: name}))
+		path = append(path, w.enter(lb, &treeDir{h: h, root: d.root, name: name}))
 	}
 }
 
@@ -289,16 +312,17 @@ func (w *treeWalk) split(path []dirRun) {
 	}
 }
 
-// enter reads the open directory d's entries into a run, in name order.
-func (w *treeWalk) enter(d *treeDir) dirRun {
+// enter lists the open directory d through lb into a run, in name
+// order.
+func (w *treeWalk) enter(lb *listBuf, d *treeDir) dirRun {
 	if w.entered != nil {
 		w.entered(d.name)
 	}
-	ents, err := d.f.ReadDir(-1)
+	ents, err := d.list(lb)
 	if err != nil {
 		w.fail(d.name, err) // and walk what was read
 	}
-	slices.SortFunc(ents, func(a, b fs.DirEntry) int { return strings.Compare(a.Name(), b.Name()) })
+	slices.SortFunc(ents, func(a, b dirEnt) int { return strings.Compare(a.name, b.name) })
 	d.refs.Store(1)
 	return dirRun{d, ents}
 }
@@ -306,7 +330,7 @@ func (w *treeWalk) enter(d *treeDir) dirRun {
 // release drops one run's hold on d, closing d after the last.
 func (d *treeDir) release() {
 	if d.refs.Add(-1) == 0 {
-		d.f.Close()
+		d.close()
 	}
 }
 

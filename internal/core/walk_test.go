@@ -98,15 +98,41 @@ func writeEdgeTree(t *testing.T, dirLinks bool) string {
 	return dir
 }
 
+// writeLongNamesTree writes a directory of 3,000 empty files with
+// 200-byte names, too many to list in one getdents call, next to a
+// symlink to a file, a dangling symlink and a symlink to a directory.
+func writeLongNamesTree(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	big := filepath.Join(dir, "big")
+	if err := os.Mkdir(big, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("n", 195)
+	for i := range 3000 {
+		if err := os.WriteFile(filepath.Join(big, fmt.Sprintf("%s%05d", pad, i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeFile(t, dir, "sub/f", "x\n")
+	for name, target := range map[string]string{"file-link": "../sub/f", "dangling": "../gone", "dir-link": "../sub"} {
+		if err := os.Symlink(target, filepath.Join(big, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // TestWalkTreeMatchesWalkDir holds WalkTree to filepath.WalkDir: on one
 // worker it visits the same names in the same order, and on several it
 // visits each of them once, in an order compareWalk sorts back into
 // WalkDir's.
 func TestWalkTreeMatchesWalkDir(t *testing.T) {
 	trees := map[string]string{
-		"edge":     writeEdgeTree(t, true),
-		"pristine": filepath.Join("testdata", "golden", "pristine", "input"),
-		"faulted":  filepath.Join("testdata", "golden", "faulted", "input"),
+		"edge":       writeEdgeTree(t, true),
+		"long-names": writeLongNamesTree(t),
+		"pristine":   filepath.Join("testdata", "golden", "pristine", "input"),
+		"faulted":    filepath.Join("testdata", "golden", "faulted", "input"),
 	}
 	for name, dir := range trees {
 		t.Run(name, func(t *testing.T) {
