@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -14,30 +16,30 @@ import (
 	"repro/internal/obs"
 )
 
-// dirScanner tails a log directory tree into a sharded stream: each scan
+// dirScanner tails a log directory tree into a sharded stream: each poll
 // feeds bytes appended since the previous one (and any newly created
-// files), one FeedBlock per block read. It is the shared ingestion
-// engine of -follow and -serve.
+// files), one FeedBlock per block read. It is the ingestion engine of
+// liveServer, which -follow and -serve run.
 type dirScanner struct {
 	dir string
 	// feed hands a file's block of whole lines to the stream
 	// (ShardedStream.FeedBlock) and returns how many lines it took.
 	feed  func(source, block string) int
 	files map[string]fileState
-	// pl, when set, times each scan's read phase (walk + drain) as one
-	// StageRead batch — per scan, never per line.
+	// pl, when set, times each poll's read phase (walk + drain) as one
+	// StageRead batch — per poll, never per line.
 	pl *obs.Pipeline
 	// rd reads every drain; its buffer serves every file.
 	rd core.BlockReader
-	// w, when set, is the directory watch whose named files a wake
-	// drains between full walks (-serve on Linux); names is the list
-	// scanNamed reuses. Without it the full walk is the only path.
-	w     *watcher
-	names []string
+	// w, when set, is the directory watch whose named files each poll
+	// drains (on Linux); names is the list poll reuses, unseen the files
+	// a reconciling walk fed lines from. Without w the walk is the only path.
+	w             *watcher
+	names, unseen []string
 	// overflows and limits count the polls that fell back to the full
-	// walk because the kernel dropped events, and the watches given up
-	// at the watch limit.
-	overflows, limits *metrics.Counter
+	// walk because the kernel dropped events, and the watches given up at
+	// the limit; unwoken, the unseen files the next poll's watch did not name.
+	overflows, limits, unwoken *metrics.Counter
 }
 
 // fileState is what the tailer keeps of a file between drains: how far
@@ -52,102 +54,109 @@ func newDirScanner(dir string, st *core.ShardedStream) *dirScanner {
 	return &dirScanner{dir: dir, feed: st.FeedBlock, files: make(map[string]fileState)}
 }
 
-// scan walks the tree once with core.WalkTree, feeding every new line.
-// It reports whether any line was fed (absorption is asynchronous —
-// Quiesce and compare EventCount to learn whether events were produced).
-// One file's error never stops the walk: a file or directory that
-// vanished since it was listed is skipped, and every other per-file
-// error is joined into the returned error once the walk is done. With a
-// watch, every directory the walk lists without a watch is noted for
-// watchEntered.
-func (s *dirScanner) scan() (changed bool, err error) {
+// poll is one ingestion pass: it drains what the watch named since the
+// last one (each new directory walked), then, if full is set or the
+// kernel dropped events, walks the whole tree. It returns the lines fed
+// (absorption is asynchronous: Quiesce, then read EventCount) and
+// whether it walked. A file or directory that vanished is skipped, and
+// every other error joined into the returned one. The last walk's unseen
+// files are judged here: the event of a write it met may have been late.
+func (s *dirScanner) poll(full, reconcile bool) (fed int, walked bool, err error) {
 	t := s.pl.Begin()
-	fed := 0
-	var entered func(string)
-	if s.w != nil {
-		entered = s.w.enter
-	}
-	err = core.WalkTreeDirs(s.dir, 1, entered, func(_ int, f core.TreeFile) error {
-		n, err := s.drainFile(f)
-		fed += n
-		return err
-	})
-	if fed > 0 {
-		s.pl.StageBatch(obs.StageRead, -1, t, fed)
-	}
-	return fed > 0, err
-}
-
-// scanNamed is the poll a wake runs: it drains only what the watch named
-// since the last poll, through drainFile as scan does. Each directory
-// created or moved in is watched first and then walked, every file below
-// it drained, so a file written before its directory's watch existed is
-// not missed; then each file named is drained. After the kernel dropped
-// events it is scan, the full walk. It reports what scan reports.
-func (s *dirScanner) scanNamed() (changed bool, err error) {
-	names, dirs, overflow := s.w.take(s.names[:0])
-	s.names = names
-	if overflow {
-		s.overflows.Inc()
-		return s.scan()
-	}
-	t := s.pl.Begin()
-	fed := 0
 	var errs []error
-	for _, dir := range dirs {
-		n, err := s.walkNew(dir)
+	if s.w != nil {
+		names, dirs, overflow := s.w.take(s.names[:0])
+		s.names = names
+		for _, name := range s.unseen {
+			if _, ok := slices.BinarySearch(names, name); !ok && !slices.ContainsFunc(dirs, func(dir string) bool { return strings.HasPrefix(name, dir+"/") }) {
+				s.unwoken.Inc()
+			}
+		}
+		s.unseen = s.unseen[:0]
+		if overflow {
+			s.overflows.Inc()
+			full, reconcile = true, false
+		}
+		for _, dir := range dirs {
+			n, err := s.walk(dir, false)
+			fed += n
+			errs = append(errs, err)
+		}
+		for _, name := range names {
+			n, err := s.drainFile(core.TreeFileAt(s.dir, name))
+			fed += n
+			if !errors.Is(err, fs.ErrNotExist) {
+				errs = append(errs, err)
+			}
+		}
+	}
+	if full {
+		n, err := s.walk("", reconcile)
 		fed += n
 		errs = append(errs, err)
 	}
-	for _, name := range names {
-		n, err := s.drainFile(core.TreeFileAt(s.dir, name))
-		fed += n
-		if !errors.Is(err, fs.ErrNotExist) {
-			errs = append(errs, err)
-		}
-	}
 	if fed > 0 {
 		s.pl.StageBatch(obs.StageRead, -1, t, fed)
 	}
-	return fed > 0, errors.Join(errs...)
+	return fed, full, errors.Join(errs...)
 }
 
-// walkNew watches the directory called name and every directory below
-// it, each before it is listed, and drains every file below it. A
-// directory that vanished is skipped.
-func (s *dirScanner) walkNew(name string) (fed int, err error) {
-	below := func(rel string) string {
-		if rel == "" || rel == "." {
-			return name
+// walk drains every file in the directory called name ("" for the whole
+// tree) and below it. The whole tree's walk notes each directory without
+// a watch for watchEntered; below a new directory, each is watched
+// before it is listed, so no line written there is missed. A reconciling
+// walk notes each file it fed lines from in unseen.
+func (s *dirScanner) walk(name string, reconcile bool) (fed int, err error) {
+	root := s.dir
+	var entered func(string)
+	switch {
+	case name != "":
+		root = filepath.Join(s.dir, filepath.FromSlash(name))
+		entered = func(rel string) {
+			if err := s.w.watch(joinName(name, rel)); err != nil {
+				s.stopWatch(err)
+			}
 		}
-		return name + "/" + rel
+	case s.w != nil:
+		entered = s.w.enter
 	}
-	err = core.WalkTreeDirs(filepath.Join(s.dir, filepath.FromSlash(name)), 1, func(rel string) {
-		if err := s.w.watch(below(rel)); err != nil {
-			s.stopWatch(err)
-		}
-	}, func(_ int, f core.TreeFile) error {
-		f.Name = below(f.Name)
+	err = core.WalkTreeDirs(root, 1, entered, func(_ int, f core.TreeFile) error {
+		f.Name = joinName(name, f.Name)
 		n, err := s.drainFile(f)
 		fed += n
+		if reconcile && n > 0 {
+			s.unseen = append(s.unseen, f.Name)
+		}
 		return err
 	})
-	if errors.Is(err, fs.ErrNotExist) {
+	if name != "" && errors.Is(err, fs.ErrNotExist) {
 		err = nil
 	}
 	return fed, err
 }
 
-// watchEntered watches the directories the full walks listed without a
-// watch. The server runs it after a poll, outside its lock, so that the
-// first poll's answer does not wait for a watch on every directory.
-func (s *dirScanner) watchEntered() {
-	if s.w == nil {
-		return
+// joinName is the slash-separated name of the entry base in the
+// directory called dir, where "" is the root; base "" or "." is dir.
+func joinName(dir, base string) string {
+	switch {
+	case dir == "":
+		return base
+	case base == "" || base == ".":
+		return dir
 	}
-	if err := s.w.addEntered(); err != nil {
+	return dir + "/" + base
+}
+
+// watchEntered watches the directories the walks listed without a
+// watch. The server runs it after a poll, outside its lock, so that the
+// first poll's answer does not wait for a watch on every directory. It
+// reports whether the watch covers the tree (watcher.addEntered).
+func (s *dirScanner) watchEntered() (covered bool) {
+	covered, err := s.w.addEntered()
+	if err != nil {
 		s.stopWatch(err)
 	}
+	return covered
 }
 
 // stopWatch gives the watch up after err, which only the watch limit
@@ -158,31 +167,37 @@ func (s *dirScanner) stopWatch(err error) {
 	fmt.Printf("sdchecker: watch: %v; only the 1 s walk finds new lines\n", err)
 }
 
-// followDir is the live mode: it scans the log tree once, then polls for
-// appended bytes and newly created files, feeding every new line into
-// the ingestion stream and reprinting the summary whenever new
-// scheduling events were absorbed. Scan errors are printed and polling
-// goes on. It runs until the process is interrupted.
-func followDir(dir string, workers int) error {
+// followServer builds the server -follow runs; tests wrap it.
+var followServer = newLiveServer
+
+// followDir is -serve's ingest loop without HTTP, evicting nothing: it
+// prints the summary to out each second in which new scheduling events
+// were absorbed, until done is closed (a nil done never is). Scan errors
+// are printed and polling goes on; only a dir missing at start fails.
+func followDir(dir string, workers int, out io.Writer, done <-chan struct{}) error {
 	if _, err := os.Stat(dir); err != nil {
 		return err
 	}
-	st := core.NewShardedStream(workers)
-	defer st.Close()
-	sc := newDirScanner(dir, st)
-	fmt.Printf("sdchecker: following %s (interrupt to stop)\n", dir)
-	lastEvents := -1
-	for {
-		if _, err := sc.scan(); err != nil {
-			fmt.Printf("sdchecker: scan: %v\n", err)
+	o := defaultServeOptions(workers)
+	o.retain, o.maxApps = -1, -1
+	srv := followServer(dir, o)
+	srv.run()
+	defer srv.close()
+	fmt.Fprintf(out, "sdchecker: following %s (interrupt to stop)\n", dir)
+	for last := -1; ; {
+		select {
+		case <-done:
+			return nil
+		case <-time.After(time.Second):
 		}
-		st.Quiesce()
-		if n := st.EventCount(); n != lastEvents {
-			lastEvents = n
-			rep := st.Report()
-			fmt.Printf("\n--- %s ---\n%s", time.Now().Format("15:04:05"), rep.Format())
+		srv.mu.Lock() // held across a poll and its Quiesce
+		if n := srv.st.EventCount(); n != last {
+			last = n
+			rep := srv.st.Report()
+			rep.FilesParsed, rep.LinesParsed = len(srv.sc.files), int(srv.reg.Counter("core_stream_lines_total").Value())
+			fmt.Fprintf(out, "\n--- %s ---\n%s", time.Now().Format("15:04:05"), rep.Format())
 		}
-		time.Sleep(time.Second)
+		srv.mu.Unlock()
 	}
 }
 

@@ -114,6 +114,19 @@ func appendRaw(t *testing.T, path, s string) {
 	}
 }
 
+// pollOnce runs one ingestion pass over the whole tree: the full walk.
+func (s *liveServer) pollOnce() error {
+	_, err := s.poll(true, false)
+	return err
+}
+
+// scan runs the full walk as a poll does, and reports whether it fed any
+// line.
+func (s *dirScanner) scan() (changed bool, err error) {
+	fed, _, err := s.poll(true, false)
+	return fed > 0, err
+}
+
 // drain drains the file of sc's tree called rel, as a scan meets it.
 func drain(t *testing.T, sc *dirScanner, rel string) (fed int, err error) {
 	t.Helper()

@@ -169,7 +169,7 @@ func run(dir string, workers, graph, path, dot int, bugs, perApp, csv, jsonOut, 
 		return
 	}
 	if follow {
-		if err := followDir(dir, workers); err != nil {
+		if err := followDir(dir, workers, os.Stdout, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "sdchecker: %v\n", err)
 			os.Exit(1)
 		}

@@ -30,8 +30,8 @@ import (
 const healthFailThreshold = 5
 
 // Self-observability defaults: the watchdog declares a stall after
-// defaultStallAfterMS without scan or shard progress (well above the
-// one-second poll cadence), checking every defaultWatchdogTickMS; the
+// defaultStallAfterMS without scan or shard progress (twice the
+// reconciling walk's period), checking every defaultWatchdogTickMS; the
 // shipped self-SLO objective is a scan p99 under defaultScanP99MS.
 const (
 	defaultStallAfterMS   = 30_000
@@ -60,7 +60,7 @@ func defaultSelfRules(thresholdMS int64) []slo.Rule {
 type serveOptions struct {
 	workers int
 	retain  int
-	maxApps int
+	maxApps int        // hard cap on tracked apps, complete or not (-max-apps)
 	rules   []slo.Rule // mined-delay SLOs (-slo)
 	// selfRules are the pipeline self-SLOs; nil ships the default
 	// scan-p99 rule.
@@ -88,8 +88,8 @@ func defaultServeOptions(workers int) serveOptions {
 	}
 }
 
-// liveServer runs the -follow tailer behind an HTTP endpoint: the log
-// tree is polled in the background while /metrics, /apps, /trace/<seq>,
+// liveServer tails a log tree into a stream in the background (run), and
+// -serve adds an HTTP endpoint (start): /metrics, /apps, /trace/<seq>,
 // /trace/pipeline, /aggregate, /slo, /debug/flight and /healthz expose
 // the stream's current picture. Completed applications beyond the
 // retention limit are evicted so the server can tail a cluster
@@ -100,22 +100,17 @@ func defaultServeOptions(workers int) serveOptions {
 // stage spans, the flight recorder, and self-observations; a watchdog
 // goroutine checks for stalls and flips /healthz to degraded.
 type liveServer struct {
-	mu     sync.Mutex // guards st and sc; taken before obsMu when both are needed
-	st     *core.ShardedStream
-	sc     *dirScanner
-	reg    *metrics.Registry
-	retain int
-	// maxApps hard-caps tracked applications, complete or not: degraded
-	// logs can mint unbounded app IDs whose traces never complete, which
-	// EvictCompleted alone would hold forever.
-	maxApps int
-	done    chan struct{}
+	mu   sync.Mutex // guards st and sc; taken before obsMu when both are needed
+	st   *core.ShardedStream
+	sc   *dirScanner
+	reg  *metrics.Registry
+	o    serveOptions // what it was built with
+	done chan struct{}
 
-	// Goroutine lifecycle: start() accounts every goroutine it launches
-	// (ingest, watchdog, HTTP acceptor) here, and close() joins them
-	// after closing done and the HTTP server, so no goroutine outlives
-	// the server — tests that start and close servers in sequence never
-	// accumulate stray acceptors or per-connection handlers.
+	// Goroutine lifecycle: run() and start() account here every goroutine
+	// they launch (watch, ingest, watchdog, HTTP acceptor); close() joins
+	// them after closing done and the HTTP server, so none outlives the
+	// server and tests that start and close servers accumulate no strays.
 	wg sync.WaitGroup
 	hs *http.Server // built by start(); Close()d to stop the acceptor and live conns
 
@@ -145,15 +140,12 @@ type liveServer struct {
 	selfEng *slo.Engine
 
 	// Self-observability: pipeline, watchdog, runtime collector.
-	pl       *obs.Pipeline
-	wd       *obs.Watchdog
-	rt       *obs.RuntimeCollector
-	debug    bool
-	wdTickMS int64
-	scanGate func()
+	pl *obs.Pipeline
+	wd *obs.Watchdog
+	rt *obs.RuntimeCollector
 
 	// Poll health, for /healthz (guarded by mu): the last clean full
-	// walk, and the failed polls since.
+	// walk, and the failed polls since, wakes included.
 	lastScanUnixMS int64
 	lastErr        string
 	consecFails    int
@@ -196,15 +188,11 @@ func newLiveServer(dir string, o serveOptions) *liveServer {
 		selfEng:  slo.NewEngine(o.selfRules),
 		sc:       newDirScanner(dir, st),
 		reg:      reg,
-		retain:   o.retain,
-		maxApps:  o.maxApps,
+		o:        o,
 		done:     make(chan struct{}),
 		pl:       pl,
 		wd:       obs.NewWatchdog(pl, reg, o.stallAfterMS),
 		rt:       obs.NewRuntimeCollector(reg),
-		debug:    o.debug,
-		wdTickMS: o.watchdogTickMS,
-		scanGate: o.scanGate,
 		compHist: map[string]*metrics.Histogram{},
 		scanDur: reg.Histogram("serve_scan_duration_ms",
 			metrics.ExpBuckets(1, 2, 16)),
@@ -224,6 +212,7 @@ func newLiveServer(dir string, o serveOptions) *liveServer {
 	s.sc.pl = pl
 	s.sc.overflows = reg.Counter("serve_watch_fallbacks_total", "reason", "overflow")
 	s.sc.limits = reg.Counter("serve_watch_fallbacks_total", "reason", "limit")
+	s.sc.unwoken = reg.Counter("serve_walk_unwoken_files_total")
 	// SLO alert edges land in the flight recorder so stall snapshots show
 	// fire/resolve transitions in context. The engines invoke the hook
 	// under the locks that already serialize them (obsMu / selfMu);
@@ -265,35 +254,27 @@ func newLiveServer(dir string, o serveOptions) *liveServer {
 	return s
 }
 
-// pollOnce runs one ingestion pass over the whole tree: the full walk.
-func (s *liveServer) pollOnce() error { return s.poll(false) }
-
-// poll runs one ingestion pass: scan the tree (or, on a wake, what the
-// watch named), wait for the workers to absorb everything, advance the
-// SLO engine's event clock to the newest log timestamp (so rules
-// resolve when their windows drain even with no new completions), evict
-// completed apps beyond the retention limit, then enforce the hard
-// memory bound. The pass is bracketed for the watchdog and recorded as
-// the pipeline's scan stage; buffered stage latencies drain into the
-// self-SLO engine at the end. All of it happens under mu, so a /healthz
-// that counts the pass's apps comes after the self-SLO has seen the
-// pass's latency. A wake runs it hundreds of times a second, so what it
-// does besides the scan costs what changed, not what is held: the
-// attribution state is read only after a pass that ingested an app.
-func (s *liveServer) poll(wake bool) error {
-	if gate := s.scanGate; gate != nil {
+// poll runs one ingestion pass (dirScanner.poll), waits for the workers
+// to absorb everything, advances the SLO engine's event clock to the
+// newest log timestamp (so rules resolve when their windows drain even
+// with no new completions), evicts completed apps beyond the retention
+// limit, then enforces the hard memory bound. The pass is bracketed for
+// the watchdog and recorded as the pipeline's scan stage; buffered stage
+// latencies drain into the self-SLO engine at the end. All of it happens
+// under mu, so a /healthz that counts the pass's apps comes after the
+// self-SLO has seen the pass's latency. A wake runs it hundreds of times
+// a second, so what it does besides the scan costs what changed, not
+// what is held: the attribution state is read only after a pass that
+// ingested an app. It reports whether the whole tree was walked.
+func (s *liveServer) poll(full, reconcile bool) (walked bool, err error) {
+	if gate := s.o.scanGate; gate != nil {
 		gate()
 	}
 	t := s.pl.Begin()
 	s.wd.ScanBegin(t.MS)
 	s.mu.Lock()
 	start := time.Now()
-	var err error
-	if wake {
-		_, err = s.sc.scanNamed()
-	} else {
-		_, err = s.sc.scan()
-	}
+	_, walked, err = s.sc.poll(full, reconcile)
 	s.st.Quiesce()
 	s.scanDur.Observe(float64(time.Since(start).Milliseconds()))
 	clock := s.st.LastEventMS()
@@ -315,11 +296,11 @@ func (s *liveServer) poll(wake bool) error {
 	}
 	s.pinnedApps.Set(int64(len(s.pinned)))
 	s.obsMu.Unlock()
-	if s.retain >= 0 {
-		s.st.EvictCompleted(s.retain)
+	if s.o.retain >= 0 {
+		s.st.EvictCompleted(s.o.retain)
 	}
-	if s.maxApps >= 0 {
-		s.st.EvictOldest(s.maxApps)
+	if s.o.maxApps >= 0 {
+		s.st.EvictOldest(s.o.maxApps)
 	}
 	d := s.dropped.Value()
 	if d-s.lastDropped >= warnBurstThreshold {
@@ -332,7 +313,7 @@ func (s *liveServer) poll(wake bool) error {
 	case err != nil:
 		s.consecFails++
 		s.lastErr = err.Error()
-	case !wake:
+	case walked:
 		s.consecFails = 0
 		s.lastErr = ""
 		s.lastScanUnixMS = time.Now().UnixMilli()
@@ -341,7 +322,7 @@ func (s *liveServer) poll(wake bool) error {
 	s.wd.ScanEnd(s.pl.Begin().MS)
 	s.feedSelfSLO()
 	s.mu.Unlock()
-	return err
+	return walked, err
 }
 
 // syncPinned reconciles the pinned-summary map with the set of apps the
@@ -400,57 +381,62 @@ func (s *liveServer) feedSelfSLO() {
 }
 
 // wakeGap is the least time from the end of one poll to the start of a
-// wake's poll. A lone write is drained at once; under a steady stream
-// of writes, one poll drains what a few bursts wrote. Without the gap a
-// burst split into several polls, each started by the first event the
-// last one missed: on a 2-CPU VM, sdbench's serve-tail ran 7,763 polls
-// in a 10 s load, summing to 2,831 ms against 419 ms for the 1 s walk
-// alone; with the gap, 441 polls summed to 1,041 ms.
+// wake's poll. A lone write is drained at once; under a steady stream of
+// writes, one poll drains what a few bursts wrote, not one poll each
+// (DESIGN.md, "Event-driven tailing", has the measurements).
 const wakeGap = 20 * time.Millisecond
 
-// ingest polls until the server is closed. The full walk runs once a
-// second, as it always has; between two walks each wake of the watch
-// runs a poll over the files it named, at once. After a poll, the
-// directories the walk listed without a watch are watched, outside mu.
-// A scan error never stops the walk (see dirScanner.scan), so it is
-// reported and the loop keeps going.
+// ingest polls until the server is closed. Each wake of the watch runs a
+// poll over what it named, at once. The full walk runs at start, and a
+// second after a poll that left the tree uncovered by a live watch
+// (watcher.addEntered); while the watch covers it, the walk reconciles
+// every stallAfterMS/2, twice in the watchdog's stall window. After a
+// poll, what the walk listed without a watch is watched, outside mu. A
+// scan error is reported and the loop keeps going.
 func (s *liveServer) ingest() {
 	var wake <-chan struct{}
 	if s.sc.w != nil {
 		wake = s.sc.w.wake
 	}
-	report := func(err error) {
+	var walk <-chan time.Time
+	var last time.Time
+	reconcile := false // the walk due is a reconciling one
+	// after reports a poll's error, watches what it listed, and sets the
+	// next walk: after a walk, anew; after a wake, only sooner.
+	after := func(walked bool, err error) {
 		if err != nil {
 			fmt.Printf("sdchecker: scan: %v\n", err)
 		}
-		s.sc.watchEntered()
+		covered := s.sc.w != nil && s.sc.watchEntered()
 		if s.sc.w != nil {
 			s.watchDirs.Set(int64(s.sc.w.watched()))
 		}
-	}
-	for {
-		report(s.pollOnce())
-		last := time.Now()
-		walk := time.After(time.Second)
-	wait:
-		for {
-			select {
-			case <-s.done:
-				return
-			case <-walk:
-				break wait
-			case <-wake:
-				if d := wakeGap - time.Since(last); d > 0 {
-					select {
-					case <-s.done:
-						return
-					case <-time.After(d):
-					}
-				}
-				s.wakePolls.Inc()
-				report(s.poll(true))
-				last = time.Now()
+		if walked || reconcile && !covered {
+			every := time.Second
+			if covered {
+				every = time.Duration(s.o.stallAfterMS/2) * time.Millisecond
 			}
+			walk, reconcile = time.After(every), covered
+		}
+		last = time.Now()
+	}
+	after(s.poll(true, false))
+	for {
+		select {
+		case <-s.done:
+			return
+		case <-walk:
+			after(s.poll(true, reconcile))
+		case <-wake:
+			if d := wakeGap - time.Since(last); d > 0 {
+				select {
+				case <-s.done:
+					return
+				case <-time.After(d):
+				}
+			}
+			s.wakePolls.Inc()
+			after(s.poll(false, false))
 		}
 	}
 }
@@ -460,7 +446,7 @@ func (s *liveServer) ingest() {
 // samples shard progress, evaluates the stall conditions, and refreshes
 // the runtime self-metrics.
 func (s *liveServer) watchdogLoop() {
-	tick := time.Duration(s.wdTickMS) * time.Millisecond
+	tick := time.Duration(s.o.watchdogTickMS) * time.Millisecond
 	for {
 		select {
 		case <-s.done:
@@ -493,7 +479,7 @@ func (s *liveServer) handler() http.Handler {
 	mux.HandleFunc("/slo", s.handleSLO)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/debug/flight", s.handleFlight)
-	if s.debug {
+	if s.o.debug {
 		// Off by default: profiles expose call stacks and flag values.
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -653,20 +639,11 @@ func (s *liveServer) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if comp != "" {
-		doc.Components = filterRows(doc.Components, comp)
-		doc.Rows = filterRows(doc.Rows, comp)
+		other := func(r core.BreakdownRow) bool { return r.Component != comp }
+		doc.Components = slices.DeleteFunc(doc.Components, other)
+		doc.Rows = slices.DeleteFunc(doc.Rows, other)
 	}
 	writeJSON(w, http.StatusOK, doc)
-}
-
-func filterRows(rows []core.BreakdownRow, component string) []core.BreakdownRow {
-	out := rows[:0]
-	for _, r := range rows {
-		if r.Component == component {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // explainFlightContext is how many flight sequence numbers either side
@@ -842,15 +819,8 @@ func writeJSON(w http.ResponseWriter, code int, doc any) {
 // tests replace it to run a server without one.
 var startWatch = newWatcher
 
-// start listens on addr, launches the background ingestion loop and the
-// watchdog checker, and serves HTTP. It returns the bound listener so
-// callers (and tests) can learn the actual address when addr is ":0".
-func (s *liveServer) start(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.hs = &http.Server{Handler: s.handler()}
+// run starts the watch (when one starts), the ingest loop and the watchdog.
+func (s *liveServer) run() {
 	// The watch starts before the first walk, which notes every
 	// directory it lists for it. Without one the walk is the only path.
 	if w, err := startWatch(s.sc.dir); err != nil {
@@ -860,9 +830,21 @@ func (s *liveServer) start(addr string) (net.Listener, error) {
 		s.wg.Add(1)
 		go func() { defer s.wg.Done(); w.run() }()
 	}
-	s.wg.Add(3)
+	s.wg.Add(2)
 	go func() { defer s.wg.Done(); s.ingest() }()
 	go func() { defer s.wg.Done(); s.watchdogLoop() }()
+}
+
+// start listens on addr, runs the server and serves HTTP. It returns the
+// bound listener, whose address callers need when addr is ":0".
+func (s *liveServer) start(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	s.hs = &http.Server{Handler: s.handler()}
+	s.run()
+	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		// Serve returns once close() closes the server; the
@@ -875,7 +857,7 @@ func (s *liveServer) start(addr string) (net.Listener, error) {
 
 // close stops the ingestion loop, the HTTP server (listener and live
 // connections both), and the stream's worker goroutines, and joins
-// every goroutine start launched before returning.
+// every goroutine run and start launched before returning.
 func (s *liveServer) close() {
 	close(s.done)
 	if s.hs != nil {
@@ -898,7 +880,6 @@ func serveDir(addr, dir string, o serveOptions) error {
 	if err != nil {
 		return err
 	}
-	defer srv.close()
 	extra := ""
 	if o.debug {
 		extra = " /debug/pprof/*"

@@ -75,10 +75,15 @@ func (w *watcher) run() {
 		w.evMu.Lock()
 		w.decode(buf[:n])
 		w.evMu.Unlock()
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
+		w.signal()
+	}
+}
+
+// signal leaves the wake token, unless one is already waiting.
+func (w *watcher) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -110,6 +115,7 @@ func (w *watcher) decode(buf []byte) {
 			if w.wds[dir] == wd {
 				delete(w.wds, dir)
 			}
+			w.overflow = w.overflow || dir == "" // the wake walks, which reports why
 		case len(name) == 0:
 		case mask&syscall.IN_ISDIR != 0:
 			w.newDirs = append(w.newDirs, joinName(dir, string(name)))
@@ -117,15 +123,6 @@ func (w *watcher) decode(buf []byte) {
 			w.files[joinName(dir, string(name))] = struct{}{}
 		}
 	}
-}
-
-// joinName is the slash-separated name of the entry base in the
-// directory called dir.
-func joinName(dir, base string) string {
-	if dir == "" {
-		return base
-	}
-	return dir + "/" + base
 }
 
 // take hands over what was named since the last take: the files, in
@@ -155,19 +152,24 @@ func (w *watcher) enter(name string) {
 	w.evMu.Unlock()
 }
 
-// addEntered watches the directories enter noted. It runs after the
-// poll that walked them, outside the server's lock.
-func (w *watcher) addEntered() error {
+// addEntered watches the directories enter noted, after the poll that
+// walked them, outside the server's lock. It reports whether the watch
+// covers the tree: it is live, watches the root, and noted nothing new,
+// whose lines written before its watch only a walk finds.
+func (w *watcher) addEntered() (covered bool, err error) {
 	w.evMu.Lock()
 	names := w.entered
 	w.entered = nil
 	w.evMu.Unlock()
 	for _, name := range names {
 		if err := w.watch(name); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	w.evMu.Lock()
+	defer w.evMu.Unlock()
+	_, root := w.wds[""]
+	return len(names) == 0 && root && !w.closed, nil
 }
 
 // watch adds a watch on the directory called name. A directory that
@@ -210,7 +212,8 @@ func (w *watcher) watched() int {
 	return len(w.dirs)
 }
 
-// close removes every watch and ends run.
+// close removes every watch and ends run. It leaves a wake, so that
+// the poller learns the watch is gone.
 func (w *watcher) close() {
 	w.evMu.Lock()
 	defer w.evMu.Unlock()
@@ -219,5 +222,6 @@ func (w *watcher) close() {
 		w.f.Close()
 		clear(w.dirs)
 		clear(w.wds)
+		w.signal()
 	}
 }

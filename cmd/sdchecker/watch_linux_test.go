@@ -4,11 +4,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -158,13 +161,11 @@ func TestWakeDrainsNewDirectory(t *testing.T) {
 		}
 		fed := 0
 		waitFor(t, "the wake's lines", 5*time.Second, func() bool {
-			changed, err := sc.scanNamed()
+			n, _, err := sc.poll(false, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if changed {
-				fed++
-			}
+			fed += n
 			return fed > 0
 		})
 		if got := sc.files[rel].off; got != int64(want) {
@@ -268,8 +269,8 @@ func TestWatchDecode(t *testing.T) {
 		syscall.InotifyEvent{Wd: 1, Mask: syscall.IN_MODIFY},
 		syscall.InotifyEvent{Wd: -1, Mask: syscall.IN_Q_OVERFLOW},
 	)("rm.log", ""))
-	if _, err := sc.scanNamed(); err != nil {
-		t.Fatal(err)
+	if _, walked, err := sc.poll(false, false); err != nil || !walked {
+		t.Fatalf("wake poll after IN_Q_OVERFLOW: walked=%v err=%v", walked, err)
 	}
 	if _, ok := sc.files["nm.log"]; !ok {
 		t.Errorf("after IN_Q_OVERFLOW the wake poll drained only %v, not the whole tree", sc.files)
@@ -314,5 +315,287 @@ func TestWatchUnavailableWalksOnly(t *testing.T) {
 	}
 	if srv.sc.w != nil {
 		t.Error("the scanner holds a watch")
+	}
+}
+
+// startWatched starts a server on dir with the options o, waits for its
+// first walk and for the walk a second later that closes the gap before
+// the first walk's watches, and returns its base URL and the second
+// walk's time.
+func startWatched(t *testing.T, dir string, o serveOptions) (srv *liveServer, base string, converged int64) {
+	t.Helper()
+	srv = newLiveServer(dir, o)
+	ln, err := srv.start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.close)
+	base = "http://" + ln.Addr().String()
+	waitFor(t, "the first two walks", 10*time.Second, func() bool {
+		var polls, wakes int
+		fmt.Sscan(strings.Fields(metricLine(t, base, `obs_stage_duration_ms_count{stage="scan"}`))[1], &polls)
+		fmt.Sscan(strings.Fields(metricLine(t, base, "serve_wake_polls_total"))[1], &wakes)
+		return polls-wakes >= 2
+	})
+	return srv, base, healthz(t, base).LastScanUnixMS
+}
+
+// appendSlowly appends the held-back halves a line per write, 10 ms
+// apart, so that reconciling walks run among the writes.
+func appendSlowly(t *testing.T, dir string, rest map[string]string) {
+	t.Helper()
+	for name, s := range rest {
+		for _, l := range strings.SplitAfter(s, "\n") {
+			appendRaw(t, filepath.Join(dir, filepath.FromSlash(name)), l)
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// metricLine returns the /metrics line of the series called name.
+func metricLine(t *testing.T, base, name string) string {
+	t.Helper()
+	_, body := get(t, base+"/metrics")
+	for _, ln := range strings.Split(body, "\n") {
+		if strings.HasPrefix(ln, name+" ") {
+			return ln
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return ""
+}
+
+// TestWatchLeavesNothingToTheWalk is the proof that the watch can be
+// trusted: with a reconciling walk every 150 ms while a split tree's
+// other halves are appended in many small writes, no walk feeds a line
+// the watch did not name, and /apps ends equal to the offline report.
+func TestWatchLeavesNothingToTheWalk(t *testing.T) {
+	src := writeScenarioLogs(t)
+	dir := t.TempDir()
+	rest := splitTree(t, src, dir)
+	o := testServeOptions(2, nil)
+	o.stallAfterMS = 300
+	_, base, _ := startWatched(t, dir, o)
+	before := healthz(t, base).LastScanUnixMS
+	appendSlowly(t, dir, rest)
+	if healthz(t, base).LastScanUnixMS == before {
+		t.Fatal("no reconciling walk ran among the writes")
+	}
+	offline, err := core.MineDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := offline.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "/apps to equal the offline report", 10*time.Second, func() bool {
+		_, body := get(t, base+"/apps")
+		return body == want+"\n"
+	})
+	// Two more walks: the unseen files of the last are judged by the
+	// next poll.
+	for i := 0; i < 2; i++ {
+		last := healthz(t, base).LastScanUnixMS
+		waitFor(t, "a reconciling walk", 5*time.Second, func() bool { return healthz(t, base).LastScanUnixMS > last })
+	}
+	if got := metricLine(t, base, "serve_walk_unwoken_files_total"); got != "serve_walk_unwoken_files_total 0" {
+		t.Errorf("%s: a walk fed lines the watch had not named", got)
+	}
+}
+
+// TestWatchConvergingWalkDrainsGap: a line written to a directory the
+// walk listed, before watchEntered added its watch, is named by no
+// event. watchEntered says the tree is not covered, which brings the
+// next walk to a second, and that walk drains the line; after it the
+// tree is covered.
+func TestWatchConvergingWalkDrainsGap(t *testing.T) {
+	dir := t.TempDir()
+	rel := "userlogs/application_1499000000000_0001/container_1499000000000_0001_01_000002/stderr"
+	abs := filepath.Join(dir, filepath.FromSlash(rel))
+	if err := os.MkdirAll(filepath.Dir(abs), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeLines(t, abs, mkLine(7000, "org.apache.spark.executor.CoarseGrainedExecutorBackend", "Started daemon"))
+	st := core.NewShardedStream(1)
+	defer st.Close()
+	sc := newDirScanner(dir, st)
+	w, err := newWatcher(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.w = w
+	ran := make(chan struct{})
+	go func() { defer close(ran); w.run() }()
+	defer func() { w.close(); <-ran }()
+
+	if _, err := sc.scan(); err != nil {
+		t.Fatal(err)
+	}
+	writeLines(t, abs, mkLine(9000, "org.apache.spark.executor.CoarseGrainedExecutorBackend", "Got assigned task 0"))
+	if sc.watchEntered() {
+		t.Fatal("the tree is covered right after a walk that listed directories without a watch")
+	}
+	off := sc.files[rel].off
+	if fed, _, err := sc.poll(false, false); err != nil || fed != 0 {
+		t.Fatalf("a wake poll fed %d lines (err %v) that no event named", fed, err)
+	}
+	if fed, walked, err := sc.poll(true, false); err != nil || !walked || fed != 1 {
+		t.Fatalf("the converging walk: fed=%d walked=%v err=%v, want the gap's line", fed, walked, err)
+	}
+	if sc.files[rel].off <= off {
+		t.Fatal("the converging walk did not move the offset")
+	}
+	if !sc.watchEntered() {
+		t.Error("the tree is not covered after the converging walk")
+	}
+}
+
+// TestWatchIdleTreeIsNotWalked: once the watch covers the tree, an idle
+// server does not walk it for the reconciling period (15 s at the
+// default stall window), while completing lines appended meanwhile are
+// counted by /healthz through a wake.
+func TestWatchIdleTreeIsNotWalked(t *testing.T) {
+	src := writeScenarioLogs(t)
+	ref := newLiveServer(src, testServeOptions(2, nil))
+	defer ref.close()
+	if err := ref.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	rest := splitTree(t, src, dir)
+	srv, base, converged := startWatched(t, dir, testServeOptions(2, nil))
+	since := time.Now()
+	for name, s := range rest {
+		appendRaw(t, filepath.Join(dir, filepath.FromSlash(name)), s)
+	}
+	waitApps(t, base, ref.eng.AppsIngested(), 5*time.Second)
+	time.Sleep(2*time.Second - time.Since(since))
+	if got := healthz(t, base).LastScanUnixMS; got != converged {
+		t.Errorf("last_scan_unix_ms moved from %d to %d on a covered tree", converged, got)
+	}
+	if srv.wakePolls.Value() == 0 {
+		t.Error("no wake poll ran")
+	}
+}
+
+// TestWatchLimitFallsBackToWalk: a watch given up at the limit is closed
+// but stays the scanner's; the server must still walk once a second, so
+// a line appended after is ingested well before a reconciling walk.
+func TestWatchLimitFallsBackToWalk(t *testing.T) {
+	src := writeScenarioLogs(t)
+	ref := newLiveServer(src, testServeOptions(2, nil))
+	defer ref.close()
+	if err := ref.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	rest := splitTree(t, src, dir)
+	srv, base, converged := startWatched(t, dir, testServeOptions(2, nil))
+	srv.sc.stopWatch(syscall.ENOSPC)
+	for name, s := range rest {
+		appendRaw(t, filepath.Join(dir, filepath.FromSlash(name)), s)
+	}
+	waitApps(t, base, ref.eng.AppsIngested(), 5*time.Second)
+	if got := healthz(t, base).LastScanUnixMS; got <= converged {
+		t.Error("the lines were ingested without a walk")
+	}
+	if got := metricLine(t, base, `serve_watch_fallbacks_total{reason="limit"}`); !strings.HasSuffix(got, " 1") {
+		t.Errorf("/metrics has %q, want 1", got)
+	}
+}
+
+// TestWatchRootRemovedTurnsUnhealthy is TestServeHealthzDegraded on a
+// started, watched server: the root's removal ends its watch, the wake
+// that reports it walks, and walks then run once a second, so /healthz
+// turns unhealthy after about healthFailThreshold seconds.
+func TestWatchRootRemovedTurnsUnhealthy(t *testing.T) {
+	gone := filepath.Join(t.TempDir(), "gone")
+	if err := os.MkdirAll(filepath.Join(gone, "userlogs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, base, _ := startWatched(t, gone, testServeOptions(2, nil))
+	if err := os.RemoveAll(gone); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	waitFor(t, "/healthz to turn unhealthy", 3*healthFailThreshold*time.Second, func() bool {
+		code, _ := get(t, base+"/healthz")
+		return code == http.StatusServiceUnavailable
+	})
+	h := healthz(t, base)
+	if d := time.Since(start); h.Status != "unhealthy" || h.LastError == "" || d > (healthFailThreshold+2)*time.Second {
+		t.Errorf("after %v /healthz is %+v, want unhealthy within about %d s", d, h, healthFailThreshold)
+	}
+}
+
+// syncWriter is an io.Writer a test can read while another goroutine
+// writes to it.
+type syncWriter struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (w *syncWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+func (w *syncWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.String()
+}
+
+// TestFollowWatchMatchesOffline runs -follow on a split tree and appends
+// the held-back halves: the last summary it prints is the offline
+// miner's, and wakes drained the lines. A -dir missing at start is an
+// error.
+func TestFollowWatchMatchesOffline(t *testing.T) {
+	src := writeScenarioLogs(t)
+	dir := t.TempDir()
+	rest := splitTree(t, src, dir)
+	defer func(f func(string, serveOptions) *liveServer) { followServer = f }(followServer)
+	started := make(chan *liveServer, 1)
+	followServer = func(dir string, o serveOptions) *liveServer {
+		srv := newLiveServer(dir, o)
+		started <- srv
+		return srv
+	}
+	var out syncWriter
+	done := make(chan struct{})
+	ended := make(chan error, 1)
+	go func() { ended <- followDir(dir, 2, &out, done) }()
+	defer func() {
+		close(done)
+		if err := <-ended; err != nil {
+			t.Error(err)
+		}
+	}()
+	srv := <-started
+	waitFor(t, "the first summary and the watches", 10*time.Second, func() bool {
+		return strings.Contains(out.String(), "\n--- ") && srv.watchDirs.Value() > 0
+	})
+	for name, s := range rest {
+		appendRaw(t, filepath.Join(dir, filepath.FromSlash(name)), s)
+	}
+	offline, err := core.MineDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := offline.Format()
+	last := func() string {
+		s := out.String()
+		s = s[strings.LastIndex(s, "\n--- ")+1:]
+		return s[strings.IndexByte(s, '\n')+1:]
+	}
+	waitFor(t, "the offline summary", 10*time.Second, func() bool { return last() == want })
+	if srv.wakePolls.Value() == 0 {
+		t.Error("no wake poll ran")
+	}
+
+	if err := followDir(filepath.Join(dir, "missing"), 1, &out, nil); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a missing -dir: %v, want it not found", err)
 	}
 }

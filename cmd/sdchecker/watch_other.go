@@ -4,9 +4,9 @@ package main
 
 import "errors"
 
-// Without inotify there is no watcher: -serve finds new lines by its
-// full walk alone. newWatcher fails, so the scanner never calls the
-// methods below.
+// Without inotify there is no watcher: -serve and -follow find new lines
+// by the full walk alone, once a second. newWatcher fails, so the
+// scanner never calls the methods below.
 
 type watcher struct{ wake chan struct{} }
 
@@ -17,7 +17,7 @@ func newWatcher(string) (*watcher, error) {
 func (*watcher) run()                                           {}
 func (*watcher) take(names []string) ([]string, []string, bool) { return names, nil, false }
 func (*watcher) enter(string)                                   {}
-func (*watcher) addEntered() error                              { return nil }
+func (*watcher) addEntered() (bool, error)                      { return false, nil }
 func (*watcher) watch(string) error                             { return nil }
 func (*watcher) watched() int                                   { return 0 }
 func (*watcher) close()                                         {}
